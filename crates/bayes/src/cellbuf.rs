@@ -1,182 +1,49 @@
-//! Cell-array storage and arithmetic for the grid backend's hot loops.
+//! The grid backend's innermost loop: the fused scaled accumulate
+//! `out[i] += a · k[i]` that every stencil scatter row reduces to.
 //!
-//! The grid engine's inner kernels (message scatter, belief products,
-//! normalization) are generic over a [`Cell`] scalar so the same code runs
-//! in `f64` (the default, bit-stable path) or `f32`
-//! ([`crate::grid::GridPrecision::F32`], an opt-in speed/accuracy
-//! trade-off: tables and belief cells halve in size, doubling the SIMD
-//! lane count and cache residency). The dominant operation is the fused
-//! scaled accumulate `out[i] += a · k[i]` ([`Cell::axpy`]) and its
-//! reversed-kernel twin ([`Cell::axpy_rev`], used by quadrant-mirrored
-//! stencils); both dispatch at runtime to AVX2+FMA kernels when the CPU
-//! has them and otherwise fall back to a chunked portable loop the
-//! compiler can autovectorize at the build's baseline feature level.
-//!
-//! This module is exposed publicly so `crates/bench` can microbenchmark
-//! the kernels in isolation; it is not a stability-guaranteed API.
+//! [`axpy`] dispatches at runtime to an AVX2+FMA kernel when the CPU has
+//! it and otherwise falls back to a chunked portable loop the compiler
+//! can autovectorize at the build's baseline feature level.
 
-/// Scalar cell type for grid beliefs, messages, and kernel tables.
-///
-/// Implemented for `f64` (exact path: every operation reproduces the
-/// engine's historical f64 arithmetic bit-for-bit) and `f32` (lossy
-/// path: conversions round to nearest, subnormal tails flush toward
-/// zero; the engine renormalizes derived beliefs in f64 to keep audit
-/// invariants).
-pub trait Cell:
-    Copy
-    + PartialEq
-    + PartialOrd
-    + Send
-    + Sync
-    + std::fmt::Debug
-    + std::ops::Add<Output = Self>
-    + std::ops::Mul<Output = Self>
-    + std::ops::Div<Output = Self>
-    + 'static
-{
-    /// Additive identity.
-    const ZERO: Self;
-    /// Multiplicative identity.
-    const ONE: Self;
-    /// Whether this cell type represents f64 values exactly. When false,
-    /// beliefs derived from cell buffers are renormalized in f64 so the
-    /// distribution audits see masses that sum to 1 within f64 epsilon.
-    const EXACT: bool;
-
-    /// Rounds an `f64` into this cell type.
-    fn from_f64(x: f64) -> Self;
-    /// Widens this cell to `f64` (exact for both implementations).
-    fn to_f64(self) -> f64;
-    /// Staleness tempering `self^alpha`, evaluated in f64 precision.
-    fn temper(self, alpha: f64) -> Self;
-
-    /// Converts an owned f64 vector; the identity (no copy) for `f64`.
-    fn from_f64_vec(v: Vec<f64>) -> Vec<Self>;
-    /// Widens a cell slice into an owned f64 vector.
-    fn to_f64_vec(v: &[Self]) -> Vec<f64>;
-
-    /// `out[i] += a · k[i]` over equal-length slices — the stencil
-    /// scatter's inner loop.
-    fn axpy(out: &mut [Self], a: Self, k: &[Self]);
-    /// `out[i] += a · k[len − 1 − i]`: accumulate against the *reversed*
-    /// kernel slice, used for the left half-row of quadrant-mirrored
-    /// stencils.
-    fn axpy_rev(out: &mut [Self], a: Self, k: &[Self]);
-}
-
-/// Sequential f64-accumulated sum of a cell slice. For `f64` cells this
-/// is exactly `iter().sum()` in slice order, matching the engine's
-/// historical normalization arithmetic.
-pub(crate) fn sum_f64<C: Cell>(xs: &[C]) -> f64 {
-    let mut acc = 0.0;
-    for &x in xs {
-        acc += x.to_f64();
-    }
-    acc
-}
-
-/// Normalizes a mass vector in place; a zero or non-finite total falls
-/// back to uniform. For `f64` cells this replicates
-/// `GridBelief::normalize` bit-for-bit (sum in slice order, then one
-/// division per cell).
-pub(crate) fn normalize_cells<C: Cell>(mass: &mut [C]) {
-    let total = sum_f64(mass);
-    if total > 0.0 && total.is_finite() {
-        let t = C::from_f64(total);
-        for m in mass.iter_mut() {
-            *m = *m / t;
-        }
-    } else {
-        let cells = mass.len();
-        let u = C::from_f64(1.0 / cells as f64);
-        mass.fill(u);
-    }
-}
-
-/// Pointwise product with renormalization — the belief × message update.
-/// For `f64` cells this replicates `GridBelief::product` bit-for-bit.
-pub(crate) fn product_cells<C: Cell>(mass: &mut [C], other: &[C]) {
-    debug_assert_eq!(mass.len(), other.len(), "grid shape mismatch");
-    for (m, &o) in mass.iter_mut().zip(other) {
-        *m = *m * o;
-    }
-    normalize_cells(mass);
-}
-
-/// Message finalization guard: a zero or non-finite message total is
-/// replaced by a flat message. Returns whether the fallback fired
-/// (surfaced as `ObsEvent::GridUniformFallback`).
-pub(crate) fn finalize_cells<C: Cell>(msg: &mut [C]) -> bool {
-    let total = sum_f64(msg);
-    if total <= 0.0 || !total.is_finite() {
-        msg.fill(C::ONE);
-        true
-    } else {
-        false
-    }
-}
-
-/// Staleness tempering `m^alpha` per positive cell; `alpha ≥ 1` is the
-/// identity. Replicates the engine's f64 `temper_message` on f64 cells.
-pub(crate) fn temper_cells<C: Cell>(msg: &mut [C], alpha: f64) {
-    if alpha >= 1.0 {
+/// `out[i] += a · k[i]` over equal-length slices — the stencil
+/// scatter's inner loop.
+pub(crate) fn axpy(out: &mut [f64], a: f64, k: &[f64]) {
+    #[cfg(target_arch = "x86_64")]
+    if x86::have_avx2_fma() {
+        // SAFETY: guarded by runtime AVX2+FMA detection.
+        unsafe { x86::axpy_f64(out, a, k) };
         return;
     }
-    let a = alpha.max(0.0);
-    for m in msg.iter_mut() {
-        if *m > C::ZERO {
-            *m = m.temper(a);
-        }
-    }
-}
-
-/// Damped belief blend `new = (1 − d)·new + d·old`, renormalized.
-/// Replicates the engine's f64 `damp` on f64 cells.
-pub(crate) fn damp_cells<C: Cell>(new: &mut [C], old: &[C], damping: f64) {
-    let keep = C::from_f64(1.0 - damping);
-    let d = C::from_f64(damping);
-    for (n, &o) in new.iter_mut().zip(old) {
-        *n = keep * *n + d * o;
-    }
-    normalize_cells(new);
+    axpy_portable(out, a, k);
 }
 
 /// Portable `out[i] += a · k[i]`: fixed-width chunks of exact `zip`s so
 /// the inner loop carries no bounds checks and autovectorizes at the
 /// build's baseline feature level (SSE2 on x86-64 by default).
-fn axpy_portable<C: Cell>(out: &mut [C], a: C, k: &[C]) {
+fn axpy_portable(out: &mut [f64], a: f64, k: &[f64]) {
     let n = out.len().min(k.len());
     debug_assert_eq!(out.len(), k.len());
     let (out, k) = (&mut out[..n], &k[..n]);
     for (oc, kc) in out.chunks_exact_mut(8).zip(k.chunks_exact(8)) {
         for (t, &kv) in oc.iter_mut().zip(kc) {
-            *t = *t + a * kv;
+            *t += a * kv;
         }
     }
     let tail = n - n % 8;
     for (t, &kv) in out[tail..].iter_mut().zip(&k[tail..]) {
-        *t = *t + a * kv;
+        *t += a * kv;
     }
 }
 
-/// Portable `out[i] += a · k[len − 1 − i]` (reversed kernel).
-fn axpy_rev_portable<C: Cell>(out: &mut [C], a: C, k: &[C]) {
-    let n = out.len().min(k.len());
-    debug_assert_eq!(out.len(), k.len());
-    for (t, &kv) in out[..n].iter_mut().zip(k[..n].iter().rev()) {
-        *t = *t + a * kv;
-    }
-}
-
-/// Runtime-dispatched AVX2+FMA kernels. The crate builds at the default
-/// x86-64 baseline (SSE2), so these paths are selected per process via
+/// Runtime-dispatched AVX2+FMA kernel. The crate builds at the default
+/// x86-64 baseline (SSE2), so this path is selected per process via
 /// `is_x86_feature_detected!` and reached only through that guard.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use core::arch::x86_64::*;
     use std::sync::OnceLock;
 
-    /// Whether this CPU supports the AVX2+FMA kernels (detected once).
+    /// Whether this CPU supports the AVX2+FMA kernel (detected once).
     pub(super) fn have_avx2_fma() -> bool {
         static FLAG: OnceLock<bool> = OnceLock::new();
         *FLAG.get_or_init(|| is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"))
@@ -220,198 +87,6 @@ mod x86 {
             out[j] = a.mul_add(k[j], out[j]);
         }
     }
-
-    /// `out[i] += a · k[n − 1 − i]` with 4-wide f64 FMA over a
-    /// lane-reversed kernel load.
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX2 and FMA (gate with
-    /// [`have_avx2_fma`]).
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn axpy_rev_f64(out: &mut [f64], a: f64, k: &[f64]) {
-        debug_assert_eq!(out.len(), k.len());
-        let n = out.len().min(k.len());
-        let va = _mm256_set1_pd(a);
-        let op = out.as_mut_ptr();
-        let kp = k.as_ptr();
-        let mut i = 0usize;
-        // SAFETY: stores cover `[i, i + 4)` with `i + 4 ≤ n`; the kernel
-        // load covers `[n − 4 − i, n − i)`, in bounds for the same reason.
-        unsafe {
-            while i + 4 <= n {
-                let o0 = _mm256_loadu_pd(op.add(i));
-                let kk = _mm256_loadu_pd(kp.add(n - 4 - i));
-                // Reverse the 4 lanes: imm8 0b00_01_10_11 selects 3,2,1,0.
-                let kr = _mm256_permute4x64_pd(kk, 0b0001_1011);
-                _mm256_storeu_pd(op.add(i), _mm256_fmadd_pd(va, kr, o0));
-                i += 4;
-            }
-        }
-        for j in i..n {
-            out[j] = a.mul_add(k[n - 1 - j], out[j]);
-        }
-    }
-
-    /// `out[i] += a · k[i]` with 8-wide f32 FMA.
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX2 and FMA (gate with
-    /// [`have_avx2_fma`]).
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn axpy_f32(out: &mut [f32], a: f32, k: &[f32]) {
-        debug_assert_eq!(out.len(), k.len());
-        let n = out.len().min(k.len());
-        let va = _mm256_set1_ps(a);
-        let op = out.as_mut_ptr();
-        let kp = k.as_ptr();
-        let mut i = 0usize;
-        // SAFETY: every unaligned load/store covers `[i, i + 8)` (or the
-        // second lane `[i + 8, i + 16)`) with the loop condition keeping
-        // the upper bound ≤ n ≤ both slice lengths.
-        unsafe {
-            while i + 16 <= n {
-                let o0 = _mm256_loadu_ps(op.add(i));
-                let o1 = _mm256_loadu_ps(op.add(i + 8));
-                let k0 = _mm256_loadu_ps(kp.add(i));
-                let k1 = _mm256_loadu_ps(kp.add(i + 8));
-                _mm256_storeu_ps(op.add(i), _mm256_fmadd_ps(va, k0, o0));
-                _mm256_storeu_ps(op.add(i + 8), _mm256_fmadd_ps(va, k1, o1));
-                i += 16;
-            }
-            while i + 8 <= n {
-                let o0 = _mm256_loadu_ps(op.add(i));
-                let k0 = _mm256_loadu_ps(kp.add(i));
-                _mm256_storeu_ps(op.add(i), _mm256_fmadd_ps(va, k0, o0));
-                i += 8;
-            }
-        }
-        for j in i..n {
-            out[j] = a.mul_add(k[j], out[j]);
-        }
-    }
-
-    /// `out[i] += a · k[n − 1 − i]` with 8-wide f32 FMA over a
-    /// lane-reversed kernel load.
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX2 and FMA (gate with
-    /// [`have_avx2_fma`]).
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn axpy_rev_f32(out: &mut [f32], a: f32, k: &[f32]) {
-        debug_assert_eq!(out.len(), k.len());
-        let n = out.len().min(k.len());
-        let va = _mm256_set1_ps(a);
-        let rev = _mm256_setr_epi32(7, 6, 5, 4, 3, 2, 1, 0);
-        let op = out.as_mut_ptr();
-        let kp = k.as_ptr();
-        let mut i = 0usize;
-        // SAFETY: stores cover `[i, i + 8)` with `i + 8 ≤ n`; the kernel
-        // load covers `[n − 8 − i, n − i)`, in bounds for the same reason.
-        unsafe {
-            while i + 8 <= n {
-                let o0 = _mm256_loadu_ps(op.add(i));
-                let kk = _mm256_loadu_ps(kp.add(n - 8 - i));
-                let kr = _mm256_permutevar8x32_ps(kk, rev);
-                _mm256_storeu_ps(op.add(i), _mm256_fmadd_ps(va, kr, o0));
-                i += 8;
-            }
-        }
-        for j in i..n {
-            out[j] = a.mul_add(k[n - 1 - j], out[j]);
-        }
-    }
-}
-
-impl Cell for f64 {
-    const ZERO: f64 = 0.0;
-    const ONE: f64 = 1.0;
-    const EXACT: bool = true;
-
-    fn from_f64(x: f64) -> f64 {
-        x
-    }
-
-    fn to_f64(self) -> f64 {
-        self
-    }
-
-    fn temper(self, alpha: f64) -> f64 {
-        self.powf(alpha)
-    }
-
-    fn from_f64_vec(v: Vec<f64>) -> Vec<f64> {
-        v
-    }
-
-    fn to_f64_vec(v: &[f64]) -> Vec<f64> {
-        v.to_vec()
-    }
-
-    fn axpy(out: &mut [f64], a: f64, k: &[f64]) {
-        #[cfg(target_arch = "x86_64")]
-        if x86::have_avx2_fma() {
-            // SAFETY: guarded by runtime AVX2+FMA detection.
-            unsafe { x86::axpy_f64(out, a, k) };
-            return;
-        }
-        axpy_portable(out, a, k);
-    }
-
-    fn axpy_rev(out: &mut [f64], a: f64, k: &[f64]) {
-        #[cfg(target_arch = "x86_64")]
-        if x86::have_avx2_fma() {
-            // SAFETY: guarded by runtime AVX2+FMA detection.
-            unsafe { x86::axpy_rev_f64(out, a, k) };
-            return;
-        }
-        axpy_rev_portable(out, a, k);
-    }
-}
-
-impl Cell for f32 {
-    const ZERO: f32 = 0.0;
-    const ONE: f32 = 1.0;
-    const EXACT: bool = false;
-
-    fn from_f64(x: f64) -> f32 {
-        x as f32
-    }
-
-    fn to_f64(self) -> f64 {
-        f64::from(self)
-    }
-
-    fn temper(self, alpha: f64) -> f32 {
-        f64::from(self).powf(alpha) as f32
-    }
-
-    fn from_f64_vec(v: Vec<f64>) -> Vec<f32> {
-        v.into_iter().map(|x| x as f32).collect()
-    }
-
-    fn to_f64_vec(v: &[f32]) -> Vec<f64> {
-        v.iter().map(|&x| f64::from(x)).collect()
-    }
-
-    fn axpy(out: &mut [f32], a: f32, k: &[f32]) {
-        #[cfg(target_arch = "x86_64")]
-        if x86::have_avx2_fma() {
-            // SAFETY: guarded by runtime AVX2+FMA detection.
-            unsafe { x86::axpy_f32(out, a, k) };
-            return;
-        }
-        axpy_portable(out, a, k);
-    }
-
-    fn axpy_rev(out: &mut [f32], a: f32, k: &[f32]) {
-        #[cfg(target_arch = "x86_64")]
-        if x86::have_avx2_fma() {
-            // SAFETY: guarded by runtime AVX2+FMA detection.
-            unsafe { x86::axpy_rev_f32(out, a, k) };
-            return;
-        }
-        axpy_rev_portable(out, a, k);
-    }
 }
 
 #[cfg(test)]
@@ -426,102 +101,23 @@ mod tests {
 
     #[test]
     fn axpy_matches_reference_at_all_lengths() {
-        // Cover every tail-length case around the 4/8/16-lane boundaries.
-        for n in 0..40 {
-            let k: Vec<f64> = (0..n).map(|i| 0.1 + i as f64 * 0.37).collect();
-            let mut out: Vec<f64> = (0..n).map(|i| 1.0 + i as f64).collect();
-            let mut expect = out.clone();
-            f64::axpy(&mut out, 0.625, &k);
-            reference_axpy(&mut expect, 0.625, &k);
-            for (i, (a, b)) in out.iter().zip(&expect).enumerate() {
-                assert!(
-                    (a - b).abs() <= 1e-15 * b.abs().max(1.0),
-                    "n={n} i={i}: {a} vs {b}"
-                );
+        // Cover every tail-length case around the 4/8-lane boundaries,
+        // for the dispatched kernel and the portable fallback alike.
+        type Kernel = fn(&mut [f64], f64, &[f64]);
+        for kernel in [axpy as Kernel, axpy_portable] {
+            for n in 0..40 {
+                let k: Vec<f64> = (0..n).map(|i| 0.1 + i as f64 * 0.37).collect();
+                let mut out: Vec<f64> = (0..n).map(|i| 1.0 + i as f64).collect();
+                let mut expect = out.clone();
+                kernel(&mut out, 0.625, &k);
+                reference_axpy(&mut expect, 0.625, &k);
+                for (i, (a, b)) in out.iter().zip(&expect).enumerate() {
+                    assert!(
+                        (a - b).abs() <= 1e-15 * b.abs().max(1.0),
+                        "n={n} i={i}: {a} vs {b}"
+                    );
+                }
             }
         }
-    }
-
-    #[test]
-    fn axpy_rev_reverses_kernel() {
-        for n in 0..40 {
-            let k: Vec<f64> = (0..n).map(|i| i as f64 + 1.0).collect();
-            let mut out = vec![0.0f64; n];
-            f64::axpy_rev(&mut out, 2.0, &k);
-            for i in 0..n {
-                let want = 2.0 * k[n - 1 - i];
-                assert!(
-                    (out[i] - want).abs() <= 1e-12,
-                    "n={n} i={i}: {} vs {want}",
-                    out[i]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn axpy_f32_matches_f64_within_single_precision() {
-        for n in [0usize, 1, 7, 8, 9, 15, 16, 17, 31, 33] {
-            let k64: Vec<f64> = (0..n).map(|i| 0.01 + i as f64 * 0.013).collect();
-            let k32: Vec<f32> = k64.iter().map(|&x| x as f32).collect();
-            let mut out32 = vec![0.5f32; n];
-            let mut out64 = vec![0.5f64; n];
-            f32::axpy(&mut out32, 0.375, &k32);
-            f64::axpy(&mut out64, 0.375, &k64);
-            for i in 0..n {
-                assert!(
-                    (f64::from(out32[i]) - out64[i]).abs() <= 1e-5,
-                    "n={n} i={i}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn axpy_rev_f32_matches_portable() {
-        for n in [0usize, 1, 5, 8, 9, 16, 23] {
-            let k: Vec<f32> = (0..n).map(|i| i as f32 * 0.5 + 1.0).collect();
-            let mut out = vec![0.0f32; n];
-            let mut expect = vec![0.0f32; n];
-            f32::axpy_rev(&mut out, 1.5, &k);
-            axpy_rev_portable(&mut expect, 1.5, &k);
-            for i in 0..n {
-                assert!((out[i] - expect[i]).abs() <= 1e-4, "n={n} i={i}");
-            }
-        }
-    }
-
-    #[test]
-    fn normalize_replicates_grid_belief_semantics() {
-        let mut m = vec![1.0f64, 3.0, 4.0];
-        normalize_cells(&mut m);
-        assert_eq!(m, vec![1.0 / 8.0, 3.0 / 8.0, 4.0 / 8.0]);
-        // Zero total: uniform fallback.
-        let mut z = vec![0.0f64; 4];
-        normalize_cells(&mut z);
-        assert_eq!(z, vec![0.25; 4]);
-        // Non-finite total: uniform fallback.
-        let mut nan = vec![f64::NAN, 1.0];
-        normalize_cells(&mut nan);
-        assert_eq!(nan, vec![0.5, 0.5]);
-    }
-
-    #[test]
-    fn finalize_flags_collapse() {
-        let mut ok = vec![0.0f64, 2.0];
-        assert!(!finalize_cells(&mut ok));
-        let mut dead = vec![0.0f64, 0.0];
-        assert!(finalize_cells(&mut dead));
-        assert_eq!(dead, vec![1.0, 1.0]);
-    }
-
-    #[test]
-    fn temper_flattens_toward_one() {
-        let mut m = vec![0.25f64, 0.0, 1.0];
-        temper_cells(&mut m, 0.5);
-        assert_eq!(m, vec![0.5, 0.0, 1.0]);
-        let mut id = vec![0.25f64];
-        temper_cells(&mut id, 1.0);
-        assert_eq!(id, vec![0.25]);
     }
 }

@@ -1,38 +1,29 @@
 //! # wsnloc-bayes
 //!
-//! Bayesian-network and factor-graph inference substrate for the `wsnloc`
-//! workspace, built from scratch (the calibration notes for this
-//! reproduction flag Rust's Bayesian-network ecosystem as thin — this crate
-//! is the replacement).
+//! Factor-graph inference substrate for the `wsnloc` workspace, built
+//! from scratch (the calibration notes for this reproduction flag Rust's
+//! Bayesian-network ecosystem as thin — this crate is the replacement).
 //!
-//! Two layers:
+//! The localization model is a spatial Markov random field ([`mrf`])
+//! over 2-D positions with pluggable potentials ([`potential`]) and
+//! three interchangeable belief representations:
 //!
-//! 1. **Discrete Bayesian networks** ([`discrete`]) — variables with finite
-//!    cardinality, conditional probability tables, exact inference by
-//!    enumeration and by variable elimination, and approximate inference by
-//!    likelihood weighting. This is the textbook "Bayesian network" layer;
-//!    the localization model of the paper is the continuous analogue below.
-//! 2. **Spatial Markov random fields** ([`mrf`]) over 2-D positions with
-//!    pluggable potentials ([`potential`]) and two interchangeable belief
-//!    representations:
-//!    - [`grid`]: beliefs as histograms over a discretized field — the
-//!      literal finite Bayesian-network formulation; messages are truncated
-//!      kernel convolutions.
-//!    - [`particle`]: nonparametric (particle) beliefs with importance
-//!      weighting, systematic resampling, and KDE products — the scalable
-//!      formulation.
-//!    - [`gaussian`]: single-Gaussian beliefs updated by EKF-style
-//!      linearization — the cheap parametric ablation that shows *why* the
-//!      paper's formulation is nonparametric.
+//! - [`grid`]: beliefs as histograms over a discretized field — the
+//!   paper's finite Bayesian network, literally; messages are truncated
+//!   kernel convolutions.
+//! - [`particle`]: nonparametric (particle) beliefs with importance
+//!   weighting, systematic resampling, and KDE products — the scalable
+//!   formulation.
+//! - [`gaussian`]: single-Gaussian beliefs updated by EKF-style
+//!   linearization — the cheap parametric ablation that shows *why* the
+//!   paper's formulation is nonparametric.
 //!
-//! Loopy belief propagation over either representation is what the core
+//! Loopy belief propagation over any representation is what the core
 //! `wsnloc` crate runs to localize sensor networks.
 
 #![warn(missing_docs)]
 
-pub mod cellbuf;
-pub mod discrete;
-pub mod discrete_ext;
+mod cellbuf;
 pub mod engine;
 pub mod gaussian;
 pub mod grid;
@@ -47,7 +38,7 @@ pub mod validate;
 
 pub use engine::{Belief, BpEngine, RunOutcome, WarmStart};
 pub use gaussian::{GaussianBelief, GaussianBp};
-pub use grid::{CoarseToFine, GridBelief, GridBp, GridPrecision};
+pub use grid::{CoarseToFine, GridBelief, GridBp};
 pub use motion::MotionModel;
 pub use mrf::{BpOptions, BpOptionsBuilder, BpOutcome, Schedule, SpatialMrf};
 pub use particle::{ParticleBelief, ParticleBp};

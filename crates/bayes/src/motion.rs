@@ -241,6 +241,23 @@ mod tests {
     }
 
     #[test]
+    fn grid_predict_clamps_a_huge_validated_sigma_to_the_grid() {
+        // `f64::MAX` passes validation (finite, >= 0). The blur support
+        // must clamp to the axis instead of asking for ~3σ kernel cells;
+        // a σ that dwarfs the field spreads each row evenly.
+        let domain = Aabb::from_size(100.0, 100.0);
+        let m = MotionModel::new([1.0, 0.0, 0.0, 1.0], f64::MAX, 0.0).expect("valid");
+        let b = GridBelief::delta(Vec2::new(25.0, 75.0), domain, 10, 10);
+        let p = m.predict_grid(&b);
+        assert!((p.mass().iter().sum::<f64>() - 1.0).abs() < 1e-12);
+        let row = b.cell_of(Vec2::new(25.0, 75.0)) / 10;
+        for (i, &mass) in p.mass().iter().enumerate() {
+            let want = if i / 10 == row { 0.1 } else { 0.0 };
+            assert!((mass - want).abs() < 1e-12, "cell {i}: {mass} vs {want}");
+        }
+    }
+
+    #[test]
     fn grid_predict_zero_noise_is_identity_for_identity_f() {
         let domain = Aabb::from_size(100.0, 100.0);
         let m = MotionModel::random_walk(0.0);

@@ -4,7 +4,7 @@
 //! depends on a cell pair only through the integer offset `(Δx, Δy)`, so
 //! the grid engine tabulates its likelihood once per run and the
 //! per-message scatter becomes table-lookup multiply–adds. This module
-//! classifies each table at build time into the cheapest of three forms:
+//! classifies each table at build time into one of two forms:
 //!
 //! - **Separable** — the table is (numerically) a rank-1 outer product
 //!   `K(Δx, Δy) = row(Δx) · col(Δy)` (detected by a max-pivot rank test,
@@ -13,46 +13,35 @@
 //!   The 2-D scatter collapses into a horizontal pass followed by a
 //!   vertical pass: `(2rx+1) + (2ry+1)` multiply–adds per cell instead of
 //!   `(2rx+1)·(2ry+1)`.
-//! - **Mirrored** — the table is bit-exactly symmetric under `Δx → −Δx`
-//!   and `Δy → −Δy` (true for every distance-only kernel, whose entries
-//!   are functions of `|Δ|`). Only the non-negative quadrant
-//!   `(rx+1) × (ry+1)` is stored — ~4× smaller, so hot tables stay cache
-//!   resident — and rows are indexed with `|Δx|, |Δy|` via a reversed and
-//!   a forward accumulate per target row.
-//! - **Dense** — anything else (asymmetric custom tables) keeps the full
-//!   `(2ry+1) × (2rx+1)` table and the original row-sliced scatter.
+//! - **Dense** — anything else (ring kernels, asymmetric custom tables)
+//!   keeps the full `(2ry+1) × (2rx+1)` table and scatters it row by row.
 //!
-//! All three scatter kernels are generic over [`Cell`] (f64 or f32) and
-//! drive the runtime-dispatched SIMD accumulates in [`crate::cellbuf`].
-//! They are `#[inline(never)]` and public so `crates/bench` can
-//! microbenchmark each form in isolation; the module is not a
-//! stability-guaranteed API.
+//! Both scatter kernels drive the runtime-dispatched SIMD accumulate in
+//! `cellbuf` and are `#[inline(never)]`, so profiles and the stencil
+//! microbench time each form in isolation.
 
-use crate::cellbuf::Cell;
+use crate::cellbuf::axpy;
 use crate::potential::PairPotential;
 
 /// Storage form of a classified kernel table.
 #[derive(Debug, Clone)]
-enum StencilKind<C> {
+enum StencilKind {
     /// Full `(2ry+1) × (2rx+1)` table, row-major by `Δy`.
-    Dense { table: Vec<C> },
-    /// Non-negative quadrant `(ry+1) × (rx+1)`, row-major by `|Δy|`.
-    Mirrored { quadrant: Vec<C> },
+    Dense { table: Vec<f64> },
     /// Rank-1 factors: `row` over `Δx ∈ −rx..=rx`, `col` over
     /// `Δy ∈ −ry..=ry`; the kernel entry is `col[Δy+ry] · row[Δx+rx]`.
-    Separable { row: Vec<C>, col: Vec<C> },
+    Separable { row: Vec<f64>, col: Vec<f64> },
 }
 
-/// A classified, possibly down-converted kernel table with its support
-/// radii in cells.
+/// A classified kernel table with its support radii in cells.
 #[derive(Debug, Clone)]
-pub struct KernelStencil<C> {
+pub struct KernelStencil {
     rx: isize,
     ry: isize,
-    kind: StencilKind<C>,
+    kind: StencilKind,
 }
 
-impl KernelStencil<f64> {
+impl KernelStencil {
     /// Tabulates and classifies `potential` for an `nx × ny` grid with
     /// cell size `(dx, dy)`. `None` when the potential opts out of
     /// discretization or returns a malformed table/factors (callers then
@@ -69,7 +58,7 @@ impl KernelStencil<f64> {
         ny: usize,
         dx: f64,
         dy: f64,
-    ) -> Option<KernelStencil<f64>> {
+    ) -> Option<KernelStencil> {
         let (rx, ry) = match potential.max_distance() {
             Some(r) => ((r / dx).ceil() as isize, (r / dy).ceil() as isize),
             None => (nx as isize, ny as isize),
@@ -92,13 +81,12 @@ impl KernelStencil<f64> {
         Some(KernelStencil::classify(rx, ry, table))
     }
 
-    /// Classifies a full `(2ry+1) × (2rx+1)` table into the cheapest
-    /// stencil form: separable when it passes the rank-1 test, mirrored
-    /// when it is bit-exactly symmetric in both axes, dense otherwise.
+    /// Classifies a full `(2ry+1) × (2rx+1)` table: separable when it
+    /// passes the rank-1 test, dense otherwise.
     ///
     /// # Panics
     /// When `table.len() != (2rx+1)·(2ry+1)`.
-    pub fn classify(rx: usize, ry: usize, table: Vec<f64>) -> KernelStencil<f64> {
+    pub fn classify(rx: usize, ry: usize, table: Vec<f64>) -> KernelStencil {
         assert_eq!(
             table.len(),
             (2 * rx + 1) * (2 * ry + 1),
@@ -107,40 +95,14 @@ impl KernelStencil<f64> {
         if let Some((row, col)) = try_separate(&table, rx, ry) {
             return KernelStencil::separable(rx, ry, row, col);
         }
-        if let Some(quadrant) = fold_quadrant(&table, rx, ry) {
-            return KernelStencil::mirrored(rx, ry, quadrant);
-        }
         KernelStencil::dense(rx, ry, table)
     }
 
-    /// Converts the f64 classification into cell type `D`, rounding every
-    /// stored table entry (the identity for `D = f64`).
-    pub fn converted<D: Cell>(&self) -> KernelStencil<D> {
-        let conv = |v: &[f64]| v.iter().map(|&x| D::from_f64(x)).collect::<Vec<D>>();
-        let kind = match &self.kind {
-            StencilKind::Dense { table } => StencilKind::Dense { table: conv(table) },
-            StencilKind::Mirrored { quadrant } => StencilKind::Mirrored {
-                quadrant: conv(quadrant),
-            },
-            StencilKind::Separable { row, col } => StencilKind::Separable {
-                row: conv(row),
-                col: conv(col),
-            },
-        };
-        KernelStencil {
-            rx: self.rx,
-            ry: self.ry,
-            kind,
-        }
-    }
-}
-
-impl<C: Cell> KernelStencil<C> {
     /// A dense stencil from a full `(2ry+1) × (2rx+1)` table.
     ///
     /// # Panics
     /// When the table length does not match the radii.
-    pub fn dense(rx: usize, ry: usize, table: Vec<C>) -> KernelStencil<C> {
+    pub fn dense(rx: usize, ry: usize, table: Vec<f64>) -> KernelStencil {
         assert_eq!(
             table.len(),
             (2 * rx + 1) * (2 * ry + 1),
@@ -153,28 +115,11 @@ impl<C: Cell> KernelStencil<C> {
         }
     }
 
-    /// A mirrored stencil from a `(ry+1) × (rx+1)` quadrant table.
-    ///
-    /// # Panics
-    /// When the quadrant length does not match the radii.
-    pub fn mirrored(rx: usize, ry: usize, quadrant: Vec<C>) -> KernelStencil<C> {
-        assert_eq!(
-            quadrant.len(),
-            (rx + 1) * (ry + 1),
-            "quadrant table shape mismatch"
-        );
-        KernelStencil {
-            rx: rx as isize,
-            ry: ry as isize,
-            kind: StencilKind::Mirrored { quadrant },
-        }
-    }
-
     /// A separable stencil from rank-1 factors.
     ///
     /// # Panics
     /// When the factor lengths do not match the radii.
-    pub fn separable(rx: usize, ry: usize, row: Vec<C>, col: Vec<C>) -> KernelStencil<C> {
+    pub fn separable(rx: usize, ry: usize, row: Vec<f64>, col: Vec<f64>) -> KernelStencil {
         assert_eq!(row.len(), 2 * rx + 1, "row factor shape mismatch");
         assert_eq!(col.len(), 2 * ry + 1, "column factor shape mismatch");
         KernelStencil {
@@ -194,21 +139,19 @@ impl<C: Cell> KernelStencil<C> {
         self.ry
     }
 
-    /// The classified form: `"dense"`, `"mirrored"`, or `"separable"`.
+    /// The classified form: `"dense"` or `"separable"`.
     pub fn kind_name(&self) -> &'static str {
         match self.kind {
             StencilKind::Dense { .. } => "dense",
-            StencilKind::Mirrored { .. } => "mirrored",
             StencilKind::Separable { .. } => "separable",
         }
     }
 
-    /// Total stored table entries (full table, quadrant, or both
-    /// factors) — what the classification actually keeps resident.
+    /// Total stored table entries (full table or both factors) — what
+    /// the classification actually keeps resident.
     pub fn stored_len(&self) -> usize {
         match &self.kind {
             StencilKind::Dense { table } => table.len(),
-            StencilKind::Mirrored { quadrant } => quadrant.len(),
             StencilKind::Separable { row, col } => row.len() + col.len(),
         }
     }
@@ -217,13 +160,17 @@ impl<C: Cell> KernelStencil<C> {
     /// through this stencil, skipping source cells below `floor`. `out`
     /// must be zeroed by the caller; `temp` is scratch reused across
     /// calls (only the separable form touches it).
-    pub fn scatter(&self, src: &[C], nx: usize, floor: C, out: &mut [C], temp: &mut Vec<C>) {
+    pub fn scatter(
+        &self,
+        src: &[f64],
+        nx: usize,
+        floor: f64,
+        out: &mut [f64],
+        temp: &mut Vec<f64>,
+    ) {
         match &self.kind {
             StencilKind::Dense { table } => {
                 scatter_dense(self.rx, self.ry, table, src, nx, floor, out);
-            }
-            StencilKind::Mirrored { quadrant } => {
-                scatter_mirrored(self.rx, self.ry, quadrant, src, nx, floor, out, temp);
             }
             StencilKind::Separable { row, col } => {
                 scatter_separable(self.rx, self.ry, row, col, src, nx, floor, out, temp);
@@ -235,7 +182,7 @@ impl<C: Cell> KernelStencil<C> {
 /// Max-pivot rank-1 test: factors the table as `col ⊗ row` anchored at
 /// its largest-magnitude entry and accepts when every entry matches the
 /// outer product within `1e-13 · max|entry|`. Non-finite or all-zero
-/// tables are rejected (they classify onward as mirrored/dense).
+/// tables are rejected (they classify onward as dense).
 fn try_separate(table: &[f64], rx: usize, ry: usize) -> Option<(Vec<f64>, Vec<f64>)> {
     let w = 2 * rx + 1;
     let h = 2 * ry + 1;
@@ -268,42 +215,17 @@ fn try_separate(table: &[f64], rx: usize, ry: usize) -> Option<(Vec<f64>, Vec<f6
     Some((row, col))
 }
 
-/// Folds a bit-exactly axis-symmetric table down to its non-negative
-/// quadrant (`|Δy|` rows × `|Δx|` columns); `None` when any entry
-/// differs from its mirror.
-fn fold_quadrant(table: &[f64], rx: usize, ry: usize) -> Option<Vec<f64>> {
-    let w = 2 * rx + 1;
-    let h = 2 * ry + 1;
-    for y in 0..h {
-        for x in 0..w {
-            let v = table[y * w + x];
-            let mx = table[y * w + (w - 1 - x)];
-            let my = table[(h - 1 - y) * w + x];
-            if v.to_bits() != mx.to_bits() || v.to_bits() != my.to_bits() {
-                return None;
-            }
-        }
-    }
-    let mut quadrant = Vec::with_capacity((rx + 1) * (ry + 1));
-    for qy in 0..=ry {
-        for qx in 0..=rx {
-            quadrant.push(table[(ry + qy) * w + (rx + qx)]);
-        }
-    }
-    Some(quadrant)
-}
-
 /// Dense scatter: per source cell above `floor`, accumulate the clamped
 /// kernel window row by row over contiguous slices.
 #[inline(never)]
-pub fn scatter_dense<C: Cell>(
+fn scatter_dense(
     rx: isize,
     ry: isize,
-    table: &[C],
-    src: &[C],
+    table: &[f64],
+    src: &[f64],
     nx: usize,
-    floor: C,
-    out: &mut [C],
+    floor: f64,
+    out: &mut [f64],
 ) {
     let ny = out.len() / nx;
     let width = 2 * rx as usize + 1;
@@ -322,68 +244,7 @@ pub fn scatter_dense<C: Cell>(
             let k0 = krow + (x0 - sx + rx) as usize;
             let t0 = y as usize * nx + x0 as usize;
             let cols = (x1 - x0) as usize + 1;
-            C::axpy(&mut out[t0..t0 + cols], m, &table[k0..k0 + cols]);
-        }
-    }
-}
-
-/// Mirrored scatter. The stored form is the `(ry+1) × (rx+1)` quadrant
-/// (what stays cache-resident between messages); at scatter time the
-/// `ry+1` distinct full-width kernel rows are unfolded once into
-/// scratch — `(ry+1)·(2rx+1)` copies, negligible next to the
-/// `O(sources · window)` accumulate — so the per-source inner loop is a
-/// single contiguous accumulate per target row, indexed by `|Δy|`,
-/// identical in shape (and bit-identical in result) to the dense form.
-/// Splitting each row at the source column into a reversed and a
-/// forward accumulate straight off the quadrant was measurably slower:
-/// at practical radii the split segments are too short to amortize the
-/// SIMD lane-reversal.
-#[inline(never)]
-#[allow(clippy::too_many_arguments)]
-pub fn scatter_mirrored<C: Cell>(
-    rx: isize,
-    ry: isize,
-    quadrant: &[C],
-    src: &[C],
-    nx: usize,
-    floor: C,
-    out: &mut [C],
-    temp: &mut Vec<C>,
-) {
-    let ny = out.len() / nx;
-    let qw = rx as usize + 1;
-    let width = 2 * rx as usize + 1;
-    // Unfold |Δx| mirroring: row `qy` of scratch holds the full kernel
-    // row for |Δy| = qy.
-    temp.clear();
-    temp.resize((ry as usize + 1) * width, C::ZERO);
-    for qy in 0..=ry as usize {
-        let qrow = &quadrant[qy * qw..qy * qw + qw];
-        let frow = &mut temp[qy * width..(qy + 1) * width];
-        for (dx, slot) in frow.iter_mut().enumerate() {
-            *slot = qrow[dx.abs_diff(rx as usize)];
-        }
-    }
-    for (s, &m) in src.iter().enumerate() {
-        if m < floor {
-            continue;
-        }
-        let sx = (s % nx) as isize;
-        let sy = (s / nx) as isize;
-        let x0 = (sx - rx).max(0);
-        let x1 = (sx + rx).min(nx as isize - 1);
-        let y0 = (sy - ry).max(0);
-        let y1 = (sy + ry).min(ny as isize - 1);
-        let k0 = (x0 - sx + rx) as usize;
-        let cols = (x1 - x0) as usize + 1;
-        for y in y0..=y1 {
-            let krow = (y - sy).unsigned_abs() * width;
-            let t0 = y as usize * nx + x0 as usize;
-            C::axpy(
-                &mut out[t0..t0 + cols],
-                m,
-                &temp[krow + k0..krow + k0 + cols],
-            );
+            axpy(&mut out[t0..t0 + cols], m, &table[k0..k0 + cols]);
         }
     }
 }
@@ -391,24 +252,24 @@ pub fn scatter_mirrored<C: Cell>(
 /// Separable scatter: a horizontal pass accumulates `mass · row(Δx)`
 /// into a scratch plane (the per-source mass floor applies here, exactly
 /// as in the dense path), then a vertical pass accumulates
-/// `col(Δy) · scratch-row` over full contiguous rows. Scratch rows with
-/// no mass are skipped.
+/// `col(Δy) · scratch-row` over full contiguous rows. Rows with no
+/// source above the floor are skipped.
 #[inline(never)]
 #[allow(clippy::too_many_arguments)]
-pub fn scatter_separable<C: Cell>(
+fn scatter_separable(
     rx: isize,
     ry: isize,
-    row: &[C],
-    col: &[C],
-    src: &[C],
+    row: &[f64],
+    col: &[f64],
+    src: &[f64],
     nx: usize,
-    floor: C,
-    out: &mut [C],
-    temp: &mut Vec<C>,
+    floor: f64,
+    out: &mut [f64],
+    temp: &mut Vec<f64>,
 ) {
     let ny = out.len() / nx;
     temp.clear();
-    temp.resize(out.len(), C::ZERO);
+    temp.resize(out.len(), 0.0);
     for (s, &m) in src.iter().enumerate() {
         if m < floor {
             continue;
@@ -420,19 +281,20 @@ pub fn scatter_separable<C: Cell>(
         let k0 = (x0 - sx + rx) as usize;
         let t0 = sy * nx + x0 as usize;
         let cols = (x1 - x0) as usize + 1;
-        C::axpy(&mut temp[t0..t0 + cols], m, &row[k0..k0 + cols]);
+        axpy(&mut temp[t0..t0 + cols], m, &row[k0..k0 + cols]);
     }
     for sy in 0..ny {
-        let trow = &temp[sy * nx..(sy + 1) * nx];
-        if trow.iter().all(|&v| v == C::ZERO) {
+        // A row no source passed the floor in received nothing above.
+        if !src[sy * nx..(sy + 1) * nx].iter().any(|&m| m >= floor) {
             continue;
         }
+        let trow = &temp[sy * nx..(sy + 1) * nx];
         let y0 = (sy as isize - ry).max(0);
         let y1 = (sy as isize + ry).min(ny as isize - 1);
         for ty in y0..=y1 {
             let c = col[(ty - sy as isize + ry) as usize];
             let t = ty as usize * nx;
-            C::axpy(&mut out[t..t + nx], c, trow);
+            axpy(&mut out[t..t + nx], c, trow);
         }
     }
 }
@@ -451,7 +313,7 @@ mod tests {
             .collect()
     }
 
-    fn scatter_ref(st: &KernelStencil<f64>, src: &[f64], nx: usize, floor: f64) -> Vec<f64> {
+    fn scatter_ref(st: &KernelStencil, src: &[f64], nx: usize, floor: f64) -> Vec<f64> {
         let mut out = vec![0.0; src.len()];
         let mut temp = Vec::new();
         st.scatter(src, nx, floor, &mut out, &mut temp);
@@ -473,17 +335,18 @@ mod tests {
     }
 
     #[test]
-    fn gaussian_range_classifies_mirrored() {
+    fn gaussian_range_classifies_dense() {
         let pot = GaussianRange {
             observed: 30.0,
             sigma: 4.0,
         };
         let st = KernelStencil::build(&pot, 25, 25, 4.0, 4.0).expect("discretizes");
-        assert_eq!(st.kind_name(), "mirrored");
-        // Ring kernels are radially symmetric but not rank-1.
+        // Ring kernels are radially symmetric but not rank-1: the full
+        // table is kept.
+        assert_eq!(st.kind_name(), "dense");
         assert_eq!(
             st.stored_len(),
-            (st.rx() as usize + 1) * (st.ry() as usize + 1)
+            (2 * st.rx() as usize + 1) * (2 * st.ry() as usize + 1)
         );
     }
 
@@ -542,10 +405,10 @@ mod tests {
         let st = KernelStencil::build(&Everywhere, nx, ny, 2.0, 2.0).expect("discretizes");
         assert_eq!(st.rx(), nx as isize - 1);
         assert_eq!(st.ry(), ny as isize - 1);
-        // Distance-only default tabulation is symmetric → quadrant
-        // storage pinned to exactly (nx) × (ny) reachable offsets.
-        assert_eq!(st.kind_name(), "mirrored");
-        assert_eq!(st.stored_len(), nx * ny);
+        // Distance-only default tabulation is not rank-1 → dense table
+        // pinned to exactly the (2nx−1) × (2ny−1) reachable offsets.
+        assert_eq!(st.kind_name(), "dense");
+        assert_eq!(st.stored_len(), (2 * nx - 1) * (2 * ny - 1));
 
         // Unbounded potentials clamp identically.
         struct Unbounded;
@@ -562,32 +425,6 @@ mod tests {
         }
         let st = KernelStencil::build(&Unbounded, nx, ny, 2.0, 2.0).expect("discretizes");
         assert_eq!((st.rx(), st.ry()), (nx as isize - 1, ny as isize - 1));
-    }
-
-    #[test]
-    fn mirrored_scatter_matches_dense_on_symmetric_tables() {
-        let pot = GaussianRange {
-            observed: 20.0,
-            sigma: 5.0,
-        };
-        let (nx, ny) = (22usize, 17usize);
-        let table = {
-            let (rx, ry) = (11usize, 9usize);
-            pot.discretized_kernel(4.0, 4.0, rx, ry).expect("table")
-        };
-        let dense = KernelStencil::dense(11, 9, table.clone());
-        let mirrored = KernelStencil::classify(11, 9, table);
-        assert_eq!(mirrored.kind_name(), "mirrored");
-        let src = random_src(nx, ny, 42);
-        let floor = 1e-4 / (nx * ny) as f64;
-        let a = scatter_ref(&dense, &src, nx, floor);
-        let b = scatter_ref(&mirrored, &src, nx, floor);
-        for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-            assert!(
-                (x - y).abs() <= 1e-12 * x.abs().max(1.0),
-                "cell {i}: dense {x} vs mirrored {y}"
-            );
-        }
     }
 
     #[test]
@@ -618,33 +455,6 @@ mod tests {
             assert!(
                 (x - y).abs() <= 1e-12 * x.abs().max(1.0),
                 "cell {i}: dense {x} vs separable {y}"
-            );
-        }
-    }
-
-    #[test]
-    fn f32_conversion_tracks_f64_within_single_precision() {
-        let pot = GaussianRange {
-            observed: 25.0,
-            sigma: 4.0,
-        };
-        let (nx, ny) = (20usize, 20usize);
-        let st64 = KernelStencil::build(&pot, nx, ny, 5.0, 5.0).expect("discretizes");
-        let st32 = st64.converted::<f32>();
-        assert_eq!(st64.kind_name(), st32.kind_name());
-        let src64 = random_src(nx, ny, 9);
-        let src32: Vec<f32> = src64.iter().map(|&x| x as f32).collect();
-        let floor = 1e-4 / (nx * ny) as f64;
-        let a = scatter_ref(&st64, &src64, nx, floor);
-        let mut b32 = vec![0.0f32; nx * ny];
-        let mut temp = Vec::new();
-        st32.scatter(&src32, nx, floor as f32, &mut b32, &mut temp);
-        for (i, (x, y)) in a.iter().zip(&b32).enumerate() {
-            // Documented f32 contract: per-cell relative error within a
-            // few hundred f32 ulps of the f64 reference.
-            assert!(
-                (x - f64::from(*y)).abs() <= 5e-5 * x.abs().max(1e-3),
-                "cell {i}: f64 {x} vs f32 {y}"
             );
         }
     }

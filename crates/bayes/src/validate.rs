@@ -118,8 +118,6 @@ pub enum ValidationError {
     },
     /// The graph has no anchors but the caller requires at least one.
     NoAnchors,
-    /// A directed network's parent relation contains a cycle.
-    CyclicNetwork,
     /// A builder was handed a configuration value outside its valid range.
     InvalidOption {
         /// The option's field name (e.g. `"damping"`).
@@ -190,12 +188,6 @@ impl fmt::Display for ValidationError {
                 write!(f, "anchor {node} has a non-finite position")
             }
             ValidationError::NoAnchors => write!(f, "graph has no anchors"),
-            ValidationError::CyclicNetwork => {
-                write!(
-                    f,
-                    "parent relation contains a cycle (network must be a DAG)"
-                )
-            }
             ValidationError::InvalidOption {
                 option,
                 value,
@@ -394,64 +386,13 @@ impl GraphAudit {
         }
         Ok(())
     }
-
-    /// Checks discrete-CPT structure against a variable list: parents must
-    /// exist and differ from the child, and every CPT row must be a valid
-    /// normalized distribution. This is the `Result`-typed counterpart of
-    /// the assertions in [`crate::discrete::BayesNet::new`].
-    pub fn check_cpts(
-        &self,
-        cardinalities: &[usize],
-        cpts: &[crate::discrete::Cpt],
-        epsilon: f64,
-    ) -> Result<(), ValidationError> {
-        let n = cardinalities.len();
-        let audit = DistributionAudit {
-            epsilon,
-            ..DistributionAudit::default()
-        };
-        for (i, cpt) in cpts.iter().enumerate() {
-            let card = *cardinalities.get(i).unwrap_or(&0);
-            if card == 0 {
-                return Err(ValidationError::EmptyDistribution {
-                    context: format!("variable {i}"),
-                });
-            }
-            let mut rows = 1usize;
-            for &p in &cpt.parents {
-                if p >= n {
-                    return Err(ValidationError::DanglingFactor {
-                        factor: i,
-                        endpoint: p,
-                        len: n,
-                    });
-                }
-                if p == i {
-                    return Err(ValidationError::SelfFactor { factor: i, node: p });
-                }
-                rows *= cardinalities[p];
-            }
-            if cpt.table.len() != rows * card {
-                return Err(ValidationError::EmptyDistribution {
-                    context: format!("CPT of variable {i} has wrong size {}", cpt.table.len()),
-                });
-            }
-            for r in 0..rows {
-                audit.check_masses(
-                    &format!("CPT row {r} of variable {i}"),
-                    &cpt.table[r * card..(r + 1) * card],
-                )?;
-            }
-        }
-        Ok(())
-    }
 }
 
-/// Aborts with a validation error. The single escape hatch for
-/// constructors whose documented contract is to panic on invalid
-/// programmer input (e.g. [`crate::discrete::BayesNet::new`]); every other
-/// caller should propagate the [`ValidationError`] instead.
-pub(crate) fn fail(context: &str, e: &ValidationError) -> ! {
+/// Aborts with a validation error — what [`enforce`] does with a failed
+/// audit. Compiled only where audits are; every other caller should
+/// propagate the [`ValidationError`] instead.
+#[cfg(any(debug_assertions, feature = "strict-validate"))]
+fn fail(context: &str, e: &ValidationError) -> ! {
     panic!("wsnloc-bayes: {context}: {e}")
 }
 
@@ -627,40 +568,6 @@ mod tests {
         );
         mrf.fix(0, Vec2::new(1.0, 1.0));
         assert_eq!(GraphAudit.check_anchored_mrf(&mrf), Ok(()));
-    }
-
-    #[test]
-    fn cpt_audit_rejects_dangling_parent() {
-        use crate::discrete::Cpt;
-        let g = GraphAudit;
-        let cpts = vec![
-            Cpt {
-                parents: vec![],
-                table: vec![0.5, 0.5],
-            },
-            Cpt {
-                parents: vec![5],
-                table: vec![0.5, 0.5, 0.5, 0.5],
-            },
-        ];
-        assert!(matches!(
-            g.check_cpts(&[2, 2], &cpts, 1e-9),
-            Err(ValidationError::DanglingFactor { endpoint: 5, .. })
-        ));
-    }
-
-    #[test]
-    fn cpt_audit_rejects_denormalized_row() {
-        use crate::discrete::Cpt;
-        let g = GraphAudit;
-        let cpts = vec![Cpt {
-            parents: vec![],
-            table: vec![0.7, 0.7],
-        }];
-        assert!(matches!(
-            g.check_cpts(&[2], &cpts, 1e-9),
-            Err(ValidationError::NotNormalized { .. })
-        ));
     }
 
     #[test]

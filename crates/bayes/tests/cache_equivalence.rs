@@ -13,19 +13,16 @@
 use std::sync::Arc;
 use wsnloc_bayes::{
     BpEngine, BpOptions, GaussianProximity, GaussianRange, GaussianUnary, GridBelief, GridBp,
-    GridPrecision, KernelStencil, PairPotential, Schedule, SpatialMrf, UniformBoxUnary,
+    KernelStencil, PairPotential, Schedule, SpatialMrf, Transport, UniformBoxUnary,
 };
 use wsnloc_geom::check;
 use wsnloc_geom::rng::Xoshiro256pp;
 use wsnloc_geom::{Aabb, Vec2};
+use wsnloc_net::{DropPolicy, FaultPlan};
+use wsnloc_obs::NullObserver;
 
 const CASES: u64 = 16;
 const PER_CELL_TOLERANCE: f64 = 1e-12;
-/// The f32 hot path accumulates single-precision rounding across five
-/// product/normalize iterations; per-cell drift stays well under 1e-3
-/// on these masses (each ≤ 1) while the default f64 path keeps the
-/// 1e-12 contract above.
-const PER_CELL_TOLERANCE_F32: f64 = 1e-3;
 
 /// A Gaussian range potential that refuses stencil discretization,
 /// forcing the cached engine through the pointwise kernel path.
@@ -139,6 +136,39 @@ fn cached_beliefs_match_reference_on_random_mrfs() {
     });
 }
 
+/// Cached vs reference under a faulted transport: lossy, stale links
+/// drive the held-snapshot and tempered-message paths of the node
+/// update, which the perfect-transport property above never reaches.
+#[test]
+fn cached_beliefs_match_reference_under_faults() {
+    check::cases(4, |case, rng| {
+        let mrf = random_mrf(rng, false);
+        let engine = GridBp::with_resolution(18);
+        for policy in [
+            DropPolicy::HoldLast,
+            DropPolicy::DecayToPrior { decay: 0.6 },
+        ] {
+            let plan = FaultPlan::iid_loss(0xFA17 + case, 0.35)
+                .with_stale_prob(0.2)
+                .with_drop_policy(policy);
+            let transport = Transport::faulted(Arc::new(plan));
+            for schedule in [Schedule::Synchronous, Schedule::Sweep] {
+                for damping in [0.0, 0.3] {
+                    let opts = options(schedule, damping);
+                    let run = |engine: GridBp| {
+                        engine.run_transported(&mrf, &opts, &transport, &NullObserver, |_, _| {})
+                    };
+                    let cached = run(engine);
+                    let reference = run(engine.without_message_cache());
+                    assert_eq!(cached.bp.iterations, reference.bp.iterations);
+                    assert_eq!(cached.bp.messages, reference.bp.messages);
+                    assert_beliefs_close(&cached.beliefs, &reference.beliefs, PER_CELL_TOLERANCE);
+                }
+            }
+        }
+    });
+}
+
 #[test]
 fn opt_out_potentials_are_bit_identical_to_reference() {
     check::cases(CASES / 2, |_, rng| {
@@ -210,13 +240,12 @@ fn separable_kernels_match_reference_on_random_mrfs() {
     });
 }
 
-/// Mirrored-vs-full: the default ring kernels of [`random_mrf`] classify
-/// mirrored (quadrant storage), and the main equivalence property above
-/// already pins their cached runs to the reference within 1e-12 — this
-/// test makes the classification explicit so a regression to the dense
-/// path can't silently pass the tolerance check.
+/// The default ring kernels of [`random_mrf`] are not rank-1, so they
+/// classify dense with the full table stored, and the main equivalence
+/// property above pins their cached runs to the reference within
+/// 1e-12 — this test makes the classification explicit.
 #[test]
-fn range_kernels_classify_mirrored() {
+fn range_kernels_classify_dense() {
     check::cases(CASES / 2, |_, rng| {
         let pot = GaussianRange {
             observed: 10.0 + 50.0 * rng.f64(),
@@ -224,9 +253,9 @@ fn range_kernels_classify_mirrored() {
         };
         let st =
             KernelStencil::build(&pot, 18, 18, 100.0 / 18.0, 100.0 / 18.0).expect("discretizes");
-        assert_eq!(st.kind_name(), "mirrored");
+        assert_eq!(st.kind_name(), "dense");
         let full = (2 * st.rx() as usize + 1) * (2 * st.ry() as usize + 1);
-        assert!(st.stored_len() < full);
+        assert_eq!(st.stored_len(), full);
     });
 }
 
@@ -310,24 +339,6 @@ fn asymmetric_kernels_fall_back_to_dense_scatter() {
                 "cell {t}: scatter {a} vs brute force {b}"
             );
         }
-    });
-}
-
-/// The opt-in f32 hot path tracks the f64 reference within the
-/// documented single-precision tolerance on the same randomized MRFs.
-#[test]
-fn f32_cached_beliefs_track_reference_within_documented_tolerance() {
-    check::cases(CASES / 2, |_, rng| {
-        let mrf = random_mrf(rng, false);
-        let opts = options(Schedule::Synchronous, 0.1);
-        let (reference, ro) = GridBp::with_resolution(18)
-            .without_message_cache()
-            .run(&mrf, &opts);
-        let (f32_run, fo) = GridBp::with_resolution(18)
-            .with_precision(GridPrecision::F32)
-            .run(&mrf, &opts);
-        assert_eq!(ro.iterations, fo.iterations);
-        assert_beliefs_close(&f32_run, &reference, PER_CELL_TOLERANCE_F32);
     });
 }
 

@@ -1,122 +1,16 @@
-//! Property-based tests for the Bayesian-network substrate, on the
+//! Property-based tests for the inference substrate, on the
 //! in-tree `wsnloc_geom::check` harness (the workspace builds offline,
 //! without `proptest`).
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
-use wsnloc_bayes::discrete::{BayesNet, Cpt, Evidence, Variable};
-use wsnloc_bayes::discrete_ext::{d_separated, markov_blanket};
 use wsnloc_bayes::{
     BpEngine, BpOptions, GaussianRange, GaussianUnary, GridBelief, ParticleBelief, SpatialMrf,
     UniformBoxUnary,
 };
 use wsnloc_geom::check;
-use wsnloc_geom::rng::Xoshiro256pp;
 use wsnloc_geom::{Aabb, Vec2};
 
 const CASES: u64 = 24;
-
-/// Random two-layer BN: `roots` root variables, `leaves` leaf variables,
-/// each leaf with 1–2 random root parents and random (normalized) CPTs.
-fn random_bn(seed: u64, roots: usize, leaves: usize) -> BayesNet {
-    let mut rng = Xoshiro256pp::seed_from(seed);
-    let n = roots + leaves;
-    let mut variables = Vec::with_capacity(n);
-    let mut cpts = Vec::with_capacity(n);
-    for i in 0..n {
-        variables.push(Variable {
-            name: format!("v{i}"),
-            cardinality: 2,
-        });
-    }
-    for _ in 0..roots {
-        let p = 0.2 + 0.6 * rng.f64();
-        cpts.push(Cpt {
-            parents: vec![],
-            table: vec![1.0 - p, p],
-        });
-    }
-    for _ in 0..leaves {
-        let parent_count = 1 + rng.index(2.min(roots));
-        let parents = rng.sample_indices(roots, parent_count);
-        let rows = 1usize << parents.len();
-        let mut table = Vec::with_capacity(rows * 2);
-        for _ in 0..rows {
-            let p = 0.05 + 0.9 * rng.f64();
-            table.push(1.0 - p);
-            table.push(p);
-        }
-        cpts.push(Cpt { parents, table });
-    }
-    BayesNet::new(variables, cpts)
-}
-
-#[test]
-fn ve_matches_enumeration_on_random_networks() {
-    check::cases(CASES, |_, rng| {
-        let net = random_bn(rng.next_u64(), 3, 3);
-        let query = rng.index(net.len());
-        for evidence in [Evidence::new(), [((query + 1) % net.len(), 1usize)].into()] {
-            if evidence.contains_key(&query) {
-                continue;
-            }
-            let e = net.query_enumeration(query, &evidence);
-            let v = net.query_variable_elimination(query, &evidence);
-            for (a, b) in e.iter().zip(&v) {
-                assert!((a - b).abs() < 1e-9, "{e:?} vs {v:?}");
-            }
-        }
-    });
-}
-
-#[test]
-fn posteriors_are_normalized() {
-    check::cases(CASES, |_, rng| {
-        let net = random_bn(rng.next_u64(), 3, 3);
-        let post = net.query_enumeration(0, &[(4usize, 1usize)].into());
-        assert!((post.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        for p in post {
-            assert!((0.0..=1.0 + 1e-12).contains(&p));
-        }
-    });
-}
-
-#[test]
-fn forward_samples_have_positive_probability() {
-    check::cases(CASES, |_, rng| {
-        let net = random_bn(rng.next_u64(), 3, 3);
-        let mut sampler = Xoshiro256pp::seed_from(rng.next_u64() ^ 0xABCD);
-        for _ in 0..20 {
-            let s = net.sample(&mut sampler);
-            assert!(net.joint_prob(&s) > 0.0);
-        }
-    });
-}
-
-#[test]
-fn d_separation_is_symmetric() {
-    check::cases(CASES, |_, rng| {
-        let net = random_bn(rng.next_u64(), 3, 3);
-        let x = rng.index(net.len());
-        let y = rng.index(net.len());
-        if x == y {
-            return;
-        }
-        for z in [BTreeSet::new(), BTreeSet::from([(x + 1) % net.len()])] {
-            let z: BTreeSet<usize> = z.into_iter().filter(|&v| v != x && v != y).collect();
-            assert_eq!(d_separated(&net, x, y, &z), d_separated(&net, y, x, &z));
-        }
-    });
-}
-
-#[test]
-fn markov_blanket_never_contains_self() {
-    check::cases(CASES, |_, rng| {
-        let net = random_bn(rng.next_u64(), 3, 3);
-        let v = rng.index(net.len());
-        assert!(!markov_blanket(&net, v).contains(&v));
-    });
-}
 
 #[test]
 fn grid_belief_mass_is_normalized() {

@@ -3,7 +3,6 @@
 //! right [`ValidationError`] variant.
 
 use std::sync::Arc;
-use wsnloc_bayes::discrete::{BayesNet, Cpt, Variable};
 use wsnloc_bayes::{
     BpEngine, BpOptions, DistributionAudit, GaussianBp, GaussianRange, GraphAudit, GridBp,
     ParticleBp, SpatialMrf, UniformBoxUnary, ValidationError,
@@ -94,54 +93,6 @@ fn gaussian_posteriors_pass_distribution_audit() {
 }
 
 #[test]
-fn discrete_posteriors_pass_distribution_audit() {
-    check::cases(CASES, |_, rng| {
-        let p = 0.1 + 0.8 * rng.f64();
-        let q = 0.1 + 0.8 * rng.f64();
-        let net = BayesNet::new(
-            vec![
-                Variable {
-                    name: "cause".into(),
-                    cardinality: 2,
-                },
-                Variable {
-                    name: "effect".into(),
-                    cardinality: 2,
-                },
-            ],
-            vec![
-                Cpt {
-                    parents: vec![],
-                    table: vec![1.0 - p, p],
-                },
-                Cpt {
-                    parents: vec![0],
-                    table: vec![1.0 - q, q, q, 1.0 - q],
-                },
-            ],
-        );
-        let audit = DistributionAudit::default();
-        let no_evidence = wsnloc_bayes::discrete::Evidence::new();
-        let observed: wsnloc_bayes::discrete::Evidence = [(1usize, 1usize)].into();
-        for evidence in [&no_evidence, &observed] {
-            for query in [0, 1] {
-                if evidence.contains_key(&query) {
-                    continue;
-                }
-                let post = net.query_enumeration(query, evidence);
-                audit
-                    .check_masses("enumeration posterior", &post)
-                    .expect("posterior must be a valid distribution");
-                let post = net.query_variable_elimination(query, evidence);
-                audit
-                    .check_masses("VE posterior", &post)
-                    .expect("posterior must be a valid distribution");
-            }
-        }
-    });
-}
-
-#[test]
 fn nan_range_rejected() {
     let domain = Aabb::from_size(10.0, 10.0);
     let mut mrf = SpatialMrf::new(2, domain, Arc::new(UniformBoxUnary(domain)));
@@ -176,50 +127,6 @@ fn negative_variance_rejected() {
         GraphAudit.check_mrf(&mrf),
         Err(ValidationError::NonPositiveSigma { factor: 0, .. })
     ));
-}
-
-#[test]
-fn dangling_factor_rejected() {
-    let result = BayesNet::try_new(
-        vec![Variable {
-            name: "only".into(),
-            cardinality: 2,
-        }],
-        vec![Cpt {
-            parents: vec![3],
-            table: vec![0.5, 0.5, 0.5, 0.5],
-        }],
-    );
-    assert!(matches!(
-        result,
-        Err(ValidationError::DanglingFactor {
-            factor: 0,
-            endpoint: 3,
-            len: 1,
-        })
-    ));
-}
-
-#[test]
-fn cyclic_network_rejected_with_typed_error() {
-    let two_state = |name: &str| Variable {
-        name: name.into(),
-        cardinality: 2,
-    };
-    let result = BayesNet::try_new(
-        vec![two_state("a"), two_state("b")],
-        vec![
-            Cpt {
-                parents: vec![1],
-                table: vec![0.5, 0.5, 0.5, 0.5],
-            },
-            Cpt {
-                parents: vec![0],
-                table: vec![0.5, 0.5, 0.5, 0.5],
-            },
-        ],
-    );
-    assert_eq!(result.unwrap_err(), ValidationError::CyclicNetwork);
 }
 
 #[test]

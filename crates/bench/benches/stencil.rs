@@ -1,18 +1,16 @@
 //! Microbenchmarks of the grid-BP stencil scatter kernels in isolation:
-//! the three classified forms (dense / mirrored / separable) at both
-//! cell precisions (f64 / f32), on the engine's default 30×30 grid with
-//! a radius-9 kernel — the same shape the pinned `BENCH_grid.json`
-//! scenario runs. The scatter entry points are `#[inline(never)]`, so
-//! these numbers time exactly the code the engine dispatches to.
+//! the two classified forms (dense / separable) on the engine's default
+//! 30×30 grid with a radius-9 kernel — the same shape the pinned
+//! `BENCH_grid.json` scenario runs. The scatter kernels are
+//! `#[inline(never)]`, so these numbers time exactly the code the engine
+//! dispatches to.
 //!
-//! Dense and mirrored share one radially-symmetric table (identical
-//! arithmetic, different storage and accumulate direction); separable
+//! Dense uses a radially symmetric ring table (not rank-1); separable
 //! uses a rank-1 Gaussian of the same radius (the two-pass form does
 //! fundamentally less work, which is the point being measured).
 
 use std::hint::black_box;
 use std::time::Duration;
-use wsnloc_bayes::cellbuf::Cell;
 use wsnloc_bayes::KernelStencil;
 use wsnloc_bench::harness::Criterion;
 use wsnloc_bench::{criterion_group, criterion_main};
@@ -23,7 +21,7 @@ const NY: usize = 30;
 const R: usize = 9;
 
 /// A radially symmetric ring kernel (Gaussian around distance 5 cells):
-/// bit-exactly mirror-symmetric, not rank-1 — classifies mirrored.
+/// not rank-1, so it classifies dense.
 fn ring_table() -> Vec<f64> {
     let w = 2 * R + 1;
     (0..w * w)
@@ -59,19 +57,18 @@ fn source_plane() -> Vec<f64> {
     src
 }
 
-fn bench_form<C: Cell>(
+fn bench_form(
     c: &mut wsnloc_bench::harness::BenchmarkGroup<'_, wsnloc_bench::harness::measurement::WallTime>,
     name: &str,
-    st: &KernelStencil<C>,
+    st: &KernelStencil,
 ) {
-    let src64 = source_plane();
-    let src: Vec<C> = C::from_f64_vec(src64);
-    let floor = C::from_f64(1e-4 / (NX * NY) as f64);
-    let mut out = vec![C::ZERO; NX * NY];
-    let mut temp: Vec<C> = Vec::new();
+    let src = source_plane();
+    let floor = 1e-4 / (NX * NY) as f64;
+    let mut out = vec![0.0; NX * NY];
+    let mut temp: Vec<f64> = Vec::new();
     c.bench_function(name, |b| {
         b.iter(|| {
-            out.fill(C::ZERO);
+            out.fill(0.0);
             st.scatter(black_box(&src), NX, floor, &mut out, &mut temp);
             black_box(out[0])
         });
@@ -83,31 +80,13 @@ fn benches(c: &mut Criterion) {
     g.measurement_time(Duration::from_secs(3));
     g.warm_up_time(Duration::from_millis(500));
 
-    let table = ring_table();
-    let dense = KernelStencil::dense(R, R, table.clone());
-    let mirrored = KernelStencil::classify(R, R, table);
-    assert_eq!(mirrored.kind_name(), "mirrored");
+    let dense = KernelStencil::classify(R, R, ring_table());
+    assert_eq!(dense.kind_name(), "dense");
     let (row, col) = gaussian_factors();
     let separable = KernelStencil::separable(R, R, row, col);
 
-    bench_form::<f64>(&mut g, "scatter_dense_f64_30x30_r9", &dense);
-    bench_form::<f64>(&mut g, "scatter_mirrored_f64_30x30_r9", &mirrored);
-    bench_form::<f64>(&mut g, "scatter_separable_f64_30x30_r9", &separable);
-    bench_form::<f32>(
-        &mut g,
-        "scatter_dense_f32_30x30_r9",
-        &dense.converted::<f32>(),
-    );
-    bench_form::<f32>(
-        &mut g,
-        "scatter_mirrored_f32_30x30_r9",
-        &mirrored.converted::<f32>(),
-    );
-    bench_form::<f32>(
-        &mut g,
-        "scatter_separable_f32_30x30_r9",
-        &separable.converted::<f32>(),
-    );
+    bench_form(&mut g, "scatter_dense_f64_30x30_r9", &dense);
+    bench_form(&mut g, "scatter_separable_f64_30x30_r9", &separable);
 
     g.finish();
 }

@@ -74,7 +74,7 @@ pub use prior::PriorModel;
 pub use result::{LocalizationResult, Localizer};
 pub use session::{CarriedBeliefs, LocalizationSession};
 pub use tracking::{TrackingLocalizer, TrackingLocalizerBuilder};
-pub use wsnloc_bayes::{CoarseToFine, GridPrecision, MotionModel};
+pub use wsnloc_bayes::{CoarseToFine, MotionModel};
 pub use wsnloc_obs as obs;
 
 /// Convenient glob import for applications.
@@ -87,8 +87,7 @@ pub mod prelude {
     pub use crate::session::{CarriedBeliefs, LocalizationSession};
     pub use crate::tracking::{TrackingLocalizer, TrackingLocalizerBuilder};
     pub use wsnloc_bayes::{
-        BpEngine, BpOptions, CoarseToFine, GridPrecision, MotionModel, Schedule, Transport,
-        ValidationError,
+        BpEngine, BpOptions, CoarseToFine, MotionModel, Schedule, Transport, ValidationError,
     };
     pub use wsnloc_geom::{Aabb, Shape, Vec2};
     pub use wsnloc_net::{

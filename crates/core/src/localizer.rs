@@ -48,7 +48,7 @@ pub enum Backend {
     /// Nonparametric (particle) beliefs.
     Particle(ParticleOptions),
     /// Grid-discretized beliefs (the discrete Bayesian-network
-    /// formulation), including precision and coarse-to-fine knobs.
+    /// formulation), including the coarse-to-fine knob.
     Grid(GridOptions),
     /// Single-Gaussian beliefs (EKF-style linearized updates) — the cheap
     /// parametric ablation. Fast and bandwidth-minimal, but blind to the
@@ -62,9 +62,8 @@ impl Backend {
         Ok(Backend::Particle(ParticleOptions::new(particles)?))
     }
 
-    /// Grid backend at `resolution` cells per side (at least 2), with
-    /// default precision and no refinement — use
-    /// [`GridOptions`] directly for those knobs.
+    /// Grid backend at `resolution` cells per side (at least 2), with no
+    /// refinement — use [`GridOptions`] directly for that knob.
     pub fn grid(resolution: usize) -> Result<Backend, ValidationError> {
         Ok(Backend::Grid(GridOptions::new(resolution)?))
     }
@@ -356,8 +355,7 @@ impl BnlLocalizer {
                     Some(CarriedBeliefs::Grid(v)) => Some(v.as_slice()),
                     _ => None,
                 };
-                let mut engine =
-                    GridBp::with_resolution(gopts.resolution).with_precision(gopts.precision);
+                let mut engine = GridBp::with_resolution(gopts.resolution);
                 if let Some(refine) = gopts.refine {
                     engine = engine.with_refinement(refine);
                 }

@@ -257,8 +257,7 @@ fn sharded_fixture(nodes: usize) -> (SpatialMrf, Arc<ShardLayout>) {
 /// change). The numbers summarize `crates/bench/benches/stencil.rs` on
 /// the reference machine.
 pub const SCALE_NOTES: &str = "stencil microbench (30x30 grid, r=9): \
-separable 8.5x vs dense f64; mirrored matches dense speed at half the \
-table footprint; f32 ~1.1x vs same-kind f64";
+separable 8.5x vs dense f64";
 
 /// Runs the scale sweeps and returns the `BENCH_scale.json` (or, with
 /// `quick`, `BENCH_scale_quick.json`) contents.

@@ -46,8 +46,6 @@ pub struct EventCounts {
     pub grid_uniform_fallbacks: u64,
     /// Evaluation thread-pool build failures.
     pub pool_fallbacks: u64,
-    /// Discrete Bayesian-network queries.
-    pub discrete_queries: u64,
     /// Streaming-tenant epochs advanced (BP ran).
     pub epoch_advances: u64,
     /// Streaming-tenant epochs shed under overload (coasted, no BP).
@@ -166,7 +164,6 @@ impl MetricsSnapshot {
             e.map_fallbacks += p.events.map_fallbacks;
             e.grid_uniform_fallbacks += p.events.grid_uniform_fallbacks;
             e.pool_fallbacks += p.events.pool_fallbacks;
-            e.discrete_queries += p.events.discrete_queries;
             e.epoch_advances += p.events.epoch_advances;
             e.tenants_shed += p.events.tenants_shed;
             e.contexts += p.events.contexts;
@@ -330,7 +327,6 @@ pub struct MetricsObserver {
     map_fallbacks: Counter,
     grid_fallbacks: Counter,
     pool_fallbacks: Counter,
-    discrete_queries: Counter,
     epoch_advances: Counter,
     tenants_shed: Counter,
     contexts: Counter,
@@ -384,7 +380,6 @@ impl MetricsObserver {
                 "grid messages collapsed to uniform",
             ),
             pool_fallbacks: c("wsnloc_pool_fallbacks", "thread-pool build failures"),
-            discrete_queries: c("wsnloc_discrete_queries", "discrete BN queries"),
             epoch_advances: c(
                 "wsnloc_stream_epochs_advanced",
                 "streaming-tenant epochs that ran BP",
@@ -459,7 +454,6 @@ impl MetricsObserver {
                 map_fallbacks: self.map_fallbacks.value(),
                 grid_uniform_fallbacks: self.grid_fallbacks.value(),
                 pool_fallbacks: self.pool_fallbacks.value(),
-                discrete_queries: self.discrete_queries.value(),
                 epoch_advances: self.epoch_advances.value(),
                 tenants_shed: self.tenants_shed.value(),
                 contexts: self.contexts.value(),
@@ -517,7 +511,6 @@ impl InferenceObserver for MetricsObserver {
             ObsEvent::MapFallbackToMmse { .. } => self.map_fallbacks.inc(),
             ObsEvent::GridUniformFallback { .. } => self.grid_fallbacks.inc(),
             ObsEvent::ThreadPoolFallback { .. } => self.pool_fallbacks.inc(),
-            ObsEvent::DiscreteQuery { .. } => self.discrete_queries.inc(),
             ObsEvent::EpochAdvanced { .. } => self.epoch_advances.inc(),
             ObsEvent::TenantShed { .. } => self.tenants_shed.inc(),
             ObsEvent::Context { .. } => self.contexts.inc(),

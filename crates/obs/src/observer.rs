@@ -6,8 +6,7 @@ use wsnloc_net::accounting::CommStats;
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RunInfo {
-    /// Belief representation: `"particle"`, `"grid"`, `"gaussian"`, or
-    /// `"discrete"`.
+    /// Belief representation: `"particle"`, `"grid"`, or `"gaussian"`.
     pub backend: &'static str,
     /// Total variables in the model (anchors included).
     pub nodes: usize,
@@ -168,16 +167,6 @@ pub enum ObsEvent {
         iteration: usize,
         /// Number of directed links that delivered stale content.
         count: u64,
-    },
-    /// A discrete Bayesian-network query ran.
-    DiscreteQuery {
-        /// `"enumeration"`, `"variable_elimination"`, or
-        /// `"likelihood_weighting"`.
-        method: &'static str,
-        /// Variables in the queried network.
-        variables: usize,
-        /// Samples drawn (0 for exact methods).
-        samples: u64,
     },
     /// A streaming tenant's session advanced one measurement epoch
     /// (ran BP warm-started from the carried beliefs).

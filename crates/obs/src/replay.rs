@@ -364,7 +364,6 @@ fn intern_backend(s: &str) -> &'static str {
         "particle" => "particle",
         "grid" => "grid",
         "gaussian" => "gaussian",
-        "discrete" => "discrete",
         _ => "unknown",
     }
 }
@@ -381,15 +380,6 @@ fn intern_stage(s: &str) -> &'static str {
     match s {
         "kernel" => "kernel",
         "point" => "point",
-        _ => "unknown",
-    }
-}
-
-fn intern_method(s: &str) -> &'static str {
-    match s {
-        "enumeration" => "enumeration",
-        "variable_elimination" => "variable_elimination",
-        "likelihood_weighting" => "likelihood_weighting",
         _ => "unknown",
     }
 }
@@ -500,11 +490,6 @@ fn parse_event(v: &JsonValue) -> Result<Option<ObsEvent>, String> {
         "stale_message_used" => Some(ObsEvent::StaleMessageUsed {
             iteration: field_usize(v, "iteration")?,
             count: field_u64(v, "count")?,
-        }),
-        "discrete_query" => Some(ObsEvent::DiscreteQuery {
-            method: intern_method(field_str(v, "method")?),
-            variables: field_usize(v, "variables")?,
-            samples: field_u64(v, "samples")?,
         }),
         "epoch_advanced" => Some(ObsEvent::EpochAdvanced {
             tenant: field_u64(v, "tenant")?,

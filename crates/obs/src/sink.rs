@@ -15,7 +15,6 @@
 //! {"type":"event","event":"map_fallback_to_mmse","backend":..}
 //! {"type":"event","event":"grid_uniform_fallback","edge":..,"stage":"kernel|point"}
 //! {"type":"event","event":"thread_pool_fallback","requested":..,"error":..}
-//! {"type":"event","event":"discrete_query","method":..,"variables":..,"samples":..}
 //! {"type":"event","event":"epoch_advanced","tenant":..,"epoch":..}
 //! {"type":"event","event":"tenant_shed","tenant":..,"epoch":..}
 //! {"type":"event","event":"note","message":..}
@@ -217,16 +216,6 @@ fn event_line(event: &ObsEvent) -> String {
         ObsEvent::StaleMessageUsed { iteration, count } => {
             push_json_str(&mut s, "stale_message_used");
             let _ = write!(s, ",\"iteration\":{iteration},\"count\":{count}");
-        }
-        ObsEvent::DiscreteQuery {
-            method,
-            variables,
-            samples,
-        } => {
-            push_json_str(&mut s, "discrete_query");
-            s.push_str(",\"method\":");
-            push_json_str(&mut s, method);
-            let _ = write!(s, ",\"variables\":{variables},\"samples\":{samples}");
         }
         ObsEvent::EpochAdvanced { tenant, epoch } => {
             push_json_str(&mut s, "epoch_advanced");

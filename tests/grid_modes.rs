@@ -1,8 +1,7 @@
-//! Accuracy contracts of the grid backend's opt-in throughput modes:
-//! single-precision (f32) message passing and the coarse-to-fine
-//! resolution schedule must track the default f64 dense run on a
+//! Accuracy contracts of the grid backend's opt-in coarse-to-fine
+//! resolution schedule: it must track the default dense run on a
 //! realistic localization scenario (the F4 convergence-experiment
-//! shape), and both knobs must be rejected with typed errors on
+//! shape), and its knobs must be rejected with typed errors on
 //! backends or parameters where they make no sense.
 
 use wsnloc::prelude::*;
@@ -43,34 +42,6 @@ fn rmse(result: &LocalizationResult, truth: &GroundTruth, net: &Network) -> f64 
     (errs.iter().map(|e| e * e).sum::<f64>() / errs.len() as f64).sqrt()
 }
 
-/// RMSE drift contract: the f32 hot path reproduces the f64 dense run's
-/// accuracy to a small fraction of a grid cell, and per-node estimates
-/// stay glued to the f64 ones.
-#[test]
-fn f32_rmse_drift_is_negligible_vs_f64_dense() {
-    let (net, truth) = f4_style_scenario().build_trial(0);
-    let f64_run = grid_builder(40)
-        .try_build()
-        .expect("valid f64 configuration")
-        .localize(&net, 0);
-    let f32_run = grid_builder_with(grid_opts(40).precision(GridPrecision::F32))
-        .try_build()
-        .expect("valid f32 configuration")
-        .localize(&net, 0);
-    let (r64, r32) = (rmse(&f64_run, &truth, &net), rmse(&f32_run, &truth, &net));
-    // Cells are 10 m; the documented f32 contract keeps estimate drift
-    // far below a cell width.
-    assert!(
-        (r64 - r32).abs() < 0.5,
-        "f32 RMSE {r32:.3} drifted from f64 RMSE {r64:.3}"
-    );
-    for u in net.unknowns() {
-        let a = f64_run.estimates[u].expect("f64 estimates every node");
-        let b = f32_run.estimates[u].expect("f32 estimates every node");
-        assert!(a.dist(b) < 2.0, "node {u}: f64 {a} vs f32 {b}");
-    }
-}
-
 /// The coarse-to-fine schedule trades a cheap low-resolution pre-solve
 /// for full-resolution iterations; its final accuracy must stay within
 /// a cell of the flat dense run.
@@ -97,31 +68,6 @@ fn coarse_to_fine_rmse_stays_within_a_cell_of_dense() {
     );
 }
 
-/// Both knobs compose: f32 + coarse-to-fine together still track the
-/// f64 dense baseline.
-#[test]
-fn combined_f32_and_refinement_track_dense() {
-    let (net, truth) = f4_style_scenario().build_trial(2);
-    let dense = grid_builder(40)
-        .try_build()
-        .expect("valid dense configuration")
-        .localize(&net, 0);
-    let fast = grid_builder_with(
-        grid_opts(40)
-            .precision(GridPrecision::F32)
-            .refine(CoarseToFine::default())
-            .expect("default schedule is valid"),
-    )
-    .try_build()
-    .expect("valid combined configuration")
-    .localize(&net, 0);
-    let (rd, rf) = (rmse(&dense, &truth, &net), rmse(&fast, &truth, &net));
-    assert!(
-        (rd - rf).abs() < 400.0 / 40.0,
-        "combined RMSE {rf:.3} vs dense RMSE {rd:.3}"
-    );
-}
-
 /// The knobs are grid-only *by type* — they live on [`GridOptions`], so
 /// attaching them to another backend no longer even compiles — and their
 /// parameters are validated where the options are constructed.
@@ -143,6 +89,6 @@ fn mode_knobs_are_validated_at_construction_time() {
             ..CoarseToFine::default()
         })
         .is_err());
-    // The default f64 dense configuration stays valid.
+    // The default dense configuration stays valid.
     assert!(grid_builder(40).try_build().is_ok());
 }
