@@ -34,13 +34,10 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Duration;
 use wsnloc::prelude::*;
 use wsnloc_eval::{bench, evaluate, experiments, top, EvalConfig, ExpConfig, Parallelism};
-use wsnloc_obs::{
-    write_jsonl, MetricsRegistry, Stopwatch, TelemetryHub, TelemetryServer, WindowedMetrics,
-};
+use wsnloc_obs::{write_jsonl, Stopwatch, TelemetryHub, TelemetryServer};
 
 fn usage() -> &'static str {
     "usage: repro <list | trace | analyze [FILE] [--follow] | top ADDR | bench [--check] [--scale] | audit-determinism | all | ids...> [--trials N] [--particles N] [--iterations N] [--backend particle|grid|gaussian] [--quick] [--tolerance R] [--out DIR] [--telemetry ADDR] [--telemetry-linger SECS] [--interval SECS] [--once] [--idle-timeout SECS]"
@@ -220,10 +217,7 @@ fn main() -> ExitCode {
     // report so external scrapers can catch the final window.
     let mut server: Option<TelemetryServer> = None;
     let hub = telemetry_addr.as_deref().map(|addr| {
-        let hub = TelemetryHub::new(
-            Arc::new(MetricsRegistry::new()),
-            Arc::new(WindowedMetrics::new(64)),
-        );
+        let hub = TelemetryHub::new(64);
         match TelemetryServer::start(addr, hub.clone()) {
             Ok(srv) => {
                 eprintln!("telemetry listening on {}", srv.local_addr());

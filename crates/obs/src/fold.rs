@@ -1,14 +1,14 @@
 //! The aggregation observer: folds every observer callback into
 //! per-iteration and per-run metrics.
 //!
-//! [`MetricsObserver`] implements [`InferenceObserver`] and feeds two
-//! stores at once:
+//! [`MetricsObserver`] implements [`InferenceObserver`] over two parts:
 //!
-//! - a [`MetricsRegistry`] (counters and histograms, lock-free on the
-//!   hot path) so live runs can be scraped/exported while in flight;
-//! - a mutex-guarded fold of per-iteration aggregates — residual pools
-//!   for exact quantiles, communication totals, and fault-event counts
-//!   keyed by the *event's own* iteration field.
+//! - a private [`WindowedMetrics`] store, whose observer impl is the one
+//!   mapping of callbacks onto run totals (runs, iterations, messages,
+//!   fault and stream events, iteration-second and residual histograms);
+//! - a mutex-guarded fold of what the store does not keep: exact
+//!   per-iteration residual pools, communication and fault counts keyed
+//!   by the *event's own* iteration field, and span totals by label.
 //!
 //! The fold is deliberately **order-insensitive within a run**: fault
 //! events carry their iteration index, span seconds accumulate by
@@ -25,11 +25,12 @@
 //! [`MetricsSnapshot::merge`] combines per-trial snapshots exactly
 //! (residual pools concatenate, counts sum, quantiles recompute).
 
-use crate::metrics::{Counter, Histogram, MetricsRegistry};
+use crate::metrics::Fact;
 use crate::observer::{
     InferenceObserver, IterationRecord, ObsEvent, RunInfo, RunSummary, SpanKind,
 };
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use crate::window::WindowedMetrics;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Totals of every structured [`ObsEvent`] kind.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -111,13 +112,15 @@ impl IterationMetrics {
     }
 }
 
-/// Nearest-rank quantile of an ascending-sorted slice.
-fn quantile(sorted: &[f64], q: f64) -> Option<f64> {
-    if sorted.is_empty() {
+/// Nearest-rank quantile of an ascending-sorted slice: the smallest
+/// value with at least `ceil(q·n)` values at or below it.
+pub(crate) fn quantile(sorted: &[f64], q: f64) -> Option<f64> {
+    let n = sorted.len();
+    if n == 0 {
         return None;
     }
-    let pos = (q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64).round();
-    sorted.get(pos as usize).copied()
+    let rank = ((q.clamp(0.0, 1.0) * n as f64).ceil() as usize).clamp(1, n);
+    Some(sorted[rank - 1])
 }
 
 /// A frozen, comparable aggregate of everything a [`MetricsObserver`]
@@ -285,8 +288,7 @@ fn fmt_opt(v: Option<f64>) -> String {
     }
 }
 
-/// The mutex-guarded half of the fold (everything that is not a plain
-/// counter).
+/// The half of the fold the store does not keep.
 #[derive(Debug, Default)]
 struct FoldState {
     per_iter: Vec<IterationMetrics>,
@@ -306,8 +308,7 @@ impl FoldState {
 }
 
 /// An [`InferenceObserver`] that folds callbacks into per-iteration and
-/// per-run aggregates, mirrored into a [`MetricsRegistry`] for live
-/// export.
+/// per-run aggregates over a private [`WindowedMetrics`] store.
 ///
 /// Like [`TraceObserver`](crate::TraceObserver), one `MetricsObserver`
 /// is designed to watch *sequential* runs (any number, back to back);
@@ -315,111 +316,31 @@ impl FoldState {
 /// snapshots.
 #[derive(Debug)]
 pub struct MetricsObserver {
-    registry: Arc<MetricsRegistry>,
-    runs: Counter,
-    converged: Counter,
-    iterations: Counter,
-    messages: Counter,
-    bytes: Counter,
-    dropped: Counter,
-    stale: Counter,
-    deaths: Counter,
-    map_fallbacks: Counter,
-    grid_fallbacks: Counter,
-    pool_fallbacks: Counter,
-    epoch_advances: Counter,
-    tenants_shed: Counter,
-    contexts: Counter,
-    boundary_exchanges: Counter,
-    boundary_messages: Counter,
-    notes: Counter,
-    iter_secs: Histogram,
-    residual_hist: Histogram,
+    store: WindowedMetrics,
     state: Mutex<FoldState>,
 }
 
 impl Default for MetricsObserver {
     fn default() -> Self {
-        MetricsObserver::with_registry(Arc::new(MetricsRegistry::new()))
+        MetricsObserver {
+            store: WindowedMetrics::new(1),
+            state: Mutex::new(FoldState::default()),
+        }
     }
 }
 
 impl MetricsObserver {
-    /// A fresh observer with its own private registry.
+    /// A fresh observer with its own private store.
     #[must_use]
     pub fn new() -> Self {
         MetricsObserver::default()
     }
 
-    /// An observer exporting into a shared `registry` (so several
-    /// observers — or other subsystems — render into one scrape).
+    /// The store holding this observer's run totals (its lifetime view
+    /// is what [`MetricsObserver::snapshot`] reports).
     #[must_use]
-    pub fn with_registry(registry: Arc<MetricsRegistry>) -> Self {
-        let c = |name: &str, help: &str| registry.counter(name, help);
-        MetricsObserver {
-            runs: c("wsnloc_bp_runs", "inference runs started"),
-            converged: c("wsnloc_bp_runs_converged", "runs converged before the cap"),
-            iterations: c("wsnloc_bp_iterations", "BP iterations executed"),
-            messages: c("wsnloc_bp_messages", "belief broadcasts"),
-            bytes: c("wsnloc_bp_bytes", "belief broadcast wire bytes"),
-            dropped: c(
-                "wsnloc_fault_dropped_messages",
-                "messages lost to the fault transport",
-            ),
-            stale: c(
-                "wsnloc_fault_stale_messages",
-                "stale (duplicate) deliveries",
-            ),
-            deaths: c(
-                "wsnloc_fault_node_deaths",
-                "nodes dead under the fault plan",
-            ),
-            map_fallbacks: c("wsnloc_map_fallbacks", "MAP->MMSE estimator fallbacks"),
-            grid_fallbacks: c(
-                "wsnloc_grid_uniform_fallbacks",
-                "grid messages collapsed to uniform",
-            ),
-            pool_fallbacks: c("wsnloc_pool_fallbacks", "thread-pool build failures"),
-            epoch_advances: c(
-                "wsnloc_stream_epochs_advanced",
-                "streaming-tenant epochs that ran BP",
-            ),
-            tenants_shed: c(
-                "wsnloc_stream_tenants_shed",
-                "streaming-tenant epochs shed under overload",
-            ),
-            contexts: c(
-                "wsnloc_context_stamps",
-                "correlation-context stamps (tenant/epoch/shard/round)",
-            ),
-            boundary_exchanges: c(
-                "wsnloc_shard_boundary_exchanges",
-                "sharded outer-round boundary exchanges",
-            ),
-            boundary_messages: c(
-                "wsnloc_shard_boundary_messages",
-                "cross-shard belief messages delivered at exchanges",
-            ),
-            notes: c("wsnloc_notes", "free-form observer notes"),
-            iter_secs: registry.histogram(
-                "wsnloc_bp_iteration_seconds",
-                "wall seconds per BP iteration",
-                Histogram::log_bounds(1e-6, 10.0),
-            ),
-            residual_hist: registry.histogram(
-                "wsnloc_bp_residual",
-                "per-node belief residuals",
-                Histogram::log_bounds(1e-4, 100.0),
-            ),
-            registry,
-            state: Mutex::new(FoldState::default()),
-        }
-    }
-
-    /// The registry this observer exports into.
-    #[must_use]
-    pub fn registry(&self) -> Arc<MetricsRegistry> {
-        Arc::clone(&self.registry)
+    pub fn window(&self) -> &WindowedMetrics {
+        &self.store
     }
 
     fn locked(&self) -> MutexGuard<'_, FoldState> {
@@ -441,25 +362,26 @@ impl MetricsObserver {
             .collect();
         drop(st);
         span_secs.sort_by(|a, b| a.0.cmp(&b.0));
+        let t = |fact| self.store.total(fact);
         MetricsSnapshot {
-            runs: self.runs.value(),
-            converged_runs: self.converged.value(),
-            iterations: self.iterations.value(),
-            messages: self.messages.value(),
-            bytes: self.bytes.value(),
+            runs: t(Fact::Runs),
+            converged_runs: t(Fact::RunsConverged),
+            iterations: t(Fact::Iterations),
+            messages: t(Fact::Messages),
+            bytes: t(Fact::Bytes),
             events: EventCounts {
-                dropped_messages: self.dropped.value(),
-                stale_messages: self.stale.value(),
-                node_deaths: self.deaths.value(),
-                map_fallbacks: self.map_fallbacks.value(),
-                grid_uniform_fallbacks: self.grid_fallbacks.value(),
-                pool_fallbacks: self.pool_fallbacks.value(),
-                epoch_advances: self.epoch_advances.value(),
-                tenants_shed: self.tenants_shed.value(),
-                contexts: self.contexts.value(),
-                boundary_exchanges: self.boundary_exchanges.value(),
-                boundary_messages: self.boundary_messages.value(),
-                notes: self.notes.value(),
+                dropped_messages: t(Fact::Dropped),
+                stale_messages: t(Fact::Stale),
+                node_deaths: t(Fact::Deaths),
+                map_fallbacks: t(Fact::MapFallbacks),
+                grid_uniform_fallbacks: t(Fact::GridFallbacks),
+                pool_fallbacks: t(Fact::PoolFallbacks),
+                epoch_advances: t(Fact::EpochsSolved),
+                tenants_shed: t(Fact::EpochsShed),
+                contexts: t(Fact::Contexts),
+                boundary_exchanges: t(Fact::BoundaryExchanges),
+                boundary_messages: t(Fact::BoundaryMessages),
+                notes: t(Fact::Notes),
             },
             per_iteration,
             span_secs,
@@ -472,18 +394,12 @@ impl InferenceObserver for MetricsObserver {
         true
     }
 
-    fn on_run_start(&self, _info: &RunInfo) {
-        self.runs.inc();
+    fn on_run_start(&self, info: &RunInfo) {
+        self.store.on_run_start(info);
     }
 
     fn on_iteration(&self, record: &IterationRecord) {
-        self.iterations.inc();
-        self.messages.add(record.comm.messages);
-        self.bytes.add(record.comm.bytes);
-        self.iter_secs.observe(record.secs);
-        for r in &record.residuals {
-            self.residual_hist.observe(r.residual);
-        }
+        self.store.on_iteration(record);
         let mut st = self.locked();
         let acc = st.at(record.iteration);
         acc.runs += 1;
@@ -507,37 +423,23 @@ impl InferenceObserver for MetricsObserver {
     }
 
     fn on_event(&self, event: &ObsEvent) {
+        self.store.on_event(event);
         match event {
-            ObsEvent::MapFallbackToMmse { .. } => self.map_fallbacks.inc(),
-            ObsEvent::GridUniformFallback { .. } => self.grid_fallbacks.inc(),
-            ObsEvent::ThreadPoolFallback { .. } => self.pool_fallbacks.inc(),
-            ObsEvent::EpochAdvanced { .. } => self.epoch_advances.inc(),
-            ObsEvent::TenantShed { .. } => self.tenants_shed.inc(),
-            ObsEvent::Context { .. } => self.contexts.inc(),
-            ObsEvent::BoundaryExchange { messages, .. } => {
-                self.boundary_exchanges.inc();
-                self.boundary_messages.add(*messages);
-            }
-            ObsEvent::Note { .. } => self.notes.inc(),
             ObsEvent::MessageDropped { iteration, count } => {
-                self.dropped.add(*count);
                 self.locked().at(*iteration).dropped += count;
             }
             ObsEvent::StaleMessageUsed { iteration, count } => {
-                self.stale.add(*count);
                 self.locked().at(*iteration).stale += count;
             }
             ObsEvent::NodeDied { iteration, .. } => {
-                self.deaths.inc();
                 self.locked().at(*iteration).deaths += 1;
             }
+            _ => {}
         }
     }
 
     fn on_run_end(&self, summary: &RunSummary) {
-        if summary.converged {
-            self.converged.inc();
-        }
+        self.store.on_run_end(summary);
     }
 }
 
@@ -621,13 +523,13 @@ mod tests {
         assert_eq!(s.per_iteration[0].deaths, 1);
         assert_eq!(s.per_iteration[1].dropped, 2);
         assert_eq!(s.per_iteration[0].residual_max, Some(3.0));
-        // Nearest-rank on [0.25, 0.5]: round(0.5 * 1) = 1 → upper element.
-        assert_eq!(s.per_iteration[1].residual_q50, Some(0.5));
+        // Nearest-rank on [0.25, 0.5]: rank ceil(0.5 * 2) = 1 → lower element.
+        assert_eq!(s.per_iteration[1].residual_q50, Some(0.25));
         assert_eq!(s.span_secs.len(), 1);
         assert!(s.convergence_table().contains("res_q50"));
         assert!(s.fault_table().contains("dropped=2"));
-        // The registry mirrors the counters for live export.
-        let text = m.registry().render_openmetrics();
+        // The store renders the same totals for export.
+        let text = m.window().render_openmetrics();
         assert!(text.contains("wsnloc_bp_iterations_total 2"));
         assert!(text.contains("wsnloc_fault_dropped_messages_total 2"));
     }
@@ -669,8 +571,8 @@ mod tests {
         assert_eq!(merged.per_iteration[0].runs, 2);
         assert_eq!(merged.per_iteration[0].residuals, vec![1.0, 2.0, 3.0, 4.0]);
         assert_eq!(merged.per_iteration[0].residual_max, Some(4.0));
-        // Nearest-rank on [1, 2, 3, 4]: round(0.5 * 3) = 2 → third element.
-        assert_eq!(merged.per_iteration[0].residual_q50, Some(3.0));
+        // Nearest-rank on [1, 2, 3, 4]: rank ceil(0.5 * 4) = 2 → second element.
+        assert_eq!(merged.per_iteration[0].residual_q50, Some(2.0));
 
         // Merging matches a single observer that saw both runs.
         let both = MetricsObserver::new();
@@ -687,6 +589,7 @@ mod tests {
         assert_eq!(quantile(&sorted, 0.5), Some(3.0));
         assert_eq!(quantile(&sorted, 0.0), Some(1.0));
         assert_eq!(quantile(&sorted, 1.0), Some(5.0));
+        assert_eq!(quantile(&[1.0, 2.0, 3.0, 4.0], 0.5), Some(2.0));
         assert_eq!(quantile(&[], 0.5), None);
     }
 }

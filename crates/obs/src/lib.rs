@@ -29,14 +29,20 @@
 //!
 //! On top of the raw event stream sits the aggregation tier:
 //!
-//! - [`MetricsRegistry`] — sharded [`Counter`]s, [`Gauge`]s, and
-//!   log-bucket [`Histogram`]s with an OpenMetrics text exporter
-//!   ([`MetricsRegistry::render_openmetrics`]).
-//! - [`MetricsObserver`] — folds every [`ObsEvent`], iteration record,
-//!   and span into a [`MetricsSnapshot`] (per-iteration residual
-//!   quantiles, comm totals, fault counts) while mirroring the totals
-//!   into a registry. The fold is *order-insensitive*, which is what
-//!   makes trace replay equal the live run.
+//! - [`WindowedMetrics`] — the one metric store. Every [`Fact`] (runs,
+//!   iterations, message volume, fault and stream events, tick latency,
+//!   queue depth) keeps a lifetime total next to fixed-slot window
+//!   rings over its labeled series (per-tenant epochs solved/shed,
+//!   per-shard boundary-message volume). Its [`InferenceObserver`] impl
+//!   is the only code that maps callbacks onto facts, and
+//!   [`WindowedMetrics::render_openmetrics`] is the only OpenMetrics
+//!   writer, driven by the fact table in [`metrics`]. Rotation is
+//!   caller-driven, never wall-clock-driven.
+//! - [`MetricsObserver`] — a private store plus the exact per-iteration
+//!   residual pools and span totals, frozen into a [`MetricsSnapshot`]
+//!   (per-iteration residual quantiles, comm totals, fault counts). The
+//!   fold is *order-insensitive*, which is what makes trace replay equal
+//!   the live run.
 //! - [`SpanProfiler`] — hierarchical wall-clock attribution
 //!   (self/child split, flame-table rendering) over the fixed BP span
 //!   hierarchy; [`Stopwatch`] is the one sanctioned timing primitive
@@ -48,16 +54,13 @@
 //! For *live* deployments (the streaming engine in `wsnloc-serve`) a
 //! telemetry tier sits on top of all of the above:
 //!
-//! - [`WindowedMetrics`] — fixed-slot ring buffers over labeled series
-//!   (per-tenant epochs solved/shed, per-shard boundary-message volume,
-//!   tick-latency quantile pools) advanced once per engine tick, so
-//!   sliding-window rates and quantiles are available while the run is
-//!   still going. Rotation is caller-driven, never wall-clock-driven.
+//! - [`TelemetryHub`] — one shared store plus liveness and the
+//!   `/tenants` rollup; the engine folds every solve into the store and
+//!   closes each tick with [`TelemetryHub::note_tick`].
 //! - [`TelemetryServer`] — a hand-rolled, std-only HTTP/1.1 listener
-//!   exposing `/metrics` (OpenMetrics: registry totals + windowed
-//!   series), `/healthz` (liveness, last-tick age, span snapshot), and
-//!   `/tenants` (JSON rollup) from a [`TelemetryHub`] the engine
-//!   updates.
+//!   exposing `/metrics` (the store's lifetime and windowed families),
+//!   `/healthz` (liveness, tick count, last-tick age), and `/tenants`
+//!   (JSON rollup) from a hub.
 //! - [`SampledObserver`] — seeded run-level trace sampling
 //!   ([`SamplePolicy`]) with exact kept/dropped accounting;
 //!   [`SamplePolicy::All`] is bit-transparent.
@@ -90,7 +93,7 @@ pub mod window;
 pub use wsnloc_net::accounting::CommStats;
 
 pub use fold::{EventCounts, IterationMetrics, MetricsObserver, MetricsSnapshot};
-pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
+pub use metrics::Fact;
 pub use observer::{
     FanoutObserver, InferenceObserver, IterationRecord, NodeResidual, NullObserver, ObsEvent,
     RunInfo, RunSummary, SpanKind,

@@ -1,479 +1,454 @@
-//! The metrics registry: sharded counters, gauges, log-scale
-//! histograms, and a Prometheus/OpenMetrics text exporter.
+//! The metric fact table and its OpenMetrics text rendering.
 //!
-//! Design constraints, in order:
+//! A [`Fact`] is one quantity the observability tier counts: BP runs,
+//! dropped messages, epochs solved, tick latency. `Fact::spec` is the
+//! only place a fact's family names, help text, kind, label and
+//! histogram bounds are written, and `render` is the only OpenMetrics
+//! writer: `/metrics` and `repro analyze`'s `metrics.prom` both come from
+//! it. [`WindowedMetrics`](crate::WindowedMetrics) stores the facts, and
+//! each fact has up to two views:
 //!
-//! 1. **Lock-free hot path.** Handles ([`Counter`], [`Gauge`],
-//!    [`Histogram`]) are `Arc`s over atomics; `inc`/`set`/`observe`
-//!    never take a lock. The registry's mutex guards *registration and
-//!    rendering only* — both cold.
-//! 2. **Shard contended counters.** A [`Counter`] spreads increments
-//!    over cache-line-padded shards selected by a per-thread index, so
-//!    rayon workers bumping the same counter do not ping-pong a cache
-//!    line. Reads sum the shards (monotonic, but not a snapshot —
-//!    exactly the Prometheus counter contract).
-//! 3. **Fixed buckets.** Histograms use immutable log-scale bucket
-//!    bounds chosen at registration ([`Histogram::log_bounds`] builds a
-//!    1–2–5 series), so `observe` is a bounded linear scan with no
-//!    allocation.
+//! - **lifetime**: a `_total` counter or a histogram, summed over labels,
+//!   at 0 before the first write. A store that only folds runs (the
+//!   `metrics.prom` of `repro analyze`) leaves out the facts an engine
+//!   writes once per tick.
+//! - **window**: one series per label id over the last `slots` ticks — a
+//!   gauge holding the windowed total, a summary of windowed quantiles, or
+//!   a last-write gauge. A series renders once written.
 //!
-//! [`MetricsRegistry::render_openmetrics`] serializes every registered
-//! metric in the OpenMetrics text format (`# TYPE`/`# HELP` headers,
-//! `_total` counter samples, `_bucket{le="…"}`/`_sum`/`_count`
-//! histogram series), ready to be scraped or written to a `.prom` file.
+//! Families render sorted by name, each with `# HELP`, `# TYPE` and, for
+//! `_seconds`/`_bytes` names, `# UNIT`; the exposition ends with one
+//! `# EOF`.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
-/// Shards per counter. Small powers of two beyond the worker count buy
-/// nothing; 16 covers every pool the eval harness builds.
-const SHARDS: usize = 16;
-
-/// A cache-line-padded atomic cell, so adjacent shards never share a
-/// line.
-#[repr(align(64))]
-#[derive(Debug, Default)]
-struct PaddedCell(AtomicU64);
-
-/// Monotonically increasing index handing each thread its own shard.
-static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// This thread's counter shard, assigned on first use.
-    static THREAD_SHARD: usize = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % SHARDS;
+/// One quantity the observability tier counts (see module docs). Writers
+/// pair it with a label id: the tenant or shard for labeled facts, 0 for
+/// the rest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Fact {
+    /// Inference runs started.
+    Runs,
+    /// Runs that converged before their iteration cap.
+    RunsConverged,
+    /// BP iterations executed.
+    Iterations,
+    /// Belief broadcasts.
+    Messages,
+    /// Belief broadcast wire bytes.
+    Bytes,
+    /// Wall seconds per BP iteration.
+    IterationSeconds,
+    /// Per-node belief residuals.
+    Residual,
+    /// Messages lost to the fault transport.
+    Dropped,
+    /// Stale (duplicate) deliveries.
+    Stale,
+    /// Nodes dead under the fault plan.
+    Deaths,
+    /// MAP→MMSE estimator fallbacks.
+    MapFallbacks,
+    /// Grid messages collapsed to the uniform fallback.
+    GridFallbacks,
+    /// Evaluation thread-pool build failures.
+    PoolFallbacks,
+    /// Tenant epochs that ran BP, per tenant.
+    EpochsSolved,
+    /// Tenant epochs shed under overload, per tenant.
+    EpochsShed,
+    /// Correlation-context stamps.
+    Contexts,
+    /// Sharded outer-round boundary exchanges.
+    BoundaryExchanges,
+    /// Cross-shard belief messages delivered at exchanges, per shard.
+    BoundaryMessages,
+    /// Free-form observer notes.
+    Notes,
+    /// Scheduler ticks executed.
+    Ticks,
+    /// Wall seconds per scheduler tick.
+    TickSeconds,
+    /// Queued epochs per tenant at the end of a tick.
+    QueueDepth,
 }
 
-fn thread_shard() -> usize {
-    THREAD_SHARD.with(|s| *s)
+/// How a fact's writes combine.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Kind {
+    /// Integer increments.
+    Count,
+    /// Real-valued samples; the lifetime histogram uses 1–2–5 bounds
+    /// from the first value to the second.
+    Samples(f64, f64),
+    /// The last written value.
+    Gauge,
 }
 
-/// A monotonically increasing counter, sharded across cache lines.
-/// Cloning shares the underlying cells.
-#[derive(Debug, Clone)]
-pub struct Counter {
-    cells: Arc<[PaddedCell; SHARDS]>,
+/// One row of the fact table.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Spec {
+    /// Lifetime family name, when the fact has that view.
+    pub(crate) lifetime: Option<&'static str>,
+    /// Window family name, when the fact has that view.
+    pub(crate) window: Option<&'static str>,
+    pub(crate) kind: Kind,
+    /// Label key of the window series (`tenant`, `shard`), if any.
+    pub(crate) label: Option<&'static str>,
+    pub(crate) help: &'static str,
+    /// Written by the engine once per tick, not folded from observer
+    /// callbacks.
+    pub(crate) per_tick: bool,
 }
 
-impl Default for Counter {
-    fn default() -> Self {
-        Counter {
-            cells: Arc::new(std::array::from_fn(|_| PaddedCell::default())),
-        }
+impl Fact {
+    /// Every fact, in declaration order (`ALL[f as usize] == f`).
+    pub(crate) const ALL: [Fact; 22] = [
+        Fact::Runs,
+        Fact::RunsConverged,
+        Fact::Iterations,
+        Fact::Messages,
+        Fact::Bytes,
+        Fact::IterationSeconds,
+        Fact::Residual,
+        Fact::Dropped,
+        Fact::Stale,
+        Fact::Deaths,
+        Fact::MapFallbacks,
+        Fact::GridFallbacks,
+        Fact::PoolFallbacks,
+        Fact::EpochsSolved,
+        Fact::EpochsShed,
+        Fact::Contexts,
+        Fact::BoundaryExchanges,
+        Fact::BoundaryMessages,
+        Fact::Notes,
+        Fact::Ticks,
+        Fact::TickSeconds,
+        Fact::QueueDepth,
+    ];
+
+    /// The fact table.
+    #[rustfmt::skip]
+    pub(crate) fn spec(self) -> Spec {
+        use Kind::{Count, Gauge, Samples};
+        let (none, tenant, shard) = (None, Some("tenant"), Some("shard"));
+        let (lifetime, window, kind, label, help) = match self {
+            Fact::Runs =>              (Some("wsnloc_bp_runs"),                  Some("wsnloc_window_bp_runs"),           Count,               none,   "inference runs started"),
+            Fact::RunsConverged =>     (Some("wsnloc_bp_runs_converged"),        None,                                    Count,               none,   "runs converged before the cap"),
+            Fact::Iterations =>        (Some("wsnloc_bp_iterations"),            None,                                    Count,               none,   "BP iterations executed"),
+            Fact::Messages =>          (Some("wsnloc_bp_messages"),              None,                                    Count,               none,   "belief broadcasts"),
+            Fact::Bytes =>             (Some("wsnloc_bp_bytes"),                 None,                                    Count,               none,   "belief broadcast wire bytes"),
+            Fact::IterationSeconds =>  (Some("wsnloc_bp_iteration_seconds"),     None,                                    Samples(1e-6, 10.0), none,   "wall seconds per BP iteration"),
+            Fact::Residual =>          (Some("wsnloc_bp_residual"),              None,                                    Samples(1e-4, 100.0), none,  "per-node belief residuals"),
+            Fact::Dropped =>           (Some("wsnloc_fault_dropped_messages"),   Some("wsnloc_window_fault_dropped"),     Count,               none,   "messages lost to the fault transport"),
+            Fact::Stale =>             (Some("wsnloc_fault_stale_messages"),     Some("wsnloc_window_fault_stale"),       Count,               none,   "stale (duplicate) deliveries"),
+            Fact::Deaths =>            (Some("wsnloc_fault_node_deaths"),        Some("wsnloc_window_node_deaths"),       Count,               none,   "nodes dead under the fault plan"),
+            Fact::MapFallbacks =>      (Some("wsnloc_map_fallbacks"),            None,                                    Count,               none,   "MAP->MMSE estimator fallbacks"),
+            Fact::GridFallbacks =>     (Some("wsnloc_grid_uniform_fallbacks"),   Some("wsnloc_window_grid_fallbacks"),    Count,               none,   "grid messages collapsed to uniform"),
+            Fact::PoolFallbacks =>     (Some("wsnloc_pool_fallbacks"),           None,                                    Count,               none,   "thread-pool build failures"),
+            Fact::EpochsSolved =>      (Some("wsnloc_serve_epochs_solved"),      Some("wsnloc_window_epochs_solved"),     Count,               tenant, "tenant epochs that ran BP"),
+            Fact::EpochsShed =>        (Some("wsnloc_serve_epochs_shed"),        Some("wsnloc_window_epochs_shed"),       Count,               tenant, "tenant epochs shed under overload"),
+            Fact::Contexts =>          (Some("wsnloc_context_stamps"),           None,                                    Count,               none,   "correlation-context stamps (tenant/epoch/shard/round)"),
+            Fact::BoundaryExchanges => (Some("wsnloc_shard_boundary_exchanges"), None,                                    Count,               none,   "sharded outer-round boundary exchanges"),
+            Fact::BoundaryMessages =>  (Some("wsnloc_shard_boundary_messages"),  Some("wsnloc_window_boundary_messages"), Count,               shard,  "cross-shard belief messages delivered at exchanges"),
+            Fact::Notes =>             (Some("wsnloc_notes"),                    None,                                    Count,               none,   "free-form observer notes"),
+            Fact::Ticks =>             (Some("wsnloc_serve_ticks"),              None,                                    Count,               none,   "scheduler ticks executed"),
+            Fact::TickSeconds =>       (Some("wsnloc_serve_tick_seconds"),       Some("wsnloc_window_tick_seconds"),      Samples(1e-4, 10.0), none,   "wall seconds per scheduler tick"),
+            Fact::QueueDepth =>        (None,                                    Some("wsnloc_window_queue_depth"),       Gauge,               tenant, "queued epochs per tenant"),
+        };
+        let per_tick = matches!(self, Fact::Ticks | Fact::TickSeconds | Fact::QueueDepth);
+        Spec { lifetime, window, kind, label, help, per_tick }
     }
 }
 
-impl Counter {
-    /// A fresh counter at zero (detached from any registry).
-    #[must_use]
-    pub fn new() -> Self {
-        Counter::default()
-    }
-
-    /// Adds one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n`. Lock-free: one relaxed `fetch_add` on this thread's
-    /// shard.
-    pub fn add(&self, n: u64) {
-        self.cells[thread_shard()].0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value: the sum over shards.
-    #[must_use]
-    pub fn value(&self) -> u64 {
-        self.cells.iter().map(|c| c.0.load(Ordering::Relaxed)).sum()
-    }
-}
-
-/// A last-write-wins gauge holding one `f64`. Cloning shares the cell.
-#[derive(Debug, Clone)]
-pub struct Gauge {
-    bits: Arc<AtomicU64>,
-}
-
-impl Default for Gauge {
-    fn default() -> Self {
-        Gauge {
-            bits: Arc::new(AtomicU64::new(0f64.to_bits())),
-        }
-    }
-}
-
-impl Gauge {
-    /// A fresh gauge at zero (detached from any registry).
-    #[must_use]
-    pub fn new() -> Self {
-        Gauge::default()
-    }
-
-    /// Stores `v`.
-    pub fn set(&self, v: f64) {
-        self.bits.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// The last stored value.
-    #[must_use]
-    pub fn value(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
-}
-
-/// Shared histogram state: immutable bounds, atomic per-bucket counts.
-#[derive(Debug)]
-struct HistogramCore {
-    /// Upper bucket bounds, strictly increasing. An implicit `+Inf`
-    /// bucket follows the last bound.
-    bounds: Vec<f64>,
-    /// One count per bound, plus the overflow bucket.
-    counts: Vec<AtomicU64>,
-    /// Sum of observed values, as f64 bits (CAS-updated).
-    sum_bits: AtomicU64,
-    total: AtomicU64,
-}
-
-/// A fixed-bucket histogram. Observation is lock-free: a bounded scan
-/// of the immutable bounds plus relaxed atomic updates. Cloning shares
-/// the buckets.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    core: Arc<HistogramCore>,
-}
-
-impl Histogram {
-    /// A histogram with the given upper bucket bounds (sorted
-    /// ascending; an `+Inf` overflow bucket is implicit).
-    #[must_use]
-    pub fn with_bounds(mut bounds: Vec<f64>) -> Self {
-        bounds.retain(|b| b.is_finite());
-        bounds.sort_by(f64::total_cmp);
-        bounds.dedup();
-        let counts = (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect();
-        Histogram {
-            core: Arc::new(HistogramCore {
-                bounds,
-                counts,
-                sum_bits: AtomicU64::new(0f64.to_bits()),
-                total: AtomicU64::new(0),
-            }),
-        }
-    }
-
-    /// Log-scale 1–2–5 bounds covering `[lo, hi]` (both positive), e.g.
-    /// `log_bounds(1e-6, 10.0)` → `1e-6, 2e-6, 5e-6, …, 5.0, 10.0`.
-    /// The canonical shape for latency-style metrics.
-    #[must_use]
-    pub fn log_bounds(lo: f64, hi: f64) -> Vec<f64> {
-        let lo = lo.abs().max(1e-12);
-        let hi = hi.abs().max(lo);
-        let mut bounds = Vec::new();
-        let mut decade = 10f64.powi(lo.log10().floor() as i32);
-        while decade <= hi * 1.0000001 {
-            for mult in [1.0, 2.0, 5.0] {
-                let b = decade * mult;
-                if b >= lo * 0.9999999 && b <= hi * 1.0000001 {
-                    bounds.push(b);
-                }
+/// Log-scale 1–2–5 bounds covering `[lo, hi]` (both positive), e.g.
+/// `log_bounds(1e-6, 10.0)` → `1e-6, 2e-6, 5e-6, …, 5.0, 10.0`.
+pub(crate) fn log_bounds(lo: f64, hi: f64) -> Vec<f64> {
+    let lo = lo.abs().max(1e-12);
+    let hi = hi.abs().max(lo);
+    let mut bounds = Vec::new();
+    let mut decade = 10f64.powi(lo.log10().floor() as i32);
+    while decade <= hi * 1.0000001 {
+        for mult in [1.0, 2.0, 5.0] {
+            let b = decade * mult;
+            if b >= lo * 0.9999999 && b <= hi * 1.0000001 {
+                bounds.push(b);
             }
-            decade *= 10.0;
         }
-        bounds
+        decade *= 10.0;
+    }
+    bounds
+}
+
+/// A lifetime histogram: fixed upper bucket bounds (an `+Inf` bucket
+/// follows the last), per-bucket counts, and the sum and count of the
+/// observed values.
+#[derive(Debug, Clone)]
+pub(crate) struct Buckets {
+    bounds: Vec<f64>,
+    counts: Vec<u64>,
+    sum: f64,
+    count: u64,
+}
+
+impl Buckets {
+    pub(crate) fn new(bounds: Vec<f64>) -> Self {
+        Buckets {
+            counts: vec![0; bounds.len() + 1],
+            bounds,
+            sum: 0.0,
+            count: 0,
+        }
     }
 
-    /// Records one observation. Non-finite values count toward the
-    /// overflow bucket and are excluded from the sum.
-    pub fn observe(&self, v: f64) {
-        let c = &self.core;
+    /// Values observed so far.
+    pub(crate) fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Records one value. Non-finite values land in the `+Inf` bucket
+    /// and stay out of the sum.
+    pub(crate) fn observe(&mut self, v: f64) {
         let idx = if v.is_finite() {
-            c.bounds
+            self.sum += v;
+            self.bounds
                 .iter()
                 .position(|&b| v <= b)
-                .unwrap_or(c.bounds.len())
+                .unwrap_or(self.bounds.len())
         } else {
-            c.bounds.len()
+            self.bounds.len()
         };
-        c.counts[idx].fetch_add(1, Ordering::Relaxed);
-        c.total.fetch_add(1, Ordering::Relaxed);
-        if v.is_finite() {
-            // CAS loop: f64 add has no native atomic; contention here is
-            // bounded by the same sharding callers use for counters.
-            let mut cur = c.sum_bits.load(Ordering::Relaxed);
-            loop {
-                let next = (f64::from_bits(cur) + v).to_bits();
-                match c.sum_bits.compare_exchange_weak(
-                    cur,
-                    next,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => break,
-                    Err(actual) => cur = actual,
-                }
-            }
-        }
+        self.counts[idx] += 1;
+        self.count += 1;
     }
 
-    /// Observations recorded so far.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.core.total.load(Ordering::Relaxed)
-    }
-
-    /// Sum of finite observed values.
-    #[must_use]
-    pub fn sum(&self) -> f64 {
-        f64::from_bits(self.core.sum_bits.load(Ordering::Relaxed))
-    }
-
-    /// Cumulative counts per bound (OpenMetrics `le` semantics),
-    /// including the trailing `+Inf` bucket.
-    #[must_use]
-    pub fn cumulative_buckets(&self) -> Vec<(f64, u64)> {
-        let mut acc = 0u64;
-        let mut out = Vec::with_capacity(self.core.bounds.len() + 1);
-        for (i, count) in self.core.counts.iter().enumerate() {
-            acc += count.load(Ordering::Relaxed);
-            let bound = self.core.bounds.get(i).copied().unwrap_or(f64::INFINITY);
-            out.push((bound, acc));
-        }
-        out
+    /// `(upper bound, cumulative count)` per bucket, ending with
+    /// `(+Inf, count)`.
+    pub(crate) fn cumulative(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
+        let bounds = self.bounds.iter().copied().chain([f64::INFINITY]);
+        bounds.zip(self.counts.iter().scan(0, |acc, &c| {
+            *acc += c;
+            Some(*acc)
+        }))
     }
 }
 
-/// Escapes a label value for the OpenMetrics text format: backslash,
-/// double quote, and newline must be written as `\\`, `\"`, and `\n`
-/// (everything else passes through verbatim).
-#[must_use]
-pub fn escape_label_value(raw: &str) -> String {
-    let mut out = String::with_capacity(raw.len());
-    for ch in raw.chars() {
-        match ch {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            other => out.push(other),
-        }
-    }
-    out
-}
-
-/// Escapes HELP text for the OpenMetrics text format: backslash and
-/// newline must be written as `\\` and `\n` so the metadata line stays
-/// one line.
-#[must_use]
-pub fn escape_help(raw: &str) -> String {
-    let mut out = String::with_capacity(raw.len());
-    for ch in raw.chars() {
-        match ch {
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            other => out.push(other),
-        }
-    }
-    out
-}
-
-/// The OpenMetrics unit implied by a metric name's suffix (`_seconds` →
-/// `seconds`, `_bytes` → `bytes`), for `# UNIT` metadata lines.
-#[must_use]
-pub fn unit_for_name(name: &str) -> Option<&'static str> {
-    if name.ends_with("_seconds") {
-        Some("seconds")
-    } else if name.ends_with("_bytes") {
-        Some("bytes")
-    } else {
-        None
-    }
-}
-
-/// A registered metric: name, help text, and the shared handle.
+/// The lifetime view of one fact.
 #[derive(Debug, Clone)]
-enum MetricKind {
-    Counter(Counter),
-    Gauge(Gauge),
-    Histogram(Histogram),
+pub(crate) enum Total {
+    Count(u64),
+    Samples(Buckets),
+    /// Gauges have no lifetime view.
+    Gauge,
 }
 
-#[derive(Debug)]
-struct MetricEntry {
-    name: String,
-    help: String,
-    kind: MetricKind,
+impl Total {
+    pub(crate) fn new(kind: Kind) -> Self {
+        match kind {
+            Kind::Count => Total::Count(0),
+            Kind::Samples(lo, hi) => Total::Samples(Buckets::new(log_bounds(lo, hi))),
+            Kind::Gauge => Total::Gauge,
+        }
+    }
 }
 
-/// A named collection of metrics with an OpenMetrics text exporter.
-///
-/// Registration returns shared handles; re-registering a name returns
-/// the existing handle (a kind mismatch returns a fresh *detached*
-/// handle rather than corrupting the registered one — callers that hit
-/// this path keep working, their samples just stay private).
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    entries: Mutex<Vec<MetricEntry>>,
+/// One window series: per-slot sums or sample pools, or the last write.
+#[derive(Debug, Clone)]
+pub(crate) enum Ring {
+    Sums(Vec<u64>),
+    Pools(Vec<Vec<f64>>),
+    Last(f64),
 }
 
-impl MetricsRegistry {
-    /// A fresh, empty registry.
-    #[must_use]
-    pub fn new() -> Self {
-        MetricsRegistry::default()
-    }
-
-    fn locked(&self) -> MutexGuard<'_, Vec<MetricEntry>> {
-        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The counter registered as `name`, creating it if new.
-    pub fn counter(&self, name: &str, help: &str) -> Counter {
-        let mut entries = self.locked();
-        if let Some(e) = entries.iter().find(|e| e.name == name) {
-            if let MetricKind::Counter(c) = &e.kind {
-                return c.clone();
-            }
-            return Counter::new();
+impl Ring {
+    pub(crate) fn new(kind: Kind, slots: usize) -> Self {
+        match kind {
+            Kind::Count => Ring::Sums(vec![0; slots]),
+            Kind::Samples(..) => Ring::Pools(vec![Vec::new(); slots]),
+            Kind::Gauge => Ring::Last(0.0),
         }
-        let c = Counter::new();
-        entries.push(MetricEntry {
-            name: name.to_owned(),
-            help: help.to_owned(),
-            kind: MetricKind::Counter(c.clone()),
-        });
-        c
     }
+}
 
-    /// The gauge registered as `name`, creating it if new.
-    pub fn gauge(&self, name: &str, help: &str) -> Gauge {
-        let mut entries = self.locked();
-        if let Some(e) = entries.iter().find(|e| e.name == name) {
-            if let MetricKind::Gauge(g) = &e.kind {
-                return g.clone();
-            }
-            return Gauge::new();
+/// Writes both views of every fact as one OpenMetrics exposition:
+/// `totals` indexed by fact, `rings` keyed by `(fact, label id)`, over a
+/// window of `slots` ticks. `per_tick: false` leaves out the per-tick
+/// engine facts.
+pub(crate) fn render(
+    slots: usize,
+    totals: &[Total],
+    rings: &BTreeMap<(Fact, u64), Ring>,
+    per_tick: bool,
+) -> String {
+    let mut families: Vec<(&str, Fact, bool)> = Vec::new();
+    for fact in Fact::ALL {
+        let spec = fact.spec();
+        if spec.per_tick && !per_tick {
+            continue;
         }
-        let g = Gauge::new();
-        entries.push(MetricEntry {
-            name: name.to_owned(),
-            help: help.to_owned(),
-            kind: MetricKind::Gauge(g.clone()),
-        });
-        g
+        families.extend(spec.lifetime.map(|name| (name, fact, false)));
+        families.extend(spec.window.map(|name| (name, fact, true)));
     }
-
-    /// The histogram registered as `name`, creating it with `bounds` if
-    /// new (existing histograms keep their original bounds).
-    pub fn histogram(&self, name: &str, help: &str, bounds: Vec<f64>) -> Histogram {
-        let mut entries = self.locked();
-        if let Some(e) = entries.iter().find(|e| e.name == name) {
-            if let MetricKind::Histogram(h) = &e.kind {
-                return h.clone();
-            }
-            return Histogram::with_bounds(bounds);
+    families.sort_unstable_by_key(|&(name, ..)| name);
+    let mut out = String::new();
+    for (name, fact, window) in families {
+        let spec = fact.spec();
+        if window {
+            let series: Vec<(u64, &Ring)> = rings
+                .range((fact, 0)..=(fact, u64::MAX))
+                .map(|(&(_, id), ring)| (id, ring))
+                .collect();
+            render_window(&mut out, name, spec, slots, &series);
+        } else {
+            render_lifetime(&mut out, name, spec, &totals[fact as usize]);
         }
-        let h = Histogram::with_bounds(bounds);
-        entries.push(MetricEntry {
-            name: name.to_owned(),
-            help: help.to_owned(),
-            kind: MetricKind::Histogram(h.clone()),
-        });
-        h
     }
+    out.push_str("# EOF\n");
+    out
+}
 
-    /// Serializes every registered metric in the OpenMetrics text
-    /// format, metrics sorted by name, terminated by `# EOF`.
-    #[must_use]
-    pub fn render_openmetrics(&self) -> String {
-        use std::fmt::Write as _;
-        let entries = self.locked();
-        let mut order: Vec<usize> = (0..entries.len()).collect();
-        order.sort_by(|&a, &b| entries[a].name.cmp(&entries[b].name));
-        let mut out = String::new();
-        for idx in order {
-            let e = &entries[idx];
-            if !e.help.is_empty() {
-                let _ = writeln!(out, "# HELP {} {}", e.name, escape_help(&e.help));
-            }
-            match &e.kind {
-                MetricKind::Counter(c) => {
-                    let _ = writeln!(out, "# TYPE {} counter", e.name);
-                    if let Some(unit) = unit_for_name(&e.name) {
-                        let _ = writeln!(out, "# UNIT {} {unit}", e.name);
-                    }
-                    let _ = writeln!(out, "{}_total {}", e.name, c.value());
-                }
-                MetricKind::Gauge(g) => {
-                    let _ = writeln!(out, "# TYPE {} gauge", e.name);
-                    if let Some(unit) = unit_for_name(&e.name) {
-                        let _ = writeln!(out, "# UNIT {} {unit}", e.name);
-                    }
-                    let _ = writeln!(out, "{} {}", e.name, g.value());
-                }
-                MetricKind::Histogram(h) => {
-                    let _ = writeln!(out, "# TYPE {} histogram", e.name);
-                    if let Some(unit) = unit_for_name(&e.name) {
-                        let _ = writeln!(out, "# UNIT {} {unit}", e.name);
-                    }
-                    for (bound, count) in h.cumulative_buckets() {
-                        if bound.is_finite() {
-                            let _ = writeln!(out, "{}_bucket{{le=\"{bound}\"}} {count}", e.name);
-                        } else {
-                            let _ = writeln!(out, "{}_bucket{{le=\"+Inf\"}} {count}", e.name);
-                        }
-                    }
-                    let _ = writeln!(out, "{}_sum {}", e.name, h.sum());
-                    let _ = writeln!(out, "{}_count {}", e.name, h.count());
+fn header(out: &mut String, name: &str, help: &str, kind: &str) {
+    let _ = writeln!(out, "# HELP {name} {help}");
+    let _ = writeln!(out, "# TYPE {name} {kind}");
+    if name.ends_with("_seconds") {
+        let _ = writeln!(out, "# UNIT {name} seconds");
+    } else if name.ends_with("_bytes") {
+        let _ = writeln!(out, "# UNIT {name} bytes");
+    }
+}
+
+fn render_lifetime(out: &mut String, name: &str, spec: Spec, total: &Total) {
+    match total {
+        Total::Count(v) => {
+            header(out, name, spec.help, "counter");
+            let _ = writeln!(out, "{name}_total {v}");
+        }
+        Total::Samples(b) => {
+            header(out, name, spec.help, "histogram");
+            for (bound, count) in b.cumulative() {
+                if bound.is_finite() {
+                    let _ = writeln!(out, "{name}_bucket{{le=\"{bound}\"}} {count}");
+                } else {
+                    let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {count}");
                 }
             }
+            let _ = writeln!(out, "{name}_sum {}", b.sum);
+            let _ = writeln!(out, "{name}_count {}", b.count);
         }
-        out.push_str("# EOF\n");
-        out
+        Total::Gauge => {}
+    }
+}
+
+fn render_window(out: &mut String, name: &str, spec: Spec, slots: usize, series: &[(u64, &Ring)]) {
+    let Some(&(_, first)) = series.first() else {
+        return;
+    };
+    let help = spec.help;
+    match first {
+        Ring::Sums(_) => header(
+            out,
+            name,
+            &format!("{help}: sliding-window total over {slots} slots"),
+            "gauge",
+        ),
+        Ring::Pools(_) => header(
+            out,
+            name,
+            &format!("{help}: sliding-window quantiles over {slots} slots"),
+            "summary",
+        ),
+        Ring::Last(_) => header(out, name, help, "gauge"),
+    }
+    for &(id, ring) in series {
+        let own = spec.label.map(|key| format!("{key}=\"{id}\""));
+        // `{key="id",extra}`, or nothing when there are no labels.
+        let braced = |extra: Option<String>| -> String {
+            let parts: Vec<String> = own.iter().cloned().chain(extra).collect();
+            if parts.is_empty() {
+                String::new()
+            } else {
+                format!("{{{}}}", parts.join(","))
+            }
+        };
+        let plain = braced(None);
+        match ring {
+            Ring::Sums(sums) => {
+                let _ = writeln!(out, "{name}{plain} {}", sums.iter().sum::<u64>());
+            }
+            Ring::Last(v) => {
+                let _ = writeln!(out, "{name}{plain} {v}");
+            }
+            Ring::Pools(pools) => {
+                let mut pool: Vec<f64> = pools.iter().flatten().copied().collect();
+                pool.sort_by(f64::total_cmp);
+                for q in [0.5, 0.9, 0.99] {
+                    let v = crate::fold::quantile(&pool, q).unwrap_or(f64::NAN);
+                    let labels = braced(Some(format!("quantile=\"{q}\"")));
+                    let _ = writeln!(out, "{name}{labels} {v}");
+                }
+                let _ = writeln!(out, "{name}_count{plain} {}", pool.len());
+                let _ = writeln!(out, "{name}_sum{plain} {}", pool.iter().sum::<f64>());
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WindowedMetrics;
+
+    #[test]
+    fn every_fact_has_a_family_and_a_consistent_row() {
+        for (i, fact) in Fact::ALL.iter().enumerate() {
+            assert_eq!(*fact as usize, i, "ALL is in declaration order");
+            let spec = fact.spec();
+            assert!(spec.lifetime.is_some() || spec.window.is_some());
+            // Gauges are a window-only view; labeled facts label a window.
+            assert_eq!(spec.kind == Kind::Gauge, spec.lifetime.is_none());
+            assert!(spec.label.is_none() || spec.window.is_some());
+        }
+    }
 
     #[test]
     fn counter_sums_across_threads() {
-        let reg = MetricsRegistry::new();
-        let c = reg.counter("wsnloc_test_ops", "ops");
+        let w = WindowedMetrics::new(4);
         std::thread::scope(|s| {
             for _ in 0..4 {
-                let c = c.clone();
-                s.spawn(move || {
+                s.spawn(|| {
                     for _ in 0..1000 {
-                        c.inc();
+                        w.add(Fact::Messages, 0, 1);
                     }
                 });
             }
         });
-        assert_eq!(c.value(), 4000);
-        // Re-registration returns the same cells.
-        let again = reg.counter("wsnloc_test_ops", "ops");
-        again.add(5);
-        assert_eq!(c.value(), 4005);
+        assert_eq!(w.total(Fact::Messages), 4000);
+        w.add(Fact::Messages, 0, 5);
+        assert_eq!(w.total(Fact::Messages), 4005);
     }
 
     #[test]
     fn gauge_holds_last_write() {
-        let g = Gauge::new();
-        g.set(2.5);
-        g.set(-1.25);
-        assert!((g.value() + 1.25).abs() < 1e-15);
+        let w = WindowedMetrics::new(2);
+        w.set(Fact::QueueDepth, 1, 2.5);
+        w.set(Fact::QueueDepth, 1, -1.25);
+        assert_eq!(w.gauge_value(Fact::QueueDepth, 1), Some(-1.25));
+        assert_eq!(w.gauge_value(Fact::QueueDepth, 2), None);
     }
 
     #[test]
     fn histogram_buckets_cumulate() {
-        let h = Histogram::with_bounds(vec![0.001, 0.01, 0.1]);
+        let mut h = Buckets::new(vec![0.001, 0.01, 0.1]);
         h.observe(0.0005);
         h.observe(0.005);
         h.observe(0.05);
         h.observe(5.0); // overflow
         h.observe(f64::NAN); // overflow, excluded from sum
-        assert_eq!(h.count(), 5);
-        assert!((h.sum() - 5.0555).abs() < 1e-12);
-        let buckets = h.cumulative_buckets();
+        assert_eq!(h.count, 5);
+        assert!((h.sum - 5.0555).abs() < 1e-12);
+        let buckets: Vec<(f64, u64)> = h.cumulative().collect();
         assert_eq!(buckets.len(), 4);
         assert_eq!(buckets[0].1, 1);
         assert_eq!(buckets[1].1, 2);
@@ -484,7 +459,7 @@ mod tests {
 
     #[test]
     fn log_bounds_build_a_125_series() {
-        let b = Histogram::log_bounds(1e-3, 1.0);
+        let b = log_bounds(1e-3, 1.0);
         assert_eq!(b.len(), 10);
         assert!((b[0] - 1e-3).abs() < 1e-15);
         assert!((b[1] - 2e-3).abs() < 1e-15);
@@ -494,67 +469,42 @@ mod tests {
 
     #[test]
     fn openmetrics_rendering_is_sorted_and_terminated() {
-        let reg = MetricsRegistry::new();
-        reg.counter("wsnloc_zeta", "last").inc();
-        reg.gauge("wsnloc_alpha", "first").set(3.0);
-        let h = reg.histogram("wsnloc_mid", "middle", vec![0.1, 1.0]);
-        h.observe(0.5);
-        let text = reg.render_openmetrics();
-        let alpha = text.find("wsnloc_alpha").expect("gauge rendered");
-        let mid = text.find("wsnloc_mid").expect("histogram rendered");
-        let zeta = text.find("wsnloc_zeta").expect("counter rendered");
-        assert!(alpha < mid && mid < zeta, "sorted by name");
-        assert!(text.contains("# TYPE wsnloc_zeta counter"));
-        assert!(text.contains("wsnloc_zeta_total 1"));
-        assert!(text.contains("wsnloc_mid_bucket{le=\"1\"} 1"));
-        assert!(text.contains("wsnloc_mid_bucket{le=\"+Inf\"} 1"));
-        assert!(text.contains("wsnloc_mid_sum 0.5"));
-        assert!(text.contains("wsnloc_mid_count 1"));
-        assert!(text.ends_with("# EOF\n"));
-    }
-
-    #[test]
-    fn openmetrics_conformance_units_and_escaping() {
-        // Label-value escaping: backslash, quote, and newline only.
-        assert_eq!(escape_label_value(r"a\b"), r"a\\b");
-        assert_eq!(escape_label_value("say \"hi\""), "say \\\"hi\\\"");
-        assert_eq!(escape_label_value("two\nlines"), "two\\nlines");
-        assert_eq!(escape_label_value("plain{},=:"), "plain{},=:");
-        // HELP escaping keeps metadata on one line.
-        assert_eq!(escape_help("a\\b\nc"), "a\\\\b\\nc");
-
-        let reg = MetricsRegistry::new();
-        reg.histogram(
-            "wsnloc_tick_seconds",
-            "tick latency",
-            Histogram::log_bounds(1e-3, 1.0),
-        )
-        .observe(0.01);
-        reg.gauge("wsnloc_queue_bytes", "queued bytes").set(4.0);
-        reg.counter("wsnloc_plain", "no unit\nsplit help").inc();
-        let text = reg.render_openmetrics();
-        // `# UNIT` follows `# TYPE` for `_seconds`/`_bytes` families and
-        // is absent for unitless names.
+        let w = WindowedMetrics::new(4);
+        w.add(Fact::Runs, 0, 1);
+        w.observe(Fact::TickSeconds, 0, 0.5);
+        let text = w.render_openmetrics();
+        // Families sort by name across both views: every lifetime family
+        // (`wsnloc_bp_*` … `wsnloc_shard_*`) precedes the window families.
+        let runs = text.find("# TYPE wsnloc_bp_runs counter").expect("counter");
+        let ticks = text.find("# TYPE wsnloc_serve_tick_seconds histogram");
+        let window = text
+            .find("# TYPE wsnloc_window_bp_runs gauge")
+            .expect("window");
+        assert!(runs < ticks.expect("histogram") && ticks < Some(window));
+        assert!(text.contains("wsnloc_bp_runs_total 1\n"));
+        // Lifetime families render at 0 before their first write.
+        assert!(text.contains("wsnloc_fault_node_deaths_total 0\n"));
+        assert!(text.contains("wsnloc_serve_ticks_total 0\n"));
+        assert!(text.contains("wsnloc_serve_tick_seconds_bucket{le=\"0.5\"} 1\n"));
+        assert!(text.contains("wsnloc_serve_tick_seconds_bucket{le=\"+Inf\"} 1\n"));
+        assert!(text.contains("wsnloc_serve_tick_seconds_sum 0.5\n"));
+        assert!(text.contains("wsnloc_serve_tick_seconds_count 1\n"));
+        // `# UNIT` follows `# TYPE` for `_seconds`/`_bytes` families only.
         assert!(text.contains(
-            "# TYPE wsnloc_tick_seconds histogram\n# UNIT wsnloc_tick_seconds seconds\n"
+            "# TYPE wsnloc_serve_tick_seconds histogram\n# UNIT wsnloc_serve_tick_seconds seconds\n"
         ));
-        assert!(text.contains("# TYPE wsnloc_queue_bytes gauge\n# UNIT wsnloc_queue_bytes bytes\n"));
-        assert!(!text.contains("# UNIT wsnloc_plain"));
-        // Newlines in help text are escaped, and the exposition ends
-        // with the EOF marker.
-        assert!(text.contains("# HELP wsnloc_plain no unit\\nsplit help\n"));
+        assert!(text.contains("# TYPE wsnloc_bp_bytes counter\n# UNIT wsnloc_bp_bytes bytes\n"));
+        assert!(text.contains(
+            "# TYPE wsnloc_window_tick_seconds summary\n# UNIT wsnloc_window_tick_seconds seconds\n"
+        ));
+        assert!(!text.contains("# UNIT wsnloc_bp_runs"));
+        assert_eq!(text.matches("# EOF").count(), 1);
         assert!(text.ends_with("# EOF\n"));
-    }
-
-    #[test]
-    fn kind_mismatch_returns_detached_handle() {
-        let reg = MetricsRegistry::new();
-        let c = reg.counter("wsnloc_dual", "counter");
-        c.inc();
-        // Asking for the same name as a gauge must not corrupt the
-        // registered counter.
-        let g = reg.gauge("wsnloc_dual", "gauge");
-        g.set(9.0);
-        assert!(reg.render_openmetrics().contains("wsnloc_dual_total 1"));
+        // A run fold's exposition leaves out the per-tick engine facts.
+        let runs = w.render_run_facts();
+        assert!(runs.contains("wsnloc_bp_runs_total 1\n"));
+        assert!(!runs.contains("wsnloc_serve_tick"));
+        assert!(!runs.contains("wsnloc_window_tick_seconds"));
+        assert!(runs.ends_with("# EOF\n"));
     }
 }

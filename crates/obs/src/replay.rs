@@ -613,7 +613,7 @@ pub struct TraceAnalysis {
     pub snapshot: MetricsSnapshot,
     /// Hierarchical span attribution over all runs.
     pub flame_table: String,
-    /// OpenMetrics rendering of the replayed registry.
+    /// OpenMetrics rendering of the replayed store.
     pub openmetrics: String,
 }
 
@@ -631,7 +631,7 @@ pub fn analyze_str(text: &str) -> Result<TraceAnalysis, ReplayError> {
         incomplete_runs: runs.iter().filter(|r| r.summary.is_none()).count(),
         snapshot: metrics.snapshot(),
         flame_table: profiler.flame_table(),
-        openmetrics: metrics.registry().render_openmetrics(),
+        openmetrics: metrics.window().render_run_facts(),
     })
 }
 

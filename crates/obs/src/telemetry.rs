@@ -7,34 +7,40 @@
 //!
 //! | route      | content                                             |
 //! |------------|-----------------------------------------------------|
-//! | `/metrics` | OpenMetrics text: [`MetricsRegistry`] totals plus [`WindowedMetrics`] windowed series, one `# EOF` |
-//! | `/healthz` | JSON liveness: tick count, seconds since last tick, optional [`SpanProfiler`] snapshot rows |
+//! | `/metrics` | OpenMetrics text: the hub store's lifetime and windowed families, one `# EOF` |
+//! | `/healthz` | JSON liveness: `ok`, tick count, seconds since the last tick |
 //! | `/tenants` | JSON rollup the engine publishes per tick           |
 //!
 //! The server is deliberately primitive: blocking accept loop on one
 //! thread, one request per connection, GET only. That is exactly enough
 //! for `curl`, Prometheus-style scrapers, and `repro top`, and it keeps
-//! the implementation auditable. Shutdown is cooperative: a flag flips,
-//! then a loopback connection unblocks `accept` so the thread can exit
-//! and be joined — no socket leaks, no detached threads at drop.
+//! the implementation auditable. Each connection gets one deadline for
+//! its whole request head, so a client that trickles bytes is dropped
+//! instead of holding the only server thread. Shutdown is cooperative: a
+//! flag flips, then a loopback connection unblocks `accept` so the
+//! thread can exit and be joined — no socket leaks, no detached threads
+//! at drop.
 //!
 //! The [`TelemetryHub`] is the engine-facing half: a cheaply clonable
-//! bundle of registry + window + optional profiler that the engine
-//! updates ([`TelemetryHub::note_tick`],
-//! [`TelemetryHub::set_tenants_json`]) and the server reads. Engines
-//! own a hub whether or not a server is attached, so instrumentation
-//! cost does not depend on whether anyone is scraping.
+//! bundle of one [`WindowedMetrics`] store, liveness, and the `/tenants`
+//! document. The engine folds its solves into the store, closes each
+//! tick with [`TelemetryHub::note_tick`] and publishes the rollup with
+//! [`TelemetryHub::set_tenants_json`]; the server reads. Engines own a
+//! hub whether or not a server is attached, so instrumentation cost does
+//! not depend on whether anyone is scraping.
 
-use crate::metrics::MetricsRegistry;
-use crate::profiler::{SpanProfiler, Stopwatch};
-use crate::sink::push_json_str;
+use crate::metrics::Fact;
+use crate::profiler::Stopwatch;
 use crate::window::WindowedMetrics;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// Time a client gets to send its whole request head.
+const HEAD_DEADLINE_SECS: f64 = 2.0;
 
 #[derive(Debug, Default)]
 struct HubState {
@@ -49,61 +55,48 @@ struct HubState {
 /// `Arc`s.
 #[derive(Debug, Clone)]
 pub struct TelemetryHub {
-    registry: Arc<MetricsRegistry>,
     window: Arc<WindowedMetrics>,
-    profiler: Option<Arc<SpanProfiler>>,
-    ticks: Arc<AtomicU64>,
     state: Arc<Mutex<HubState>>,
 }
 
 impl TelemetryHub {
-    /// A hub over the given registry and window, with no profiler.
+    /// A hub over a fresh store whose window holds `slots` ticks.
     #[must_use]
-    pub fn new(registry: Arc<MetricsRegistry>, window: Arc<WindowedMetrics>) -> Self {
+    pub fn new(slots: usize) -> Self {
         TelemetryHub {
-            registry,
-            window,
-            profiler: None,
-            ticks: Arc::new(AtomicU64::new(0)),
+            window: Arc::new(WindowedMetrics::new(slots)),
             state: Arc::new(Mutex::new(HubState::default())),
         }
-    }
-
-    /// Attaches a span profiler whose [`SpanProfiler::snapshot`] rows
-    /// are embedded in `/healthz` (taken mid-run, never stopping spans).
-    #[must_use]
-    pub fn with_profiler(mut self, profiler: Arc<SpanProfiler>) -> Self {
-        self.profiler = Some(profiler);
-        self
     }
 
     fn locked(&self) -> MutexGuard<'_, HubState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The metrics registry this hub exports.
-    #[must_use]
-    pub fn registry(&self) -> &Arc<MetricsRegistry> {
-        &self.registry
-    }
-
-    /// The windowed-series tier this hub exports.
+    /// The store this hub exports.
     #[must_use]
     pub fn window(&self) -> &Arc<WindowedMetrics> {
         &self.window
     }
 
-    /// Records that the engine completed a scheduler tick (drives the
-    /// `/healthz` last-tick age and tick counter).
-    pub fn note_tick(&self) {
-        self.ticks.fetch_add(1, Ordering::Relaxed);
+    /// Closes one scheduler tick: records its wall `secs` and each
+    /// tenant's `(id, queued epochs)`, counts the tick, restarts the
+    /// `/healthz` last-tick clock, then rotates the window so the next
+    /// tick writes a fresh slot.
+    pub fn note_tick(&self, secs: f64, queue_depths: impl IntoIterator<Item = (u64, usize)>) {
+        self.window.observe(Fact::TickSeconds, 0, secs);
+        for (tenant, depth) in queue_depths {
+            self.window.set(Fact::QueueDepth, tenant, depth as f64);
+        }
+        self.window.add(Fact::Ticks, 0, 1);
         self.locked().last_tick = Some(Stopwatch::start());
+        self.window.advance();
     }
 
     /// Ticks noted so far.
     #[must_use]
     pub fn ticks(&self) -> u64 {
-        self.ticks.load(Ordering::Relaxed)
+        self.window.total(Fact::Ticks)
     }
 
     /// Seconds since the last [`TelemetryHub::note_tick`], or `None`
@@ -122,55 +115,24 @@ impl TelemetryHub {
         self.locked().tenants_json = json;
     }
 
-    /// Body for `/metrics`: registry exposition with the windowed
-    /// series spliced in before the single trailing `# EOF`.
+    /// Body for `/metrics`: the store's OpenMetrics exposition.
     #[must_use]
     pub fn render_metrics(&self) -> String {
-        let mut text = self.registry.render_openmetrics();
-        if let Some(stripped) = text.strip_suffix("# EOF\n") {
-            text.truncate(stripped.len());
-        }
-        self.window.render_openmetrics_into(&mut text);
-        text.push_str("# EOF\n");
-        text
+        self.window.render_openmetrics()
     }
 
     /// Body for `/healthz`: a small JSON liveness document. `ok` is
     /// true once the engine has ticked at least once.
     #[must_use]
     pub fn render_healthz(&self) -> String {
-        use std::fmt::Write as _;
         let ticks = self.ticks();
-        let age = self.last_tick_age_secs();
-        let mut out = String::from("{");
-        let _ = write!(out, "\"ok\":{}", ticks > 0);
-        let _ = write!(out, ",\"ticks\":{ticks}");
-        match age {
-            Some(a) => {
-                let _ = write!(out, ",\"last_tick_age_secs\":{a}");
-            }
-            None => out.push_str(",\"last_tick_age_secs\":null"),
-        }
-        if let Some(prof) = &self.profiler {
-            out.push_str(",\"spans\":[");
-            for (i, row) in prof.snapshot().iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"label\":{},\"depth\":{},\"calls\":{},\"total_secs\":{},\"self_secs\":{}}}",
-                    json_str(row.label),
-                    row.depth,
-                    row.calls,
-                    row.total_secs,
-                    row.self_secs
-                );
-            }
-            out.push(']');
-        }
-        out.push('}');
-        out
+        let age = self
+            .last_tick_age_secs()
+            .map_or_else(|| "null".to_owned(), |a| a.to_string());
+        format!(
+            "{{\"ok\":{},\"ticks\":{ticks},\"last_tick_age_secs\":{age}}}",
+            ticks > 0
+        )
     }
 
     /// Body for `/tenants` (empty object before the first publish).
@@ -183,12 +145,6 @@ impl TelemetryHub {
             st.tenants_json.clone()
         }
     }
-}
-
-fn json_str(raw: &str) -> String {
-    let mut out = String::with_capacity(raw.len() + 2);
-    push_json_str(&mut out, raw);
-    out
 }
 
 /// The blocking scrape server (see module docs for routes). Bind with
@@ -253,19 +209,25 @@ fn accept_loop(listener: &TcpListener, hub: &TelemetryHub, stop: &AtomicBool) {
             break;
         }
         let Ok(stream) = conn else { continue };
-        // One short-deadline request per connection: a stalled client
-        // cannot wedge the scrape loop for long.
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
         let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
         let _ = serve_one(stream, hub);
     }
 }
 
-/// Reads one request head, routes it, writes one response.
+/// Reads one request head, routes it, writes one response. The whole
+/// head must arrive within [`HEAD_DEADLINE_SECS`]; a per-read timeout
+/// alone would let a client sending a byte at a time hold the only
+/// server thread indefinitely. On expiry the connection is dropped.
 fn serve_one(mut stream: TcpStream, hub: &TelemetryHub) -> std::io::Result<()> {
+    let deadline = Stopwatch::start();
     let mut buf = [0u8; 2048];
     let mut head = Vec::new();
     loop {
+        let left = HEAD_DEADLINE_SECS - deadline.elapsed_secs();
+        if left <= 0.0 {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        stream.set_read_timeout(Some(Duration::from_secs_f64(left)))?;
         let n = stream.read(&mut buf)?;
         if n == 0 {
             break;
@@ -313,17 +275,15 @@ fn serve_one(mut stream: TcpStream, hub: &TelemetryHub) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observer::{InferenceObserver, ObsEvent};
 
     fn hub() -> TelemetryHub {
-        let registry = Arc::new(MetricsRegistry::new());
-        registry.counter("wsnloc_test", "test counter").add(3);
-        let window = Arc::new(WindowedMetrics::new(4));
-        window.add(
-            "wsnloc_window_epochs_solved",
-            &[("tenant", "1".to_owned())],
-            2,
-        );
-        TelemetryHub::new(registry, window)
+        let hub = TelemetryHub::new(4);
+        for epoch in 0..2 {
+            hub.window()
+                .on_event(&ObsEvent::EpochAdvanced { tenant: 1, epoch });
+        }
+        hub
     }
 
     fn get(addr: SocketAddr, path: &str) -> String {
@@ -341,7 +301,7 @@ mod tests {
         let resp = get(server.local_addr(), "/metrics");
         assert!(resp.starts_with("HTTP/1.1 200 OK"));
         assert!(resp.contains("application/openmetrics-text"));
-        assert!(resp.contains("wsnloc_test_total 3"));
+        assert!(resp.contains("wsnloc_serve_epochs_solved_total 2"));
         assert!(resp.contains("wsnloc_window_epochs_solved{tenant=\"1\"} 2"));
         assert_eq!(resp.matches("# EOF").count(), 1);
         assert!(resp.trim_end().ends_with("# EOF"));
@@ -349,20 +309,56 @@ mod tests {
     }
 
     #[test]
-    fn healthz_reports_tick_age_and_spans() {
-        let prof = Arc::new(SpanProfiler::new());
-        prof.record_path(&["run"], 0.125);
-        let h = hub().with_profiler(Arc::clone(&prof));
+    fn healthz_reports_tick_count_and_age() {
+        let h = hub();
         let mut server = TelemetryServer::start("127.0.0.1:0", h.clone()).expect("bind");
         let before = get(server.local_addr(), "/healthz");
         assert!(before.contains("\"ok\":false"));
         assert!(before.contains("\"last_tick_age_secs\":null"));
-        h.note_tick();
+        h.note_tick(0.01, [(1, 3)]);
         let after = get(server.local_addr(), "/healthz");
         assert!(after.contains("\"ok\":true"));
         assert!(after.contains("\"ticks\":1"));
         assert!(after.contains("\"last_tick_age_secs\":"));
-        assert!(after.contains("\"label\":\"run\""));
+        // The tick landed in the store: count, latency and queue depth.
+        let metrics = h.render_metrics();
+        assert!(metrics.contains("wsnloc_serve_ticks_total 1\n"));
+        assert!(metrics.contains("wsnloc_window_tick_seconds_count 1\n"));
+        assert!(metrics.contains("wsnloc_window_queue_depth{tenant=\"1\"} 3\n"));
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_trickling_client_cannot_stall_other_scrapes() {
+        let mut server = TelemetryServer::start("127.0.0.1:0", hub()).expect("bind");
+        let addr = server.local_addr();
+        // Connected first, so the accept loop takes it first: a client
+        // sending one byte every 300 ms for 6 s, never ending its head.
+        let mut slow = TcpStream::connect(addr).expect("connect slow client");
+        slow.write_all(b"G").expect("first byte");
+        let trickle = std::thread::spawn(move || {
+            for _ in 0..20 {
+                std::thread::sleep(Duration::from_millis(300));
+                if slow.write_all(b"E").is_err() {
+                    break;
+                }
+            }
+        });
+        let watch = Stopwatch::start();
+        let mut fast = TcpStream::connect(addr).expect("connect scrape client");
+        fast.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("set timeout");
+        fast.write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+            .expect("send request");
+        let mut resp = String::new();
+        let _ = fast.read_to_string(&mut resp);
+        let waited = watch.elapsed_secs();
+        assert!(resp.starts_with("HTTP/1.1 200 OK"), "got {resp:?}");
+        assert!(
+            waited < 4.0,
+            "scrape waited {waited:.2}s behind a slow client"
+        );
+        trickle.join().expect("trickle thread");
         server.shutdown();
     }
 

@@ -1,145 +1,141 @@
-//! Sliding-window metric aggregation for live engines.
+//! The metric store: lifetime totals and sliding windows over every
+//! [`Fact`], and the one fold from observer callbacks onto them.
 //!
-//! The [`MetricsRegistry`](crate::MetricsRegistry) counters are
-//! monotone totals — ideal for post-run scraping, useless for "what is
-//! the shed rate *right now*" questions a long-running service gets
-//! asked. [`WindowedMetrics`] layers fixed-slot ring buffers on top:
-//! every series keeps the last `slots` slots of data, the engine calls
-//! [`WindowedMetrics::advance`] once per scheduler tick to rotate the
-//! ring, and queries ([`window_total`](WindowedMetrics::window_total),
+//! A long-running service gets asked both "how many epochs were shed
+//! since start" and "what is the shed rate *right now*".
+//! [`WindowedMetrics`] answers both from one store. Every write lands in
+//! the fact's lifetime view ([`total`](WindowedMetrics::total)) and, for
+//! facts with a window view, in the current slot of a per-label ring.
+//! The engine calls [`WindowedMetrics::advance`] once per scheduler tick
+//! to retire the oldest slot, and the window queries
+//! ([`window_total`](WindowedMetrics::window_total),
 //! [`window_rate`](WindowedMetrics::window_rate),
 //! [`window_quantile`](WindowedMetrics::window_quantile)) see only the
-//! window.
+//! last `slots` slots. Slot rotation is driven by the *caller's* tick,
+//! never by wall clock, so the aggregation is deterministic for a given
+//! call sequence and costs nothing when nobody ticks it.
 //!
-//! Series are keyed by a family name plus a sorted label set (tenant
-//! and shard ids in practice), and come in three kinds, chosen by the
-//! first call that touches the series:
-//!
-//! - **rate** ([`add`](WindowedMetrics::add)): per-slot `u64` sums —
-//!   epochs solved, epochs shed, boundary messages, fault counts;
-//! - **gauge** ([`set`](WindowedMetrics::set)): last-write-wins `f64` —
-//!   queue depths;
-//! - **pool** ([`observe`](WindowedMetrics::observe)): per-slot `f64`
-//!   samples pooled for window quantiles — tick latency.
-//!
-//! Slot rotation is driven by the *caller's* tick, never by wall
-//! clock, so the aggregation is deterministic for a given call
-//! sequence and costs nothing when nobody ticks it.
-//!
-//! The type also implements [`InferenceObserver`] so it can ride a
-//! [`FanoutObserver`](crate::FanoutObserver) into live runs:
-//! [`fold_event`](WindowedMetrics::fold_event) maps the structured
-//! event stream (tenant epochs, shed decisions, per-shard
-//! [`ObsEvent::BoundaryExchange`] traffic, fault events) onto labeled
-//! window series.
+//! The [`InferenceObserver`] impl is the only code that maps observer
+//! callbacks onto facts: run starts and verdicts, iteration records
+//! (message and byte volume, iteration seconds, residuals), fault
+//! events, tenant epochs solved and shed, per-shard
+//! [`ObsEvent::BoundaryExchange`] traffic, context stamps and notes.
+//! [`render_openmetrics`](WindowedMetrics::render_openmetrics) writes both
+//! views through the fact table in [`metrics`](crate::metrics).
 
-use crate::metrics::escape_label_value;
-use crate::observer::{InferenceObserver, ObsEvent, RunInfo};
+use crate::metrics::{render, Fact, Ring, Total};
+use crate::observer::{InferenceObserver, IterationRecord, ObsEvent, RunInfo, RunSummary};
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// A series key: family name plus sorted `(label, value)` pairs.
-type SeriesKey = (String, Vec<(String, String)>);
-
 #[derive(Debug)]
-enum SeriesData {
-    /// Per-slot sums (counter-over-window semantics).
-    Rate(Vec<u64>),
-    /// Last written value (point-in-time semantics).
-    Gauge(f64),
-    /// Per-slot sample pools (quantile-over-window semantics).
-    Pool(Vec<Vec<f64>>),
-}
-
-#[derive(Debug, Default)]
-struct WinState {
+struct Store {
+    slots: usize,
     /// Current ring position every write lands in.
     head: usize,
     /// Total [`WindowedMetrics::advance`] calls, for fill accounting.
     advances: u64,
-    series: BTreeMap<SeriesKey, SeriesData>,
+    /// Lifetime view, indexed by fact.
+    totals: Vec<Total>,
+    /// Window view, keyed by `(fact, label id)`; a series exists once
+    /// written.
+    rings: BTreeMap<(Fact, u64), Ring>,
 }
 
-/// Fixed-slot ring-buffer aggregation over labeled metric series.
+impl Store {
+    /// The window ring of `fact{id}`, created on first use; `None` when
+    /// the fact has no window view.
+    fn ring(&mut self, fact: Fact, id: u64) -> Option<&mut Ring> {
+        let spec = fact.spec();
+        spec.window?;
+        let slots = self.slots;
+        Some(
+            self.rings
+                .entry((fact, id))
+                .or_insert_with(|| Ring::new(spec.kind, slots)),
+        )
+    }
+
+    fn add(&mut self, fact: Fact, id: u64, n: u64) {
+        debug_assert!(matches!(self.totals[fact as usize], Total::Count(_)));
+        if let Total::Count(v) = &mut self.totals[fact as usize] {
+            *v += n;
+        }
+        let head = self.head;
+        if let Some(Ring::Sums(sums)) = self.ring(fact, id) {
+            sums[head] += n;
+        }
+    }
+
+    fn observe(&mut self, fact: Fact, id: u64, v: f64) {
+        debug_assert!(matches!(self.totals[fact as usize], Total::Samples(_)));
+        if let Total::Samples(b) = &mut self.totals[fact as usize] {
+            b.observe(v);
+        }
+        let head = self.head;
+        if let Some(Ring::Pools(pools)) = self.ring(fact, id) {
+            pools[head].push(v);
+        }
+    }
+
+    fn set(&mut self, fact: Fact, id: u64, v: f64) {
+        debug_assert!(matches!(self.totals[fact as usize], Total::Gauge));
+        if let Some(Ring::Last(last)) = self.ring(fact, id) {
+            *last = v;
+        }
+    }
+}
+
+/// The metric store: lifetime totals plus fixed-slot ring buffers over
+/// labeled window series, for every [`Fact`].
 ///
-/// Thread-safe behind one mutex: writes are O(label-set) map lookups on
-/// the engine's (cold, per-tick) path, never inside BP inner loops.
+/// Thread-safe behind one mutex: writes are one lock plus O(log series)
+/// map lookups per observer callback, never inside BP inner loops.
 #[derive(Debug)]
 pub struct WindowedMetrics {
-    slots: usize,
-    state: Mutex<WinState>,
+    state: Mutex<Store>,
 }
 
 impl WindowedMetrics {
-    /// A window of `slots` ring slots (clamped to at least 1). One slot
-    /// is "the current tick"; [`advance`](WindowedMetrics::advance)
-    /// retires the oldest.
+    /// A store whose window holds `slots` ring slots (clamped to at
+    /// least 1). One slot is "the current tick";
+    /// [`advance`](WindowedMetrics::advance) retires the oldest.
     #[must_use]
     pub fn new(slots: usize) -> Self {
         WindowedMetrics {
-            slots: slots.max(1),
-            state: Mutex::new(WinState::default()),
+            state: Mutex::new(Store {
+                slots: slots.max(1),
+                head: 0,
+                advances: 0,
+                totals: Fact::ALL.map(|f| Total::new(f.spec().kind)).to_vec(),
+                rings: BTreeMap::new(),
+            }),
         }
     }
 
     /// Ring slots this window was built with.
     #[must_use]
     pub fn slots(&self) -> usize {
-        self.slots
+        self.locked().slots
     }
 
-    fn locked(&self) -> MutexGuard<'_, WinState> {
+    fn locked(&self) -> MutexGuard<'_, Store> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn key(name: &str, labels: &[(&str, String)]) -> SeriesKey {
-        let mut ls: Vec<(String, String)> = labels
-            .iter()
-            .map(|(k, v)| ((*k).to_owned(), v.clone()))
-            .collect();
-        ls.sort();
-        (name.to_owned(), ls)
+    /// Adds `n` to the count `fact{id}`.
+    pub(crate) fn add(&self, fact: Fact, id: u64, n: u64) {
+        self.locked().add(fact, id, n);
     }
 
-    /// Adds `v` to the rate series `name{labels}` in the current slot.
-    pub fn add(&self, name: &str, labels: &[(&str, String)], v: u64) {
-        let mut st = self.locked();
-        let head = st.head;
-        let slots = self.slots;
-        let data = st
-            .series
-            .entry(Self::key(name, labels))
-            .or_insert_with(|| SeriesData::Rate(vec![0; slots]));
-        if let SeriesData::Rate(ring) = data {
-            ring[head] += v;
-        }
+    /// Records sample `v` of `fact{id}`.
+    pub(crate) fn observe(&self, fact: Fact, id: u64, v: f64) {
+        self.locked().observe(fact, id, v);
     }
 
-    /// Sets the gauge series `name{labels}` to `v`.
-    pub fn set(&self, name: &str, labels: &[(&str, String)], v: f64) {
-        let mut st = self.locked();
-        let data = st
-            .series
-            .entry(Self::key(name, labels))
-            .or_insert(SeriesData::Gauge(0.0));
-        if let SeriesData::Gauge(cur) = data {
-            *cur = v;
-        }
-    }
-
-    /// Appends sample `v` to the pool series `name{labels}` in the
-    /// current slot.
-    pub fn observe(&self, name: &str, labels: &[(&str, String)], v: f64) {
-        let mut st = self.locked();
-        let head = st.head;
-        let slots = self.slots;
-        let data = st
-            .series
-            .entry(Self::key(name, labels))
-            .or_insert_with(|| SeriesData::Pool(vec![Vec::new(); slots]));
-        if let SeriesData::Pool(ring) = data {
-            ring[head].push(v);
-        }
+    /// Sets the gauge `fact{id}` to `v`.
+    pub(crate) fn set(&self, fact: Fact, id: u64, v: f64) {
+        self.locked().set(fact, id, v);
     }
 
     /// Rotates the ring: the oldest slot of every series is cleared and
@@ -147,13 +143,13 @@ impl WindowedMetrics {
     pub fn advance(&self) {
         let mut st = self.locked();
         st.advances += 1;
-        st.head = (st.head + 1) % self.slots;
+        st.head = (st.head + 1) % st.slots;
         let head = st.head;
-        for data in st.series.values_mut() {
-            match data {
-                SeriesData::Rate(ring) => ring[head] = 0,
-                SeriesData::Pool(ring) => ring[head].clear(),
-                SeriesData::Gauge(_) => {}
+        for ring in st.rings.values_mut() {
+            match ring {
+                Ring::Sums(sums) => sums[head] = 0,
+                Ring::Pools(pools) => pools[head].clear(),
+                Ring::Last(_) => {}
             }
         }
     }
@@ -163,189 +159,119 @@ impl WindowedMetrics {
     #[must_use]
     pub fn filled_slots(&self) -> usize {
         let st = self.locked();
-        ((st.advances + 1).min(self.slots as u64)) as usize
+        ((st.advances + 1).min(st.slots as u64)) as usize
     }
 
-    /// Windowed total of a rate series, or `None` if the series does
-    /// not exist (or is not a rate).
+    /// Lifetime total of a count fact, summed over labels (the sample
+    /// count for a samples fact; 0 for a gauge).
     #[must_use]
-    pub fn window_total(&self, name: &str, labels: &[(&str, String)]) -> Option<u64> {
-        let st = self.locked();
-        match st.series.get(&Self::key(name, labels)) {
-            Some(SeriesData::Rate(ring)) => Some(ring.iter().sum()),
+    pub fn total(&self, fact: Fact) -> u64 {
+        match &self.locked().totals[fact as usize] {
+            Total::Count(v) => *v,
+            Total::Samples(b) => b.count(),
+            Total::Gauge => 0,
+        }
+    }
+
+    /// Windowed total of the count `fact{id}`, or `None` if that series
+    /// was never written (or is not a count).
+    #[must_use]
+    pub fn window_total(&self, fact: Fact, id: u64) -> Option<u64> {
+        match self.locked().rings.get(&(fact, id)) {
+            Some(Ring::Sums(sums)) => Some(sums.iter().sum()),
             _ => None,
         }
     }
 
-    /// Windowed per-slot rate of a rate series: total over the window
-    /// divided by the filled slot count.
+    /// Windowed per-slot rate of the count `fact{id}`: total over the
+    /// window divided by the filled slot count.
     #[must_use]
-    pub fn window_rate(&self, name: &str, labels: &[(&str, String)]) -> Option<f64> {
-        let total = self.window_total(name, labels)?;
+    pub fn window_rate(&self, fact: Fact, id: u64) -> Option<f64> {
+        let total = self.window_total(fact, id)?;
         Some(total as f64 / self.filled_slots() as f64)
     }
 
     /// Nearest-rank quantile `q` in `[0, 1]` over every sample in the
-    /// window of a pool series.
+    /// window of `fact{id}`.
     #[must_use]
-    pub fn window_quantile(&self, name: &str, labels: &[(&str, String)], q: f64) -> Option<f64> {
-        let st = self.locked();
-        let Some(SeriesData::Pool(ring)) = st.series.get(&Self::key(name, labels)) else {
-            return None;
+    pub fn window_quantile(&self, fact: Fact, id: u64, q: f64) -> Option<f64> {
+        let mut pool: Vec<f64> = match self.locked().rings.get(&(fact, id)) {
+            Some(Ring::Pools(pools)) => pools.iter().flatten().copied().collect(),
+            _ => return None,
         };
-        let mut pool: Vec<f64> = ring.iter().flatten().copied().collect();
-        drop(st);
-        if pool.is_empty() {
-            return None;
-        }
         pool.sort_by(f64::total_cmp);
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * pool.len() as f64).ceil() as usize).clamp(1, pool.len());
-        Some(pool[rank - 1])
+        crate::fold::quantile(&pool, q)
     }
 
-    /// Last value of a gauge series.
+    /// Last value of the gauge `fact{id}`.
     #[must_use]
-    pub fn gauge_value(&self, name: &str, labels: &[(&str, String)]) -> Option<f64> {
-        let st = self.locked();
-        match st.series.get(&Self::key(name, labels)) {
-            Some(SeriesData::Gauge(v)) => Some(*v),
+    pub fn gauge_value(&self, fact: Fact, id: u64) -> Option<f64> {
+        match self.locked().rings.get(&(fact, id)) {
+            Some(Ring::Last(v)) => Some(*v),
             _ => None,
         }
     }
 
-    /// Folds one structured event into the windowed series the live
-    /// telemetry endpoints expose (see module docs for the mapping).
-    pub fn fold_event(&self, event: &ObsEvent) {
-        match event {
-            ObsEvent::EpochAdvanced { tenant, .. } => {
-                self.add(
-                    "wsnloc_window_epochs_solved",
-                    &[("tenant", tenant.to_string())],
-                    1,
-                );
-            }
-            ObsEvent::TenantShed { tenant, .. } => {
-                self.add(
-                    "wsnloc_window_epochs_shed",
-                    &[("tenant", tenant.to_string())],
-                    1,
-                );
-            }
-            ObsEvent::BoundaryExchange {
-                shard, messages, ..
-            } => {
-                self.add(
-                    "wsnloc_window_boundary_messages",
-                    &[("shard", shard.to_string())],
-                    *messages,
-                );
-            }
-            ObsEvent::MessageDropped { count, .. } => {
-                self.add("wsnloc_window_fault_dropped", &[], *count);
-            }
-            ObsEvent::StaleMessageUsed { count, .. } => {
-                self.add("wsnloc_window_fault_stale", &[], *count);
-            }
-            ObsEvent::NodeDied { .. } => {
-                self.add("wsnloc_window_node_deaths", &[], 1);
-            }
-            ObsEvent::GridUniformFallback { .. } => {
-                self.add("wsnloc_window_grid_fallbacks", &[], 1);
-            }
-            // Context stamps carry no quantity; remaining events have no
-            // windowed series (the registry totals still count them).
-            _ => {}
-        }
+    /// The OpenMetrics exposition of both views (see
+    /// [`metrics`](crate::metrics)), ending in `# EOF`.
+    #[must_use]
+    pub fn render_openmetrics(&self) -> String {
+        let st = self.locked();
+        render(st.slots, &st.totals, &st.rings, true)
     }
 
-    /// Appends the windowed series to an OpenMetrics exposition (the
-    /// caller owns the trailing `# EOF`). Rate series render as gauges
-    /// holding the windowed total, gauges verbatim, pools as summaries
-    /// with `quantile="0.5|0.9|0.99"` plus `_count`/`_sum`.
-    pub fn render_openmetrics_into(&self, out: &mut String) {
-        use std::fmt::Write as _;
+    /// [`render_openmetrics`](WindowedMetrics::render_openmetrics)
+    /// without the per-tick engine facts, for a store that only folds
+    /// runs.
+    pub(crate) fn render_run_facts(&self) -> String {
         let st = self.locked();
-        // Group samples by family name (BTreeMap keys are sorted, so
-        // families and their label sets come out in deterministic order).
-        let mut last_family = "";
-        let fmt_labels = |labels: &[(String, String)]| -> String {
-            if labels.is_empty() {
-                return String::new();
-            }
-            let inner: Vec<String> = labels
-                .iter()
-                .map(|(k, v)| format!("{k}=\"{}\"", escape_label_value(v)))
-                .collect();
-            format!("{{{}}}", inner.join(","))
-        };
-        for ((name, labels), data) in &st.series {
-            match data {
-                SeriesData::Rate(ring) => {
-                    if last_family != name {
-                        let _ = writeln!(out, "# TYPE {name} gauge");
-                        let _ = writeln!(
-                            out,
-                            "# HELP {name} sliding-window total over {} slots",
-                            self.slots
-                        );
-                    }
-                    let total: u64 = ring.iter().sum();
-                    let _ = writeln!(out, "{name}{} {total}", fmt_labels(labels));
-                }
-                SeriesData::Gauge(v) => {
-                    if last_family != name {
-                        let _ = writeln!(out, "# TYPE {name} gauge");
-                    }
-                    let _ = writeln!(out, "{name}{} {v}", fmt_labels(labels));
-                }
-                SeriesData::Pool(ring) => {
-                    if last_family != name {
-                        let _ = writeln!(out, "# TYPE {name} summary");
-                        if let Some(unit) = crate::metrics::unit_for_name(name) {
-                            let _ = writeln!(out, "# UNIT {name} {unit}");
-                        }
-                        let _ = writeln!(
-                            out,
-                            "# HELP {name} sliding-window quantiles over {} slots",
-                            self.slots
-                        );
-                    }
-                    let mut pool: Vec<f64> = ring.iter().flatten().copied().collect();
-                    pool.sort_by(f64::total_cmp);
-                    let pick = |q: f64| -> f64 {
-                        if pool.is_empty() {
-                            return f64::NAN;
-                        }
-                        let rank = ((q * pool.len() as f64).ceil() as usize).clamp(1, pool.len());
-                        pool[rank - 1]
-                    };
-                    let base = fmt_labels(labels);
-                    for q in ["0.5", "0.9", "0.99"] {
-                        let qv: f64 = q.parse().unwrap_or(0.5);
-                        let mut with_q: Vec<(String, String)> = labels.clone();
-                        with_q.push(("quantile".to_owned(), q.to_owned()));
-                        with_q.sort();
-                        let _ = writeln!(out, "{name}{} {}", fmt_labels(&with_q), pick(qv));
-                    }
-                    let _ = writeln!(out, "{name}_count{base} {}", pool.len());
-                    let _ = writeln!(out, "{name}_sum{base} {}", pool.iter().sum::<f64>());
-                }
-            }
-            last_family = name;
-        }
+        render(st.slots, &st.totals, &st.rings, false)
     }
 }
 
-/// Observer adapter: events fold into the window; everything else is a
-/// no-op (per-iteration data is too fine-grained for tick-paced slots).
+/// The one fold from observer callbacks onto facts.
 impl InferenceObserver for WindowedMetrics {
     fn on_run_start(&self, _info: &RunInfo) {
-        self.add("wsnloc_window_bp_runs", &[], 1);
+        self.add(Fact::Runs, 0, 1);
+    }
+
+    fn on_iteration(&self, record: &IterationRecord) {
+        let mut st = self.locked();
+        st.add(Fact::Iterations, 0, 1);
+        st.add(Fact::Messages, 0, record.comm.messages);
+        st.add(Fact::Bytes, 0, record.comm.bytes);
+        st.observe(Fact::IterationSeconds, 0, record.secs);
+        for r in &record.residuals {
+            st.observe(Fact::Residual, 0, r.residual);
+        }
     }
 
     fn on_event(&self, event: &ObsEvent) {
-        self.fold_event(event);
+        let mut st = self.locked();
+        match event {
+            ObsEvent::MapFallbackToMmse { .. } => st.add(Fact::MapFallbacks, 0, 1),
+            ObsEvent::GridUniformFallback { .. } => st.add(Fact::GridFallbacks, 0, 1),
+            ObsEvent::ThreadPoolFallback { .. } => st.add(Fact::PoolFallbacks, 0, 1),
+            ObsEvent::MessageDropped { count, .. } => st.add(Fact::Dropped, 0, *count),
+            ObsEvent::StaleMessageUsed { count, .. } => st.add(Fact::Stale, 0, *count),
+            ObsEvent::NodeDied { .. } => st.add(Fact::Deaths, 0, 1),
+            ObsEvent::EpochAdvanced { tenant, .. } => st.add(Fact::EpochsSolved, *tenant, 1),
+            ObsEvent::TenantShed { tenant, .. } => st.add(Fact::EpochsShed, *tenant, 1),
+            ObsEvent::Context { .. } => st.add(Fact::Contexts, 0, 1),
+            ObsEvent::BoundaryExchange {
+                shard, messages, ..
+            } => {
+                st.add(Fact::BoundaryExchanges, 0, 1);
+                st.add(Fact::BoundaryMessages, *shard as u64, *messages);
+            }
+            ObsEvent::Note { .. } => st.add(Fact::Notes, 0, 1),
+        }
+    }
+
+    fn on_run_end(&self, summary: &RunSummary) {
+        if summary.converged {
+            self.add(Fact::RunsConverged, 0, 1);
+        }
     }
 }
 
@@ -353,120 +279,95 @@ impl InferenceObserver for WindowedMetrics {
 mod tests {
     use super::*;
 
-    fn tenant(t: u64) -> Vec<(&'static str, String)> {
-        vec![("tenant", t.to_string())]
-    }
-
     #[test]
     fn rates_retire_with_the_window() {
         let w = WindowedMetrics::new(3);
-        w.add("wsnloc_window_epochs_solved", &tenant(1), 2);
-        assert_eq!(
-            w.window_total("wsnloc_window_epochs_solved", &tenant(1)),
-            Some(2)
-        );
+        w.add(Fact::EpochsSolved, 1, 2);
+        assert_eq!(w.window_total(Fact::EpochsSolved, 1), Some(2));
         w.advance();
-        w.add("wsnloc_window_epochs_solved", &tenant(1), 3);
-        assert_eq!(
-            w.window_total("wsnloc_window_epochs_solved", &tenant(1)),
-            Some(5)
-        );
-        // Two more advances push the first slot out of the window.
+        w.add(Fact::EpochsSolved, 1, 3);
+        assert_eq!(w.window_total(Fact::EpochsSolved, 1), Some(5));
+        // Two more advances push the first slot out of the window; the
+        // lifetime total keeps it.
         w.advance();
         w.advance();
-        assert_eq!(
-            w.window_total("wsnloc_window_epochs_solved", &tenant(1)),
-            Some(3)
-        );
+        assert_eq!(w.window_total(Fact::EpochsSolved, 1), Some(3));
+        assert_eq!(w.total(Fact::EpochsSolved), 5);
         // Per-tenant isolation: tenant 2 has its own series.
-        assert_eq!(
-            w.window_total("wsnloc_window_epochs_solved", &tenant(2)),
-            None
-        );
+        assert_eq!(w.window_total(Fact::EpochsSolved, 2), None);
     }
 
     #[test]
     fn quantiles_pool_across_slots() {
         let w = WindowedMetrics::new(4);
         for v in [0.1, 0.2] {
-            w.observe("wsnloc_window_tick_seconds", &[], v);
+            w.observe(Fact::TickSeconds, 0, v);
         }
         w.advance();
         for v in [0.3, 0.4] {
-            w.observe("wsnloc_window_tick_seconds", &[], v);
+            w.observe(Fact::TickSeconds, 0, v);
         }
         let p50 = w
-            .window_quantile("wsnloc_window_tick_seconds", &[], 0.5)
+            .window_quantile(Fact::TickSeconds, 0, 0.5)
             .expect("samples present");
         assert!((p50 - 0.2).abs() < 1e-12);
         let p99 = w
-            .window_quantile("wsnloc_window_tick_seconds", &[], 0.99)
+            .window_quantile(Fact::TickSeconds, 0, 0.99)
             .expect("samples present");
         assert!((p99 - 0.4).abs() < 1e-12);
         assert_eq!(w.filled_slots(), 2);
-        let rate = w.window_rate("wsnloc_window_tick_seconds", &[]);
+        let rate = w.window_rate(Fact::TickSeconds, 0);
         assert!(rate.is_none(), "pools have no rate");
     }
 
     #[test]
     fn events_fold_into_labeled_series() {
         let w = WindowedMetrics::new(8);
-        w.fold_event(&ObsEvent::EpochAdvanced {
+        w.on_event(&ObsEvent::EpochAdvanced {
             tenant: 3,
             epoch: 0,
         });
-        w.fold_event(&ObsEvent::TenantShed {
+        w.on_event(&ObsEvent::TenantShed {
             tenant: 3,
             epoch: 1,
         });
-        w.fold_event(&ObsEvent::BoundaryExchange {
+        w.on_event(&ObsEvent::BoundaryExchange {
             round: 0,
             shard: 5,
             messages: 17,
         });
-        w.fold_event(&ObsEvent::MessageDropped {
+        w.on_event(&ObsEvent::MessageDropped {
             iteration: 2,
             count: 4,
         });
-        assert_eq!(
-            w.window_total("wsnloc_window_epochs_solved", &tenant(3)),
-            Some(1)
-        );
-        assert_eq!(
-            w.window_total("wsnloc_window_epochs_shed", &tenant(3)),
-            Some(1)
-        );
-        assert_eq!(
-            w.window_total(
-                "wsnloc_window_boundary_messages",
-                &[("shard", "5".to_owned())]
-            ),
-            Some(17)
-        );
-        assert_eq!(w.window_total("wsnloc_window_fault_dropped", &[]), Some(4));
+        assert_eq!(w.window_total(Fact::EpochsSolved, 3), Some(1));
+        assert_eq!(w.window_total(Fact::EpochsShed, 3), Some(1));
+        assert_eq!(w.window_total(Fact::BoundaryMessages, 5), Some(17));
+        assert_eq!(w.window_total(Fact::Dropped, 0), Some(4));
+        // The lifetime view counts the same events, summed over labels.
+        assert_eq!(w.total(Fact::BoundaryExchanges), 1);
+        assert_eq!(w.total(Fact::BoundaryMessages), 17);
+        assert_eq!(w.total(Fact::Dropped), 4);
     }
 
     #[test]
     fn render_is_sorted_and_labeled() {
         let w = WindowedMetrics::new(2);
-        w.add("wsnloc_window_epochs_solved", &tenant(10), 4);
-        w.add("wsnloc_window_epochs_solved", &tenant(2), 1);
-        w.set(
-            "wsnloc_window_queue_depth",
-            &[("tenant", "we\"ird\n".to_owned())],
-            7.0,
-        );
-        w.observe("wsnloc_window_tick_seconds", &[], 0.25);
-        let mut out = String::new();
-        w.render_openmetrics_into(&mut out);
-        assert!(out.contains("wsnloc_window_epochs_solved{tenant=\"10\"} 4"));
-        assert!(out.contains("wsnloc_window_epochs_solved{tenant=\"2\"} 1"));
-        // Label values are escaped per OpenMetrics.
-        assert!(out.contains("wsnloc_window_queue_depth{tenant=\"we\\\"ird\\n\"} 7"));
+        w.add(Fact::EpochsSolved, 10, 4);
+        w.add(Fact::EpochsSolved, 2, 1);
+        w.set(Fact::QueueDepth, 7, 3.0);
+        w.observe(Fact::TickSeconds, 0, 0.25);
+        let out = w.render_openmetrics();
+        assert!(out.contains("wsnloc_window_epochs_solved{tenant=\"10\"} 4\n"));
+        assert!(out.contains("wsnloc_window_epochs_solved{tenant=\"2\"} 1\n"));
+        // Labels sort by id; the lifetime family sums over them.
+        let two = out.find("{tenant=\"2\"}").expect("tenant 2");
+        assert!(two < out.find("{tenant=\"10\"}").expect("tenant 10"));
+        assert!(out.contains("wsnloc_serve_epochs_solved_total 5\n"));
+        assert!(out.contains("wsnloc_window_queue_depth{tenant=\"7\"} 3\n"));
         assert!(out.contains("# TYPE wsnloc_window_tick_seconds summary"));
-        assert!(out.contains("# UNIT wsnloc_window_tick_seconds seconds"));
-        assert!(out.contains("quantile=\"0.99\""));
-        assert!(out.contains("wsnloc_window_tick_seconds_count 1"));
+        assert!(out.contains("wsnloc_window_tick_seconds{quantile=\"0.99\"} 0.25\n"));
+        assert!(out.contains("wsnloc_window_tick_seconds_count 1\n"));
         // One TYPE header per family, not per label set.
         assert_eq!(out.matches("# TYPE wsnloc_window_epochs_solved").count(), 1);
     }
@@ -474,12 +375,9 @@ mod tests {
     #[test]
     fn gauges_hold_last_write_across_advances() {
         let w = WindowedMetrics::new(2);
-        w.set("wsnloc_window_queue_depth", &tenant(1), 5.0);
+        w.set(Fact::QueueDepth, 1, 5.0);
         w.advance();
         w.advance();
-        assert_eq!(
-            w.gauge_value("wsnloc_window_queue_depth", &tenant(1)),
-            Some(5.0)
-        );
+        assert_eq!(w.gauge_value(Fact::QueueDepth, 1), Some(5.0));
     }
 }

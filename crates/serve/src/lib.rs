@@ -19,15 +19,16 @@
 //!   model (uncertainty grows toward the prior), `HoldLast` freezes the
 //!   carried beliefs — and the update is flagged
 //!   [`degraded`](PositionUpdate::degraded);
-//! - per-tenant [`MetricsSnapshot`]s and an engine-level
-//!   [`MetricsRegistry`] expose epoch/shed totals for scraping.
+//! - per-tenant [`MetricsSnapshot`]s and the engine's telemetry store
+//!   expose epoch/shed totals for scraping.
 //!
-//! **Live telemetry.** Every engine owns a
-//! [`WindowedMetrics`] sliding window (per-tenant epochs solved/shed,
-//! per-tenant queue-depth gauges, per-shard boundary-message volume
-//! when a tenant's localizer is sharded, and a tick-latency quantile
-//! pool) advanced once per [`tick`](StreamingEngine::tick), plus a
-//! [`TelemetryHub`] publishing liveness and a per-tenant JSON rollup.
+//! **Live telemetry.** Every engine publishes into a [`TelemetryHub`]:
+//! one [`WindowedMetrics`] store that folds every solve and shed event
+//! (lifetime totals plus per-tenant epochs solved/shed and per-shard
+//! boundary-message windows when a tenant's localizer is sharded), the
+//! tick count, tick latency and per-tenant queue depths the engine
+//! records as it closes each [`tick`](StreamingEngine::tick), liveness,
+//! and a per-tenant JSON rollup. The engine keeps no counts of its own.
 //! [`StreamingEngine::builder`] can bind an embedded
 //! [`TelemetryServer`] (`/metrics`, `/healthz`, `/tenants`), join an
 //! external hub shared across engines, and attach an extra
@@ -56,8 +57,8 @@ use wsnloc::session::LocalizationSession;
 use wsnloc::{BnlLocalizer, LocalizationResult, MotionModel};
 use wsnloc_net::{DropPolicy, Network};
 use wsnloc_obs::{
-    Counter, FanoutObserver, Histogram, InferenceObserver, MetricsObserver, MetricsRegistry,
-    MetricsSnapshot, ObsEvent, Stopwatch, TelemetryHub, TelemetryServer, WindowedMetrics,
+    Fact, FanoutObserver, InferenceObserver, MetricsObserver, MetricsSnapshot, ObsEvent, Stopwatch,
+    TelemetryHub, TelemetryServer, WindowedMetrics,
 };
 
 /// Opaque handle identifying one tenant's session within an engine.
@@ -167,13 +168,9 @@ impl Default for EngineConfig {
 struct Tenant {
     session: LocalizationSession,
     queue: VecDeque<MeasurementEpoch>,
-    /// Private observer (own registry) so per-tenant snapshots never mix
-    /// with other tenants' totals.
+    /// Private observer (own store) so per-tenant snapshots never mix
+    /// with other tenants' totals; its lifetime counts feed `/tenants`.
     metrics: MetricsObserver,
-    /// Lifetime epochs this tenant solved (for the `/tenants` rollup).
-    solved: u64,
-    /// Lifetime epochs this tenant was shed (for the `/tenants` rollup).
-    shed: u64,
 }
 
 /// A long-running, multi-tenant localization engine.
@@ -211,15 +208,8 @@ pub struct StreamingEngine {
     next_id: u64,
     /// Lifetime tick count — drives the round-robin admission rotation.
     ticks: u64,
-    registry: Arc<MetricsRegistry>,
-    ticks_total: Counter,
-    epochs_solved: Counter,
-    epochs_shed: Counter,
-    tick_seconds: Histogram,
-    /// Sliding-window tier; advanced once per tick.
-    window: Arc<WindowedMetrics>,
-    /// Liveness + rollup publication point (always present; a scrape
-    /// server is only attached when the builder asked for one).
+    /// Store + liveness + rollup publication point (always present; a
+    /// scrape server is only attached when the builder asked for one).
     hub: TelemetryHub,
     /// Embedded scrape server, when the builder bound one.
     server: Option<TelemetryServer>,
@@ -250,12 +240,11 @@ impl std::fmt::Debug for EngineBuilder {
 }
 
 /// Configures a [`StreamingEngine`] beyond the scheduling knobs of
-/// [`EngineConfig`]: shared registries, window sizing, an embedded
-/// [`TelemetryServer`], an external [`TelemetryHub`], and an extra
-/// run observer. Obtained from [`StreamingEngine::builder`].
+/// [`EngineConfig`]: window sizing, an embedded [`TelemetryServer`], an
+/// external [`TelemetryHub`], and an extra run observer. Obtained from
+/// [`StreamingEngine::builder`].
 pub struct EngineBuilder {
     config: EngineConfig,
-    registry: Option<Arc<MetricsRegistry>>,
     window_slots: usize,
     telemetry_addr: Option<String>,
     hub: Option<TelemetryHub>,
@@ -263,15 +252,6 @@ pub struct EngineBuilder {
 }
 
 impl EngineBuilder {
-    /// Exports the scheduler counters into a shared `registry` instead
-    /// of a private one. Ignored when [`EngineBuilder::hub`] is set
-    /// (the hub's registry wins).
-    #[must_use]
-    pub fn registry(mut self, registry: Arc<MetricsRegistry>) -> Self {
-        self.registry = Some(registry);
-        self
-    }
-
     /// Ring slots of the sliding window (default 64 ticks). Ignored
     /// when [`EngineBuilder::hub`] is set (the hub's window wins).
     #[must_use]
@@ -291,7 +271,7 @@ impl EngineBuilder {
     }
 
     /// Joins an external hub instead of creating one: the engine adopts
-    /// the hub's registry and window (so several sequential engines can
+    /// the hub's store (so several sequential engines can
     /// publish to one scrape endpoint) and does not start a server of
     /// its own — whoever owns the hub owns the server.
     #[must_use]
@@ -331,37 +311,13 @@ impl EngineBuilder {
     /// [`EngineBuilder::build`], used directly by the plain
     /// constructors.
     fn build_unserved(self) -> StreamingEngine {
-        let (registry, window, hub) = match self.hub {
-            Some(hub) => (Arc::clone(hub.registry()), Arc::clone(hub.window()), hub),
-            None => {
-                let registry = self
-                    .registry
-                    .unwrap_or_else(|| Arc::new(MetricsRegistry::new()));
-                let window = Arc::new(WindowedMetrics::new(self.window_slots));
-                let hub = TelemetryHub::new(Arc::clone(&registry), Arc::clone(&window));
-                (registry, window, hub)
-            }
-        };
+        let slots = self.window_slots;
         StreamingEngine {
-            ticks_total: registry.counter("wsnloc_serve_ticks", "scheduler ticks executed"),
-            epochs_solved: registry
-                .counter("wsnloc_serve_epochs_solved", "tenant epochs that ran BP"),
-            epochs_shed: registry.counter(
-                "wsnloc_serve_epochs_shed",
-                "tenant epochs shed under overload",
-            ),
-            tick_seconds: registry.histogram(
-                "wsnloc_serve_tick_seconds",
-                "wall seconds per scheduler tick",
-                Histogram::log_bounds(1e-4, 10.0),
-            ),
             config: self.config,
             tenants: BTreeMap::new(),
             next_id: 0,
             ticks: 0,
-            registry,
-            window,
-            hub,
+            hub: self.hub.unwrap_or_else(|| TelemetryHub::new(slots)),
             server: None,
             observer: self.observer,
         }
@@ -369,19 +325,10 @@ impl EngineBuilder {
 }
 
 impl StreamingEngine {
-    /// An engine with its own private metrics registry.
+    /// An engine with its own private telemetry hub.
     #[must_use]
     pub fn new(config: EngineConfig) -> Self {
         StreamingEngine::builder(config).build_unserved()
-    }
-
-    /// An engine exporting its scheduler counters into a shared
-    /// `registry` (per-tenant folds stay private regardless).
-    #[must_use]
-    pub fn with_registry(config: EngineConfig, registry: Arc<MetricsRegistry>) -> Self {
-        StreamingEngine::builder(config)
-            .registry(registry)
-            .build_unserved()
     }
 
     /// Starts configuring an engine (see [`EngineBuilder`]).
@@ -389,7 +336,6 @@ impl StreamingEngine {
     pub fn builder(config: EngineConfig) -> EngineBuilder {
         EngineBuilder {
             config,
-            registry: None,
             window_slots: 64,
             telemetry_addr: None,
             hub: None,
@@ -397,19 +343,14 @@ impl StreamingEngine {
         }
     }
 
-    /// The registry the engine's scheduler counters export into.
-    #[must_use]
-    pub fn registry(&self) -> Arc<MetricsRegistry> {
-        Arc::clone(&self.registry)
-    }
-
-    /// The engine's sliding-window metrics tier.
+    /// The engine's metric store (its hub's).
     #[must_use]
     pub fn window(&self) -> Arc<WindowedMetrics> {
-        Arc::clone(&self.window)
+        Arc::clone(self.hub.window())
     }
 
-    /// The telemetry hub the engine publishes liveness into.
+    /// The telemetry hub the engine publishes into: store, liveness and
+    /// the `/tenants` rollup.
     #[must_use]
     pub fn hub(&self) -> TelemetryHub {
         self.hub.clone()
@@ -436,8 +377,6 @@ impl StreamingEngine {
                 session,
                 queue: VecDeque::new(),
                 metrics: MetricsObserver::new(),
-                solved: 0,
-                shed: 0,
             },
         );
         SessionId(id)
@@ -506,7 +445,7 @@ impl StreamingEngine {
         let tick_watch = Stopwatch::start();
         let tick_idx = self.ticks;
         self.ticks += 1;
-        self.ticks_total.inc();
+        let window = Arc::clone(self.hub.window());
         let mut ready: Vec<u64> = self
             .tenants
             .iter()
@@ -544,8 +483,7 @@ impl StreamingEngine {
                 epoch: epoch_idx,
             };
             t.metrics.on_event(&shed_event);
-            t.shed += 1;
-            self.window.fold_event(&shed_event);
+            window.on_event(&shed_event);
             if let Some(obs) = &self.observer {
                 obs.on_event(&ObsEvent::Context {
                     tenant: Some(id),
@@ -555,7 +493,6 @@ impl StreamingEngine {
                 });
                 obs.on_event(&shed_event);
             }
-            self.epochs_shed.inc();
             updates.push(PositionUpdate {
                 tenant: SessionId(id),
                 epoch: epoch_idx,
@@ -578,7 +515,6 @@ impl StreamingEngine {
                 }
             }
         }
-        let window = Arc::clone(&self.window);
         let extra = self.observer.clone();
         let solved: Vec<(u64, Tenant, u64, LocalizationResult)> = jobs
             .into_par_iter()
@@ -606,12 +542,10 @@ impl StreamingEngine {
                     epoch: epoch_idx,
                 });
                 drop(fanout);
-                t.solved += 1;
                 (id, t, epoch_idx, result)
             })
             .collect();
         for (id, t, epoch_idx, result) in solved {
-            self.epochs_solved.inc();
             self.tenants.insert(id, t);
             updates.push(PositionUpdate {
                 tenant: SessionId(id),
@@ -622,23 +556,13 @@ impl StreamingEngine {
         }
         updates.sort_by_key(|u| u.tenant.0);
 
-        // Close out the tick's telemetry: latency sample, queue-depth
-        // gauges, liveness, the `/tenants` rollup, then rotate the
+        // Close out the tick's telemetry: the `/tenants` rollup, then
+        // latency, queue depths and liveness, which also rotates the
         // window so the next tick writes a fresh slot.
         let tick_secs = tick_watch.elapsed_secs();
-        self.tick_seconds.observe(tick_secs);
-        self.window
-            .observe("wsnloc_window_tick_seconds", &[], tick_secs);
-        for (&id, t) in &self.tenants {
-            self.window.set(
-                "wsnloc_window_queue_depth",
-                &[("tenant", id.to_string())],
-                t.queue.len() as f64,
-            );
-        }
         self.hub.set_tenants_json(self.tenants_rollup_json());
-        self.hub.note_tick();
-        self.window.advance();
+        let depths = self.tenants.iter().map(|(&id, t)| (id, t.queue.len()));
+        self.hub.note_tick(tick_secs, depths);
         updates
     }
 
@@ -655,8 +579,8 @@ impl StreamingEngine {
                 "{{\"id\":{id},\"pending\":{},\"warm\":{},\"solved\":{},\"shed\":{},\"next_epoch\":{}}}",
                 t.queue.len(),
                 t.session.is_warm(),
-                t.solved,
-                t.shed,
+                t.metrics.window().total(Fact::EpochsSolved),
+                t.metrics.window().total(Fact::EpochsShed),
                 t.session.epoch()
             );
         }
@@ -821,8 +745,8 @@ mod tests {
         assert_eq!(mb.runs, 1);
         assert_eq!(mb.events.epoch_advances, 1);
         assert_eq!(mb.events.tenants_shed, 1);
-        // Engine-level scheduler counters see both tenants.
-        let scrape = engine.registry().render_openmetrics();
+        // The engine-level store sees both tenants.
+        let scrape = engine.hub().render_metrics();
         assert!(scrape.contains("wsnloc_serve_epochs_solved_total 2"));
         assert!(scrape.contains("wsnloc_serve_epochs_shed_total 2"));
     }
@@ -906,7 +830,7 @@ mod tests {
         };
 
         let metrics = get("/metrics");
-        // Registry totals and windowed per-tenant series side by side.
+        // Lifetime totals and windowed per-tenant series side by side.
         assert!(metrics.contains("wsnloc_serve_ticks_total 1"));
         assert!(metrics.contains("wsnloc_serve_tick_seconds"));
         // Capacity 1: tenant 0 solved, tenant 1 shed.
@@ -938,20 +862,13 @@ mod tests {
         engine.submit(id, MeasurementEpoch::new(network.clone(), 0));
         engine.tick();
         let w = engine.window();
-        let label = [("tenant", "0".to_owned())];
-        assert_eq!(
-            w.window_total("wsnloc_window_epochs_solved", &label),
-            Some(1)
-        );
+        assert_eq!(w.window_total(Fact::EpochsSolved, 0), Some(1));
         // Two empty ticks push the solve out of the 2-slot window; the
-        // lifetime registry counter keeps it.
+        // lifetime view keeps it.
         engine.tick();
         engine.tick();
-        assert_eq!(
-            w.window_total("wsnloc_window_epochs_solved", &label),
-            Some(0)
-        );
-        let scrape = engine.registry().render_openmetrics();
+        assert_eq!(w.window_total(Fact::EpochsSolved, 0), Some(0));
+        let scrape = engine.hub().render_metrics();
         assert!(scrape.contains("wsnloc_serve_epochs_solved_total 1"));
     }
 

@@ -1,7 +1,8 @@
 //! Observer-layer guarantees: the zero-cost contract of `NullObserver`,
 //! thread-count-independent telemetry under the synchronous schedule, the
-//! builder-first validation surface, structured MAP-fallback events, and
-//! the trace.jsonl serialization path end to end.
+//! builder-first validation surface, structured MAP-fallback events, the
+//! trace.jsonl serialization path end to end, and the live scrape surface
+//! against a golden capture.
 
 use std::sync::Mutex;
 use wsnloc::prelude::*;
@@ -10,6 +11,7 @@ use wsnloc_obs::{
     accounting, analyze_str, parse_jsonl, replay, write_jsonl, ObsEvent, SamplePolicy,
     SampledObserver, VecSink,
 };
+use wsnloc_serve::{EngineConfig, MeasurementEpoch, SessionConfig, StreamingEngine};
 
 /// The accounting counters are process-wide, so every test that runs
 /// inference (bumping them) or asserts on them takes this lock first.
@@ -449,4 +451,105 @@ fn sharded_observer_emits_boundary_exchange_without_perturbing_results() {
     write_jsonl(std::slice::from_ref(&run), &mut sink).expect("in-memory sink");
     let parsed = parse_jsonl(&sink.lines.join("\n")).expect("trace parses");
     assert_eq!(parsed[0].events, run.events);
+}
+
+/// One `GET` against the engine's scrape server; returns the body.
+fn scrape(addr: std::net::SocketAddr, path: &str) -> String {
+    use std::io::{Read as _, Write as _};
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect to the scrape server");
+    let req = format!("GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
+    stream.write_all(req.as_bytes()).expect("send request");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("read response");
+    let (head, body) = response
+        .split_once("\r\n\r\n")
+        .expect("response has a head");
+    assert!(head.starts_with("HTTP/1.1 200 OK"), "{path}: {head}");
+    body.to_owned()
+}
+
+/// Masks the value of a timing sample (a `_seconds` name that does not
+/// end in `_count`): wall-clock values differ run to run, names and
+/// labels do not.
+fn mask_timing(line: &str) -> String {
+    if line.starts_with('#') {
+        return line.to_owned();
+    }
+    let (series, _) = line.rsplit_once(' ').expect("sample line has a value");
+    let name = series.split('{').next().unwrap_or(series);
+    if name.contains("_seconds") && !name.ends_with("_count") {
+        format!("{series} *")
+    } else {
+        line.to_owned()
+    }
+}
+
+#[test]
+fn scrape_surface_keeps_every_golden_series() {
+    let _guard = SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    // The live telemetry shape of `repro f16 --telemetry`: two particle
+    // tenants and one sharded tenant on a capacity-1 engine, so every
+    // tick solves one tenant and sheds the others. After 3 ticks each
+    // tenant has solved once and been shed twice.
+    let mut engine = StreamingEngine::builder(EngineConfig {
+        capacity_per_tick: 1,
+        ..EngineConfig::default()
+    })
+    .window_slots(4)
+    .telemetry("127.0.0.1:0")
+    .build()
+    .expect("bind an ephemeral port");
+    let localizer = |shards: Option<ShardPlan>| {
+        let mut b = BnlLocalizer::builder(Backend::particle(40).expect("valid backend"))
+            .prior(PriorModel::DropPoint { sigma: 50.0 })
+            .max_iterations(2)
+            .tolerance(0.0);
+        if let Some(plan) = shards {
+            b = b.shards(plan);
+        }
+        b.try_build().expect("valid localizer configuration")
+    };
+    let sharded = ShardPlan::target_nodes(20).expect("valid shard plan");
+    let tenants: Vec<_> = [Some(sharded), None, None]
+        .into_iter()
+        .enumerate()
+        .map(|(t, plan)| {
+            let cfg =
+                SessionConfig::new(localizer(plan)).with_motion(MotionModel::random_walk(3.0));
+            (engine.open_session(cfg), scenario().build_trial(t as u64).0)
+        })
+        .collect();
+    for tick in 0..3u64 {
+        for (id, net) in &tenants {
+            engine.submit(*id, MeasurementEpoch::new(net.clone(), tick));
+        }
+        engine.tick();
+    }
+    let addr = engine.telemetry_addr().expect("server bound");
+
+    let metrics = scrape(addr, "/metrics");
+    assert_eq!(metrics.matches("# EOF").count(), 1);
+    assert!(metrics.ends_with("# EOF\n"));
+    let live: std::collections::BTreeSet<String> = metrics.lines().map(mask_timing).collect();
+    let golden = include_str!("golden/scrape_metrics.txt");
+    let missing: Vec<&str> = golden
+        .lines()
+        .filter(|l| !l.starts_with('#') || l.starts_with("# TYPE "))
+        .filter(|l| !live.contains(*l))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "golden lines missing from /metrics: {missing:#?}"
+    );
+
+    assert_eq!(
+        scrape(addr, "/tenants"),
+        include_str!("golden/scrape_tenants.json").trim_end()
+    );
+    let health = scrape(addr, "/healthz");
+    for key in ["\"ok\":true", "\"ticks\":3", "\"last_tick_age_secs\":"] {
+        assert!(health.contains(key), "/healthz lacks {key}: {health}");
+    }
 }
