@@ -21,17 +21,13 @@
 //! `s² = σ_d² + gᵀΣᵥg` the measurement variance inflated by the neighbor's
 //! own positional uncertainty along the line of sight.
 
-use crate::engine::{BpEngine, RunOutcome, WarmStart};
-use crate::mrf::{BpOptions, BpOutcome, Schedule, SpatialMrf};
-use crate::transport::{Transport, TransportSession, Verdict};
-use crate::validate::{self, DistributionAudit, GraphAudit};
-use rayon::prelude::*;
+use crate::engine::{self, BpEngine, Delivery, Inbox, NodeUpdate, RunOutcome, WarmStart};
+use crate::mrf::{BpOptions, SpatialMrf};
+use crate::transport::Transport;
+use crate::validate::{DistributionAudit, ValidationError};
 use wsnloc_geom::rng::Xoshiro256pp;
 use wsnloc_geom::Vec2;
-use wsnloc_obs::Stopwatch;
-use wsnloc_obs::{
-    CommStats, InferenceObserver, IterationRecord, NodeResidual, RunInfo, RunSummary, SpanKind,
-};
+use wsnloc_obs::InferenceObserver;
 
 /// A 2-D Gaussian belief: mean and covariance (row-major 2×2, symmetric).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -114,7 +110,7 @@ impl BpEngine for GaussianBp {
     type Belief = GaussianBelief;
 
     fn backend_name(&self) -> &'static str {
-        "gaussian"
+        GaussianRun::BACKEND
     }
 
     /// The superset entry point the core localizer drives: structured
@@ -136,33 +132,26 @@ impl BpEngine for GaussianBp {
         transport: &Transport,
         warm: WarmStart<'_, GaussianBelief>,
         obs: &dyn InferenceObserver,
-        mut on_iter: F,
+        on_iter: F,
     ) -> RunOutcome<GaussianBelief>
     where
         F: FnMut(usize, &[GaussianBelief]),
     {
-        validate::enforce("GaussianBp::run", || GraphAudit.check_mrf(mrf));
-        let domain = mrf.domain();
-        let default_sigma = domain.diagonal() / 2.0;
-        let root = Xoshiro256pp::seed_from(opts.seed);
-        let free_ids = mrf.free_vars();
-        obs.on_run_start(&RunInfo {
-            backend: "gaussian",
-            nodes: mrf.len(),
-            free: free_ids.len(),
-            edges: mrf.edges().len(),
-            max_iterations: opts.max_iterations,
-            tolerance: opts.tolerance,
-            damping: opts.damping,
-            schedule: opts.schedule.name(),
-            message_bytes: opts.message_bytes,
-            seed: opts.seed,
-        });
-        let wants_residuals = obs.wants_residuals();
-        // Fault state for this run; `None` on the perfect transport.
-        let mut session = transport.session::<GaussianBelief>(mrf, opts.seed);
-        let init_start = Stopwatch::start();
+        let init = || self.init(mrf, opts, warm);
+        engine::drive(mrf, opts, transport, obs, 0, init, on_iter)
+    }
+}
 
+impl GaussianBp {
+    /// Per-node prior moments and initial beliefs for one run.
+    fn init<'a>(
+        &self,
+        mrf: &'a SpatialMrf,
+        opts: &BpOptions,
+        warm: WarmStart<'_, GaussianBelief>,
+    ) -> (GaussianRun<'a>, Vec<GaussianBelief>) {
+        let default_sigma = mrf.domain().diagonal() / 2.0;
+        let root = Xoshiro256pp::seed_from(opts.seed);
         // Prior moments per node: sample the unary to estimate mean/variance
         // (exact for Gaussian priors up to Monte-Carlo noise; a reasonable
         // moment match for boxes and shapes).
@@ -187,7 +176,7 @@ impl BpEngine for GaussianBp {
             })
             .collect();
 
-        let mut beliefs: Vec<GaussianBelief> = priors
+        let beliefs: Vec<GaussianBelief> = priors
             .iter()
             .enumerate()
             .map(|(u, p)| match (mrf.fixed(u), warm.state) {
@@ -206,132 +195,59 @@ impl BpEngine for GaussianBp {
                 }
             })
             .collect();
-        obs.on_span(SpanKind::PriorInit, init_start.elapsed_secs());
-
-        let free = free_ids;
-        let mut outcome = BpOutcome {
-            iterations: 0,
-            converged: false,
-            messages: 0,
+        let run = GaussianRun {
+            mrf,
+            priors,
+            damping: opts.damping,
         };
-
-        let loop_start = Stopwatch::start();
-        for iter in 0..opts.max_iterations {
-            let iter_start = Stopwatch::start();
-            // Roll this iteration's link fates and deaths (sequentially,
-            // before the parallel updates); dead nodes stop updating.
-            if let Some(s) = session.as_mut() {
-                s.begin_iteration(iter, &beliefs, obs);
-            }
-            let active_owned: Option<Vec<usize>> = session
-                .as_ref()
-                .map(|s| free.iter().copied().filter(|&u| s.node_alive(u)).collect());
-            let active: &[usize] = active_owned.as_deref().unwrap_or(&free);
-            let prev_means: Vec<Vec2> = free.iter().map(|&u| beliefs[u].mean).collect();
-
-            let update_one = |u: usize, beliefs: &Vec<GaussianBelief>| -> GaussianBelief {
-                self.update_node(mrf, u, &priors[u], beliefs, session.as_ref())
-                    .unwrap_or(beliefs[u])
-            };
-
-            match opts.schedule {
-                Schedule::Synchronous => {
-                    let new: Vec<(usize, GaussianBelief)> = active
-                        .par_iter()
-                        .map(|&u| (u, update_one(u, &beliefs)))
-                        .collect();
-                    for (u, mut b) in new {
-                        if opts.damping > 0.0 {
-                            b.mean = b.mean.lerp(beliefs[u].mean, opts.damping);
-                        }
-                        beliefs[u] = b;
-                    }
-                }
-                Schedule::Sweep => {
-                    for &u in active {
-                        let mut b = update_one(u, &beliefs);
-                        if opts.damping > 0.0 {
-                            b.mean = b.mean.lerp(beliefs[u].mean, opts.damping);
-                        }
-                        beliefs[u] = b;
-                    }
-                }
-            }
-
-            outcome.iterations = iter + 1;
-            outcome.messages += active.len() as u64;
-            validate::enforce("GaussianBp iteration", || {
-                let audit = DistributionAudit::default();
-                for (u, b) in beliefs.iter().enumerate() {
-                    audit.check_gaussian(&format!("belief[{u}] at iteration {iter}"), b)?;
-                }
-                Ok(())
-            });
-            on_iter(iter, &beliefs);
-
-            let max_shift = free
-                .iter()
-                .zip(&prev_means)
-                .map(|(&u, &prev)| beliefs[u].mean.dist(prev))
-                .fold(0.0, f64::max);
-            let residuals: Vec<NodeResidual> = if wants_residuals {
-                wsnloc_obs::accounting::note_residual_buffer();
-                free.iter()
-                    .zip(&prev_means)
-                    .map(|(&u, &prev)| NodeResidual {
-                        node: u,
-                        residual: beliefs[u].mean.dist(prev),
-                        kl: None,
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            obs.on_iteration(&IterationRecord {
-                iteration: iter,
-                max_shift,
-                comm: CommStats {
-                    messages: active.len() as u64,
-                    bytes: active.len() as u64 * opts.message_bytes,
-                },
-                damping: opts.damping,
-                schedule: opts.schedule.name(),
-                secs: iter_start.elapsed_secs(),
-                residuals,
-            });
-            if max_shift < opts.tolerance {
-                outcome.converged = true;
-                break;
-            }
-        }
-        obs.on_span(SpanKind::MessagePassing, loop_start.elapsed_secs());
-        obs.on_run_end(&RunSummary {
-            iterations: outcome.iterations,
-            converged: outcome.converged,
-            comm: CommStats {
-                messages: outcome.messages,
-                bytes: outcome.messages * opts.message_bytes,
-            },
-        });
-        RunOutcome {
-            beliefs,
-            bp: outcome,
-        }
+        (run, beliefs)
     }
 }
 
-impl GaussianBp {
+/// One Gaussian run's update state.
+struct GaussianRun<'a> {
+    mrf: &'a SpatialMrf,
+    /// Per-node prior moments (points for anchors).
+    priors: Vec<GaussianBelief>,
+    /// Fraction of the old mean kept by each update.
+    damping: f64,
+}
+
+impl NodeUpdate for GaussianRun<'_> {
+    type Belief = GaussianBelief;
+
+    const BACKEND: &'static str = "gaussian";
+
+    /// The information-form update; a singular posterior keeps the
+    /// previous belief. Damping pulls the new mean toward the old one.
+    fn update(&self, u: usize, _iter: usize, inbox: &Inbox<'_, GaussianBelief>) -> GaussianBelief {
+        let old = inbox.beliefs()[u];
+        let mut b = self.information_update(u, inbox).unwrap_or(old);
+        if self.damping > 0.0 {
+            b.mean = b.mean.lerp(old.mean, self.damping);
+        }
+        b
+    }
+
+    fn audit(
+        audit: &DistributionAudit,
+        context: &str,
+        belief: &GaussianBelief,
+    ) -> Result<(), ValidationError> {
+        audit.check_gaussian(context, belief)
+    }
+}
+
+impl GaussianRun<'_> {
     /// One information-form update; `None` when the posterior information
-    /// matrix is singular (keeps the previous belief).
-    fn update_node(
+    /// matrix is singular.
+    fn information_update(
         &self,
-        mrf: &SpatialMrf,
         u: usize,
-        prior: &GaussianBelief,
-        beliefs: &[GaussianBelief],
-        session: Option<&TransportSession<GaussianBelief>>,
+        inbox: &Inbox<'_, GaussianBelief>,
     ) -> Option<GaussianBelief> {
-        let mu = beliefs[u].mean;
+        let prior = &self.priors[u];
+        let mu = inbox.beliefs()[u].mean;
         // Prior information.
         let p_info = inv2(prior.cov)?;
         let mut lam = p_info;
@@ -340,31 +256,19 @@ impl GaussianBp {
             p_info[2] * prior.mean.x + p_info[3] * prior.mean.y,
         ];
 
-        for &e in mrf.edges_of(u) {
-            let edge = &mrf.edges()[e];
-            let Some((observed, sigma)) = edge.potential.gaussian_range() else {
+        for &e in self.mrf.edges_of(u) {
+            let Some((observed, sigma)) = self.mrf.edges()[e].potential.gaussian_range() else {
                 continue; // non-range potentials are ignored by this backend
             };
-            let v = mrf.other_end(e, u);
-            // Transport verdict: skip never-received links, read the
-            // last delivered snapshot instead of the live neighbor
-            // belief, and scale the measurement information by the
-            // staleness discount `alpha`. Absent a session, alpha is 1
-            // (which multiplies exactly, keeping the perfect path
-            // bit-identical) and the snapshot is the live belief.
-            let mut alpha = 1.0;
-            let mut held: Option<&GaussianBelief> = None;
-            if let Some(s) = session {
-                let into_v = edge.v == u;
-                match s.verdict(e, into_v) {
-                    Verdict::Skip => continue,
-                    Verdict::Deliver { alpha: a } => {
-                        alpha = a;
-                        held = s.snapshot(e, into_v);
-                    }
-                }
-            }
-            let nb = held.unwrap_or(&beliefs[v]);
+            // Never-received links contribute nothing; a held snapshot's
+            // measurement information is scaled by its staleness
+            // discount `alpha` (exactly 1 on the perfect transport).
+            let Some(Delivery {
+                belief: nb, alpha, ..
+            }) = inbox.receive(e, u)
+            else {
+                continue;
+            };
             let diff = mu - nb.mean;
             let dist = diff.norm();
             if dist < 1e-6 {

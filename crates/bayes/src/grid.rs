@@ -16,21 +16,16 @@
 //! on top: [`CoarseToFine`] pre-solves on a reduced grid and carries
 //! concentrated beliefs up to the full resolution.
 
-use crate::engine::{BpEngine, RunOutcome, WarmStart};
-use crate::mrf::{BpOptions, BpOutcome, Schedule, SpatialMrf};
+use crate::engine::{self, BpEngine, Delivery, Inbox, NodeUpdate, RunOutcome, WarmStart};
+use crate::mrf::{BpOptions, SpatialMrf};
 use crate::potential::{PairPotential, UnaryPotential};
 use crate::stencil::KernelStencil;
-use crate::transport::{Transport, Verdict};
-use crate::validate::{self, DistributionAudit, GraphAudit, ValidationError};
-use rayon::prelude::*;
+use crate::transport::Transport;
+use crate::validate::{DistributionAudit, ValidationError};
 use std::collections::HashMap;
 use std::sync::Arc;
 use wsnloc_geom::{Aabb, Matrix, Vec2};
-use wsnloc_obs::Stopwatch;
-use wsnloc_obs::{
-    CommStats, InferenceObserver, IterationRecord, NodeResidual, NullObserver, ObsEvent, RunInfo,
-    RunSummary, SpanKind,
-};
+use wsnloc_obs::{InferenceObserver, ObsEvent};
 
 /// A probability mass function over the cells of a fixed grid.
 #[derive(Debug, Clone, PartialEq)]
@@ -720,294 +715,194 @@ impl GridBp {
         self.refine
     }
 
-    /// One full BP run at this engine's resolution. `pre_messages`
-    /// seeds the broadcast count (coarse-phase messages are real
-    /// broadcasts in the protocol being simulated).
-    #[allow(clippy::too_many_arguments)]
-    fn run_grid<F>(
+    /// Initial beliefs and update state for one run at this engine's
+    /// resolution. With the message cache on, the iteration-invariant
+    /// pieces (priors, anchor messages, kernel stencils) are built here,
+    /// once, and the initial beliefs are shared with the cache.
+    fn init<'a>(
         &self,
-        mrf: &SpatialMrf,
+        mrf: &'a SpatialMrf,
         opts: &BpOptions,
-        transport: &Transport,
-        warm: Warm<'_>,
+        warm: Warm<'a>,
         state: Warm<'_>,
-        pre_messages: u64,
-        obs: &dyn InferenceObserver,
-        mut on_iter: F,
-    ) -> RunOutcome<GridBelief>
-    where
-        F: FnMut(usize, &[GridBelief]),
-    {
-        validate::enforce("GridBp::run", || GraphAudit.check_mrf(mrf));
+        obs: &'a dyn InferenceObserver,
+    ) -> (GridRun<'a>, Vec<GridBelief>) {
         let domain = mrf.domain();
-        let floor = self.mass_floor / (self.nx * self.ny) as f64;
-        let free = mrf.free_vars();
-        obs.on_run_start(&RunInfo {
-            backend: "grid",
-            nodes: mrf.len(),
-            free: free.len(),
-            edges: mrf.edges().len(),
-            max_iterations: opts.max_iterations,
-            tolerance: opts.tolerance,
+        let cache = self
+            .cache_messages
+            .then(|| MessageCache::build(mrf, domain, self.nx, self.ny, obs));
+        let run = GridRun {
+            mrf,
+            floor: self.mass_floor / (self.nx * self.ny) as f64,
             damping: opts.damping,
-            schedule: opts.schedule.name(),
-            message_bytes: opts.message_bytes,
-            seed: opts.seed,
-        });
-        let wants_residuals = obs.wants_residuals();
-        // Fault state for this run; `None` on the perfect transport, in
-        // which case every session touchpoint below compiles down to
-        // the fault-free path.
-        let mut session = transport.session::<GridBelief>(mrf, opts.seed);
-
-        // Initial beliefs: priors for free vars, deltas for fixed ones.
-        // With the message cache on, the iteration-invariant pieces
-        // (priors, anchor messages, kernel stencils) are built here, once,
-        // and the initial beliefs are shared with the cache.
-        let init_start = Stopwatch::start();
-        let cache = if self.cache_messages {
-            Some(MessageCache::build(mrf, domain, self.nx, self.ny, obs))
-        } else {
-            None
-        };
-        // Geometry template for the pointwise fallback paths (cell
-        // centers only — identical across all beliefs on this grid).
-        let shape = GridBelief::uniform(domain, self.nx, self.ny);
-        let same_grid = |b: &GridBelief| b.nx == self.nx && b.ny == self.ny && b.domain == domain;
-        // The per-node base belief every update product starts from:
-        // warm carried beliefs (when supplied, for free nodes whose
-        // grid shape matches) shadow the prior-derived initial belief.
-        let base_belief = |u: usize| -> GridBelief {
-            if mrf.fixed(u).is_none() {
-                if let Some(b) = warm.get(u).filter(|b| same_grid(b)) {
-                    return b.clone();
-                }
-            }
-            match &cache {
-                Some(c) => c.init[u].clone(),
-                None => match mrf.fixed(u) {
-                    Some(p) => GridBelief::delta(p, domain, self.nx, self.ny),
-                    None => GridBelief::from_unary(mrf.unary(u).as_ref(), domain, self.nx, self.ny),
-                },
-            }
+            shape: GridBelief::uniform(domain, self.nx, self.ny),
+            cache,
+            warm,
+            obs,
         };
         // Initial belief state: a resumed state (same grid shape) wins
         // over the update base for free nodes; fixed nodes and everyone
         // else start from the base (prior or carried belief).
-        let init_belief = |u: usize| -> GridBelief {
-            if mrf.fixed(u).is_none() {
-                if let Some(b) = state.get(u).filter(|b| same_grid(b)) {
-                    return b.clone();
+        let beliefs = match (&run.cache, &run.warm, &state) {
+            (Some(c), Warm::None, Warm::None) => c.init.clone(),
+            _ => (0..mrf.len())
+                .map(|u| match state.get(u).filter(|b| run.matches(u, b)) {
+                    Some(b) => b.clone(),
+                    None => run.base_belief(u),
+                })
+                .collect(),
+        };
+        (run, beliefs)
+    }
+}
+
+/// One grid run's update state.
+struct GridRun<'a> {
+    mrf: &'a SpatialMrf,
+    /// Source cells below this mass are skipped when scattering.
+    floor: f64,
+    /// Fraction of the old belief blended into each update.
+    damping: f64,
+    /// The run's grid: its shape, and the cell-center template for the
+    /// pointwise fallback paths (identical across all its beliefs).
+    shape: GridBelief,
+    cache: Option<MessageCache>,
+    /// Carried beliefs that replace the prior-derived update base.
+    warm: Warm<'a>,
+    obs: &'a dyn InferenceObserver,
+}
+
+impl GridRun<'_> {
+    /// Whether `b` can stand in for free node `u`'s belief: same grid
+    /// shape (fixed nodes always keep their delta).
+    fn matches(&self, u: usize, b: &GridBelief) -> bool {
+        self.mrf.fixed(u).is_none()
+            && b.nx == self.shape.nx
+            && b.ny == self.shape.ny
+            && b.domain == self.shape.domain
+    }
+
+    /// The per-node base belief every update product starts from: a
+    /// warm carried belief shadows the prior-derived initial belief.
+    fn base_belief(&self, u: usize) -> GridBelief {
+        if let Some(b) = self.warm.get(u).filter(|b| self.matches(u, b)) {
+            return b.clone();
+        }
+        match &self.cache {
+            Some(c) => c.init[u].clone(),
+            None => {
+                let (domain, nx, ny) = (self.shape.domain, self.shape.nx, self.shape.ny);
+                match self.mrf.fixed(u) {
+                    Some(p) => GridBelief::delta(p, domain, nx, ny),
+                    None => GridBelief::from_unary(self.mrf.unary(u).as_ref(), domain, nx, ny),
                 }
             }
-            base_belief(u)
-        };
-        let mut beliefs: Vec<GridBelief> = match (&cache, &warm, &state) {
-            (Some(c), Warm::None, Warm::None) => c.init.clone(),
-            _ => (0..mrf.len()).map(init_belief).collect(),
-        };
-        obs.on_span(SpanKind::PriorInit, init_start.elapsed_secs());
+        }
+    }
+}
 
-        let mut outcome = BpOutcome {
-            iterations: 0,
-            converged: false,
-            messages: pre_messages,
-        };
+impl NodeUpdate for GridRun<'_> {
+    type Belief = GridBelief;
 
-        let loop_start = Stopwatch::start();
-        for iter in 0..opts.max_iterations {
-            let iter_start = Stopwatch::start();
-            // Roll this iteration's link fates and deaths (sequentially,
-            // before the parallel updates); dead nodes stop updating.
-            if let Some(s) = session.as_mut() {
-                s.begin_iteration(iter, &beliefs, obs);
-            }
-            let active_owned: Option<Vec<usize>> = session
-                .as_ref()
-                .map(|s| free.iter().copied().filter(|&u| s.node_alive(u)).collect());
-            let active: &[usize] = active_owned.as_deref().unwrap_or(&free);
-            let prev_means: Vec<Vec2> = free.iter().map(|&u| beliefs[u].mean()).collect();
-            // Grid residuals (L1/KL) need the previous cell masses; the
-            // clone happens only when the observer asks for residuals.
-            let prev_beliefs: Option<Vec<GridBelief>> = if wants_residuals {
-                wsnloc_obs::accounting::note_residual_buffer();
-                Some(free.iter().map(|&u| beliefs[u].clone()).collect())
-            } else {
-                None
+    const BACKEND: &'static str = "grid";
+
+    const SNAPSHOT_RESIDUALS: bool = true;
+
+    fn update(&self, u: usize, _iter: usize, inbox: &Inbox<'_, GridBelief>) -> GridBelief {
+        let mrf = self.mrf;
+        let mut bel = self.base_belief(u);
+        // Message and separable-pass scratch, reused across edges.
+        let mut msg: Vec<f64> = Vec::new();
+        let mut scratch: Vec<f64> = Vec::new();
+        for &e in mrf.edges_of(u) {
+            // Never-received links contribute nothing; held content is
+            // tempered by its staleness discount `alpha`.
+            let Some(Delivery {
+                v,
+                belief: source,
+                alpha,
+            }) = inbox.receive(e, u)
+            else {
+                continue;
             };
-
-            let update_one = |u: usize, beliefs: &[GridBelief]| -> GridBelief {
-                let mut bel = base_belief(u);
-                // Message and separable-pass scratch, reused across edges.
-                let mut msg: Vec<f64> = Vec::new();
-                let mut scratch: Vec<f64> = Vec::new();
-                for &e in mrf.edges_of(u) {
-                    let v = mrf.other_end(e, u);
-                    let potential = mrf.edges()[e].potential.as_ref();
-                    // Transport verdict: skip never-received links,
-                    // temper held-but-aging content by `alpha`, and use
-                    // the last delivered snapshot instead of the live
-                    // neighbor belief. Absent a session (perfect
-                    // transport), alpha is 1 and the snapshot is the
-                    // live belief — the original code path.
-                    let mut alpha = 1.0;
-                    let mut held: Option<&GridBelief> = None;
-                    if let Some(s) = session.as_ref() {
-                        let into_v = mrf.edges()[e].v == u;
-                        match s.verdict(e, into_v) {
-                            Verdict::Skip => continue,
-                            Verdict::Deliver { alpha: a } => {
-                                alpha = a;
-                                held = s.snapshot(e, into_v);
-                            }
-                        }
-                    }
-                    match mrf.fixed(v) {
-                        Some(p) => {
-                            // Anchor message: cached once per run (its
-                            // fallback, if any, was reported at build
-                            // time), recomputed only on the reference
-                            // path.
-                            if let Some(am) = cache.as_ref().and_then(|c| c.anchor(e)) {
-                                if alpha < 1.0 {
-                                    msg.clear();
-                                    msg.extend_from_slice(am);
-                                    temper_message(&mut msg, alpha);
-                                    bel.product(&msg);
-                                } else {
-                                    bel.product(am);
-                                }
-                            } else {
-                                let (mut m, collapsed) = point_message(&shape, p, potential);
-                                if collapsed {
-                                    obs.on_event(&ObsEvent::GridUniformFallback {
-                                        edge: e,
-                                        stage: "point",
-                                    });
-                                }
-                                temper_message(&mut m, alpha);
-                                bel.product(&m);
-                            }
-                        }
-                        None => {
-                            // Held snapshots (fault paths) stand in for
-                            // the live neighbor belief.
-                            let source = held.unwrap_or(&beliefs[v]);
-                            let collapsed = match cache.as_ref().and_then(|c| c.stencil(e)) {
-                                Some(st) => {
-                                    msg.clear();
-                                    msg.resize(bel.mass.len(), 0.0);
-                                    st.scatter(
-                                        &source.mass,
-                                        self.nx,
-                                        floor,
-                                        &mut msg,
-                                        &mut scratch,
-                                    );
-                                    finalize_message(&mut msg)
-                                }
-                                None => {
-                                    let (m, collapsed) = kernel_message(source, potential, floor);
-                                    msg = m;
-                                    collapsed
-                                }
-                            };
-                            if collapsed {
-                                obs.on_event(&ObsEvent::GridUniformFallback {
-                                    edge: e,
-                                    stage: "kernel",
-                                });
-                            }
+            let potential = mrf.edges()[e].potential.as_ref();
+            match mrf.fixed(v) {
+                Some(p) => {
+                    // Anchor message: cached once per run (its fallback,
+                    // if any, was reported at build time), recomputed
+                    // only on the reference path.
+                    if let Some(am) = self.cache.as_ref().and_then(|c| c.anchor(e)) {
+                        if alpha < 1.0 {
+                            msg.clear();
+                            msg.extend_from_slice(am);
                             temper_message(&mut msg, alpha);
                             bel.product(&msg);
+                        } else {
+                            bel.product(am);
                         }
+                    } else {
+                        let (mut m, collapsed) = point_message(&self.shape, p, potential);
+                        if collapsed {
+                            self.obs.on_event(&ObsEvent::GridUniformFallback {
+                                edge: e,
+                                stage: "point",
+                            });
+                        }
+                        temper_message(&mut m, alpha);
+                        bel.product(&m);
                     }
                 }
-                bel
-            };
-
-            match opts.schedule {
-                Schedule::Synchronous => {
-                    let new: Vec<(usize, GridBelief)> = active
-                        .par_iter()
-                        .map(|&u| (u, update_one(u, &beliefs)))
-                        .collect();
-                    for (u, mut b) in new {
-                        if opts.damping > 0.0 {
-                            damp(&mut b, &beliefs[u], opts.damping);
+                None => {
+                    let collapsed = match self.cache.as_ref().and_then(|c| c.stencil(e)) {
+                        Some(st) => {
+                            msg.clear();
+                            msg.resize(bel.mass.len(), 0.0);
+                            st.scatter(
+                                &source.mass,
+                                self.shape.nx,
+                                self.floor,
+                                &mut msg,
+                                &mut scratch,
+                            );
+                            finalize_message(&mut msg)
                         }
-                        beliefs[u] = b;
-                    }
-                }
-                Schedule::Sweep => {
-                    for &u in active {
-                        let mut b = update_one(u, &beliefs);
-                        if opts.damping > 0.0 {
-                            damp(&mut b, &beliefs[u], opts.damping);
+                        None => {
+                            let (m, collapsed) = kernel_message(source, potential, self.floor);
+                            msg = m;
+                            collapsed
                         }
-                        beliefs[u] = b;
+                    };
+                    if collapsed {
+                        self.obs.on_event(&ObsEvent::GridUniformFallback {
+                            edge: e,
+                            stage: "kernel",
+                        });
                     }
+                    temper_message(&mut msg, alpha);
+                    bel.product(&msg);
                 }
             }
-
-            outcome.iterations = iter + 1;
-            outcome.messages += active.len() as u64;
-            validate::enforce("GridBp iteration", || {
-                let audit = DistributionAudit::default();
-                for (u, b) in beliefs.iter().enumerate() {
-                    audit.check_grid(&format!("belief[{u}] at iteration {iter}"), b)?;
-                }
-                Ok(())
-            });
-            on_iter(iter, &beliefs);
-
-            let max_shift = free
-                .iter()
-                .zip(&prev_means)
-                .map(|(&u, &prev)| beliefs[u].mean().dist(prev))
-                .fold(0.0, f64::max);
-            let residuals: Vec<NodeResidual> = match &prev_beliefs {
-                Some(prev) => free
-                    .iter()
-                    .zip(prev)
-                    .map(|(&u, p)| NodeResidual {
-                        node: u,
-                        residual: beliefs[u].l1_distance(p),
-                        kl: Some(beliefs[u].kl_divergence(p)),
-                    })
-                    .collect(),
-                None => Vec::new(),
-            };
-            obs.on_iteration(&IterationRecord {
-                iteration: iter,
-                max_shift,
-                comm: CommStats {
-                    messages: active.len() as u64,
-                    bytes: active.len() as u64 * opts.message_bytes,
-                },
-                damping: opts.damping,
-                schedule: opts.schedule.name(),
-                secs: iter_start.elapsed_secs(),
-                residuals,
-            });
-            if max_shift < opts.tolerance {
-                outcome.converged = true;
-                break;
-            }
         }
-        obs.on_span(SpanKind::MessagePassing, loop_start.elapsed_secs());
-        obs.on_run_end(&RunSummary {
-            iterations: outcome.iterations,
-            converged: outcome.converged,
-            comm: CommStats {
-                messages: outcome.messages,
-                bytes: outcome.messages * opts.message_bytes,
-            },
-        });
-        RunOutcome {
-            beliefs,
-            bp: outcome,
+        if self.damping > 0.0 {
+            damp(&mut bel, &inbox.beliefs()[u], self.damping);
         }
+        bel
+    }
+
+    /// L1 mass distance and KL divergence from the pre-update snapshot.
+    fn residual(old: Option<&GridBelief>, new: &GridBelief, prev_mean: Vec2) -> (f64, Option<f64>) {
+        match old {
+            Some(old) => (new.l1_distance(old), Some(new.kl_divergence(old))),
+            None => (new.mean().dist(prev_mean), None),
+        }
+    }
+
+    fn audit(
+        audit: &DistributionAudit,
+        context: &str,
+        belief: &GridBelief,
+    ) -> Result<(), ValidationError> {
+        audit.check_grid(context, belief)
     }
 }
 
@@ -1015,7 +910,7 @@ impl BpEngine for GridBp {
     type Belief = GridBelief;
 
     fn backend_name(&self) -> &'static str {
-        "grid"
+        GridRun::BACKEND
     }
 
     /// The superset entry point the core localizer drives: structured
@@ -1034,9 +929,10 @@ impl BpEngine for GridBp {
     ///
     /// With coarse-to-fine enabled, a cold run first pre-solves on a
     /// reduced grid and carries concentrated coarse posteriors up per
-    /// node. The pre-solve is skipped when the caller already supplied
-    /// warm beliefs (they carry posterior structure of their own) or
-    /// when the coarse grid would degenerate.
+    /// node; the pre-solve's broadcasts are counted as this run's
+    /// messages. The pre-solve is skipped when the caller already
+    /// supplied warm beliefs (they carry posterior structure of their
+    /// own) or when the coarse grid would degenerate.
     fn run_warm<F>(
         &self,
         mrf: &SpatialMrf,
@@ -1063,19 +959,10 @@ impl BpEngine for GridBp {
                 };
                 let mut copts = *opts;
                 copts.max_iterations = cf.coarse_iterations.max(1);
-                let out = coarse.run_grid(
-                    mrf,
-                    &copts,
-                    &Transport::perfect(),
-                    Warm::None,
-                    Warm::None,
-                    0,
-                    &NullObserver,
-                    |_, _| {},
-                );
-                pre_messages = out.bp.messages;
+                let (beliefs, bp) = coarse.run(mrf, &copts);
+                pre_messages = bp.messages;
                 carried = Some(
-                    out.beliefs
+                    beliefs
                         .into_iter()
                         .enumerate()
                         .map(|(u, b)| {
@@ -1092,31 +979,24 @@ impl BpEngine for GridBp {
                 );
             }
         }
-        let warm_ref = match (&carried, warm.prior) {
+        let prior = match (&carried, warm.prior) {
             (Some(c), _) => Warm::PerNode(c),
             (None, Some(w)) => Warm::All(w),
             (None, None) => Warm::None,
         };
-        let state_ref = match warm.state {
+        let state = match warm.state {
             Some(s) => Warm::All(s),
             None => Warm::None,
         };
-        self.run_grid(
-            mrf,
-            opts,
-            transport,
-            warm_ref,
-            state_ref,
-            pre_messages,
-            obs,
-            on_iter,
-        )
+        let init = || self.init(mrf, opts, prior, state, obs);
+        engine::drive(mrf, opts, transport, obs, pre_messages, init, on_iter)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mrf::Schedule;
     use crate::potential::{GaussianRange, GaussianUnary, UniformBoxUnary};
     use std::sync::Arc;
 
@@ -1372,17 +1252,22 @@ mod tests {
             }),
         );
         let mut seen = Vec::new();
-        let (_, outcome) = GridBp::with_resolution(20).run_observed(
-            &mrf,
-            &BpOptions::builder()
-                .max_iterations(4)
-                .tolerance(0.0) // never converge early
-                .try_build()
-                .expect("valid options"),
-            |iter, beliefs| {
-                seen.push((iter, beliefs.len()));
-            },
-        );
+        let outcome = GridBp::with_resolution(20)
+            .run_carried(
+                &mrf,
+                &BpOptions::builder()
+                    .max_iterations(4)
+                    .tolerance(0.0) // never converge early
+                    .try_build()
+                    .expect("valid options"),
+                &Transport::perfect(),
+                None,
+                &wsnloc_obs::NullObserver,
+                |iter, beliefs| {
+                    seen.push((iter, beliefs.len()));
+                },
+            )
+            .bp;
         assert_eq!(outcome.iterations, 4);
         assert!(!outcome.converged);
         assert_eq!(seen, vec![(0, 2), (1, 2), (2, 2), (3, 2)]);

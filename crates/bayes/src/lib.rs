@@ -18,8 +18,12 @@
 //!   linearization — the cheap parametric ablation that shows *why* the
 //!   paper's formulation is nonparametric.
 //!
-//! Loopy belief propagation over any representation is what the core
-//! `wsnloc` crate runs to localize sensor networks.
+//! All three run one loopy-BP iteration loop, the [`engine`] driver:
+//! each backend supplies only its initial beliefs, its per-node update
+//! and its residual and audit rules. [`sharded`] runs any of them shard
+//! by shard over a spatial layout for very large networks. Loopy belief
+//! propagation over any representation is what the core `wsnloc` crate
+//! runs to localize sensor networks.
 
 #![warn(missing_docs)]
 

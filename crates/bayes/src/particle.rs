@@ -18,19 +18,15 @@
 //! overcounts loops but converges fast and matches the distributed protocol
 //! a WSN would actually run.
 
-use crate::engine::{BpEngine, RunOutcome, WarmStart};
-use crate::mrf::{BpOptions, BpOutcome, Schedule, SpatialMrf};
+use crate::engine::{self, BpEngine, Inbox, NodeUpdate, RunOutcome, WarmStart};
+use crate::mrf::{BpOptions, SpatialMrf};
 use crate::potential::{PairPotential, UnaryPotential};
-use crate::transport::{Transport, TransportSession, Verdict};
-use crate::validate::{self, DistributionAudit, GraphAudit};
-use rayon::prelude::*;
+use crate::transport::Transport;
+use crate::validate::{DistributionAudit, ValidationError};
 use wsnloc_geom::kde::silverman_bandwidth;
 use wsnloc_geom::rng::{systematic_resample, Xoshiro256pp};
 use wsnloc_geom::{Matrix, Vec2};
-use wsnloc_obs::Stopwatch;
-use wsnloc_obs::{
-    CommStats, InferenceObserver, IterationRecord, NodeResidual, RunInfo, RunSummary, SpanKind,
-};
+use wsnloc_obs::InferenceObserver;
 
 /// A weighted particle representation of a position belief.
 #[derive(Debug, Clone, PartialEq)]
@@ -301,7 +297,7 @@ impl BpEngine for ParticleBp {
     type Belief = ParticleBelief;
 
     fn backend_name(&self) -> &'static str {
-        "particle"
+        ParticleRun::BACKEND
     }
 
     /// The superset entry point the core localizer drives: structured
@@ -324,36 +320,64 @@ impl BpEngine for ParticleBp {
         transport: &Transport,
         warm: WarmStart<'_, ParticleBelief>,
         obs: &dyn InferenceObserver,
-        mut on_iter: F,
+        on_iter: F,
     ) -> RunOutcome<ParticleBelief>
     where
         F: FnMut(usize, &[ParticleBelief]),
     {
         assert!(self.particles > 0, "need at least one particle");
-        validate::enforce("ParticleBp::run", || GraphAudit.check_mrf(mrf));
-        let root = Xoshiro256pp::seed_from(opts.seed);
-        let free = mrf.free_vars();
-        obs.on_run_start(&RunInfo {
-            backend: "particle",
-            nodes: mrf.len(),
-            free: free.len(),
-            edges: mrf.edges().len(),
-            max_iterations: opts.max_iterations,
-            tolerance: opts.tolerance,
-            damping: opts.damping,
-            schedule: opts.schedule.name(),
-            message_bytes: opts.message_bytes,
-            seed: opts.seed,
-        });
-        let wants_residuals = obs.wants_residuals();
-        // Fault state for this run; `None` on the perfect transport.
-        let mut session = transport.session::<ParticleBelief>(mrf, opts.seed);
+        let init = || self.init(mrf, opts, warm);
+        engine::drive(mrf, opts, transport, obs, 0, init, on_iter)
+    }
+}
 
-        // Initialize: fixed vars are points, free vars take the resumed
-        // state (or carried prior), else sample their unary.
-        let init_start = Stopwatch::start();
+/// One particle run's update state.
+struct ParticleRun<'a> {
+    engine: ParticleBp,
+    mrf: &'a SpatialMrf,
+    /// Root of the per-iteration, per-node RNG streams.
+    root: Xoshiro256pp,
+    /// Per-node epoch priors.
+    priors: Vec<EpochPrior<'a>>,
+    /// Share of each node's old support kept by the resample.
+    damping: f64,
+}
+
+impl NodeUpdate for ParticleRun<'_> {
+    type Belief = ParticleBelief;
+
+    const BACKEND: &'static str = "particle";
+
+    fn update(&self, u: usize, iter: usize, inbox: &Inbox<'_, ParticleBelief>) -> ParticleBelief {
+        // Per-iteration, per-node deterministic RNG streams.
+        let iter_tag = (iter as u64 + 1) << 32;
+        let mut rng = self.root.split(iter_tag | u as u64);
+        self.engine
+            .update_node(self.mrf, u, inbox, self.damping, &self.priors[u], &mut rng)
+    }
+
+    fn audit(
+        audit: &DistributionAudit,
+        context: &str,
+        belief: &ParticleBelief,
+    ) -> Result<(), ValidationError> {
+        audit.check_particles(context, belief)
+    }
+}
+
+impl ParticleBp {
+    /// Initial beliefs and per-node epoch priors for one run: fixed vars
+    /// are points, free vars take the resumed state (or carried prior),
+    /// else sample their unary.
+    fn init<'a>(
+        &self,
+        mrf: &'a SpatialMrf,
+        opts: &BpOptions,
+        warm: WarmStart<'a, ParticleBelief>,
+    ) -> (ParticleRun<'a>, Vec<ParticleBelief>) {
+        let root = Xoshiro256pp::seed_from(opts.seed);
         let seed_beliefs = warm.state.or(warm.prior);
-        let mut beliefs: Vec<ParticleBelief> = (0..mrf.len())
+        let beliefs: Vec<ParticleBelief> = (0..mrf.len())
             .map(|u| match (mrf.fixed(u), seed_beliefs) {
                 (Some(p), _) => ParticleBelief::point(p),
                 // Carried-over or resumed particle set, already
@@ -374,7 +398,7 @@ impl BpEngine for ParticleBp {
         // free nodes; the KDE bandwidth matches the walk-jitter floor.
         // A state-only resume keeps the unary — the resumed state is
         // mid-run message progress, not a new epoch's prior.
-        let epoch_priors: Vec<EpochPrior<'_>> = (0..mrf.len())
+        let priors: Vec<EpochPrior<'a>> = (0..mrf.len())
             .map(|u| match warm.prior {
                 Some(w) if mrf.fixed(u).is_none() => EpochPrior::Carried {
                     belief: &w[u],
@@ -383,142 +407,30 @@ impl BpEngine for ParticleBp {
                 _ => EpochPrior::Unary(mrf.unary(u).as_ref()),
             })
             .collect();
-        obs.on_span(SpanKind::PriorInit, init_start.elapsed_secs());
-
-        let mut outcome = BpOutcome {
-            iterations: 0,
-            converged: false,
-            messages: 0,
+        let run = ParticleRun {
+            engine: *self,
+            mrf,
+            root,
+            priors,
+            damping: opts.damping,
         };
-
-        let loop_start = Stopwatch::start();
-        for iter in 0..opts.max_iterations {
-            let iter_start = Stopwatch::start();
-            // Roll this iteration's link fates and deaths (sequentially,
-            // before the parallel updates); dead nodes stop updating.
-            if let Some(s) = session.as_mut() {
-                s.begin_iteration(iter, &beliefs, obs);
-            }
-            let active_owned: Option<Vec<usize>> = session
-                .as_ref()
-                .map(|s| free.iter().copied().filter(|&u| s.node_alive(u)).collect());
-            let active: &[usize] = active_owned.as_deref().unwrap_or(&free);
-            let prev_means: Vec<Vec2> = free.iter().map(|&u| beliefs[u].mean()).collect();
-            // Per-iteration, per-node deterministic RNG streams.
-            let iter_tag = (iter as u64 + 1) << 32;
-
-            let update_one = |u: usize, beliefs: &Vec<ParticleBelief>| -> ParticleBelief {
-                let mut rng = root.split(iter_tag | u as u64);
-                self.update_node(
-                    mrf,
-                    u,
-                    beliefs,
-                    session.as_ref(),
-                    opts,
-                    &epoch_priors[u],
-                    &mut rng,
-                )
-            };
-
-            match opts.schedule {
-                Schedule::Synchronous => {
-                    let new: Vec<(usize, ParticleBelief)> = active
-                        .par_iter()
-                        .map(|&u| (u, update_one(u, &beliefs)))
-                        .collect();
-                    for (u, b) in new {
-                        beliefs[u] = b;
-                    }
-                }
-                Schedule::Sweep => {
-                    for &u in active {
-                        beliefs[u] = update_one(u, &beliefs);
-                    }
-                }
-            }
-
-            outcome.iterations = iter + 1;
-            outcome.messages += active.len() as u64;
-            validate::enforce("ParticleBp iteration", || {
-                let audit = DistributionAudit::default();
-                for (u, b) in beliefs.iter().enumerate() {
-                    audit.check_particles(&format!("belief[{u}] at iteration {iter}"), b)?;
-                }
-                Ok(())
-            });
-            on_iter(iter, &beliefs);
-
-            let max_shift = free
-                .iter()
-                .zip(&prev_means)
-                .map(|(&u, &prev)| beliefs[u].mean().dist(prev))
-                .fold(0.0, f64::max);
-            // Residuals (belief-mean displacement per node) are computed
-            // only when the observer asks — the zero-cost contract.
-            let residuals: Vec<NodeResidual> = if wants_residuals {
-                wsnloc_obs::accounting::note_residual_buffer();
-                free.iter()
-                    .zip(&prev_means)
-                    .map(|(&u, &prev)| NodeResidual {
-                        node: u,
-                        residual: beliefs[u].mean().dist(prev),
-                        kl: None,
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            obs.on_iteration(&IterationRecord {
-                iteration: iter,
-                max_shift,
-                comm: CommStats {
-                    messages: active.len() as u64,
-                    bytes: active.len() as u64 * opts.message_bytes,
-                },
-                damping: opts.damping,
-                schedule: opts.schedule.name(),
-                secs: iter_start.elapsed_secs(),
-                residuals,
-            });
-            if max_shift < opts.tolerance {
-                outcome.converged = true;
-                break;
-            }
-        }
-        obs.on_span(SpanKind::MessagePassing, loop_start.elapsed_secs());
-        obs.on_run_end(&RunSummary {
-            iterations: outcome.iterations,
-            converged: outcome.converged,
-            comm: CommStats {
-                messages: outcome.messages,
-                bytes: outcome.messages * opts.message_bytes,
-            },
-        });
-        RunOutcome {
-            beliefs,
-            bp: outcome,
-        }
+        (run, beliefs)
     }
-}
 
-impl ParticleBp {
     /// One SPAWN-style importance update of node `u`, against the
-    /// neighbor beliefs the transport session delivered (or the live
-    /// beliefs on the perfect transport). `prior` is the node's epoch
+    /// neighbor beliefs `inbox` delivers. `prior` is the node's epoch
     /// prior — its unary on a cold start, the carried belief's KDE on a
-    /// warm start.
-    #[allow(clippy::too_many_arguments)]
+    /// warm start. `damping` retains that share of the old support.
     fn update_node(
         &self,
         mrf: &SpatialMrf,
         u: usize,
-        beliefs: &[ParticleBelief],
-        session: Option<&TransportSession<ParticleBelief>>,
-        opts: &BpOptions,
+        inbox: &Inbox<'_, ParticleBelief>,
+        damping: f64,
         prior: &EpochPrior<'_>,
         rng: &mut Xoshiro256pp,
     ) -> ParticleBelief {
-        let current = &beliefs[u];
+        let current = &inbox.beliefs()[u];
         let edges = mrf.edges_of(u);
         let n = self.particles;
         let domain = mrf.domain();
@@ -532,24 +444,12 @@ impl ParticleBp {
         let ctx: Vec<EdgeCtx<'_>> = edges
             .iter()
             .filter_map(|&e| {
-                let v = mrf.other_end(e, u);
-                let mut alpha = 1.0;
-                let mut held: Option<&ParticleBelief> = None;
-                if let Some(s) = session {
-                    let into_v = mrf.edges()[e].v == u;
-                    match s.verdict(e, into_v) {
-                        Verdict::Skip => return None,
-                        Verdict::Deliver { alpha: a } => {
-                            alpha = a;
-                            held = s.snapshot(e, into_v);
-                        }
-                    }
-                }
+                let d = inbox.receive(e, u)?;
                 Some(EdgeCtx {
-                    belief: held.unwrap_or(&beliefs[v]),
+                    belief: d.belief,
                     potential: mrf.edges()[e].potential.as_ref(),
-                    fixed: mrf.fixed(v),
-                    alpha,
+                    fixed: mrf.fixed(d.v),
+                    alpha: d.alpha,
                 })
             })
             .collect();
@@ -622,7 +522,7 @@ impl ParticleBp {
         let weighted = ParticleBelief::new(candidates, weights);
 
         // --- Resample (with damping: retain a slice of the old support) ---
-        let keep_old = share(n, opts.damping);
+        let keep_old = share(n, damping);
         let mut resampled = weighted.resampled(n - keep_old.min(n), rng);
         if keep_old > 0 {
             let old = current.resampled(keep_old, rng);

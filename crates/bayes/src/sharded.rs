@@ -60,7 +60,7 @@
 
 use std::sync::Arc;
 
-use crate::engine::{Belief, BpEngine, RunOutcome, WarmStart};
+use crate::engine::{self, Belief, BpEngine, RunOutcome, WarmStart};
 use crate::gaussian::GaussianBelief;
 use crate::mrf::{BpOptions, BpOutcome, SpatialMrf};
 use crate::particle::ParticleBelief;
@@ -69,8 +69,8 @@ use crate::validate::ValidationError;
 use rayon::prelude::*;
 use wsnloc_geom::{ShardLayout, Vec2};
 use wsnloc_obs::{
-    CommStats, InferenceObserver, IterationRecord, NodeResidual, NullObserver, ObsEvent, RunInfo,
-    RunSummary, SpanKind, Stopwatch,
+    CommStats, InferenceObserver, IterationRecord, NodeResidual, NullObserver, ObsEvent, SpanKind,
+    Stopwatch,
 };
 
 /// Belief-level staleness tempering, `belief^alpha` in the appropriate
@@ -392,18 +392,8 @@ where
 
         let n = mrf.len();
         let free: Vec<bool> = (0..n).map(|u| mrf.fixed(u).is_none()).collect();
-        obs.on_run_start(&RunInfo {
-            backend: self.backend_name(),
-            nodes: n,
-            free: free.iter().filter(|&&f| f).count(),
-            edges: mrf.edges().len(),
-            max_iterations: opts.max_iterations,
-            tolerance: opts.tolerance,
-            damping: opts.damping,
-            schedule: opts.schedule.name(),
-            message_bytes: opts.message_bytes,
-            seed: opts.seed,
-        });
+        let free_count = free.iter().filter(|&&f| f).count();
+        engine::start_run(obs, self.backend_name(), mrf, free_count, opts);
 
         let build_t = Stopwatch::start();
         let (boundary, subs) = self.compile(mrf, &occupied);
@@ -436,9 +426,11 @@ where
         let rounds_total = opts.max_iterations.div_ceil(interior).max(1);
         let mut global: Vec<E::Belief> = Vec::new();
         let mut prev_means: Vec<Vec2> = Vec::new();
-        let mut iterations = 0usize;
-        let mut converged = false;
-        let mut messages = 0u64;
+        let mut outcome = BpOutcome {
+            iterations: 0,
+            converged: false,
+            messages: 0,
+        };
         let mut pending_boundary = 0u64;
 
         let loop_t = Stopwatch::start();
@@ -446,7 +438,7 @@ where
             let round_t = Stopwatch::start();
             // The final round absorbs any remainder of the iteration
             // budget so total interior iterations equal the flat cap.
-            let iters = interior.min(opts.max_iterations - iterations);
+            let iters = interior.min(opts.max_iterations - outcome.iterations);
             let outs: Vec<RunOutcome<E::Belief>> = (0..subs.len())
                 .into_par_iter()
                 .map(|si| {
@@ -470,11 +462,11 @@ where
                     )
                 })
                 .collect();
-            iterations += iters;
+            outcome.iterations += iters;
             let round_msgs: u64 =
                 outs.iter().map(|o| o.bp.messages).sum::<u64>() + pending_boundary;
             pending_boundary = 0;
-            messages += round_msgs;
+            outcome.messages += round_msgs;
 
             // Merge owned beliefs into the global arena, shard order
             // (deterministic; every node is owned by exactly one shard).
@@ -543,7 +535,7 @@ where
             on_iter(round, &global);
 
             if opts.tolerance > 0.0 && max_shift < opts.tolerance {
-                converged = true;
+                outcome.converged = true;
                 break;
             }
             if round + 1 >= rounds_total {
@@ -602,21 +594,10 @@ where
             }
         }
         obs.on_span(SpanKind::MessagePassing, loop_t.elapsed_secs());
-        obs.on_run_end(&RunSummary {
-            iterations,
-            converged,
-            comm: CommStats {
-                messages,
-                bytes: messages * opts.message_bytes,
-            },
-        });
+        engine::end_run(obs, &outcome, opts);
         RunOutcome {
             beliefs: global,
-            bp: BpOutcome {
-                iterations,
-                converged,
-                messages,
-            },
+            bp: outcome,
         }
     }
 }

@@ -156,7 +156,7 @@ fn cached_beliefs_match_reference_under_faults() {
                 for damping in [0.0, 0.3] {
                     let opts = options(schedule, damping);
                     let run = |engine: GridBp| {
-                        engine.run_transported(&mrf, &opts, &transport, &NullObserver, |_, _| {})
+                        engine.run_carried(&mrf, &opts, &transport, None, &NullObserver, |_, _| {})
                     };
                     let cached = run(engine);
                     let reference = run(engine.without_message_cache());

@@ -145,10 +145,11 @@ fn faulted_boundary_exchange_keeps_beliefs_finite() {
     let sharded =
         ShardedEngine::new(GaussianBp::default(), Arc::clone(&layout), 1).expect("valid config");
     let transport = Transport::faulted(Arc::new(FaultPlan::iid_loss(0xFA57, 0.4)));
-    let out = sharded.run_transported(
+    let out = sharded.run_carried(
         &mrf,
         &opts,
         &transport,
+        None,
         &wsnloc_obs::NullObserver,
         |_, _| {},
     );

@@ -1,7 +1,6 @@
 //! Pinned perf benchmarks behind `repro bench`.
 //!
-//! Unlike the statistical harness in `crates/bench`, these run fixed
-//! scenarios and emit compact JSON (`BENCH_grid.json`,
+//! These run fixed scenarios and emit compact JSON (`BENCH_grid.json`,
 //! `BENCH_particle.json`, `BENCH_stream.json`) meant to be committed
 //! alongside the code, so
 //! the perf trajectory of the message-passing hot path is visible in
@@ -40,8 +39,7 @@ fn median_secs(samples: usize, mut f: impl FnMut()) -> f64 {
 
 /// The pinned grid scenario: a 3×3 lattice (two opposite corners
 /// anchored) on a 300×300 m field, ranging edges between lattice
-/// neighbors — the `grid_bp_iteration_9nodes_30x30` microbench fixture
-/// with a multi-iteration cap.
+/// neighbors, with a multi-iteration cap.
 fn grid_fixture() -> (SpatialMrf, BpOptions) {
     let domain = Aabb::from_size(300.0, 300.0);
     let mut mrf = SpatialMrf::new(9, domain, Arc::new(UniformBoxUnary(domain)));
@@ -73,8 +71,7 @@ fn grid_fixture() -> (SpatialMrf, BpOptions) {
 }
 
 /// The pinned particle/Gaussian scenario: 25 random nodes (3 anchored)
-/// on a 300×300 m field with 120 m ranging radius — the
-/// `particle_bp_iteration_25nodes` microbench fixture.
+/// on a 300×300 m field with 120 m ranging radius.
 fn cooperative_fixture() -> (SpatialMrf, BpOptions) {
     let domain = Aabb::from_size(300.0, 300.0);
     let mut mrf = SpatialMrf::new(25, domain, Arc::new(UniformBoxUnary(domain)));
@@ -251,14 +248,6 @@ fn sharded_fixture(nodes: usize) -> (SpatialMrf, Arc<ShardLayout>) {
     (mrf, layout)
 }
 
-/// Kernel microbench context pinned alongside the sweep (static text so
-/// `--check` compares it exactly; re-measure with
-/// `cargo bench -p wsnloc-bench --bench stencil` when the kernels
-/// change). The numbers summarize `crates/bench/benches/stencil.rs` on
-/// the reference machine.
-pub const SCALE_NOTES: &str = "stencil microbench (30x30 grid, r=9): \
-separable 8.5x vs dense f64";
-
 /// Runs the scale sweeps and returns the `BENCH_scale.json` (or, with
 /// `quick`, `BENCH_scale_quick.json`) contents.
 ///
@@ -344,7 +333,6 @@ fn scale_bench_json_for(samples: usize, node_counts: &[usize], mode: &str) -> St
             "  \"bench\": \"scale_sweep\",\n",
             "  \"mode\": \"{mode}\",\n",
             "  \"samples\": {samples},\n",
-            "  \"notes\": \"{notes}\",\n",
             "  \"grid\": {{\n",
             "    \"scenario\": \"lattice_9nodes_300x300\",\n",
             "    \"iterations\": 1,\n",
@@ -365,7 +353,6 @@ fn scale_bench_json_for(samples: usize, node_counts: &[usize], mode: &str) -> St
         ),
         mode = mode,
         samples = samples.max(1),
-        notes = SCALE_NOTES,
         grid_rows = grid_rows,
         shard_iters = SHARD_SCALE_ITERATIONS,
         target = SHARD_SCALE_TARGET,
@@ -624,7 +611,6 @@ mod tests {
         assert!(json.contains("\"nodes\": 1000"), "{json}");
         assert!(json.contains("\"flat_secs\""));
         assert!(json.contains("\"sharded_secs\""));
-        assert!(json.contains("\"notes\""));
         // The sweep output round-trips the checker against itself.
         let failures = check_bench_json(&json, &json, 1.0).expect("parses");
         assert!(failures.is_empty(), "self-check failed: {failures:?}");

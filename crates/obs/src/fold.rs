@@ -79,7 +79,11 @@ pub struct IterationMetrics {
     pub stale: u64,
     /// Node deaths at this iteration.
     pub deaths: u64,
-    /// Sum of per-run `max_shift` (divide by `runs` for the mean).
+    /// Runs that measured a finite `max_shift` here (a sharded run's
+    /// first round has no baseline and reports infinity).
+    pub shifts: u64,
+    /// Sum of the finite per-run `max_shift`s (divide by `shifts` for
+    /// the mean).
     pub max_shift_sum: f64,
     /// Pooled per-node residuals across runs, in arrival order. Kept so
     /// snapshots merge exactly; quantiles below derive from it.
@@ -93,13 +97,14 @@ pub struct IterationMetrics {
 }
 
 impl IterationMetrics {
-    /// Mean `max_shift` over the runs that reached this iteration.
+    /// Mean `max_shift` over the runs that measured one here; NaN when
+    /// none did.
     #[must_use]
     pub fn mean_max_shift(&self) -> f64 {
-        if self.runs == 0 {
+        if self.shifts == 0 {
             f64::NAN
         } else {
-            self.max_shift_sum / self.runs as f64
+            self.max_shift_sum / self.shifts as f64
         }
     }
 
@@ -186,6 +191,7 @@ impl MetricsSnapshot {
                 acc.dropped += it.dropped;
                 acc.stale += it.stale;
                 acc.deaths += it.deaths;
+                acc.shifts += it.shifts;
                 acc.max_shift_sum += it.max_shift_sum;
                 acc.residuals.extend_from_slice(&it.residuals);
             }
@@ -405,7 +411,12 @@ impl InferenceObserver for MetricsObserver {
         acc.runs += 1;
         acc.messages += record.comm.messages;
         acc.bytes += record.comm.bytes;
-        acc.max_shift_sum += record.max_shift;
+        // A non-finite shift measured nothing, and trace JSONL writes it
+        // as `null` (read back as NaN): skipping it keeps replay == live.
+        if record.max_shift.is_finite() {
+            acc.shifts += 1;
+            acc.max_shift_sum += record.max_shift;
+        }
         acc.residuals
             .extend(record.residuals.iter().map(|r| r.residual));
     }

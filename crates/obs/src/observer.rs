@@ -6,7 +6,8 @@ use wsnloc_net::accounting::CommStats;
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RunInfo {
-    /// Belief representation: `"particle"`, `"grid"`, or `"gaussian"`.
+    /// Belief representation: `"particle"`, `"grid"`, or `"gaussian"`,
+    /// prefixed `"sharded-"` when a sharded engine runs it.
     pub backend: &'static str,
     /// Total variables in the model (anchors included).
     pub nodes: usize,

@@ -364,6 +364,9 @@ fn intern_backend(s: &str) -> &'static str {
         "particle" => "particle",
         "grid" => "grid",
         "gaussian" => "gaussian",
+        "sharded-particle" => "sharded-particle",
+        "sharded-grid" => "sharded-grid",
+        "sharded-gaussian" => "sharded-gaussian",
         _ => "unknown",
     }
 }

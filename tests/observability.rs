@@ -38,6 +38,19 @@ fn algo() -> BnlLocalizer {
         .expect("valid localizer configuration")
 }
 
+/// A sharded Gaussian localizer on the same scenario. Its first outer
+/// round has no baseline and reports an infinite `max_shift`, which
+/// trace JSONL writes as `null`.
+fn sharded_algo() -> BnlLocalizer {
+    BnlLocalizer::builder(Backend::gaussian())
+        .prior(PriorModel::DropPoint { sigma: 50.0 })
+        .max_iterations(4)
+        .tolerance(0.0)
+        .shards(ShardPlan::target_nodes(12).expect("valid plan"))
+        .try_build()
+        .expect("valid localizer configuration")
+}
+
 #[test]
 fn trace_residuals_are_bit_identical_across_pool_sizes() {
     let _guard = SERIAL
@@ -173,36 +186,40 @@ fn analyze_reproduces_the_live_metrics_snapshot() {
     // quantiles, comm totals, and fault-event counts. This holds because
     // the JSONL encoder round-trips every finite f64 (shortest-repr
     // printing + correctly-rounded parsing) and the fold is insensitive
-    // to the record reordering serialization introduces.
-    let outcome = evaluate(
-        &algo(),
-        &scenario(),
-        &EvalConfig::trials(2)
-            .with_traces()
-            .with_metrics()
-            .with_parallelism(Parallelism::Sequential),
-    );
-    let live = outcome.metrics.expect("with_metrics collects snapshots");
-    let agg = outcome.trace.expect("with_traces collects traces");
+    // to the record reordering serialization introduces. The sharded
+    // run's infinite first-round shift measured nothing, so both paths
+    // leave it out of the mean.
+    for localizer in [algo(), sharded_algo()] {
+        let outcome = evaluate(
+            &localizer,
+            &scenario(),
+            &EvalConfig::trials(2)
+                .with_traces()
+                .with_metrics()
+                .with_parallelism(Parallelism::Sequential),
+        );
+        let live = outcome.metrics.expect("with_metrics collects snapshots");
+        let agg = outcome.trace.expect("with_traces collects traces");
 
-    let mut sink = VecSink::new();
-    write_jsonl(&agg.traces, &mut sink).expect("in-memory sink");
-    let analysis = analyze_str(&sink.lines.join("\n")).expect("recorded trace parses");
+        let mut sink = VecSink::new();
+        write_jsonl(&agg.traces, &mut sink).expect("in-memory sink");
+        let analysis = analyze_str(&sink.lines.join("\n")).expect("recorded trace parses");
 
-    assert_eq!(analysis.runs as u64, agg.runs);
-    assert_eq!(analysis.incomplete_runs, 0);
-    assert_eq!(
-        analysis.snapshot, live.overall,
-        "replayed snapshot must equal the live fold"
-    );
-    // The rendered artifacts come from the same data.
-    assert!(analysis.flame_table.contains("message_passing"));
-    assert!(analysis.flame_table.contains("iteration"));
-    assert!(analysis.openmetrics.contains("wsnloc_bp_runs_total 2"));
-    assert!(analysis.openmetrics.contains(&format!(
-        "wsnloc_bp_messages_total {}",
-        live.overall.messages
-    )));
+        assert_eq!(analysis.runs as u64, agg.runs);
+        assert_eq!(analysis.incomplete_runs, 0);
+        assert_eq!(
+            analysis.snapshot, live.overall,
+            "replayed snapshot must equal the live fold"
+        );
+        // The rendered artifacts come from the same data.
+        assert!(analysis.flame_table.contains("message_passing"));
+        assert!(analysis.flame_table.contains("iteration"));
+        assert!(analysis.openmetrics.contains("wsnloc_bp_runs_total 2"));
+        assert!(analysis.openmetrics.contains(&format!(
+            "wsnloc_bp_messages_total {}",
+            live.overall.messages
+        )));
+    }
 }
 
 #[test]
@@ -247,54 +264,78 @@ fn evaluate_traces_serialize_to_replayable_jsonl() {
     let _guard = SERIAL
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let outcome = evaluate(
-        &algo(),
-        &scenario(),
-        &EvalConfig::trials(2)
-            .with_traces()
-            .with_parallelism(Parallelism::Sequential),
-    );
-    let agg = outcome.trace.expect("with_traces collects an aggregate");
-    assert_eq!(agg.runs, 2);
-    assert_eq!(agg.mean_residual_curve.len(), 4);
-
-    let mut sink = VecSink::new();
-    let lines = write_jsonl(&agg.traces, &mut sink).expect("in-memory sink");
-    assert_eq!(lines, sink.lines.len());
-    // One run_start/run_end pair per trial, contiguous records in between.
-    let starts: Vec<usize> = sink
-        .lines
-        .iter()
-        .enumerate()
-        .filter(|(_, l)| l.starts_with("{\"type\":\"run_start\""))
-        .map(|(i, _)| i)
-        .collect();
-    let ends: Vec<usize> = sink
-        .lines
-        .iter()
-        .enumerate()
-        .filter(|(_, l)| l.starts_with("{\"type\":\"run_end\""))
-        .map(|(i, _)| i)
-        .collect();
-    assert_eq!(starts.len(), 2);
-    assert_eq!(ends.len(), 2);
-    assert_eq!(starts[0], 0);
-    assert_eq!(*ends.last().expect("two run ends"), sink.lines.len() - 1);
-    assert!(starts[1] > ends[0], "runs must not interleave");
-    assert!(sink
-        .lines
-        .iter()
-        .any(|l| l.contains("\"span\":\"model_build\"")));
-    assert!(sink
-        .lines
-        .iter()
-        .any(|l| l.contains("\"span\":\"message_passing\"")));
-    for line in &sink.lines {
-        assert_eq!(
-            line.matches('{').count(),
-            line.matches('}').count(),
-            "unbalanced braces in {line}"
+    // Flat runs report residuals from iteration 0; a sharded run's first
+    // round has no baseline, so its curve is one entry shorter.
+    for (localizer, curve_len) in [(algo(), 4), (sharded_algo(), 3)] {
+        let outcome = evaluate(
+            &localizer,
+            &scenario(),
+            &EvalConfig::trials(2)
+                .with_traces()
+                .with_parallelism(Parallelism::Sequential),
         );
+        let agg = outcome.trace.expect("with_traces collects an aggregate");
+        assert_eq!(agg.runs, 2);
+        assert_eq!(agg.mean_residual_curve.len(), curve_len);
+
+        let mut sink = VecSink::new();
+        let lines = write_jsonl(&agg.traces, &mut sink).expect("in-memory sink");
+        assert_eq!(lines, sink.lines.len());
+        // One run_start/run_end pair per trial, contiguous records in between.
+        let starts: Vec<usize> = sink
+            .lines
+            .iter()
+            .enumerate()
+            .filter(|(_, l)| l.starts_with("{\"type\":\"run_start\""))
+            .map(|(i, _)| i)
+            .collect();
+        let ends: Vec<usize> = sink
+            .lines
+            .iter()
+            .enumerate()
+            .filter(|(_, l)| l.starts_with("{\"type\":\"run_end\""))
+            .map(|(i, _)| i)
+            .collect();
+        assert_eq!(starts.len(), 2);
+        assert_eq!(ends.len(), 2);
+        assert_eq!(starts[0], 0);
+        assert_eq!(*ends.last().expect("two run ends"), sink.lines.len() - 1);
+        assert!(starts[1] > ends[0], "runs must not interleave");
+        assert!(sink
+            .lines
+            .iter()
+            .any(|l| l.contains("\"span\":\"model_build\"")));
+        assert!(sink
+            .lines
+            .iter()
+            .any(|l| l.contains("\"span\":\"message_passing\"")));
+        for line in &sink.lines {
+            assert_eq!(
+                line.matches('{').count(),
+                line.matches('}').count(),
+                "unbalanced braces in {line}"
+            );
+        }
+
+        // The lines parse back into the recorded runs. The one encoding
+        // loss is a non-finite `max_shift`: JSONL writes it as `null`,
+        // which parses as NaN.
+        let parsed = parse_jsonl(&sink.lines.join("\n")).expect("recorded trace parses");
+        assert_eq!(parsed.len(), agg.traces.len());
+        for (back, run) in parsed.iter().zip(&agg.traces) {
+            assert_eq!(back.info, run.info, "run info must round-trip");
+            assert_eq!(back.spans, run.spans);
+            assert_eq!(back.events, run.events);
+            assert_eq!(back.summary, run.summary);
+            assert_eq!(back.iterations.len(), run.iterations.len());
+            for (b, r) in back.iterations.iter().zip(&run.iterations) {
+                let mut b = b.clone();
+                if !b.max_shift.is_finite() && !r.max_shift.is_finite() {
+                    b.max_shift = r.max_shift;
+                }
+                assert_eq!(&b, r, "iteration {} must round-trip", r.iteration);
+            }
+        }
     }
 }
 
