@@ -9,9 +9,9 @@
 //! support radius, so the cost per message is
 //! `O(active source cells × kernel cells)` rather than `O(cells²)`.
 //!
-//! The scatter kernels live in [`crate::stencil`]: each potential's table
-//! is classified once per run as separable (two 1-D passes) or dense, and
-//! the inner accumulate dispatches to runtime-detected SIMD. Beliefs,
+//! The scatter kernel lives in [`crate::stencil`]: each potential's table
+//! is built once per run and scattered row by row, and the inner
+//! accumulate dispatches to runtime-detected SIMD. Beliefs,
 //! messages and tables are all `f64`. One opt-in throughput knob rides
 //! on top: [`CoarseToFine`] pre-solves on a reduced grid and carries
 //! concentrated beliefs up to the full resolution.
@@ -489,7 +489,7 @@ struct MessageCache {
     /// Per-edge index into `stencils` — `Some` iff both endpoints are
     /// free and the potential discretizes.
     edge_stencils: Vec<Option<usize>>,
-    /// Deduplicated classified stencils: edges sharing a potential (by
+    /// Deduplicated stencils: edges sharing a potential (by
     /// `Arc` identity) share one entry.
     stencils: Vec<KernelStencil>,
 }
@@ -811,9 +811,8 @@ impl NodeUpdate for GridRun<'_> {
     fn update(&self, u: usize, _iter: usize, inbox: &Inbox<'_, GridBelief>) -> GridBelief {
         let mrf = self.mrf;
         let mut bel = self.base_belief(u);
-        // Message and separable-pass scratch, reused across edges.
+        // Message scratch, reused across edges.
         let mut msg: Vec<f64> = Vec::new();
-        let mut scratch: Vec<f64> = Vec::new();
         for &e in mrf.edges_of(u) {
             // Never-received links contribute nothing; held content is
             // tempered by its staleness discount `alpha`.
@@ -857,13 +856,7 @@ impl NodeUpdate for GridRun<'_> {
                         Some(st) => {
                             msg.clear();
                             msg.resize(bel.mass.len(), 0.0);
-                            st.scatter(
-                                &source.mass,
-                                self.shape.nx,
-                                self.floor,
-                                &mut msg,
-                                &mut scratch,
-                            );
+                            st.scatter(&source.mass, self.shape.nx, self.floor, &mut msg);
                             finalize_message(&mut msg)
                         }
                         None => {
@@ -1291,13 +1284,10 @@ mod tests {
         );
         let (dx, dy) = src.cell_size();
         let st = KernelStencil::build(&pot, 25, 25, dx, dy).expect("range potential discretizes");
-        // The default ring kernel is not rank-1: full-table form.
-        assert_eq!(st.kind_name(), "dense");
         let floor = 1e-4 / 625.0;
         let (reference, ref_collapsed) = kernel_message(&src, &pot, floor);
         let mut cached = vec![0.0f64; 625];
-        let mut scratch = Vec::new();
-        st.scatter(src.mass(), 25, floor, &mut cached, &mut scratch);
+        st.scatter(src.mass(), 25, floor, &mut cached);
         let cache_collapsed = finalize_message(&mut cached);
         assert_eq!(ref_collapsed, cache_collapsed);
         for (t, (a, b)) in reference.iter().zip(&cached).enumerate() {

@@ -47,8 +47,8 @@ pub use motion::MotionModel;
 pub use mrf::{BpOptions, BpOptionsBuilder, BpOutcome, Schedule, SpatialMrf};
 pub use particle::{ParticleBelief, ParticleBp};
 pub use potential::{
-    DeltaUnary, GaussianProximity, GaussianRange, GaussianUnary, MixtureUnary, PairPotential,
-    UnaryPotential, UniformBoxUnary, UniformShapeUnary,
+    DeltaUnary, GaussianRange, GaussianUnary, MixtureUnary, PairPotential, UnaryPotential,
+    UniformBoxUnary, UniformShapeUnary,
 };
 pub use sharded::{ShardedEngine, TemperBelief};
 pub use stencil::KernelStencil;

@@ -92,34 +92,6 @@ pub trait PairPotential: Send + Sync {
         }
         Some(table)
     }
-
-    /// Separability hook for the grid backend's stencil classifier.
-    ///
-    /// When the discretized kernel factorizes exactly as a rank-1 outer
-    /// product `K(Δx, Δy) = col(Δy) · row(Δx)`, the 2-D message scatter
-    /// collapses into two 1-D passes — `(2rx+1) + (2ry+1)` multiply–adds
-    /// per cell instead of `(2rx+1) · (2ry+1)`. Return
-    /// `Some((row, col))` with `row.len() == 2·rx + 1` (offset `ox` at
-    /// index `ox + rx`, in cells of size `dx`) and
-    /// `col.len() == 2·ry + 1` (likewise for `oy`, `dy`) to declare the
-    /// factors directly; malformed factors (wrong length or non-finite)
-    /// demote the potential's edges to the pointwise evaluation path.
-    ///
-    /// The default returns `None`, which is *not* a claim of
-    /// non-separability: the stencil classifier still runs a numeric
-    /// rank-1 test on the tabulated kernel and factors it when the test
-    /// passes. Override only when exact closed-form factors are
-    /// available (see [`GaussianProximity`]).
-    fn discretized_kernel_separable(
-        &self,
-        dx: f64,
-        dy: f64,
-        rx: usize,
-        ry: usize,
-    ) -> Option<(Vec<f64>, Vec<f64>)> {
-        let _ = (dx, dy, rx, ry);
-        None
-    }
 }
 
 /// Exactly-known position (anchors enter the graph as delta priors).
@@ -284,54 +256,6 @@ impl PairPotential for GaussianRange {
     }
 }
 
-/// Gaussian proximity potential: `ψ(d) = exp(−d² / 2σ²)` — a soft
-/// "these nodes are near each other" constraint (connectivity-style
-/// evidence rather than a measured range).
-///
-/// Unlike [`GaussianRange`], whose ring-shaped kernel is genuinely
-/// two-dimensional, this kernel factorizes exactly over the grid axes:
-/// `exp(−(Δx² + Δy²)/2σ²) = exp(−Δx²/2σ²) · exp(−Δy²/2σ²)`, so it
-/// declares closed-form factors through
-/// [`PairPotential::discretized_kernel_separable`] and the grid backend
-/// scatters it with two 1-D passes.
-#[derive(Debug, Clone, Copy)]
-pub struct GaussianProximity {
-    /// Per-axis standard deviation of the proximity falloff (meters).
-    pub sigma: f64,
-}
-
-impl PairPotential for GaussianProximity {
-    fn log_likelihood(&self, d: f64) -> f64 {
-        -d * d / (2.0 * self.sigma * self.sigma)
-    }
-
-    fn sample_distance(&self, rng: &mut Xoshiro256pp) -> f64 {
-        rng.normal(0.0, self.sigma).abs().max(1e-3)
-    }
-
-    fn max_distance(&self) -> Option<f64> {
-        Some(5.0 * self.sigma)
-    }
-
-    fn discretized_kernel_separable(
-        &self,
-        dx: f64,
-        dy: f64,
-        rx: usize,
-        ry: usize,
-    ) -> Option<(Vec<f64>, Vec<f64>)> {
-        let axis = |n: usize, step: f64| -> Vec<f64> {
-            (0..2 * n + 1)
-                .map(|i| {
-                    let o = (i as isize - n as isize) as f64 * step;
-                    (-o * o / (2.0 * self.sigma * self.sigma)).exp()
-                })
-                .collect()
-        };
-        Some((axis(rx, dx), axis(ry, dy)))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -462,35 +386,6 @@ mod tests {
             .sum::<f64>()
             / 20_000.0;
         assert!((mean - 50.0).abs() < 0.2);
-    }
-
-    #[test]
-    fn proximity_factors_reproduce_dense_kernel() {
-        let g = GaussianProximity { sigma: 8.0 };
-        let (dx, dy, rx, ry) = (3.0, 2.0, 5usize, 7usize);
-        let (row, col) = g
-            .discretized_kernel_separable(dx, dy, rx, ry)
-            .expect("separable factors");
-        assert_eq!(row.len(), 2 * rx + 1);
-        assert_eq!(col.len(), 2 * ry + 1);
-        let table = g.discretized_kernel(dx, dy, rx, ry).expect("dense table");
-        for oy in 0..2 * ry + 1 {
-            for ox in 0..2 * rx + 1 {
-                let dense = table[oy * (2 * rx + 1) + ox];
-                let sep = col[oy] * row[ox];
-                assert!(
-                    (dense - sep).abs() <= 1e-14 * dense.max(1e-300),
-                    "offset ({ox},{oy}): dense {dense} vs factored {sep}"
-                );
-            }
-        }
-        // Proximity peaks at zero distance and is bounded by 5σ.
-        assert_eq!(g.log_likelihood(0.0), 0.0);
-        assert_eq!(g.max_distance(), Some(40.0));
-        let mut rng = Xoshiro256pp::seed_from(11);
-        for _ in 0..1000 {
-            assert!(g.sample_distance(&mut rng) > 0.0);
-        }
     }
 
     #[test]

@@ -75,7 +75,7 @@ use wsnloc_obs::{
 
 /// Belief-level staleness tempering, `belief^alpha` in the appropriate
 /// representation. Used when a cross-shard mirror refresh arrives
-/// staleness-discounted ([`Verdict::Deliver`] with `alpha < 1`): the
+/// staleness-discounted (`Verdict::Deliver` with `alpha < 1`): the
 /// flat engines discount the *message* built from a belief, the
 /// sharded engine must discount the mirrored *belief* itself.
 ///

@@ -12,8 +12,8 @@
 
 use std::sync::Arc;
 use wsnloc_bayes::{
-    BpEngine, BpOptions, GaussianProximity, GaussianRange, GaussianUnary, GridBelief, GridBp,
-    KernelStencil, PairPotential, Schedule, SpatialMrf, Transport, UniformBoxUnary,
+    BpEngine, BpOptions, GaussianRange, GaussianUnary, GridBelief, GridBp, KernelStencil,
+    PairPotential, Schedule, SpatialMrf, Transport, UniformBoxUnary,
 };
 use wsnloc_geom::check;
 use wsnloc_geom::rng::Xoshiro256pp;
@@ -185,65 +185,9 @@ fn opt_out_potentials_are_bit_identical_to_reference() {
     });
 }
 
-/// The same random geometry as [`random_mrf`] but with proximity
-/// potentials, whose kernels factorize exactly — the cached engine runs
-/// them through the two-pass separable scatter.
-fn random_proximity_mrf(rng: &mut Xoshiro256pp) -> SpatialMrf {
-    let domain = Aabb::from_size(100.0, 100.0);
-    let n = 4 + rng.index(4);
-    let mut mrf = SpatialMrf::new(n, domain, Arc::new(UniformBoxUnary(domain)));
-    let pts: Vec<Vec2> = (0..n)
-        .map(|_| rng.point_in(domain.min, domain.max))
-        .collect();
-    mrf.fix(0, pts[0]);
-    mrf.fix(1, pts[1]);
-    for u in 1..n {
-        let sigma = 6.0 + 10.0 * rng.f64();
-        mrf.add_edge(u - 1, u, Arc::new(GaussianProximity { sigma }));
-    }
-    for u in 0..n {
-        for v in (u + 2)..n {
-            if pts[u].dist(pts[v]) < 60.0 && rng.f64() < 0.5 {
-                let sigma = 6.0 + 10.0 * rng.f64();
-                mrf.add_edge(u, v, Arc::new(GaussianProximity { sigma }));
-            }
-        }
-    }
-    mrf
-}
-
-/// Separable-vs-dense: proximity kernels classify separable (asserted),
-/// and the cached two-pass scatter matches the reference pointwise path
-/// within the f64 contract.
-#[test]
-fn separable_kernels_match_reference_on_random_mrfs() {
-    check::cases(CASES / 2, |_, rng| {
-        let sigma = 6.0 + 10.0 * rng.f64();
-        let st = KernelStencil::build(
-            &GaussianProximity { sigma },
-            18,
-            18,
-            100.0 / 18.0,
-            100.0 / 18.0,
-        )
-        .expect("proximity potential discretizes");
-        assert_eq!(st.kind_name(), "separable");
-        let mrf = random_proximity_mrf(rng);
-        let engine = GridBp::with_resolution(18);
-        for schedule in [Schedule::Synchronous, Schedule::Sweep] {
-            let opts = options(schedule, 0.2);
-            let (cached, co) = engine.run(&mrf, &opts);
-            let (reference, ro) = engine.without_message_cache().run(&mrf, &opts);
-            assert_eq!(co.iterations, ro.iterations);
-            assert_beliefs_close(&cached, &reference, PER_CELL_TOLERANCE);
-        }
-    });
-}
-
-/// The default ring kernels of [`random_mrf`] are not rank-1, so they
-/// classify dense with the full table stored, and the main equivalence
-/// property above pins their cached runs to the reference within
-/// 1e-12 — this test makes the classification explicit.
+/// The default ring kernels of [`random_mrf`] keep the full table, and
+/// the main equivalence property above pins their cached runs to the
+/// reference within 1e-12 — this test makes the table size explicit.
 #[test]
 fn range_kernels_classify_dense() {
     check::cases(CASES / 2, |_, rng| {
@@ -253,15 +197,14 @@ fn range_kernels_classify_dense() {
         };
         let st =
             KernelStencil::build(&pot, 18, 18, 100.0 / 18.0, 100.0 / 18.0).expect("discretizes");
-        assert_eq!(st.kind_name(), "dense");
         let full = (2 * st.rx() as usize + 1) * (2 * st.ry() as usize + 1);
         assert_eq!(st.stored_len(), full);
     });
 }
 
 /// A potential publishing a randomized *asymmetric* kernel table: no
-/// radial symmetry, no rank-1 structure. Classification must fall back
-/// to the dense scatter rather than mis-folding the table.
+/// radial symmetry, so any transposed or mirrored lookup in the scatter
+/// shows up.
 #[derive(Debug)]
 struct AsymmetricKernel {
     seed: u64,
@@ -291,9 +234,9 @@ impl PairPotential for AsymmetricKernel {
     }
 }
 
-/// Dense-fallback proof: randomized asymmetric kernels classify dense,
-/// and the dense scatter reproduces the brute-force table scatter
-/// exactly (same table values, same accumulation targets).
+/// Randomized asymmetric kernels: the stencil scatter reproduces the
+/// brute-force table scatter exactly (same table values, same
+/// accumulation targets).
 #[test]
 fn asymmetric_kernels_fall_back_to_dense_scatter() {
     check::cases(8, |case, rng| {
@@ -304,15 +247,13 @@ fn asymmetric_kernels_fall_back_to_dense_scatter() {
             radius: 15.0 + 20.0 * rng.f64(),
         };
         let st = KernelStencil::build(&pot, nx, ny, dx, dy).expect("kernel table provided");
-        assert_eq!(st.kind_name(), "dense");
         let (rx, ry) = (st.rx() as usize, st.ry() as usize);
         let table = pot
             .discretized_kernel(dx, dy, rx, ry)
             .expect("table exists");
         let src: Vec<f64> = (0..nx * ny).map(|_| rng.range(0.0, 1.0)).collect();
         let mut out = vec![0.0f64; nx * ny];
-        let mut scratch = Vec::new();
-        st.scatter(&src, nx, 0.0, &mut out, &mut scratch);
+        st.scatter(&src, nx, 0.0, &mut out);
         // Brute-force reference straight off the published table.
         let mut want = vec![0.0f64; nx * ny];
         let w = 2 * rx + 1;

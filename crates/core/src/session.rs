@@ -1,7 +1,7 @@
 //! Epoch-to-epoch localization sessions with belief carry-over.
 //!
 //! A [`LocalizationSession`] is the stateful, streaming counterpart of
-//! [`BnlLocalizer::localize`]: it runs one BP solve per *measurement
+//! [`BnlLocalizer`]'s [`localize`](crate::Localizer::localize): it runs one BP solve per *measurement
 //! epoch* and carries the posterior beliefs forward, convolving them
 //! with a [`MotionModel`] so that each epoch starts from last epoch's
 //! knowledge instead of from the static pre-knowledge prior. This is
@@ -12,7 +12,7 @@
 //! from scratch.
 //!
 //! One-shot localization is the degenerate single-epoch case:
-//! [`BnlLocalizer::localize`] constructs a fresh session and advances
+//! [`BnlLocalizer`]'s [`localize`](crate::Localizer::localize) constructs a fresh session and advances
 //! it once, so observers, fault plans, and metrics flow through one
 //! code path whether the caller streams or not.
 
@@ -71,7 +71,7 @@ impl CarriedBeliefs {
 
     /// The predict step: every belief convolved with `motion`. The
     /// particle variant's process-noise jitter draws from a dedicated
-    /// stream derived from `seed` (mixed with [`MOTION_STREAM_TAG`]
+    /// stream derived from `seed` (mixed with `MOTION_STREAM_TAG`
     /// and split per node), leaving engine RNG streams untouched.
     #[must_use]
     pub fn predicted(&self, motion: &MotionModel, seed: u64) -> CarriedBeliefs {

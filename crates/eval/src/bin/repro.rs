@@ -28,9 +28,10 @@
 //! spans, structured events, and `run_end`.
 //!
 //! The `analyze` subcommand replays a recorded trace through the *same*
-//! `MetricsObserver`/`SpanProfiler` pair a live run uses, so its tables
-//! match the live snapshot exactly (the fold is order-insensitive and
-//! the JSONL encoder round-trips every finite float).
+//! `MetricsObserver` fold a live run uses, so its convergence, fault and
+//! flame tables match the live snapshot exactly (the fold is
+//! order-insensitive and the JSONL encoder round-trips every finite
+//! float).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -336,7 +337,7 @@ fn run_trace(cfg: &ExpConfig, backend: &str, out_dir: Option<&std::path::Path>) 
             .with_metrics()
             .with_parallelism(Parallelism::Sequential),
     );
-    let Some(agg) = outcome.trace.as_ref() else {
+    let (Some(traces), Some(metrics)) = (outcome.traces.as_ref(), outcome.metrics.as_ref()) else {
         eprintln!("no traces were collected");
         return ExitCode::FAILURE;
     };
@@ -351,7 +352,7 @@ fn run_trace(cfg: &ExpConfig, backend: &str, out_dir: Option<&std::path::Path>) 
         }
     }
     let lines = match JsonlSink::create(&path).and_then(|mut sink| {
-        let lines = write_jsonl(&agg.traces, &mut sink)?;
+        let lines = write_jsonl(traces, &mut sink)?;
         // Surface buffered-write errors now instead of losing them in drop.
         sink.finish()?;
         Ok(lines)
@@ -362,26 +363,18 @@ fn run_trace(cfg: &ExpConfig, backend: &str, out_dir: Option<&std::path::Path>) 
             return ExitCode::FAILURE;
         }
     };
+    let overall = &metrics.overall;
     eprintln!(
         "wrote {} lines ({} runs) to {}",
         lines,
-        agg.runs,
+        traces.len(),
         path.display()
     );
-    for (label, secs) in &agg.mean_span_secs {
-        eprintln!("  span {label}: {:.1} ms/run", secs * 1e3);
+    let runs = overall.runs.max(1) as f64;
+    for (label, secs, _) in &overall.span_secs {
+        eprintln!("  span {label}: {:.1} ms/run", secs / runs * 1e3);
     }
-    if let Some(last) = agg.mean_residual_curve.last() {
-        eprintln!(
-            "  mean max-residual: {:.3} (iter 0) -> {:.3} (iter {})",
-            agg.mean_residual_curve.first().copied().unwrap_or(f64::NAN),
-            last,
-            agg.mean_residual_curve.len() - 1
-        );
-    }
-    if let Some(metrics) = outcome.metrics.as_ref() {
-        println!("{}", metrics.overall.convergence_table());
-    }
+    println!("{}", overall.convergence_table());
     ExitCode::SUCCESS
 }
 

@@ -25,8 +25,7 @@ pub mod top;
 pub use audit::{audit_determinism, AuditConfig, AuditOutcome};
 pub use metrics::ErrorSummary;
 pub use runner::{
-    evaluate, run_trial, run_trial_observed, EvalConfig, EvalOutcome, MetricsAggregate,
-    Parallelism, TraceAggregate,
+    evaluate, run_trial, run_trial_observed, EvalConfig, EvalOutcome, MetricsAggregate, Parallelism,
 };
 pub use table::Report;
 pub use top::{http_get, parse_openmetrics, render_top, MetricSample};

@@ -2,7 +2,7 @@
 //!
 //! [`evaluate`] runs a [`Localizer`] over independent trials of a
 //! [`Scenario`] — trial `t` realizes the scenario with seed offset `t` and
-//! localizes with algorithm seed `seed_base + t` — and aggregates errors,
+//! localizes with algorithm seed `t` — and aggregates errors,
 //! coverage, communication, and runtime. How many trials, how they are
 //! scheduled, and what telemetry they report is configured through
 //! [`EvalConfig`]; `EvalConfig::trials(n)` reproduces the historical
@@ -13,13 +13,11 @@
 
 use rayon::prelude::*;
 use rayon::PoolStats;
-use std::sync::Arc;
 use wsnloc::Localizer;
 use wsnloc_geom::stats::{self, Welford};
 use wsnloc_net::Scenario;
 use wsnloc_obs::{
-    FanoutObserver, InferenceObserver, MetricsObserver, MetricsSnapshot, ObsEvent, RunTrace,
-    TraceObserver,
+    FanoutObserver, InferenceObserver, MetricsObserver, MetricsSnapshot, RunTrace, TraceObserver,
 };
 
 use crate::metrics::{localized_errors, ErrorSummary};
@@ -33,32 +31,21 @@ pub enum Parallelism {
     Ambient,
     /// Run trials one after another on the calling thread.
     Sequential,
-    /// Run trials on a dedicated pool of this many threads. Falls back to
-    /// the ambient pool if the pool cannot be built.
-    Threads(usize),
 }
 
 /// Options for [`evaluate`]. `EvalConfig::trials(n)` matches the behavior
 /// of the old positional `evaluate(algo, scenario, n)` signature exactly;
 /// everything else is opt-in.
-#[derive(Clone, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct EvalConfig {
     /// Monte-Carlo trials to run.
     pub trials: u64,
-    /// Added to the trial index to form both the scenario realization seed
-    /// and the algorithm seed (default 0, the historical behavior).
-    pub seed_base: u64,
-    /// Observer attached to *every* trial's inference run. Because trials
-    /// may run concurrently, a recording observer here sees interleaved
-    /// runs — combine with [`Parallelism::Sequential`] for ordered traces,
-    /// or use [`EvalConfig::collect_traces`], which records per trial.
-    pub observer: Option<Arc<dyn InferenceObserver>>,
     /// Trial scheduling.
     pub parallelism: Parallelism,
     /// Record a [`RunTrace`] per trial (one private [`TraceObserver`] each,
-    /// so parallel trials cannot interleave) and aggregate them into
-    /// [`EvalOutcome::trace`]. Residual computation makes traced runs
-    /// slower; leave off for timing-sensitive evaluations.
+    /// so parallel trials cannot interleave) into [`EvalOutcome::traces`].
+    /// Residual computation makes traced runs slower; leave off for
+    /// timing-sensitive evaluations.
     pub collect_traces: bool,
     /// Fold a [`MetricsSnapshot`] per trial (one private
     /// [`MetricsObserver`] each) and aggregate them into
@@ -66,19 +53,6 @@ pub struct EvalConfig {
     /// counters for the whole evaluation. Enables residual computation,
     /// so metered runs are slower than bare ones.
     pub collect_metrics: bool,
-}
-
-impl std::fmt::Debug for EvalConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EvalConfig")
-            .field("trials", &self.trials)
-            .field("seed_base", &self.seed_base)
-            .field("observer", &self.observer.as_ref().map(|_| "<dyn>"))
-            .field("parallelism", &self.parallelism)
-            .field("collect_traces", &self.collect_traces)
-            .field("collect_metrics", &self.collect_metrics)
-            .finish()
-    }
 }
 
 impl EvalConfig {
@@ -91,25 +65,13 @@ impl EvalConfig {
         }
     }
 
-    /// Sets the seed base (trial `t` uses seed `seed_base + t`).
-    pub fn with_seed_base(mut self, seed_base: u64) -> Self {
-        self.seed_base = seed_base;
-        self
-    }
-
-    /// Attaches an observer to every trial's inference run.
-    pub fn with_observer(mut self, observer: Arc<dyn InferenceObserver>) -> Self {
-        self.observer = Some(observer);
-        self
-    }
-
     /// Sets the trial scheduling policy.
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
         self
     }
 
-    /// Enables per-trial trace recording into [`EvalOutcome::trace`].
+    /// Enables per-trial trace recording into [`EvalOutcome::traces`].
     pub fn with_traces(mut self) -> Self {
         self.collect_traces = true;
         self
@@ -137,64 +99,6 @@ pub struct MetricsAggregate {
     /// Worker-pool dispatch counters accumulated during this evaluation
     /// (process-wide: concurrent evaluations share the counters).
     pub pool: PoolStats,
-}
-
-/// Cross-trial aggregation of recorded [`RunTrace`]s (present on
-/// [`EvalOutcome::trace`] when [`EvalConfig::collect_traces`] was set).
-#[derive(Debug, Clone, Default)]
-pub struct TraceAggregate {
-    /// Inference runs traced (≥ trials; tracking localizers run several
-    /// inference rounds per trial).
-    pub runs: u64,
-    /// Mean convergence curve: entry `i` averages the max per-node residual
-    /// at iteration `i` over every run that reached iteration `i`.
-    pub mean_residual_curve: Vec<f64>,
-    /// Mean seconds per timed phase per run, keyed by the span's stable
-    /// label (`"model_build"`, `"prior_init"`, …).
-    pub mean_span_secs: Vec<(&'static str, f64)>,
-    /// Structured events emitted across all runs.
-    pub events: u64,
-    /// The raw traces, in trial order — ready for
-    /// [`wsnloc_obs::write_jsonl`].
-    pub traces: Vec<RunTrace>,
-}
-
-impl TraceAggregate {
-    fn from_traces(traces: Vec<RunTrace>) -> Self {
-        let mut curve_w: Vec<Welford> = Vec::new();
-        let mut span_sums: Vec<(&'static str, f64)> = Vec::new();
-        let mut events = 0u64;
-        for run in &traces {
-            for (i, iter) in run.iterations.iter().enumerate() {
-                if let Some(max) = iter.max_residual() {
-                    if curve_w.len() <= i {
-                        curve_w.resize_with(i + 1, Welford::new);
-                    }
-                    curve_w[i].push(max);
-                }
-            }
-            for (kind, secs) in &run.spans {
-                let label = kind.label();
-                match span_sums.iter_mut().find(|(l, _)| *l == label) {
-                    Some((_, total)) => *total += secs,
-                    None => span_sums.push((label, *secs)),
-                }
-            }
-            events += run.events.len() as u64;
-        }
-        let runs = traces.len() as u64;
-        let denom = (runs as f64).max(1.0);
-        TraceAggregate {
-            runs,
-            mean_residual_curve: curve_w.iter().filter_map(Welford::mean).collect(),
-            mean_span_secs: span_sums
-                .into_iter()
-                .map(|(l, total)| (l, total / denom))
-                .collect(),
-            events,
-            traces,
-        }
-    }
 }
 
 /// Aggregated evaluation of one algorithm on one scenario.
@@ -225,10 +129,11 @@ pub struct EvalOutcome {
     pub iterations: f64,
     /// Mean fraction of trials that converged (iterative algorithms).
     pub converged_frac: f64,
-    /// Convergence telemetry aggregated across trials; `Some` only when the
-    /// evaluation ran with [`EvalConfig::collect_traces`].
+    /// The recorded runs in trial order, ready for
+    /// [`wsnloc_obs::write_jsonl`]; `Some` only when the evaluation ran
+    /// with [`EvalConfig::collect_traces`].
     #[cfg_attr(feature = "serde", serde(skip))]
-    pub trace: Option<TraceAggregate>,
+    pub traces: Option<Vec<RunTrace>>,
     /// Per-trial metric snapshots and their merge; `Some` only when the
     /// evaluation ran with [`EvalConfig::collect_metrics`].
     #[cfg_attr(feature = "serde", serde(skip))]
@@ -310,11 +215,9 @@ fn trial_record(
 pub fn evaluate(algo: &dyn Localizer, scenario: &Scenario, config: &EvalConfig) -> EvalOutcome {
     type TrialOutput = (TrialRecord, Vec<RunTrace>, Option<MetricsSnapshot>);
     let run_one = |t: u64| -> TrialOutput {
-        let seed = config.seed_base + t;
         let tracer = config.collect_traces.then(TraceObserver::new);
         let meter = config.collect_metrics.then(MetricsObserver::new);
-        // Per-trial recorders first, shared external observer last; with
-        // no recorders configured the bare (zero-cost) path is taken.
+        // With no recorders configured the bare (zero-cost) path is taken.
         let mut hooks: Vec<&dyn InferenceObserver> = Vec::new();
         if let Some(tracer) = tracer.as_ref() {
             hooks.push(tracer);
@@ -322,15 +225,12 @@ pub fn evaluate(algo: &dyn Localizer, scenario: &Scenario, config: &EvalConfig) 
         if let Some(meter) = meter.as_ref() {
             hooks.push(meter);
         }
-        if let Some(ext) = config.observer.as_deref() {
-            hooks.push(ext);
-        }
         let record = match hooks.as_slice() {
-            [] => run_trial(algo, scenario, seed),
-            [only] => run_trial_observed(algo, scenario, seed, *only),
+            [] => run_trial(algo, scenario, t),
+            [only] => run_trial_observed(algo, scenario, t, *only),
             _ => {
                 let fan = FanoutObserver::new(hooks);
-                run_trial_observed(algo, scenario, seed, &fan)
+                run_trial_observed(algo, scenario, t, &fan)
             }
         };
         (
@@ -344,22 +244,6 @@ pub fn evaluate(algo: &dyn Localizer, scenario: &Scenario, config: &EvalConfig) 
     let results: Vec<TrialOutput> = match config.parallelism {
         Parallelism::Sequential => (0..config.trials).map(run_one).collect(),
         Parallelism::Ambient => (0..config.trials).into_par_iter().map(run_one).collect(),
-        Parallelism::Threads(n) => match rayon::ThreadPoolBuilder::new().num_threads(n).build() {
-            Ok(pool) => pool.install(|| (0..config.trials).into_par_iter().map(run_one).collect()),
-            Err(e) => {
-                // The fallback to the ambient pool is benign for results
-                // (per-trial seeds make the aggregate schedule-independent)
-                // but must not be silent: scaling experiments comparing
-                // thread counts would otherwise measure the wrong pool.
-                if let Some(obs) = config.observer.as_deref() {
-                    obs.on_event(&ObsEvent::ThreadPoolFallback {
-                        requested: n,
-                        error: e.to_string(),
-                    });
-                }
-                (0..config.trials).into_par_iter().map(run_one).collect()
-            }
-        },
     };
 
     let mut pooled = Vec::new();
@@ -407,9 +291,7 @@ pub fn evaluate(algo: &dyn Localizer, scenario: &Scenario, config: &EvalConfig) 
         secs: sec_w.mean().unwrap_or(0.0),
         iterations: iter_w.mean().unwrap_or(0.0),
         converged_frac: conv_w.mean().unwrap_or(0.0),
-        trace: config
-            .collect_traces
-            .then(|| TraceAggregate::from_traces(traces)),
+        traces: config.collect_traces.then_some(traces),
         metrics,
     }
 }
@@ -442,7 +324,7 @@ mod tests {
         assert!(outcome.mean_error > 0.0);
         assert!(outcome.coverage > 0.3);
         assert!(outcome.msgs_per_node > 0.0);
-        assert!(outcome.trace.is_none());
+        assert!(outcome.traces.is_none());
         let s = outcome.summary().unwrap();
         assert!(s.median <= s.p90);
     }
@@ -460,17 +342,6 @@ mod tests {
             &EvalConfig::trials(4).with_parallelism(Parallelism::Sequential),
         );
         assert_eq!(a.mean_error, c.mean_error);
-    }
-
-    #[test]
-    fn seed_base_shifts_the_trial_stream() {
-        let a = evaluate(&Centroid, &tiny_scenario(), &EvalConfig::trials(2));
-        let b = evaluate(
-            &Centroid,
-            &tiny_scenario(),
-            &EvalConfig::trials(2).with_seed_base(100),
-        );
-        assert_ne!(a.mean_error, b.mean_error);
     }
 
     #[test]
@@ -500,30 +371,33 @@ mod tests {
         let outcome = evaluate(
             &algo,
             &tiny_scenario(),
-            &EvalConfig::trials(3).with_traces(),
+            &EvalConfig::trials(3).with_traces().with_metrics(),
         );
-        let agg = outcome.trace.as_ref().expect("traces collected");
-        assert_eq!(agg.runs, 3);
-        assert_eq!(agg.traces.len(), 3);
-        assert_eq!(agg.mean_residual_curve.len(), 3);
-        assert!(agg.mean_residual_curve.iter().all(|r| r.is_finite()));
+        let traces = outcome.traces.as_ref().expect("traces collected");
+        assert_eq!(traces.len(), 3);
         // Per-trial observers keep trial traces separate even under the
         // parallel scheduler: every trace is a complete run.
-        for t in &agg.traces {
+        for t in traces {
             assert_eq!(t.iterations.len(), 3);
             assert!(t.summary.is_some());
         }
-        assert!(agg
-            .mean_span_secs
+        let overall = &outcome.metrics.as_ref().expect("metrics collected").overall;
+        assert_eq!(overall.per_iteration.len(), 3);
+        assert!(overall
+            .per_iteration
             .iter()
-            .any(|(label, _)| *label == "message_passing"));
+            .all(|it| it.residual_max.is_some_and(f64::is_finite)));
+        assert!(overall
+            .span_secs
+            .iter()
+            .any(|(label, _, calls)| label == "message_passing" && *calls == 3));
         // Baselines have no inference loop: tracing them records nothing.
         let base = evaluate(
             &Centroid,
             &tiny_scenario(),
             &EvalConfig::trials(2).with_traces(),
         );
-        assert_eq!(base.trace.expect("aggregate present").runs, 0);
+        assert!(base.traces.expect("traces collected").is_empty());
     }
 
     #[test]
@@ -553,27 +427,8 @@ mod tests {
             &tiny_scenario(),
             &EvalConfig::trials(1).with_metrics().with_traces(),
         );
-        assert!(both.metrics.is_some() && both.trace.is_some());
+        assert!(both.metrics.is_some() && both.traces.is_some());
         let bare = evaluate(&algo, &tiny_scenario(), &EvalConfig::trials(1));
-        assert!(bare.metrics.is_none() && bare.trace.is_none());
-    }
-
-    #[test]
-    fn shared_observer_sees_all_trials() {
-        use std::sync::Arc;
-        let algo = BnlLocalizer::builder(Backend::particle(40).expect("valid backend"))
-            .max_iterations(2)
-            .tolerance(0.0)
-            .try_build()
-            .expect("valid config");
-        let obs = Arc::new(TraceObserver::new());
-        let _ = evaluate(
-            &algo,
-            &tiny_scenario(),
-            &EvalConfig::trials(3)
-                .with_observer(obs.clone())
-                .with_parallelism(Parallelism::Sequential),
-        );
-        assert_eq!(obs.run_count(), 3);
+        assert!(bare.metrics.is_none() && bare.traces.is_none());
     }
 }

@@ -8,7 +8,9 @@
 //!   fault and stream events, iteration-second and residual histograms);
 //! - a mutex-guarded fold of what the store does not keep: exact
 //!   per-iteration residual pools, communication and fault counts keyed
-//!   by the *event's own* iteration field, and span totals by label.
+//!   by the *event's own* iteration field, and the span table — seconds
+//!   and calls per span label, plus an `iteration` row summing the
+//!   iteration records' seconds.
 //!
 //! The fold is deliberately **order-insensitive within a run**: fault
 //! events carry their iteration index, span seconds accumulate by
@@ -21,7 +23,7 @@
 //! [`MetricsObserver::snapshot`] freezes the fold into a
 //! [`MetricsSnapshot`] — a plain comparable value with table renderers
 //! ([`MetricsSnapshot::convergence_table`],
-//! [`MetricsSnapshot::fault_table`]) — and
+//! [`MetricsSnapshot::fault_table`], [`MetricsSnapshot::flame_table`]) — and
 //! [`MetricsSnapshot::merge`] combines per-trial snapshots exactly
 //! (residual pools concatenate, counts sum, quantiles recompute).
 
@@ -45,8 +47,6 @@ pub struct EventCounts {
     pub map_fallbacks: u64,
     /// Grid messages that collapsed to the uniform fallback.
     pub grid_uniform_fallbacks: u64,
-    /// Evaluation thread-pool build failures.
-    pub pool_fallbacks: u64,
     /// Streaming-tenant epochs advanced (BP ran).
     pub epoch_advances: u64,
     /// Streaming-tenant epochs shed under overload (coasted, no BP).
@@ -57,8 +57,6 @@ pub struct EventCounts {
     pub boundary_exchanges: u64,
     /// Cross-shard belief messages delivered at boundary exchanges.
     pub boundary_messages: u64,
-    /// Free-form notes.
-    pub notes: u64,
 }
 
 /// Aggregates for one iteration index, pooled over every run that
@@ -148,8 +146,9 @@ pub struct MetricsSnapshot {
     pub events: EventCounts,
     /// Per-iteration aggregates, index = iteration.
     pub per_iteration: Vec<IterationMetrics>,
-    /// Per-phase wall-clock totals `(label, total_secs, calls)`, sorted
-    /// by label.
+    /// The span table: wall-clock totals `(label, total_secs, calls)`
+    /// per [`SpanKind`] label, plus an `iteration` row (the iteration
+    /// records' seconds, one call per record), sorted by label.
     pub span_secs: Vec<(String, f64, u64)>,
 }
 
@@ -171,13 +170,11 @@ impl MetricsSnapshot {
             e.node_deaths += p.events.node_deaths;
             e.map_fallbacks += p.events.map_fallbacks;
             e.grid_uniform_fallbacks += p.events.grid_uniform_fallbacks;
-            e.pool_fallbacks += p.events.pool_fallbacks;
             e.epoch_advances += p.events.epoch_advances;
             e.tenants_shed += p.events.tenants_shed;
             e.contexts += p.events.contexts;
             e.boundary_exchanges += p.events.boundary_exchanges;
             e.boundary_messages += p.events.boundary_messages;
-            e.notes += p.events.notes;
             if out.per_iteration.len() < p.per_iteration.len() {
                 out.per_iteration
                     .resize_with(p.per_iteration.len(), IterationMetrics::default);
@@ -196,13 +193,7 @@ impl MetricsSnapshot {
                 acc.residuals.extend_from_slice(&it.residuals);
             }
             for (label, secs, calls) in &p.span_secs {
-                match out.span_secs.iter_mut().find(|(l, _, _)| l == label) {
-                    Some((_, s, c)) => {
-                        *s += secs;
-                        *c += calls;
-                    }
-                    None => out.span_secs.push((label.clone(), *secs, *calls)),
-                }
+                add_span(&mut out.span_secs, label.clone(), *secs, *calls);
             }
         }
         for it in &mut out.per_iteration {
@@ -241,49 +232,130 @@ impl MetricsSnapshot {
         out
     }
 
-    /// Fault impact per iteration: drop counts and rates, stale
-    /// deliveries, node deaths. Rates are relative to the messages the
-    /// iteration actually carried plus the ones it lost.
+    /// Fault impact per iteration: belief broadcasts, directed links
+    /// that dropped or delivered stale content, node deaths. A broadcast
+    /// reaches every neighbor over its own link, so the two units share
+    /// no denominator and the table prints counts, not rates.
     #[must_use]
     pub fn fault_table(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{:>5} {:>6} {:>10} {:>9} {:>10} {:>7} {:>7}",
-            "iter", "runs", "msgs", "dropped", "drop_rate", "stale", "deaths"
+            "{:>5} {:>6} {:>10} {:>13} {:>11} {:>7}",
+            "iter", "runs", "bcasts", "links_dropped", "links_stale", "deaths"
         );
         for it in &self.per_iteration {
-            let offered = it.messages + it.dropped;
-            let rate = if offered > 0 {
-                it.dropped as f64 / offered as f64
-            } else {
-                0.0
-            };
             let _ = writeln!(
                 out,
-                "{:>5} {:>6} {:>10} {:>9} {:>9.1}% {:>7} {:>7}",
-                it.iteration,
-                it.runs,
-                it.messages,
-                it.dropped,
-                100.0 * rate,
-                it.stale,
-                it.deaths
+                "{:>5} {:>6} {:>10} {:>13} {:>11} {:>7}",
+                it.iteration, it.runs, it.messages, it.dropped, it.stale, it.deaths
             );
         }
         let e = &self.events;
         let _ = writeln!(
             out,
-            "totals: dropped={} stale={} deaths={} map_fallbacks={} grid_fallbacks={} pool_fallbacks={}",
+            "totals: dropped={} stale={} deaths={} map_fallbacks={} grid_fallbacks={}",
             e.dropped_messages,
             e.stale_messages,
             e.node_deaths,
             e.map_fallbacks,
-            e.grid_uniform_fallbacks,
-            e.pool_fallbacks
+            e.grid_uniform_fallbacks
         );
         out
+    }
+
+    /// The span table as an indented flame table over the fixed tree
+    /// `run → {estimate_extract, message_passing → iteration,
+    /// model_build, prior_init}`: calls, total seconds, self seconds
+    /// (total minus children) and percent of the run total, children
+    /// sorted by label. A node with no recorded seconds shows the sum
+    /// of its children: always the `run` row, and `message_passing`
+    /// when its runs were interrupted before the phase closed (0 calls,
+    /// the iteration sum as total).
+    #[must_use]
+    pub fn flame_table(&self) -> String {
+        use std::fmt::Write as _;
+        let row = |label: &str| {
+            self.span_secs
+                .iter()
+                .find(|(l, _, _)| l == label)
+                .map_or((0.0, 0), |(_, secs, calls)| (*secs, *calls))
+        };
+        let (iter_secs, iter_calls) = row(ITERATION_SPAN);
+        // (depth, label, calls, total, self), depth-first.
+        let mut rows: Vec<(usize, &str, u64, f64, f64)> = Vec::new();
+        // The phases in label order.
+        for phase in [
+            SpanKind::EstimateExtract,
+            SpanKind::MessagePassing,
+            SpanKind::ModelBuild,
+            SpanKind::PriorInit,
+        ] {
+            let (secs, calls) = row(phase.label());
+            let iteration = (phase == SpanKind::MessagePassing && iter_calls > 0)
+                .then(|| attribute(iter_secs, &[]));
+            if calls == 0 && iteration.is_none() {
+                continue;
+            }
+            let children: Vec<f64> = iteration.iter().map(|&(total, _)| total).collect();
+            let (total, own) = attribute(secs, &children);
+            rows.push((1, phase.label(), calls, total, own));
+            if let Some((total, own)) = iteration {
+                rows.push((2, ITERATION_SPAN, iter_calls, total, own));
+            }
+        }
+        let phase_totals: Vec<f64> = rows.iter().filter(|r| r.0 == 1).map(|r| r.3).collect();
+        let (grand_total, own) = attribute(0.0, &phase_totals);
+        if self.runs > 0 || !self.span_secs.is_empty() {
+            rows.insert(0, (0, "run", self.runs, grand_total, own));
+        }
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "{:<40} {:>8} {:>12} {:>12} {:>7}",
+            "span", "calls", "total s", "self s", "%"
+        );
+        for (depth, label, calls, total, own) in rows {
+            let pct = if grand_total > 0.0 {
+                100.0 * total / grand_total
+            } else {
+                0.0
+            };
+            let label = format!("{:indent$}{label}", "", indent = 2 * depth);
+            let _ = writeln!(
+                out,
+                "{label:<40} {calls:>8} {total:>12.6} {own:>12.6} {pct:>7.1}"
+            );
+        }
+        out
+    }
+}
+
+/// A flame-table node's `(total, self)` seconds: its recorded seconds,
+/// or the sum of its children's totals when it recorded none, and that
+/// total minus the children, floored at zero.
+fn attribute(secs: f64, children: &[f64]) -> (f64, f64) {
+    let child_sum: f64 = children.iter().sum();
+    let total = if secs > 0.0 { secs } else { child_sum };
+    (total, (total - child_sum).max(0.0))
+}
+
+/// The span-table row of the iteration records.
+const ITERATION_SPAN: &str = "iteration";
+
+/// Adds `secs` over `calls` to `label`'s row of a span table, appending
+/// the row the first time the label appears.
+fn add_span<L: AsRef<str>>(table: &mut Vec<(L, f64, u64)>, label: L, secs: f64, calls: u64) {
+    match table
+        .iter_mut()
+        .find(|(l, _, _)| l.as_ref() == label.as_ref())
+    {
+        Some((_, s, c)) => {
+            *s += secs;
+            *c += calls;
+        }
+        None => table.push((label, secs, calls)),
     }
 }
 
@@ -298,7 +370,13 @@ fn fmt_opt(v: Option<f64>) -> String {
 #[derive(Debug, Default)]
 struct FoldState {
     per_iter: Vec<IterationMetrics>,
+    /// Span table of the runs before the current one.
     spans: Vec<(&'static str, f64, u64)>,
+    /// Span table of the current run, added to `spans` when the next
+    /// run starts. Summing per run first makes the totals of one
+    /// observer over back-to-back runs equal the [`MetricsSnapshot::merge`]
+    /// of one observer per run, bit for bit.
+    run_spans: Vec<(&'static str, f64, u64)>,
 }
 
 impl FoldState {
@@ -361,12 +439,15 @@ impl MetricsObserver {
         for it in &mut per_iteration {
             it.finalize_quantiles();
         }
-        let mut span_secs: Vec<(String, f64, u64)> = st
-            .spans
-            .iter()
-            .map(|(l, s, c)| ((*l).to_owned(), *s, *c))
-            .collect();
+        let mut spans = st.spans.clone();
+        for &(label, secs, calls) in &st.run_spans {
+            add_span(&mut spans, label, secs, calls);
+        }
         drop(st);
+        let mut span_secs: Vec<(String, f64, u64)> = spans
+            .into_iter()
+            .map(|(l, s, c)| (l.to_owned(), s, c))
+            .collect();
         span_secs.sort_by(|a, b| a.0.cmp(&b.0));
         let t = |fact| self.store.total(fact);
         MetricsSnapshot {
@@ -381,13 +462,11 @@ impl MetricsObserver {
                 node_deaths: t(Fact::Deaths),
                 map_fallbacks: t(Fact::MapFallbacks),
                 grid_uniform_fallbacks: t(Fact::GridFallbacks),
-                pool_fallbacks: t(Fact::PoolFallbacks),
                 epoch_advances: t(Fact::EpochsSolved),
                 tenants_shed: t(Fact::EpochsShed),
                 contexts: t(Fact::Contexts),
                 boundary_exchanges: t(Fact::BoundaryExchanges),
                 boundary_messages: t(Fact::BoundaryMessages),
-                notes: t(Fact::Notes),
             },
             per_iteration,
             span_secs,
@@ -402,11 +481,16 @@ impl InferenceObserver for MetricsObserver {
 
     fn on_run_start(&self, info: &RunInfo) {
         self.store.on_run_start(info);
+        let mut st = self.locked();
+        for (label, secs, calls) in std::mem::take(&mut st.run_spans) {
+            add_span(&mut st.spans, label, secs, calls);
+        }
     }
 
     fn on_iteration(&self, record: &IterationRecord) {
         self.store.on_iteration(record);
         let mut st = self.locked();
+        add_span(&mut st.run_spans, ITERATION_SPAN, record.secs, 1);
         let acc = st.at(record.iteration);
         acc.runs += 1;
         acc.messages += record.comm.messages;
@@ -422,15 +506,7 @@ impl InferenceObserver for MetricsObserver {
     }
 
     fn on_span(&self, span: SpanKind, secs: f64) {
-        let label = span.label();
-        let mut st = self.locked();
-        match st.spans.iter_mut().find(|(l, _, _)| *l == label) {
-            Some((_, s, c)) => {
-                *s += secs;
-                *c += 1;
-            }
-            None => st.spans.push((label, secs, 1)),
-        }
+        add_span(&mut self.locked().run_spans, span.label(), secs, 1);
     }
 
     fn on_event(&self, event: &ObsEvent) {
@@ -536,9 +612,31 @@ mod tests {
         assert_eq!(s.per_iteration[0].residual_max, Some(3.0));
         // Nearest-rank on [0.25, 0.5]: rank ceil(0.5 * 2) = 1 → lower element.
         assert_eq!(s.per_iteration[1].residual_q50, Some(0.25));
-        assert_eq!(s.span_secs.len(), 1);
+        // The message_passing span and the iteration row.
+        assert_eq!(s.span_secs.len(), 2);
         assert!(s.convergence_table().contains("res_q50"));
-        assert!(s.fault_table().contains("dropped=2"));
+        let fault = s.fault_table();
+        assert!(fault.contains("dropped=2"));
+        // Broadcasts and dropped links are different units: the header
+        // names them and no cell divides one by the other.
+        let header: Vec<&str> = fault
+            .lines()
+            .next()
+            .expect("header line")
+            .split_whitespace()
+            .collect();
+        assert_eq!(
+            header,
+            [
+                "iter",
+                "runs",
+                "bcasts",
+                "links_dropped",
+                "links_stale",
+                "deaths"
+            ]
+        );
+        assert!(!fault.contains('%'), "no rate cells: {fault}");
         // The store renders the same totals for export.
         let text = m.window().render_openmetrics();
         assert!(text.contains("wsnloc_bp_iterations_total 2"));
@@ -592,6 +690,145 @@ mod tests {
         both.on_run_start(&info());
         both.on_iteration(&rec(0, &[3.0, 4.0]));
         assert_eq!(merged, both.snapshot());
+    }
+
+    fn timed(i: usize, secs: f64) -> IterationRecord {
+        IterationRecord {
+            secs,
+            ..rec(i, &[])
+        }
+    }
+
+    fn span_row(s: &MetricsSnapshot, label: &str) -> Option<(f64, u64)> {
+        s.span_secs
+            .iter()
+            .find(|(l, _, _)| l == label)
+            .map(|(_, secs, calls)| (*secs, *calls))
+    }
+
+    #[test]
+    fn observer_callbacks_build_the_fixed_hierarchy() {
+        let m = MetricsObserver::new();
+        m.on_run_start(&info());
+        m.on_span(SpanKind::PriorInit, 0.010);
+        m.on_iteration(&timed(0, 0.005));
+        m.on_iteration(&timed(1, 0.007));
+        m.on_span(SpanKind::MessagePassing, 0.020);
+        let s = m.snapshot();
+        let (iter_total, iter_calls) = span_row(&s, "iteration").expect("iteration row");
+        assert!((iter_total - 0.012).abs() < 1e-12);
+        assert_eq!(iter_calls, 2);
+        assert_eq!(span_row(&s, "message_passing"), Some((0.020, 1)));
+        let table = s.flame_table();
+        let cells = |label: &str| -> Vec<String> {
+            table
+                .lines()
+                .find(|l| l.split_whitespace().next() == Some(label))
+                .unwrap_or_else(|| panic!("{label} row in {table}"))
+                .split_whitespace()
+                .map(str::to_owned)
+                .collect()
+        };
+        // The run total derives from its children; message_passing's self
+        // time excludes the iterations nested under it.
+        assert_eq!(cells("run")[1..4], ["1", "0.030000", "0.000000"]);
+        assert_eq!(
+            cells("message_passing")[1..4],
+            ["1", "0.020000", "0.008000"]
+        );
+        assert_eq!(cells("iteration")[1..4], ["2", "0.012000", "0.012000"]);
+        assert!(
+            table.contains("\n    iteration "),
+            "nested two levels: {table}"
+        );
+    }
+
+    #[test]
+    fn ingest_order_does_not_change_the_table() {
+        // Live runs report prior_init before the iterations; trace
+        // replays deliver all iterations before any span. Same table.
+        let live = MetricsObserver::new();
+        live.on_run_start(&info());
+        live.on_span(SpanKind::PriorInit, 0.004);
+        live.on_iteration(&timed(0, 0.001));
+        live.on_span(SpanKind::MessagePassing, 0.002);
+
+        let replayed = MetricsObserver::new();
+        replayed.on_run_start(&info());
+        replayed.on_iteration(&timed(0, 0.001));
+        replayed.on_span(SpanKind::PriorInit, 0.004);
+        replayed.on_span(SpanKind::MessagePassing, 0.002);
+
+        assert_eq!(
+            live.snapshot().flame_table(),
+            replayed.snapshot().flame_table()
+        );
+    }
+
+    #[test]
+    fn flame_table_matches_snapshot_rows() {
+        let m = MetricsObserver::new();
+        m.on_run_start(&info());
+        m.on_span(SpanKind::ModelBuild, 0.25);
+        m.on_iteration(&timed(0, 0.125));
+        m.on_span(SpanKind::EstimateExtract, 0.5);
+        let s = m.snapshot();
+        let table = s.flame_table();
+        // Header, run, and one row per span-table label; the iteration
+        // row brings its message_passing parent along.
+        assert_eq!(table.lines().count(), 2 + s.span_secs.len() + 1);
+        for (label, _, calls) in &s.span_secs {
+            let row = table
+                .lines()
+                .find(|l| l.split_whitespace().next() == Some(label.as_str()))
+                .unwrap_or_else(|| panic!("row {label} in {table}"));
+            assert!(row.split_whitespace().nth(1) == Some(calls.to_string().as_str()));
+        }
+    }
+
+    #[test]
+    fn snapshot_works_with_spans_still_open() {
+        // A snapshot taken mid-run includes the running run's spans and
+        // leaves the fold untouched: the next run adds on top.
+        let m = MetricsObserver::new();
+        m.on_run_start(&info());
+        m.on_span(SpanKind::ModelBuild, 0.5);
+        assert_eq!(span_row(&m.snapshot(), "model_build"), Some((0.5, 1)));
+        m.on_span(SpanKind::ModelBuild, 0.25);
+        m.on_run_start(&info());
+        m.on_span(SpanKind::ModelBuild, 0.125);
+        assert_eq!(span_row(&m.snapshot(), "model_build"), Some((0.875, 3)));
+        // An empty fold renders the header alone.
+        assert_eq!(
+            MetricsObserver::new()
+                .snapshot()
+                .flame_table()
+                .lines()
+                .count(),
+            1
+        );
+    }
+
+    #[test]
+    fn per_run_span_totals_merge_exactly() {
+        // Seconds that round differently when regrouped:
+        // (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3). One observer over two
+        // runs must still equal the merge of one observer per run.
+        let runs: [&[f64]; 2] = [&[0.1], &[0.2, 0.3]];
+        let both = MetricsObserver::new();
+        let mut parts = Vec::new();
+        for secs in runs {
+            let one = MetricsObserver::new();
+            for m in [&both, &one] {
+                m.on_run_start(&info());
+                for (i, &t) in secs.iter().enumerate() {
+                    m.on_iteration(&timed(i, t));
+                    m.on_span(SpanKind::ModelBuild, t);
+                }
+            }
+            parts.push(one.snapshot());
+        }
+        assert_eq!(MetricsSnapshot::merge(&parts), both.snapshot());
     }
 
     #[test]

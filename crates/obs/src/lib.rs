@@ -38,18 +38,17 @@
 //!   [`WindowedMetrics::render_openmetrics`] is the only OpenMetrics
 //!   writer, driven by the fact table in [`metrics`]. Rotation is
 //!   caller-driven, never wall-clock-driven.
-//! - [`MetricsObserver`] — a private store plus the exact per-iteration
-//!   residual pools and span totals, frozen into a [`MetricsSnapshot`]
-//!   (per-iteration residual quantiles, comm totals, fault counts). The
-//!   fold is *order-insensitive*, which is what makes trace replay equal
-//!   the live run.
-//! - [`SpanProfiler`] — hierarchical wall-clock attribution
-//!   (self/child split, flame-table rendering) over the fixed BP span
-//!   hierarchy; [`Stopwatch`] is the one sanctioned timing primitive
-//!   outside this crate (enforced by `cargo xtask lint`).
-//! - [`analyze_str`] / [`replay`] — parse `trace.jsonl` back into
-//!   [`RunTrace`]s and feed them through the same observers a live run
-//!   uses, so `repro analyze` and in-process metrics share one path.
+//! - [`MetricsObserver`] — the one fold of a run: a private store plus
+//!   the exact per-iteration residual pools and the span table (per
+//!   phase, plus an `iteration` row summing the iteration records),
+//!   frozen into a [`MetricsSnapshot`] that renders the convergence,
+//!   fault and flame tables. The fold is *order-insensitive*, which is
+//!   what makes trace replay equal the live run. [`Stopwatch`] is the
+//!   one sanctioned timing primitive outside this crate (enforced by
+//!   `cargo xtask lint`).
+//! - [`analyze_str`] / [`replay()`] — parse `trace.jsonl` back into
+//!   [`RunTrace`]s and feed them through the same fold a live run uses,
+//!   so `repro analyze` and in-process metrics share one path.
 //!
 //! For *live* deployments (the streaming engine in `wsnloc-serve`) a
 //! telemetry tier sits on top of all of the above:
@@ -61,9 +60,6 @@
 //!   exposing `/metrics` (the store's lifetime and windowed families),
 //!   `/healthz` (liveness, tick count, last-tick age), and `/tenants`
 //!   (JSON rollup) from a hub.
-//! - [`SampledObserver`] — seeded run-level trace sampling
-//!   ([`SamplePolicy`]) with exact kept/dropped accounting;
-//!   [`SamplePolicy::All`] is bit-transparent.
 //! - [`ObsEvent::Context`] correlation stamps (tenant / epoch / shard /
 //!   outer round) let downstream consumers attribute interleaved event
 //!   streams.
@@ -84,7 +80,6 @@ pub mod metrics;
 pub mod observer;
 pub mod profiler;
 pub mod replay;
-pub mod sampling;
 pub mod sink;
 pub mod telemetry;
 pub mod trace;
@@ -98,11 +93,10 @@ pub use observer::{
     FanoutObserver, InferenceObserver, IterationRecord, NodeResidual, NullObserver, ObsEvent,
     RunInfo, RunSummary, SpanKind,
 };
-pub use profiler::{SpanGuard, SpanProfiler, SpanSnapshotRow, Stopwatch};
+pub use profiler::Stopwatch;
 pub use replay::{
     analyze_str, parse_json, parse_jsonl, replay, JsonValue, ReplayError, TraceAnalysis,
 };
-pub use sampling::{SamplePolicy, SampledObserver};
 pub use sink::{write_jsonl, JsonlSink, TraceSink, VecSink};
 pub use telemetry::{TelemetryHub, TelemetryServer};
 pub use trace::{RunTrace, TraceObserver};

@@ -52,8 +52,6 @@ pub enum Fact {
     MapFallbacks,
     /// Grid messages collapsed to the uniform fallback.
     GridFallbacks,
-    /// Evaluation thread-pool build failures.
-    PoolFallbacks,
     /// Tenant epochs that ran BP, per tenant.
     EpochsSolved,
     /// Tenant epochs shed under overload, per tenant.
@@ -64,8 +62,6 @@ pub enum Fact {
     BoundaryExchanges,
     /// Cross-shard belief messages delivered at exchanges, per shard.
     BoundaryMessages,
-    /// Free-form observer notes.
-    Notes,
     /// Scheduler ticks executed.
     Ticks,
     /// Wall seconds per scheduler tick.
@@ -104,7 +100,7 @@ pub(crate) struct Spec {
 
 impl Fact {
     /// Every fact, in declaration order (`ALL[f as usize] == f`).
-    pub(crate) const ALL: [Fact; 22] = [
+    pub(crate) const ALL: [Fact; 20] = [
         Fact::Runs,
         Fact::RunsConverged,
         Fact::Iterations,
@@ -117,13 +113,11 @@ impl Fact {
         Fact::Deaths,
         Fact::MapFallbacks,
         Fact::GridFallbacks,
-        Fact::PoolFallbacks,
         Fact::EpochsSolved,
         Fact::EpochsShed,
         Fact::Contexts,
         Fact::BoundaryExchanges,
         Fact::BoundaryMessages,
-        Fact::Notes,
         Fact::Ticks,
         Fact::TickSeconds,
         Fact::QueueDepth,
@@ -147,13 +141,11 @@ impl Fact {
             Fact::Deaths =>            (Some("wsnloc_fault_node_deaths"),        Some("wsnloc_window_node_deaths"),       Count,               none,   "nodes dead under the fault plan"),
             Fact::MapFallbacks =>      (Some("wsnloc_map_fallbacks"),            None,                                    Count,               none,   "MAP->MMSE estimator fallbacks"),
             Fact::GridFallbacks =>     (Some("wsnloc_grid_uniform_fallbacks"),   Some("wsnloc_window_grid_fallbacks"),    Count,               none,   "grid messages collapsed to uniform"),
-            Fact::PoolFallbacks =>     (Some("wsnloc_pool_fallbacks"),           None,                                    Count,               none,   "thread-pool build failures"),
             Fact::EpochsSolved =>      (Some("wsnloc_serve_epochs_solved"),      Some("wsnloc_window_epochs_solved"),     Count,               tenant, "tenant epochs that ran BP"),
             Fact::EpochsShed =>        (Some("wsnloc_serve_epochs_shed"),        Some("wsnloc_window_epochs_shed"),       Count,               tenant, "tenant epochs shed under overload"),
             Fact::Contexts =>          (Some("wsnloc_context_stamps"),           None,                                    Count,               none,   "correlation-context stamps (tenant/epoch/shard/round)"),
             Fact::BoundaryExchanges => (Some("wsnloc_shard_boundary_exchanges"), None,                                    Count,               none,   "sharded outer-round boundary exchanges"),
             Fact::BoundaryMessages =>  (Some("wsnloc_shard_boundary_messages"),  Some("wsnloc_window_boundary_messages"), Count,               shard,  "cross-shard belief messages delivered at exchanges"),
-            Fact::Notes =>             (Some("wsnloc_notes"),                    None,                                    Count,               none,   "free-form observer notes"),
             Fact::Ticks =>             (Some("wsnloc_serve_ticks"),              None,                                    Count,               none,   "scheduler ticks executed"),
             Fact::TickSeconds =>       (Some("wsnloc_serve_tick_seconds"),       Some("wsnloc_window_tick_seconds"),      Samples(1e-4, 10.0), none,   "wall seconds per scheduler tick"),
             Fact::QueueDepth =>        (None,                                    Some("wsnloc_window_queue_depth"),       Gauge,               tenant, "queued epochs per tenant"),

@@ -136,15 +136,6 @@ pub enum ObsEvent {
         /// fixed-(anchor-)source message.
         stage: &'static str,
     },
-    /// A dedicated evaluation thread pool could not be built; the trials
-    /// fell back to the ambient rayon pool. Previously this fallback was
-    /// silent.
-    ThreadPoolFallback {
-        /// Thread count that was requested.
-        requested: usize,
-        /// The pool-build error, stringified.
-        error: String,
-    },
     /// One or more BP messages were lost to the fault transport this
     /// iteration (aggregated per iteration to keep trace volume sane).
     MessageDropped {
@@ -212,11 +203,6 @@ pub enum ObsEvent {
         shard: usize,
         /// Cross-shard belief messages delivered to this shard.
         messages: u64,
-    },
-    /// Free-form annotation.
-    Note {
-        /// The annotation text.
-        message: String,
     },
 }
 

@@ -1,32 +1,12 @@
-//! Hierarchical wall-clock profiling: [`Stopwatch`] and [`SpanProfiler`].
+//! Wall-clock timing: [`Stopwatch`].
 //!
 //! `Stopwatch` is the single sanctioned timing primitive of the
 //! workspace: `cargo xtask lint` rejects `Instant::now()` everywhere
 //! outside `wsnloc-obs`, so every measured duration flows through this
-//! module and is therefore visible to the profiler and the metrics
-//! tier.
-//!
-//! `SpanProfiler` aggregates labelled spans into a tree with self/child
-//! wall-clock attribution. It ingests timings two ways:
-//!
-//! - the generic RAII API ([`SpanProfiler::enter`]) for ad-hoc
-//!   instrumentation — guards nest per thread, so a span entered while
-//!   another is open becomes its child;
-//! - the [`InferenceObserver`] impl, which maps the *fixed* BP phase
-//!   hierarchy (`run` → `model_build`/`prior_init`/`message_passing`/
-//!   `estimate_extract`, with per-iteration updates under
-//!   `message_passing`) onto the same tree. The mapping is structural,
-//!   not stack-based, so replaying a recorded trace produces the same
-//!   tree as the live run that emitted it.
-//!
-//! [`SpanProfiler::flame_table`] renders the tree as an indented table
-//! with calls, total seconds, self seconds (total minus attributed
-//! children), and percent of root time.
+//! module. Engines report what they time as observer spans, and the
+//! [`MetricsObserver`](crate::MetricsObserver) fold attributes them
+//! (see [`MetricsSnapshot::flame_table`](crate::MetricsSnapshot::flame_table)).
 
-use crate::observer::{InferenceObserver, IterationRecord, RunInfo, SpanKind};
-use std::collections::HashMap;
-use std::sync::{Mutex, MutexGuard, PoisonError};
-use std::thread::ThreadId;
 use std::time::Instant;
 
 /// A started wall-clock timer. The only place the workspace is allowed
@@ -52,428 +32,13 @@ impl Stopwatch {
     }
 }
 
-/// One node of the span tree: a label under a parent, accumulated over
-/// every call that hit it.
-#[derive(Debug, Clone)]
-struct SpanNode {
-    label: &'static str,
-    children: Vec<usize>,
-    /// Seconds explicitly recorded against this node.
-    total_secs: f64,
-    calls: u64,
-}
-
-#[derive(Debug, Default)]
-struct ProfState {
-    nodes: Vec<SpanNode>,
-    roots: Vec<usize>,
-    /// Open-span stack per thread, for the RAII API.
-    stacks: HashMap<ThreadId, Vec<usize>>,
-}
-
-impl ProfState {
-    /// Index of `label` under `parent`, creating the node if new.
-    fn child(&mut self, parent: Option<usize>, label: &'static str) -> usize {
-        let siblings = match parent {
-            Some(p) => &self.nodes[p].children,
-            None => &self.roots,
-        };
-        if let Some(&idx) = siblings.iter().find(|&&idx| self.nodes[idx].label == label) {
-            return idx;
-        }
-        let idx = self.nodes.len();
-        self.nodes.push(SpanNode {
-            label,
-            children: Vec::new(),
-            total_secs: 0.0,
-            calls: 0,
-        });
-        match parent {
-            Some(p) => self.nodes[p].children.push(idx),
-            None => self.roots.push(idx),
-        }
-        idx
-    }
-
-    /// Walks `path` from the roots, creating nodes as needed, and adds
-    /// `secs` and one call to the final node.
-    fn record_path(&mut self, path: &[&'static str], secs: f64) {
-        let mut parent = None;
-        for label in path {
-            parent = Some(self.child(parent, label));
-        }
-        if let Some(idx) = parent {
-            self.nodes[idx].total_secs += secs;
-            self.nodes[idx].calls += 1;
-        }
-    }
-
-    /// Display total of a node: explicitly recorded seconds, or the sum
-    /// of its children when nothing was recorded directly (aggregate
-    /// nodes like `run`).
-    fn display_total(&self, idx: usize) -> f64 {
-        let n = &self.nodes[idx];
-        let child_sum: f64 = n.children.iter().map(|&c| self.display_total(c)).sum();
-        if n.total_secs > 0.0 {
-            n.total_secs
-        } else {
-            child_sum
-        }
-    }
-}
-
-/// A hierarchical span profiler: aggregates labelled wall-clock spans
-/// into a tree and renders a flame-style attribution table.
-///
-/// Interior mutability behind a mutex lets it observe runs that report
-/// from worker threads; a poisoned lock (a panicking reporter) is
-/// recovered because every mutation leaves the tree consistent.
-#[derive(Debug, Default)]
-pub struct SpanProfiler {
-    state: Mutex<ProfState>,
-}
-
-/// RAII guard for a span opened with [`SpanProfiler::enter`]; records
-/// the elapsed wall time into the profiler when dropped.
-#[derive(Debug)]
-pub struct SpanGuard<'a> {
-    profiler: &'a SpanProfiler,
-    node: usize,
-    watch: Stopwatch,
-}
-
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        let secs = self.watch.elapsed_secs();
-        let mut st = self.profiler.locked();
-        st.nodes[self.node].total_secs += secs;
-        st.nodes[self.node].calls += 1;
-        let tid = std::thread::current().id();
-        if let Some(stack) = st.stacks.get_mut(&tid) {
-            if stack.last() == Some(&self.node) {
-                stack.pop();
-            }
-        }
-    }
-}
-
-impl SpanProfiler {
-    /// A fresh, empty profiler.
-    #[must_use]
-    pub fn new() -> Self {
-        SpanProfiler::default()
-    }
-
-    fn locked(&self) -> MutexGuard<'_, ProfState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Opens a span named `label` under the calling thread's currently
-    /// open span (a root span if none is open). The span closes — and
-    /// its wall time is recorded — when the returned guard drops.
-    pub fn enter(&self, label: &'static str) -> SpanGuard<'_> {
-        let tid = std::thread::current().id();
-        let mut st = self.locked();
-        let parent = st.stacks.get(&tid).and_then(|s| s.last()).copied();
-        let node = st.child(parent, label);
-        st.stacks.entry(tid).or_default().push(node);
-        drop(st);
-        SpanGuard {
-            profiler: self,
-            node,
-            watch: Stopwatch::start(),
-        }
-    }
-
-    /// Adds `secs` and one call to the node at `path` (root-first),
-    /// creating intermediate nodes as needed. This is how structural
-    /// (non-stack) sources like the observer callbacks feed the tree.
-    pub fn record_path(&self, path: &[&'static str], secs: f64) {
-        self.locked().record_path(path, secs);
-    }
-
-    /// Total seconds attributed to the node at `path`, or `None` if no
-    /// such span was ever recorded.
-    #[must_use]
-    pub fn total_secs(&self, path: &[&'static str]) -> Option<f64> {
-        let st = self.locked();
-        let mut parent: Option<usize> = None;
-        for label in path {
-            let siblings = match parent {
-                Some(p) => &st.nodes[p].children,
-                None => &st.roots,
-            };
-            parent = siblings
-                .iter()
-                .copied()
-                .find(|&idx| st.nodes[idx].label == *label);
-            parent?;
-        }
-        parent.map(|idx| st.display_total(idx))
-    }
-
-    /// A cheap, consistent snapshot of the span tree: rows in
-    /// depth-first, label-sorted order, each with accumulated calls and
-    /// total/self seconds. Safe to call mid-run — open RAII spans are
-    /// untouched (their time lands when the guard drops), per-thread
-    /// stacks are not consulted, and the lock is held only for the copy.
-    /// This is what live endpoints (`/healthz`) export without stopping
-    /// the profiled run.
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<SpanSnapshotRow> {
-        let st = self.locked();
-        let mut rows = Vec::with_capacity(st.nodes.len());
-        // (node, depth) DFS with label-sorted children.
-        let mut stack: Vec<(usize, usize)> = Vec::new();
-        let mut roots = st.roots.clone();
-        roots.sort_by_key(|&idx| st.nodes[idx].label);
-        for &r in roots.iter().rev() {
-            stack.push((r, 0));
-        }
-        while let Some((idx, depth)) = stack.pop() {
-            let node = &st.nodes[idx];
-            let total = st.display_total(idx);
-            let child_sum: f64 = node.children.iter().map(|&c| st.display_total(c)).sum();
-            rows.push(SpanSnapshotRow {
-                label: node.label,
-                depth,
-                calls: node.calls,
-                total_secs: total,
-                self_secs: (total - child_sum).max(0.0),
-            });
-            let mut kids = node.children.clone();
-            kids.sort_by_key(|&c| st.nodes[c].label);
-            for &c in kids.iter().rev() {
-                stack.push((c, depth + 1));
-            }
-        }
-        rows
-    }
-
-    /// Renders the span tree as an indented flame table. Children are
-    /// sorted by label so the rendering is independent of arrival order
-    /// (live runs and trace replays produce identical tables). Built on
-    /// [`SpanProfiler::snapshot`], so it too is safe mid-run.
-    #[must_use]
-    pub fn flame_table(&self) -> String {
-        use std::fmt::Write as _;
-        let rows = self.snapshot();
-        let grand_total: f64 = rows
-            .iter()
-            .filter(|r| r.depth == 0)
-            .map(|r| r.total_secs)
-            .sum();
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:<40} {:>8} {:>12} {:>12} {:>7}",
-            "span", "calls", "total s", "self s", "%"
-        );
-        for row in &rows {
-            let pct = if grand_total > 0.0 {
-                100.0 * row.total_secs / grand_total
-            } else {
-                0.0
-            };
-            let label = format!("{:indent$}{}", "", row.label, indent = 2 * row.depth);
-            let _ = writeln!(
-                out,
-                "{label:<40} {:>8} {:>12.6} {:>12.6} {pct:>7.1}",
-                row.calls, row.total_secs, row.self_secs
-            );
-        }
-        out
-    }
-}
-
-/// One row of a [`SpanProfiler::snapshot`]: a span-tree node in
-/// depth-first order with its accumulated attribution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpanSnapshotRow {
-    /// Span label.
-    pub label: &'static str,
-    /// Nesting depth (0 = root span).
-    pub depth: usize,
-    /// Times the span was recorded.
-    pub calls: u64,
-    /// Display total: explicit seconds, or child sum for aggregates.
-    pub total_secs: f64,
-    /// Total minus attributed children, floored at zero.
-    pub self_secs: f64,
-}
-
-/// The fixed BP phase hierarchy: every observed run maps onto
-/// `run` → phase spans, with per-iteration updates nested under
-/// `message_passing`. Structural rather than stack-based, so live runs
-/// and trace replays build identical trees regardless of callback
-/// ordering.
-impl InferenceObserver for SpanProfiler {
-    fn on_run_start(&self, _info: &RunInfo) {
-        // Count the run; its display total derives from the children.
-        self.record_path(&["run"], 0.0);
-    }
-
-    fn on_iteration(&self, record: &IterationRecord) {
-        self.record_path(&["run", "message_passing", "iteration"], record.secs);
-    }
-
-    fn on_span(&self, span: SpanKind, secs: f64) {
-        self.record_path(&["run", span.label()], secs);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observer::RunSummary;
-    use wsnloc_net::accounting::CommStats;
-
-    fn record(i: usize, secs: f64) -> IterationRecord {
-        IterationRecord {
-            iteration: i,
-            max_shift: 1.0,
-            comm: CommStats {
-                messages: 2,
-                bytes: 48,
-            },
-            damping: 0.0,
-            schedule: "synchronous",
-            secs,
-            residuals: Vec::new(),
-        }
-    }
 
     #[test]
     fn stopwatch_measures_nonnegative_time() {
         let w = Stopwatch::start();
         assert!(w.elapsed_secs() >= 0.0);
-    }
-
-    #[test]
-    fn raii_spans_nest_per_thread() {
-        let prof = SpanProfiler::new();
-        {
-            let _outer = prof.enter("outer");
-            {
-                let _inner = prof.enter("inner");
-            }
-            {
-                let _inner = prof.enter("inner");
-            }
-        }
-        let table = prof.flame_table();
-        assert!(table.contains("outer"));
-        assert!(table.contains("  inner"));
-        assert!(prof.total_secs(&["outer", "inner"]).is_some());
-        assert!(prof.total_secs(&["inner"]).is_none(), "inner is not a root");
-    }
-
-    #[test]
-    fn observer_callbacks_build_the_fixed_hierarchy() {
-        let prof = SpanProfiler::new();
-        let info = RunInfo {
-            backend: "particle",
-            nodes: 4,
-            free: 2,
-            edges: 3,
-            max_iterations: 2,
-            tolerance: 0.0,
-            damping: 0.0,
-            schedule: "synchronous",
-            message_bytes: 24,
-            seed: 1,
-        };
-        prof.on_run_start(&info);
-        prof.on_span(SpanKind::PriorInit, 0.010);
-        prof.on_iteration(&record(0, 0.005));
-        prof.on_iteration(&record(1, 0.007));
-        prof.on_span(SpanKind::MessagePassing, 0.020);
-        prof.on_run_end(&RunSummary {
-            iterations: 2,
-            converged: true,
-            comm: CommStats {
-                messages: 4,
-                bytes: 96,
-            },
-        });
-
-        let iter_total = prof
-            .total_secs(&["run", "message_passing", "iteration"])
-            .expect("iterations recorded");
-        assert!((iter_total - 0.012).abs() < 1e-12);
-        let mp = prof
-            .total_secs(&["run", "message_passing"])
-            .expect("message passing recorded");
-        assert!((mp - 0.020).abs() < 1e-12);
-        // Run total derives from its children (no direct seconds).
-        let run = prof.total_secs(&["run"]).expect("run recorded");
-        assert!((run - 0.030).abs() < 1e-12);
-        // Self time of message_passing excludes the iteration children.
-        let table = prof.flame_table();
-        let mp_row = table
-            .lines()
-            .find(|l| l.trim_start().starts_with("message_passing"))
-            .expect("message_passing row");
-        assert!(mp_row.contains("0.008000"), "self time row: {mp_row}");
-    }
-
-    #[test]
-    fn ingest_order_does_not_change_the_table() {
-        // Live runs report prior_init before the iterations; trace
-        // replays deliver all iterations before any span. Same table.
-        let live = SpanProfiler::new();
-        live.on_span(SpanKind::PriorInit, 0.004);
-        live.on_iteration(&record(0, 0.001));
-        live.on_span(SpanKind::MessagePassing, 0.002);
-
-        let replayed = SpanProfiler::new();
-        replayed.on_iteration(&record(0, 0.001));
-        replayed.on_span(SpanKind::PriorInit, 0.004);
-        replayed.on_span(SpanKind::MessagePassing, 0.002);
-
-        assert_eq!(live.flame_table(), replayed.flame_table());
-    }
-
-    #[test]
-    fn profiler_does_not_request_residuals() {
-        assert!(!SpanProfiler::new().wants_residuals());
-    }
-
-    #[test]
-    fn snapshot_works_with_spans_still_open() {
-        let prof = SpanProfiler::new();
-        prof.record_path(&["run", "message_passing"], 0.5);
-        let _open = prof.enter("run"); // still open while we snapshot
-        let rows = prof.snapshot();
-        let run = rows
-            .iter()
-            .find(|r| r.label == "run" && r.depth == 0)
-            .expect("run row present");
-        // The open span has contributed no time yet; the recorded child
-        // drives the display total.
-        assert!((run.total_secs - 0.5).abs() < 1e-12);
-        let mp = rows
-            .iter()
-            .find(|r| r.label == "message_passing")
-            .expect("child row present");
-        assert_eq!(mp.depth, 1);
-        assert_eq!(mp.calls, 1);
-        // Snapshot did not close the open span: dropping the guard still
-        // records its call afterwards.
-        drop(_open);
-        let after = prof.snapshot();
-        let run_after = after.iter().find(|r| r.label == "run").expect("run row");
-        assert_eq!(run_after.calls, 1, "the guard drop recorded one call");
-    }
-
-    #[test]
-    fn flame_table_matches_snapshot_rows() {
-        let prof = SpanProfiler::new();
-        prof.record_path(&["run"], 0.0);
-        prof.record_path(&["run", "model_build"], 0.25);
-        let table = prof.flame_table();
-        for row in prof.snapshot() {
-            assert!(table.contains(row.label), "row {} in table", row.label);
-        }
     }
 }

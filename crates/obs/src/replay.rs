@@ -5,10 +5,9 @@
 //! [`write_jsonl`](crate::write_jsonl) encoder and this parser are
 //! exact inverses for every finite value (Rust prints f64 in
 //! shortest-round-trip form and parses it back correctly rounded), and
-//! the [`MetricsObserver`](crate::MetricsObserver) fold is
-//! order-insensitive, so replaying a recorded trace reproduces the live
-//! run's metrics snapshot exactly. `repro analyze` is a thin CLI over
-//! [`analyze_str`].
+//! the [`MetricsObserver`] fold is order-insensitive, so replaying a
+//! recorded trace reproduces the live run's metrics snapshot exactly.
+//! `repro analyze` is a thin CLI over [`analyze_str`].
 //!
 //! The parser is hand-rolled (no serde in the build environment) and
 //! *tolerant in the forward direction*: unknown record types, span
@@ -17,10 +16,8 @@
 
 use crate::fold::{MetricsObserver, MetricsSnapshot};
 use crate::observer::{
-    FanoutObserver, InferenceObserver, IterationRecord, NodeResidual, ObsEvent, RunInfo,
-    RunSummary, SpanKind,
+    InferenceObserver, IterationRecord, NodeResidual, ObsEvent, RunInfo, RunSummary, SpanKind,
 };
-use crate::profiler::SpanProfiler;
 use crate::trace::RunTrace;
 use std::fmt;
 use wsnloc_net::accounting::CommStats;
@@ -478,10 +475,6 @@ fn parse_event(v: &JsonValue) -> Result<Option<ObsEvent>, String> {
             edge: field_usize(v, "edge")?,
             stage: intern_stage(field_str(v, "stage")?),
         }),
-        "thread_pool_fallback" => Some(ObsEvent::ThreadPoolFallback {
-            requested: field_usize(v, "requested")?,
-            error: field_str(v, "error")?.to_owned(),
-        }),
         "message_dropped" => Some(ObsEvent::MessageDropped {
             iteration: field_usize(v, "iteration")?,
             count: field_u64(v, "count")?,
@@ -515,9 +508,6 @@ fn parse_event(v: &JsonValue) -> Result<Option<ObsEvent>, String> {
             round: field_usize(v, "round")?,
             shard: field_usize(v, "shard")?,
             messages: field_u64(v, "messages")?,
-        }),
-        "note" => Some(ObsEvent::Note {
-            message: field_str(v, "message")?.to_owned(),
         }),
         _ => None, // forward compatibility: unknown events are skipped
     };
@@ -614,26 +604,25 @@ pub struct TraceAnalysis {
     pub incomplete_runs: usize,
     /// The replayed metrics fold.
     pub snapshot: MetricsSnapshot,
-    /// Hierarchical span attribution over all runs.
+    /// The snapshot's span table as a flame table
+    /// ([`MetricsSnapshot::flame_table`]).
     pub flame_table: String,
     /// OpenMetrics rendering of the replayed store.
     pub openmetrics: String,
 }
 
 /// Parses a JSONL trace and replays it into a fresh
-/// [`MetricsObserver`] + [`SpanProfiler`] pair — the one analytics path
-/// shared with live runs.
+/// [`MetricsObserver`] — the one fold shared with live runs.
 pub fn analyze_str(text: &str) -> Result<TraceAnalysis, ReplayError> {
     let runs = parse_jsonl(text)?;
     let metrics = MetricsObserver::new();
-    let profiler = SpanProfiler::new();
-    let fan = FanoutObserver::new(vec![&metrics, &profiler]);
-    replay(&runs, &fan);
+    replay(&runs, &metrics);
+    let snapshot = metrics.snapshot();
     Ok(TraceAnalysis {
         runs: runs.len(),
         incomplete_runs: runs.iter().filter(|r| r.summary.is_none()).count(),
-        snapshot: metrics.snapshot(),
-        flame_table: profiler.flame_table(),
+        flame_table: snapshot.flame_table(),
+        snapshot,
         openmetrics: metrics.window().render_run_facts(),
     })
 }
@@ -689,8 +678,11 @@ mod tests {
                     iteration: 0,
                     count: 3,
                 },
-                ObsEvent::Note {
-                    message: "say \"hi\"\n".to_owned(),
+                ObsEvent::Context {
+                    tenant: Some(3),
+                    epoch: None,
+                    shard: Some(1),
+                    round: Some(0),
                 },
             ],
             summary: Some(RunSummary {

@@ -14,10 +14,13 @@
 //! {"type":"span","span":"model_build|prior_init|message_passing|estimate_extract","secs":..}
 //! {"type":"event","event":"map_fallback_to_mmse","backend":..}
 //! {"type":"event","event":"grid_uniform_fallback","edge":..,"stage":"kernel|point"}
-//! {"type":"event","event":"thread_pool_fallback","requested":..,"error":..}
+//! {"type":"event","event":"message_dropped","iteration":..,"count":..}
+//! {"type":"event","event":"node_died","iteration":..,"node":..}
+//! {"type":"event","event":"stale_message_used","iteration":..,"count":..}
 //! {"type":"event","event":"epoch_advanced","tenant":..,"epoch":..}
 //! {"type":"event","event":"tenant_shed","tenant":..,"epoch":..}
-//! {"type":"event","event":"note","message":..}
+//! {"type":"event","event":"context","tenant":..,"epoch":..,"shard":..,"round":..}
+//! {"type":"event","event":"boundary_exchange","round":..,"shard":..,"messages":..}
 //! {"type":"run_end","iterations":..,"converged":..,"messages":..,"bytes":..}
 //! ```
 //!
@@ -200,11 +203,6 @@ fn event_line(event: &ObsEvent) -> String {
             let _ = write!(s, ",\"edge\":{edge},\"stage\":");
             push_json_str(&mut s, stage);
         }
-        ObsEvent::ThreadPoolFallback { requested, error } => {
-            push_json_str(&mut s, "thread_pool_fallback");
-            let _ = write!(s, ",\"requested\":{requested},\"error\":");
-            push_json_str(&mut s, error);
-        }
         ObsEvent::MessageDropped { iteration, count } => {
             push_json_str(&mut s, "message_dropped");
             let _ = write!(s, ",\"iteration\":{iteration},\"count\":{count}");
@@ -253,11 +251,6 @@ fn event_line(event: &ObsEvent) -> String {
                 s,
                 ",\"round\":{round},\"shard\":{shard},\"messages\":{messages}"
             );
-        }
-        ObsEvent::Note { message } => {
-            push_json_str(&mut s, "note");
-            s.push_str(",\"message\":");
-            push_json_str(&mut s, message);
         }
     }
     s.push('}');
@@ -370,8 +363,9 @@ mod tests {
                 }],
             }],
             spans: vec![(SpanKind::MessagePassing, 0.002)],
-            events: vec![ObsEvent::Note {
-                message: "say \"hi\"\n".to_owned(),
+            events: vec![ObsEvent::MessageDropped {
+                iteration: 0,
+                count: 2,
             }],
             summary: Some(RunSummary {
                 iterations: 1,
@@ -408,9 +402,8 @@ mod tests {
                 edge: 7,
                 stage: "kernel",
             },
-            ObsEvent::ThreadPoolFallback {
-                requested: 8,
-                error: "no threads".to_owned(),
+            ObsEvent::MapFallbackToMmse {
+                backend: "gaussian",
             },
         ];
         let mut sink = VecSink::new();
@@ -424,16 +417,15 @@ mod tests {
         assert!(sink
             .lines
             .iter()
-            .any(|l| l.contains("\"event\":\"thread_pool_fallback\"")
-                && l.contains("\"requested\":8")
-                && l.contains("\"error\":\"no threads\"")));
+            .any(|l| l.contains("\"event\":\"map_fallback_to_mmse\"")
+                && l.contains("\"backend\":\"gaussian\"")));
     }
 
     #[test]
     fn escapes_strings() {
-        let mut sink = VecSink::new();
-        write_jsonl(&[sample_run()], &mut sink).unwrap();
-        assert!(sink.lines[3].contains("\"message\":\"say \\\"hi\\\"\\n\""));
+        let mut s = String::new();
+        push_json_str(&mut s, "say \"hi\"\n\\\u{1}");
+        assert_eq!(s, "\"say \\\"hi\\\"\\n\\\\\\u0001\"");
     }
 
     #[test]

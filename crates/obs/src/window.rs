@@ -19,7 +19,7 @@
 //! callbacks onto facts: run starts and verdicts, iteration records
 //! (message and byte volume, iteration seconds, residuals), fault
 //! events, tenant epochs solved and shed, per-shard
-//! [`ObsEvent::BoundaryExchange`] traffic, context stamps and notes.
+//! [`ObsEvent::BoundaryExchange`] traffic and context stamps.
 //! [`render_openmetrics`](WindowedMetrics::render_openmetrics) writes both
 //! views through the fact table in [`metrics`](crate::metrics).
 
@@ -251,7 +251,6 @@ impl InferenceObserver for WindowedMetrics {
         match event {
             ObsEvent::MapFallbackToMmse { .. } => st.add(Fact::MapFallbacks, 0, 1),
             ObsEvent::GridUniformFallback { .. } => st.add(Fact::GridFallbacks, 0, 1),
-            ObsEvent::ThreadPoolFallback { .. } => st.add(Fact::PoolFallbacks, 0, 1),
             ObsEvent::MessageDropped { count, .. } => st.add(Fact::Dropped, 0, *count),
             ObsEvent::StaleMessageUsed { count, .. } => st.add(Fact::Stale, 0, *count),
             ObsEvent::NodeDied { .. } => st.add(Fact::Deaths, 0, 1),
@@ -264,7 +263,6 @@ impl InferenceObserver for WindowedMetrics {
                 st.add(Fact::BoundaryExchanges, 0, 1);
                 st.add(Fact::BoundaryMessages, *shard as u64, *messages);
             }
-            ObsEvent::Note { .. } => st.add(Fact::Notes, 0, 1),
         }
     }
 

@@ -1,15 +1,15 @@
 //! Observer-layer guarantees: the zero-cost contract of `NullObserver`,
 //! thread-count-independent telemetry under the synchronous schedule, the
 //! builder-first validation surface, structured MAP-fallback events, the
-//! trace.jsonl serialization path end to end, and the live scrape surface
-//! against a golden capture.
+//! trace.jsonl serialization path end to end, the flame table against
+//! golden literals, and the live scrape surface against a golden capture.
 
 use std::sync::Mutex;
 use wsnloc::prelude::*;
 use wsnloc_eval::{evaluate, EvalConfig, Parallelism};
 use wsnloc_obs::{
-    accounting, analyze_str, parse_jsonl, replay, write_jsonl, ObsEvent, SamplePolicy,
-    SampledObserver, VecSink,
+    accounting, analyze_str, parse_jsonl, write_jsonl, CommStats, IterationRecord, ObsEvent,
+    RunInfo, RunSummary, RunTrace, SpanKind, VecSink,
 };
 use wsnloc_serve::{EngineConfig, MeasurementEpoch, SessionConfig, StreamingEngine};
 
@@ -199,13 +199,13 @@ fn analyze_reproduces_the_live_metrics_snapshot() {
                 .with_parallelism(Parallelism::Sequential),
         );
         let live = outcome.metrics.expect("with_metrics collects snapshots");
-        let agg = outcome.trace.expect("with_traces collects traces");
+        let traces = outcome.traces.expect("with_traces collects traces");
 
         let mut sink = VecSink::new();
-        write_jsonl(&agg.traces, &mut sink).expect("in-memory sink");
+        write_jsonl(&traces, &mut sink).expect("in-memory sink");
         let analysis = analyze_str(&sink.lines.join("\n")).expect("recorded trace parses");
 
-        assert_eq!(analysis.runs as u64, agg.runs);
+        assert_eq!(analysis.runs, traces.len());
         assert_eq!(analysis.incomplete_runs, 0);
         assert_eq!(
             analysis.snapshot, live.overall,
@@ -265,21 +265,26 @@ fn evaluate_traces_serialize_to_replayable_jsonl() {
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     // Flat runs report residuals from iteration 0; a sharded run's first
-    // round has no baseline, so its curve is one entry shorter.
-    for (localizer, curve_len) in [(algo(), 4), (sharded_algo(), 3)] {
+    // round has no baseline, so its iteration-0 residual pool is empty.
+    for (localizer, sharded) in [(algo(), false), (sharded_algo(), true)] {
         let outcome = evaluate(
             &localizer,
             &scenario(),
             &EvalConfig::trials(2)
                 .with_traces()
+                .with_metrics()
                 .with_parallelism(Parallelism::Sequential),
         );
-        let agg = outcome.trace.expect("with_traces collects an aggregate");
-        assert_eq!(agg.runs, 2);
-        assert_eq!(agg.mean_residual_curve.len(), curve_len);
+        let traces = outcome.traces.expect("with_traces collects traces");
+        assert_eq!(traces.len(), 2);
+        let metrics = outcome.metrics.expect("with_metrics collects snapshots");
+        let per_iteration = &metrics.overall.per_iteration;
+        assert_eq!(per_iteration.len(), 4);
+        assert_eq!(per_iteration[0].residuals.is_empty(), sharded);
+        assert!(per_iteration[1..].iter().all(|it| !it.residuals.is_empty()));
 
         let mut sink = VecSink::new();
-        let lines = write_jsonl(&agg.traces, &mut sink).expect("in-memory sink");
+        let lines = write_jsonl(&traces, &mut sink).expect("in-memory sink");
         assert_eq!(lines, sink.lines.len());
         // One run_start/run_end pair per trial, contiguous records in between.
         let starts: Vec<usize> = sink
@@ -321,8 +326,8 @@ fn evaluate_traces_serialize_to_replayable_jsonl() {
         // loss is a non-finite `max_shift`: JSONL writes it as `null`,
         // which parses as NaN.
         let parsed = parse_jsonl(&sink.lines.join("\n")).expect("recorded trace parses");
-        assert_eq!(parsed.len(), agg.traces.len());
-        for (back, run) in parsed.iter().zip(&agg.traces) {
+        assert_eq!(parsed.len(), traces.len());
+        for (back, run) in parsed.iter().zip(&traces) {
             assert_eq!(back.info, run.info, "run info must round-trip");
             assert_eq!(back.spans, run.spans);
             assert_eq!(back.events, run.events);
@@ -337,99 +342,6 @@ fn evaluate_traces_serialize_to_replayable_jsonl() {
             }
         }
     }
-}
-
-#[test]
-fn sample_policy_all_reproduces_trace_jsonl_byte_for_byte() {
-    let _guard = SERIAL
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    // The transparency criterion of the sampling tier: a SamplePolicy::All
-    // gate between the engine and the trace recorder changes nothing in
-    // the serialized trace.jsonl, down to the last byte. Byte-for-byte
-    // comparison requires the gate to see the *same* callback stream the
-    // recording did (live re-runs differ in wall-clock fields), so the
-    // recorded runs are replayed through the gate.
-    let (net, _) = scenario().build_trial(4);
-    let recorder = TraceObserver::new();
-    for seed in 0..3u64 {
-        let _ = algo().localize_with_observer(&net, seed, &recorder);
-    }
-    let runs = recorder.take_runs();
-    let mut original = VecSink::new();
-    write_jsonl(&runs, &mut original).expect("in-memory sink");
-
-    let gated_inner = TraceObserver::new();
-    let gated = SampledObserver::new(&gated_inner, SamplePolicy::All, 0xA11);
-    replay(&runs, &gated);
-    assert_eq!(gated.kept_runs(), 3);
-    assert_eq!(gated.dropped_events(), 0);
-
-    let mut gated_sink = VecSink::new();
-    write_jsonl(&gated_inner.take_runs(), &mut gated_sink).expect("in-memory sink");
-    assert_eq!(
-        original.lines, gated_sink.lines,
-        "SamplePolicy::All must be byte-transparent"
-    );
-}
-
-#[test]
-fn hash_ratio_sampling_is_bit_identical_across_pool_sizes() {
-    let _guard = SERIAL
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    // The sampling decision is a pure function of (run seed, sampler
-    // seed), so which runs survive — and everything deterministic in
-    // their traces — must not depend on the rayon pool size the solves
-    // ran under. Wall-clock fields (`secs`) are the one sanctioned
-    // difference, so the fingerprint covers everything but timing.
-    let (net, _) = scenario().build_trial(5);
-    let fingerprint = |runs: &[wsnloc_obs::RunTrace]| -> Vec<u64> {
-        let mut fp = Vec::new();
-        for run in runs {
-            fp.push(run.info.seed);
-            fp.push(run.iterations.len() as u64);
-            for it in &run.iterations {
-                fp.push(it.iteration as u64);
-                fp.push(it.max_shift.to_bits());
-                fp.push(it.comm.messages);
-                for r in &it.residuals {
-                    fp.push(r.node as u64);
-                    fp.push(r.residual.to_bits());
-                }
-            }
-            let summary = run.summary.expect("completed run");
-            fp.push(summary.iterations as u64);
-            fp.push(u64::from(summary.converged));
-        }
-        fp
-    };
-    let sample = |threads: usize| {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("pool")
-            .install(|| {
-                let inner = TraceObserver::new();
-                let sampled = SampledObserver::new(&inner, SamplePolicy::HashRatio(0.5), 0x5EED);
-                for seed in 0..8u64 {
-                    let _ = algo().localize_with_observer(&net, seed, &sampled);
-                }
-                assert_eq!(sampled.kept_runs() + sampled.dropped_runs(), 8);
-                assert!(sampled.dropped_runs() > 0, "p=0.5 over 8 runs drops some");
-                assert!(sampled.kept_runs() > 0, "p=0.5 over 8 runs keeps some");
-                (fingerprint(&inner.take_runs()), sampled.dropped_events())
-            })
-    };
-    let (fp1, dropped1) = sample(1);
-    let (fp2, dropped2) = sample(2);
-    let (fp4, dropped4) = sample(4);
-    assert_eq!(fp1, fp2, "sampled trace differs between 1 and 2 threads");
-    assert_eq!(fp2, fp4, "sampled trace differs between 2 and 4 threads");
-    // Suppressed-callback accounting is thread-count-invariant too: the
-    // synchronous schedule reports the same callbacks regardless of pool.
-    assert_eq!(dropped1, dropped2);
-    assert_eq!(dropped2, dropped4);
 }
 
 #[test]
@@ -594,3 +506,122 @@ fn scrape_surface_keeps_every_golden_series() {
         assert!(health.contains(key), "/healthz lacks {key}: {health}");
     }
 }
+
+/// A hand-built run for the flame-table golden test. Every duration is a
+/// power of two, so each span total is exact in whatever order the fold
+/// adds it up.
+fn flame_run(
+    backend: &'static str,
+    iteration_secs: &[f64],
+    spans: &[(SpanKind, f64)],
+    complete: bool,
+) -> RunTrace {
+    let n = iteration_secs.len();
+    RunTrace {
+        info: RunInfo {
+            backend,
+            nodes: 4,
+            free: 2,
+            edges: 3,
+            max_iterations: 4,
+            tolerance: 0.0,
+            damping: 0.0,
+            schedule: "synchronous",
+            message_bytes: 24,
+            seed: 1,
+        },
+        iterations: iteration_secs
+            .iter()
+            .enumerate()
+            .map(|(iteration, &secs)| IterationRecord {
+                iteration,
+                max_shift: 1.0,
+                comm: CommStats {
+                    messages: 2,
+                    bytes: 48,
+                },
+                damping: 0.0,
+                schedule: "synchronous",
+                secs,
+                residuals: Vec::new(),
+            })
+            .collect(),
+        spans: spans.to_vec(),
+        events: Vec::new(),
+        summary: complete.then_some(RunSummary {
+            iterations: n,
+            converged: false,
+            comm: CommStats {
+                messages: 2 * n as u64,
+                bytes: 48 * n as u64,
+            },
+        }),
+    }
+}
+
+fn flame_of(runs: &[RunTrace]) -> String {
+    let mut sink = VecSink::new();
+    write_jsonl(runs, &mut sink).expect("in-memory sink");
+    analyze_str(&sink.lines.join("\n"))
+        .expect("hand-built trace parses")
+        .flame_table
+}
+
+#[test]
+fn flame_table_matches_the_golden_rendering() {
+    // (a) A flat run next to a sharded-style run that reports
+    // `model_build` twice (model build, then shard compile).
+    let flat = flame_run(
+        "particle",
+        &[0.125, 0.0625],
+        &[
+            (SpanKind::PriorInit, 0.5),
+            (SpanKind::MessagePassing, 0.25),
+            (SpanKind::ModelBuild, 0.25),
+            (SpanKind::EstimateExtract, 0.03125),
+        ],
+        true,
+    );
+    let sharded = flame_run(
+        "sharded-gaussian",
+        &[0.125, 0.125, 0.0625],
+        &[
+            (SpanKind::ModelBuild, 0.125),
+            (SpanKind::MessagePassing, 0.5),
+            (SpanKind::ModelBuild, 0.0625),
+            (SpanKind::EstimateExtract, 0.0625),
+        ],
+        true,
+    );
+    assert_eq!(flame_of(&[flat, sharded]), FLAME_FLAT_AND_SHARDED);
+    // (b) An interrupted run: iterations but no `message_passing` span,
+    // which still renders with 0 calls and the iteration sum as total.
+    let interrupted = flame_run(
+        "grid",
+        &[0.25, 0.125],
+        &[(SpanKind::ModelBuild, 0.0625), (SpanKind::PriorInit, 0.125)],
+        false,
+    );
+    assert_eq!(flame_of(&[interrupted]), FLAME_INTERRUPTED);
+}
+
+/// The flame table of case (a) in `flame_table_matches_the_golden_rendering`.
+const FLAME_FLAT_AND_SHARDED: &str = "\
+span                                        calls      total s       self s       %
+run                                             2     1.781250     0.000000   100.0
+  estimate_extract                              2     0.093750     0.093750     5.3
+  message_passing                               2     0.750000     0.250000    42.1
+    iteration                                   5     0.500000     0.500000    28.1
+  model_build                                   3     0.437500     0.437500    24.6
+  prior_init                                    1     0.500000     0.500000    28.1
+";
+
+/// Case (b): the interrupted run.
+const FLAME_INTERRUPTED: &str = "\
+span                                        calls      total s       self s       %
+run                                             1     0.562500     0.000000   100.0
+  message_passing                               0     0.375000     0.000000    66.7
+    iteration                                   2     0.375000     0.375000    66.7
+  model_build                                   1     0.062500     0.062500    11.1
+  prior_init                                    1     0.125000     0.125000    22.2
+";
