@@ -1,11 +1,10 @@
-//! The BP-engine abstraction and the one loop every flat engine runs.
+//! The BP-engine abstraction and the one loop every engine runs.
 //!
-//! [`BpEngine`] has three entry points: the required
-//! [`BpEngine::run_warm`], taking a [`Transport`] and a [`WarmStart`]
-//! that says how beliefs are seeded (cold, epoch carry-over, or mid-run
-//! state resume); [`BpEngine::run_carried`], the epoch carry-over form
-//! streaming and tracking callers use; and [`BpEngine::run`], a cold
-//! perfect-transport run without telemetry.
+//! [`BpEngine`] has two entry points: the required
+//! [`BpEngine::run_carried`], taking a [`Transport`], optional beliefs
+//! carried over from a previous epoch, an observer and a per-iteration
+//! closure; and [`BpEngine::run`], a cold perfect-transport run without
+//! telemetry.
 //!
 //! The grid, particle and Gaussian engines are one algorithm — loopy
 //! sum-product over the position network — with three belief
@@ -18,13 +17,16 @@
 //! synchronous and sweep schedules, message counts, `on_iter`, the
 //! convergence test, [`IterationRecord`]s, spans and the run summary.
 //! Every neighbor message reaches an update through the same `Inbox`
-//! lookup.
+//! lookup. Sharded execution is a transport policy on this same loop
+//! (see [`crate::sharded`]): the driver reports the per-shard boundary
+//! exchanges the transport counts.
 //!
 //! [`Belief`] is the minimal read surface the core localizer needs to
 //! turn a backend's belief into a point estimate without knowing which
 //! backend produced it.
 
 use crate::mrf::{BpOptions, BpOutcome, Schedule, SpatialMrf};
+use crate::sharded;
 use crate::transport::{Transport, TransportSession, Verdict};
 use crate::validate::{self, DistributionAudit, GraphAudit, ValidationError};
 use rayon::prelude::*;
@@ -59,86 +61,11 @@ pub struct RunOutcome<B> {
     pub bp: BpOutcome,
 }
 
-/// How a run seeds its beliefs relative to the model's priors.
-///
-/// The two slices answer two different questions:
-///
-/// - `prior` — *what does each free node believe before this epoch's
-///   measurements?* When supplied, it replaces the unary-derived base
-///   in every update product (epoch carry-over: a posterior carried in
-///   from a previous epoch must not be re-multiplied by the
-///   pre-knowledge unary it already absorbed).
-/// - `state` — *where does the message-passing state start?* When
-///   supplied, it seeds the initial belief vector only; the update base
-///   stays whatever `prior` (or, absent one, the unary) says. This is
-///   the resume semantics sharded execution needs: an outer round
-///   continues a run mid-flight without double-counting measurements.
-///
-/// [`WarmStart::carried`] sets both to the same slice — the historical
-/// `run_carried` behavior, bit for bit. [`WarmStart::resume`] sets only
-/// `state`. Both slices, when present, must hold one belief per MRF
-/// variable; entries for fixed (anchor) variables are ignored.
-#[derive(Debug)]
-pub struct WarmStart<'a, B> {
-    /// Epoch prior shadowing each free node's unary in updates.
-    pub prior: Option<&'a [B]>,
-    /// Initial belief state (message sources at iteration 0).
-    pub state: Option<&'a [B]>,
-}
-
-impl<B> Clone for WarmStart<'_, B> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<B> Copy for WarmStart<'_, B> {}
-
-impl<'a, B> WarmStart<'a, B> {
-    /// A cold start: priors from the model, state from the priors.
-    #[must_use]
-    pub fn cold() -> Self {
-        WarmStart {
-            prior: None,
-            state: None,
-        }
-    }
-
-    /// Epoch carry-over: `beliefs` replace both the prior-derived
-    /// initial state *and* the unary in every update (the historical
-    /// warm-start semantics of `run_carried`).
-    #[must_use]
-    pub fn carried(beliefs: &'a [B]) -> Self {
-        WarmStart {
-            prior: Some(beliefs),
-            state: Some(beliefs),
-        }
-    }
-
-    /// Mid-run resume: `state` seeds the beliefs that messages are
-    /// computed from, while updates keep multiplying against the
-    /// model's own priors — iteration `k+1` of a flat run is exactly a
-    /// one-iteration resume from its iteration-`k` beliefs.
-    #[must_use]
-    pub fn resume(state: &'a [B]) -> Self {
-        WarmStart {
-            prior: None,
-            state: Some(state),
-        }
-    }
-
-    /// True when neither slice is supplied (the historical cold path).
-    #[must_use]
-    pub fn is_cold(&self) -> bool {
-        self.prior.is_none() && self.state.is_none()
-    }
-}
-
 /// A loopy-BP inference engine over a [`SpatialMrf`].
 ///
-/// One required method; the other two entry points are provided. All
-/// engines are deterministic in (`mrf`, `opts`, transport plan, warm
-/// beliefs): the same inputs give bit-identical beliefs.
+/// One required method; [`BpEngine::run`] is provided. All engines are
+/// deterministic in (`mrf`, `opts`, transport plan, carried beliefs):
+/// the same inputs give bit-identical beliefs.
 pub trait BpEngine {
     /// The belief representation this engine produces.
     type Belief: Belief + Clone + Send + Sync;
@@ -147,34 +74,19 @@ pub trait BpEngine {
     /// "particle", "gaussian").
     fn backend_name(&self) -> &'static str;
 
-    /// The superset entry point: runs BP with every inter-node message
-    /// routed through `transport`, seeding beliefs per `warm` (epoch
-    /// prior and/or resumed state — see [`WarmStart`]), reporting
-    /// structured telemetry into `obs` and invoking
-    /// `on_iter(iteration, beliefs)` after every iteration.
+    /// Runs BP with every inter-node message routed through
+    /// `transport`, reporting structured telemetry into `obs` and
+    /// invoking `on_iter(iteration, beliefs)` after every iteration.
     ///
-    /// With [`WarmStart::cold`] this is exactly the historical
-    /// cold-start path, bit for bit — per-node RNG streams are split,
-    /// not advanced, so skipping a node's initial sampling cannot
-    /// perturb any other node.
-    fn run_warm<F>(
-        &self,
-        mrf: &SpatialMrf,
-        opts: &BpOptions,
-        transport: &Transport,
-        warm: WarmStart<'_, Self::Belief>,
-        obs: &dyn InferenceObserver,
-        on_iter: F,
-    ) -> RunOutcome<Self::Belief>
-    where
-        F: FnMut(usize, &[Self::Belief]);
-
-    /// Epoch carry-over entry point: each free variable's carried
-    /// belief replaces its prior-derived initial belief *and* acts as
-    /// the epoch prior in every update, so a posterior carried over
-    /// from a previous epoch (convolved with a motion model by the
-    /// caller) is not double-counted against the pre-knowledge unary it
-    /// already absorbed. `warm = None` is the cold start.
+    /// `warm` carries beliefs over from a previous epoch, one per MRF
+    /// variable (entries for fixed variables are ignored): each free
+    /// variable's carried belief replaces its prior-derived initial
+    /// belief *and* acts as the epoch prior in every update, so a
+    /// posterior carried over from a previous epoch (convolved with a
+    /// motion model by the caller) is not double-counted against the
+    /// pre-knowledge unary it already absorbed. `warm = None` is the
+    /// cold start; per-node RNG streams are split, not advanced, so
+    /// skipping a node's initial sampling cannot perturb any other node.
     fn run_carried<F>(
         &self,
         mrf: &SpatialMrf,
@@ -185,14 +97,7 @@ pub trait BpEngine {
         on_iter: F,
     ) -> RunOutcome<Self::Belief>
     where
-        F: FnMut(usize, &[Self::Belief]),
-    {
-        let warm = match warm {
-            Some(w) => WarmStart::carried(w),
-            None => WarmStart::cold(),
-        };
-        self.run_warm(mrf, opts, transport, warm, obs, on_iter)
-    }
+        F: FnMut(usize, &[Self::Belief]);
 
     /// Runs BP cold on the perfect transport, without telemetry, to
     /// convergence or `opts.max_iterations`.
@@ -207,40 +112,6 @@ pub trait BpEngine {
         );
         (out.beliefs, out.bp)
     }
-}
-
-/// Reports run metadata as every engine does when a run starts.
-pub(crate) fn start_run(
-    obs: &dyn InferenceObserver,
-    backend: &'static str,
-    mrf: &SpatialMrf,
-    free: usize,
-    opts: &BpOptions,
-) {
-    obs.on_run_start(&RunInfo {
-        backend,
-        nodes: mrf.len(),
-        free,
-        edges: mrf.edges().len(),
-        max_iterations: opts.max_iterations,
-        tolerance: opts.tolerance,
-        damping: opts.damping,
-        schedule: opts.schedule.name(),
-        message_bytes: opts.message_bytes,
-        seed: opts.seed,
-    });
-}
-
-/// Reports the verdict as every engine does when a run ends.
-pub(crate) fn end_run(obs: &dyn InferenceObserver, bp: &BpOutcome, opts: &BpOptions) {
-    obs.on_run_end(&RunSummary {
-        iterations: bp.iterations,
-        converged: bp.converged,
-        comm: CommStats {
-            messages: bp.messages,
-            bytes: bp.messages * opts.message_bytes,
-        },
-    });
 }
 
 /// One neighbor message as the transport delivers it.
@@ -272,30 +143,33 @@ impl<'a, B: Clone> Inbox<'a, B> {
     }
 
     /// What node `u` receives over edge `e`, or `None` when the link
-    /// has never delivered (the edge contributes nothing).
+    /// has never delivered (the edge contributes nothing). Links the
+    /// session does not track read the live belief.
     pub(crate) fn receive(&self, e: usize, u: usize) -> Option<Delivery<'a, B>> {
         let v = self.mrf.other_end(e, u);
         let live = &self.beliefs[v];
-        let Some(s) = self.session else {
+        let tracked = self
+            .session
+            .and_then(|s| Some((s, s.link(e, self.mrf.edges()[e].v == u)?)));
+        let Some((s, link)) = tracked else {
             return Some(Delivery {
                 v,
                 belief: live,
                 alpha: 1.0,
             });
         };
-        let into_v = self.mrf.edges()[e].v == u;
-        match s.verdict(e, into_v) {
+        match s.verdict(link) {
             Verdict::Skip => None,
             Verdict::Deliver { alpha } => Some(Delivery {
                 v,
-                belief: s.snapshot(e, into_v).unwrap_or(live),
+                belief: s.snapshot(link).unwrap_or(live),
                 alpha,
             }),
         }
     }
 }
 
-/// What a flat backend plugs into [`drive`].
+/// What a backend plugs into [`drive`].
 pub(crate) trait NodeUpdate: Sync {
     /// The belief representation.
     type Belief: Belief + Clone + Send + Sync;
@@ -334,15 +208,16 @@ pub(crate) trait NodeUpdate: Sync {
     ) -> Result<(), ValidationError>;
 }
 
-/// The BP iteration loop of every flat engine.
+/// The BP iteration loop of every engine, flat or sharded.
 ///
 /// `init` runs inside the prior-init span and returns the backend's
 /// per-run update state with the initial beliefs. `messages` seeds the
 /// broadcast count (the grid's coarse pre-solve). Each iteration rolls
-/// the transport session, updates the live free nodes in parallel
-/// (synchronous) or in index order (sweep), audits the beliefs, calls
-/// `on_iter`, reports an [`IterationRecord`] and stops once the largest
-/// free-node mean shift falls below `opts.tolerance`.
+/// the transport session, reports a sharded run's boundary exchanges,
+/// updates the live free nodes in parallel (synchronous) or in index
+/// order (sweep), audits the beliefs, calls `on_iter`, reports an
+/// [`IterationRecord`] and stops once the largest free-node mean shift
+/// falls below `opts.tolerance`.
 pub(crate) fn drive<U, F>(
     mrf: &SpatialMrf,
     opts: &BpOptions,
@@ -358,11 +233,26 @@ where
 {
     validate::enforce(U::BACKEND, || GraphAudit.check_mrf(mrf));
     let free = mrf.free_vars();
-    start_run(obs, U::BACKEND, mrf, free.len(), opts);
+    let backend = transport
+        .layout()
+        .map_or(U::BACKEND, |_| sharded::run_label(U::BACKEND));
+    obs.on_run_start(&RunInfo {
+        backend,
+        nodes: mrf.len(),
+        free: free.len(),
+        edges: mrf.edges().len(),
+        max_iterations: opts.max_iterations,
+        tolerance: opts.tolerance,
+        damping: opts.damping,
+        schedule: opts.schedule.name(),
+        message_bytes: opts.message_bytes,
+        seed: opts.seed,
+    });
     let wants_residuals = obs.wants_residuals();
     // Fault state for this run; `None` on the perfect transport, where
     // every session touchpoint below is the fault-free path.
     let mut session = transport.session::<U::Belief>(mrf, opts.seed);
+    let boundary = transport.boundary(mrf);
     let init_start = Stopwatch::start();
     let (update, mut beliefs) = init();
     obs.on_span(SpanKind::PriorInit, init_start.elapsed_secs());
@@ -379,6 +269,9 @@ where
         // before the parallel updates); dead nodes stop updating.
         if let Some(s) = session.as_mut() {
             s.begin_iteration(iter, &beliefs, obs);
+        }
+        if let Some(b) = &boundary {
+            b.report(iter, session.as_ref(), obs);
         }
         let active_owned: Option<Vec<usize>> = session
             .as_ref()
@@ -470,7 +363,14 @@ where
         }
     }
     obs.on_span(SpanKind::MessagePassing, loop_start.elapsed_secs());
-    end_run(obs, &outcome, opts);
+    obs.on_run_end(&RunSummary {
+        iterations: outcome.iterations,
+        converged: outcome.converged,
+        comm: CommStats {
+            messages: outcome.messages,
+            bytes: outcome.messages * opts.message_bytes,
+        },
+    });
     RunOutcome {
         beliefs,
         bp: outcome,

@@ -21,7 +21,7 @@
 //! `s² = σ_d² + gᵀΣᵥg` the measurement variance inflated by the neighbor's
 //! own positional uncertainty along the line of sight.
 
-use crate::engine::{self, BpEngine, Delivery, Inbox, NodeUpdate, RunOutcome, WarmStart};
+use crate::engine::{self, BpEngine, Delivery, Inbox, NodeUpdate, RunOutcome};
 use crate::mrf::{BpOptions, SpatialMrf};
 use crate::transport::Transport;
 use crate::validate::{DistributionAudit, ValidationError};
@@ -91,20 +91,14 @@ fn inv2(m: [f64; 4]) -> Option<[f64; 4]> {
     Some([m[3] / det, -m[1] / det, -m[2] / det, m[0] / det])
 }
 
-/// Gaussian-belief loopy BP engine.
-#[derive(Debug, Clone, Copy)]
-pub struct GaussianBp {
-    /// Magnitude (meters) of the deterministic per-node jitter applied to
-    /// initial means, breaking the gradient singularity of coincident
-    /// initializations.
-    pub init_jitter: f64,
-}
+/// Magnitude (meters) of the deterministic per-node jitter applied to
+/// cold initial means, breaking the gradient singularity of coincident
+/// initializations.
+const INIT_JITTER: f64 = 1.0;
 
-impl Default for GaussianBp {
-    fn default() -> Self {
-        GaussianBp { init_jitter: 1.0 }
-    }
-}
+/// Gaussian-belief loopy BP engine.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct GaussianBp;
 
 impl BpEngine for GaussianBp {
     type Belief = GaussianBelief;
@@ -113,95 +107,82 @@ impl BpEngine for GaussianBp {
         GaussianRun::BACKEND
     }
 
-    /// The superset entry point the core localizer drives: structured
-    /// telemetry observer, belief-level per-iteration closure, a
-    /// message [`Transport`], and a [`WarmStart`]. With the perfect
-    /// transport and a cold start this is bit-identical to the
-    /// pre-transport engine; under a fault plan, undelivered neighbor
-    /// beliefs are replaced by held snapshots (their information
-    /// contribution scaled by `alpha`), never-received links contribute
-    /// nothing, and dead nodes freeze. A `warm.prior` belief replaces a
-    /// free node's sampled prior moments — the textbook predict/update
-    /// recursion with the carried Gaussian as the predicted prior — and
-    /// a `warm.state` belief replaces its jittered initial belief
-    /// without touching the prior (mid-run resume).
-    fn run_warm<F>(
+    /// Under a fault plan, undelivered neighbor beliefs are replaced by
+    /// held snapshots (their information contribution scaled by
+    /// `alpha`), never-received links contribute nothing, and dead nodes
+    /// freeze. A carried belief replaces a free node's sampled prior
+    /// moments and its jittered initial belief — the textbook
+    /// predict/update recursion with the carried Gaussian as the
+    /// predicted prior.
+    fn run_carried<F>(
         &self,
         mrf: &SpatialMrf,
         opts: &BpOptions,
         transport: &Transport,
-        warm: WarmStart<'_, GaussianBelief>,
+        warm: Option<&[GaussianBelief]>,
         obs: &dyn InferenceObserver,
         on_iter: F,
     ) -> RunOutcome<GaussianBelief>
     where
         F: FnMut(usize, &[GaussianBelief]),
     {
-        let init = || self.init(mrf, opts, warm);
+        let init = || init(mrf, opts, warm);
         engine::drive(mrf, opts, transport, obs, 0, init, on_iter)
     }
 }
 
-impl GaussianBp {
-    /// Per-node prior moments and initial beliefs for one run.
-    fn init<'a>(
-        &self,
-        mrf: &'a SpatialMrf,
-        opts: &BpOptions,
-        warm: WarmStart<'_, GaussianBelief>,
-    ) -> (GaussianRun<'a>, Vec<GaussianBelief>) {
-        let default_sigma = mrf.domain().diagonal() / 2.0;
-        let root = Xoshiro256pp::seed_from(opts.seed);
-        // Prior moments per node: sample the unary to estimate mean/variance
-        // (exact for Gaussian priors up to Monte-Carlo noise; a reasonable
-        // moment match for boxes and shapes).
-        let priors: Vec<GaussianBelief> = (0..mrf.len())
-            .map(|u| match (mrf.fixed(u), warm.prior) {
-                (Some(p), _) => GaussianBelief::point(p),
-                // Carried-over epoch prior: the previous posterior,
-                // already motion-convolved by the caller.
-                (None, Some(w)) => w[u],
-                (None, None) => {
-                    let mut rng = root.split(0x6A05 ^ u as u64);
-                    let samples: Vec<Vec2> =
-                        (0..64).map(|_| mrf.unary(u).sample(&mut rng)).collect();
-                    // 64 draws above, so the centroid always exists.
-                    let mean = Vec2::centroid(&samples).unwrap_or_else(|| mrf.domain().center());
-                    let var = samples.iter().map(|s| s.dist_sq(mean)).sum::<f64>()
-                        / samples.len() as f64
-                        / 2.0;
-                    let sigma = var.sqrt().max(1e-3).min(default_sigma);
-                    GaussianBelief::isotropic(mean, sigma)
-                }
-            })
-            .collect();
+/// Per-node prior moments and initial beliefs for one run.
+fn init<'a>(
+    mrf: &'a SpatialMrf,
+    opts: &BpOptions,
+    warm: Option<&[GaussianBelief]>,
+) -> (GaussianRun<'a>, Vec<GaussianBelief>) {
+    let default_sigma = mrf.domain().diagonal() / 2.0;
+    let root = Xoshiro256pp::seed_from(opts.seed);
+    // Prior moments per node: sample the unary to estimate mean/variance
+    // (exact for Gaussian priors up to Monte-Carlo noise; a reasonable
+    // moment match for boxes and shapes).
+    let priors: Vec<GaussianBelief> = (0..mrf.len())
+        .map(|u| match (mrf.fixed(u), warm) {
+            (Some(p), _) => GaussianBelief::point(p),
+            // Carried-over epoch prior: the previous posterior,
+            // already motion-convolved by the caller.
+            (None, Some(w)) => w[u],
+            (None, None) => {
+                let mut rng = root.split(0x6A05 ^ u as u64);
+                let samples: Vec<Vec2> = (0..64).map(|_| mrf.unary(u).sample(&mut rng)).collect();
+                // 64 draws above, so the centroid always exists.
+                let mean = Vec2::centroid(&samples).unwrap_or_else(|| mrf.domain().center());
+                let var = samples.iter().map(|s| s.dist_sq(mean)).sum::<f64>()
+                    / samples.len() as f64
+                    / 2.0;
+                let sigma = var.sqrt().max(1e-3).min(default_sigma);
+                GaussianBelief::isotropic(mean, sigma)
+            }
+        })
+        .collect();
 
-        let beliefs: Vec<GaussianBelief> = priors
-            .iter()
-            .enumerate()
-            .map(|(u, p)| match (mrf.fixed(u), warm.state) {
-                // Resumed state wins over the prior-derived init.
-                (None, Some(s)) => s[u],
-                (fixed, _) => {
-                    let mut b = *p;
-                    // Warm starts skip the symmetry-breaking jitter: the
-                    // carried mean is already a meaningful linearization
-                    // point, not a coincident initialization.
-                    if fixed.is_none() && warm.prior.is_none() {
-                        let mut rng = root.split(0x11773 ^ u as u64);
-                        b.mean += Vec2::new(rng.gaussian(), rng.gaussian()) * self.init_jitter;
-                    }
-                    b
-                }
-            })
-            .collect();
-        let run = GaussianRun {
-            mrf,
-            priors,
-            damping: opts.damping,
-        };
-        (run, beliefs)
-    }
+    // Warm starts skip the symmetry-breaking jitter: the carried mean
+    // is already a meaningful linearization point, not a coincident
+    // initialization.
+    let beliefs: Vec<GaussianBelief> = priors
+        .iter()
+        .enumerate()
+        .map(|(u, p)| {
+            let mut b = *p;
+            if mrf.fixed(u).is_none() && warm.is_none() {
+                let mut rng = root.split(0x11773 ^ u as u64);
+                b.mean += Vec2::new(rng.gaussian(), rng.gaussian()) * INIT_JITTER;
+            }
+            b
+        })
+        .collect();
+    let run = GaussianRun {
+        mrf,
+        priors,
+        damping: opts.damping,
+    };
+    (run, beliefs)
 }
 
 /// One Gaussian run's update state.
@@ -359,7 +340,7 @@ mod tests {
                 }),
             );
         }
-        let (beliefs, outcome) = GaussianBp::default().run(
+        let (beliefs, outcome) = GaussianBp.run(
             &mrf,
             &BpOptions::builder()
                 .max_iterations(30)
@@ -397,7 +378,7 @@ mod tests {
                 sigma: 1.5,
             }),
         );
-        let (beliefs, _) = GaussianBp::default().run(
+        let (beliefs, _) = GaussianBp.run(
             &mrf,
             &BpOptions::builder()
                 .max_iterations(25)
@@ -449,7 +430,7 @@ mod tests {
                 sigma: 1.0,
             }),
         );
-        let (beliefs, _) = GaussianBp::default().run(
+        let (beliefs, _) = GaussianBp.run(
             &mrf,
             &BpOptions::builder()
                 .max_iterations(20)
@@ -486,7 +467,7 @@ mod tests {
             .seed(9)
             .try_build()
             .expect("valid options");
-        let engine = GaussianBp::default();
+        let engine = GaussianBp;
         let (a, _) = engine.run(&mrf, &opts);
         let (b, _) = engine.run(&mrf, &opts);
         assert_eq!(a, b);
@@ -503,7 +484,7 @@ mod tests {
                 sigma: 5.0,
             }),
         );
-        let (beliefs, _) = GaussianBp::default().run(
+        let (beliefs, _) = GaussianBp.run(
             &mrf,
             &BpOptions::builder()
                 .max_iterations(5)

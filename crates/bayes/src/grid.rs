@@ -16,7 +16,7 @@
 //! on top: [`CoarseToFine`] pre-solves on a reduced grid and carries
 //! concentrated beliefs up to the full resolution.
 
-use crate::engine::{self, BpEngine, Delivery, Inbox, NodeUpdate, RunOutcome, WarmStart};
+use crate::engine::{self, BpEngine, Delivery, Inbox, NodeUpdate, RunOutcome};
 use crate::mrf::{BpOptions, SpatialMrf};
 use crate::potential::{PairPotential, UnaryPotential};
 use crate::stencil::KernelStencil;
@@ -365,18 +365,6 @@ impl crate::engine::Belief for GridBelief {
     }
 }
 
-impl crate::sharded::TemperBelief for GridBelief {
-    fn tempered(&self, alpha: f64) -> GridBelief {
-        if !(alpha > 0.0 && alpha < 1.0) {
-            return self.clone();
-        }
-        let mut b = self.clone();
-        temper_message(&mut b.mass, alpha);
-        b.normalize();
-        b
-    }
-}
-
 /// Guard against total annihilation downstream: a zero or non-finite
 /// message total is replaced by a flat message. Returns whether the
 /// fallback fired (callers surface it as
@@ -661,6 +649,10 @@ impl Warm<'_> {
     }
 }
 
+/// Source cells below this mass, scaled by 1/cells, are skipped when
+/// scattering messages (a speed/accuracy trade-off).
+const MASS_FLOOR: f64 = 1e-4;
+
 /// Loopy belief propagation with grid-discretized beliefs.
 #[derive(Debug, Clone, Copy)]
 pub struct GridBp {
@@ -668,9 +660,6 @@ pub struct GridBp {
     pub nx: usize,
     /// Cells along y.
     pub ny: usize,
-    /// Source cells below this mass are skipped when scattering messages
-    /// (speed/accuracy trade-off; scaled by 1/cells internally).
-    pub mass_floor: f64,
     /// Whether the per-run message cache (prior beliefs, anchor messages,
     /// kernel stencils) is used. On by default; disabling it runs the
     /// recompute-everything reference path, kept for equivalence tests
@@ -680,12 +669,11 @@ pub struct GridBp {
 }
 
 impl GridBp {
-    /// Engine with an `n × n` grid and the default mass floor.
+    /// Engine with an `n × n` grid.
     pub fn with_resolution(n: usize) -> Self {
         GridBp {
             nx: n,
             ny: n,
-            mass_floor: 1e-4,
             cache_messages: true,
             refine: None,
         }
@@ -724,7 +712,6 @@ impl GridBp {
         mrf: &'a SpatialMrf,
         opts: &BpOptions,
         warm: Warm<'a>,
-        state: Warm<'_>,
         obs: &'a dyn InferenceObserver,
     ) -> (GridRun<'a>, Vec<GridBelief>) {
         let domain = mrf.domain();
@@ -733,24 +720,18 @@ impl GridBp {
             .then(|| MessageCache::build(mrf, domain, self.nx, self.ny, obs));
         let run = GridRun {
             mrf,
-            floor: self.mass_floor / (self.nx * self.ny) as f64,
+            floor: MASS_FLOOR / (self.nx * self.ny) as f64,
             damping: opts.damping,
             shape: GridBelief::uniform(domain, self.nx, self.ny),
             cache,
             warm,
             obs,
         };
-        // Initial belief state: a resumed state (same grid shape) wins
-        // over the update base for free nodes; fixed nodes and everyone
-        // else start from the base (prior or carried belief).
-        let beliefs = match (&run.cache, &run.warm, &state) {
-            (Some(c), Warm::None, Warm::None) => c.init.clone(),
-            _ => (0..mrf.len())
-                .map(|u| match state.get(u).filter(|b| run.matches(u, b)) {
-                    Some(b) => b.clone(),
-                    None => run.base_belief(u),
-                })
-                .collect(),
+        // Every node starts from its update base; a cold cached run
+        // shares the cache's initial beliefs.
+        let beliefs = match (&run.cache, &run.warm) {
+            (Some(c), Warm::None) => c.init.clone(),
+            _ => (0..mrf.len()).map(|u| run.base_belief(u)).collect(),
         };
         (run, beliefs)
     }
@@ -906,19 +887,14 @@ impl BpEngine for GridBp {
         GridRun::BACKEND
     }
 
-    /// The superset entry point the core localizer drives: structured
-    /// telemetry observer, belief-level per-iteration closure, a
-    /// message [`Transport`], and a [`WarmStart`]. With the perfect
-    /// transport and a cold start this is bit-identical to the
-    /// pre-transport engine; under a fault plan, undelivered messages
-    /// fall back per the plan's drop policy (stale held messages are
-    /// tempered as `m^α`), never-received links contribute nothing, and
-    /// dead nodes freeze. A `warm.prior` belief (same grid shape)
-    /// replaces the prior-derived base belief of its free node inside
-    /// every update product, so a carried posterior acts as this
-    /// epoch's prior instead of re-applying the pre-knowledge unary it
-    /// already absorbed; a `warm.state` belief seeds the initial belief
-    /// vector only (mid-run resume against the model's own priors).
+    /// Under a fault plan, undelivered messages fall back per the plan's
+    /// drop policy (stale held messages are tempered as `m^α`),
+    /// never-received links contribute nothing, and dead nodes freeze. A
+    /// carried belief (same grid shape) seeds its free node's initial
+    /// belief and replaces the prior-derived base belief inside every
+    /// update product, so a carried posterior acts as this epoch's prior
+    /// instead of re-applying the pre-knowledge unary it already
+    /// absorbed.
     ///
     /// With coarse-to-fine enabled, a cold run first pre-solves on a
     /// reduced grid and carries concentrated coarse posteriors up per
@@ -926,12 +902,12 @@ impl BpEngine for GridBp {
     /// messages. The pre-solve is skipped when the caller already
     /// supplied warm beliefs (they carry posterior structure of their
     /// own) or when the coarse grid would degenerate.
-    fn run_warm<F>(
+    fn run_carried<F>(
         &self,
         mrf: &SpatialMrf,
         opts: &BpOptions,
         transport: &Transport,
-        warm: WarmStart<'_, GridBelief>,
+        warm: Option<&[GridBelief]>,
         obs: &dyn InferenceObserver,
         on_iter: F,
     ) -> RunOutcome<GridBelief>
@@ -943,7 +919,7 @@ impl BpEngine for GridBp {
         if let Some(cf) = self.refine {
             let f = cf.factor.max(1);
             let (cnx, cny) = (self.nx / f, self.ny / f);
-            if warm.is_cold() && cf.factor >= 2 && cnx >= 2 && cny >= 2 {
+            if warm.is_none() && cf.factor >= 2 && cnx >= 2 && cny >= 2 {
                 let coarse = GridBp {
                     nx: cnx,
                     ny: cny,
@@ -972,16 +948,12 @@ impl BpEngine for GridBp {
                 );
             }
         }
-        let prior = match (&carried, warm.prior) {
+        let prior = match (&carried, warm) {
             (Some(c), _) => Warm::PerNode(c),
             (None, Some(w)) => Warm::All(w),
             (None, None) => Warm::None,
         };
-        let state = match warm.state {
-            Some(s) => Warm::All(s),
-            None => Warm::None,
-        };
-        let init = || self.init(mrf, opts, prior, state, obs);
+        let init = || self.init(mrf, opts, prior, obs);
         engine::drive(mrf, opts, transport, obs, pre_messages, init, on_iter)
     }
 }

@@ -20,8 +20,9 @@
 //!
 //! All three run one loopy-BP iteration loop, the [`engine`] driver:
 //! each backend supplies only its initial beliefs, its per-node update
-//! and its residual and audit rules. [`sharded`] runs any of them shard
-//! by shard over a spatial layout for very large networks. Loopy belief
+//! and its residual and audit rules. [`sharded`] runs any of them over a
+//! spatial shard layout, with faults confined to links between shards,
+//! for very large networks. Loopy belief
 //! propagation over any representation is what the core `wsnloc` crate
 //! runs to localize sensor networks.
 
@@ -40,7 +41,7 @@ pub mod stencil;
 pub mod transport;
 pub mod validate;
 
-pub use engine::{Belief, BpEngine, RunOutcome, WarmStart};
+pub use engine::{Belief, BpEngine, RunOutcome};
 pub use gaussian::{GaussianBelief, GaussianBp};
 pub use grid::{CoarseToFine, GridBelief, GridBp};
 pub use motion::MotionModel;
@@ -50,7 +51,7 @@ pub use potential::{
     DeltaUnary, GaussianRange, GaussianUnary, MixtureUnary, PairPotential, UnaryPotential,
     UniformBoxUnary, UniformShapeUnary,
 };
-pub use sharded::{ShardedEngine, TemperBelief};
+pub use sharded::ShardedEngine;
 pub use stencil::KernelStencil;
 pub use transport::Transport;
 pub use validate::{DistributionAudit, GraphAudit, ValidationError};

@@ -18,7 +18,7 @@
 //! overcounts loops but converges fast and matches the distributed protocol
 //! a WSN would actually run.
 
-use crate::engine::{self, BpEngine, Inbox, NodeUpdate, RunOutcome, WarmStart};
+use crate::engine::{self, BpEngine, Inbox, NodeUpdate, RunOutcome};
 use crate::mrf::{BpOptions, SpatialMrf};
 use crate::potential::{PairPotential, UnaryPotential};
 use crate::transport::Transport;
@@ -181,8 +181,8 @@ impl ParticleBelief {
 
 /// Whole-number share of the particle budget: `round(n * fraction)`.
 ///
-/// Fractions come from validated configuration in `[0, 1]`, and the cast
-/// happens once per node update — never in a per-particle loop.
+/// Fractions lie in `[0, 1]` (constants or validated damping), and the
+/// cast happens once per node update — never in a per-particle loop.
 fn share(n: usize, fraction: f64) -> usize {
     ((n as f64) * fraction).round() as usize
 }
@@ -258,6 +258,12 @@ impl EpochPrior<'_> {
     }
 }
 
+/// Fraction of candidates proposed from the prior each iteration.
+const PRIOR_FRACTION: f64 = 0.1;
+
+/// Fraction of candidates proposed from neighbor rings.
+const NEIGHBOR_FRACTION: f64 = 0.4;
+
 /// Loopy belief propagation with particle beliefs.
 #[derive(Debug, Clone, Copy)]
 pub struct ParticleBp {
@@ -266,10 +272,6 @@ pub struct ParticleBp {
     /// Neighbor particles subsampled when evaluating mixture likelihoods
     /// (caps the O(particles × neighbors × mixture) inner loop).
     pub mixture_samples: usize,
-    /// Fraction of candidates proposed from the prior each iteration.
-    pub prior_fraction: f64,
-    /// Fraction of candidates proposed from neighbor rings.
-    pub neighbor_fraction: f64,
 }
 
 impl Default for ParticleBp {
@@ -277,8 +279,6 @@ impl Default for ParticleBp {
         ParticleBp {
             particles: 300,
             mixture_samples: 24,
-            prior_fraction: 0.1,
-            neighbor_fraction: 0.4,
         }
     }
 }
@@ -300,25 +300,20 @@ impl BpEngine for ParticleBp {
         ParticleRun::BACKEND
     }
 
-    /// The superset entry point the core localizer drives: structured
-    /// telemetry observer, belief-level per-iteration closure, a
-    /// message [`Transport`], and a [`WarmStart`]. With the perfect
-    /// transport and a cold start this is bit-identical to the
-    /// pre-transport engine; under a fault plan, undelivered neighbor
-    /// beliefs are replaced by held snapshots (their log-likelihood
-    /// contribution discounted by `alpha`), never-received links drop
-    /// out of the proposal/weighting mix, and dead nodes freeze. A
-    /// `warm.prior` particle set's KDE stands in for the unary in
-    /// proposal refreshes and importance weights — the particle-filter
-    /// predict/update recursion, with propagation and jitter applied by
-    /// the caller before the run — while `warm.state` (or, absent one,
-    /// `warm.prior`) replaces the prior-sampled initial belief.
-    fn run_warm<F>(
+    /// Under a fault plan, undelivered neighbor beliefs are replaced by
+    /// held snapshots (their log-likelihood contribution discounted by
+    /// `alpha`), never-received links drop out of the proposal/weighting
+    /// mix, and dead nodes freeze. A carried particle set replaces the
+    /// prior-sampled initial belief, and its KDE stands in for the unary
+    /// in proposal refreshes and importance weights — the
+    /// particle-filter predict/update recursion, with propagation and
+    /// jitter applied by the caller before the run.
+    fn run_carried<F>(
         &self,
         mrf: &SpatialMrf,
         opts: &BpOptions,
         transport: &Transport,
-        warm: WarmStart<'_, ParticleBelief>,
+        warm: Option<&[ParticleBelief]>,
         obs: &dyn InferenceObserver,
         on_iter: F,
     ) -> RunOutcome<ParticleBelief>
@@ -367,23 +362,22 @@ impl NodeUpdate for ParticleRun<'_> {
 
 impl ParticleBp {
     /// Initial beliefs and per-node epoch priors for one run: fixed vars
-    /// are points, free vars take the resumed state (or carried prior),
-    /// else sample their unary.
+    /// are points, free vars take the carried belief, else sample their
+    /// unary.
     fn init<'a>(
         &self,
         mrf: &'a SpatialMrf,
         opts: &BpOptions,
-        warm: WarmStart<'a, ParticleBelief>,
+        warm: Option<&'a [ParticleBelief]>,
     ) -> (ParticleRun<'a>, Vec<ParticleBelief>) {
         let root = Xoshiro256pp::seed_from(opts.seed);
-        let seed_beliefs = warm.state.or(warm.prior);
         let beliefs: Vec<ParticleBelief> = (0..mrf.len())
-            .map(|u| match (mrf.fixed(u), seed_beliefs) {
+            .map(|u| match (mrf.fixed(u), warm) {
                 (Some(p), _) => ParticleBelief::point(p),
-                // Carried-over or resumed particle set, already
-                // propagated + jittered by the caller. Skipping the
-                // init sampling is safe for determinism because `split`
-                // derives, not advances, the per-node streams.
+                // Carried-over particle set, already propagated +
+                // jittered by the caller. Skipping the init sampling is
+                // safe for determinism because `split` derives, not
+                // advances, the per-node streams.
                 (None, Some(w)) => w[u].clone(),
                 (None, None) => {
                     let mut rng = root.split(u as u64);
@@ -396,10 +390,8 @@ impl ParticleBp {
             .collect();
         // Per-node epoch priors: carried beliefs shadow the unary for
         // free nodes; the KDE bandwidth matches the walk-jitter floor.
-        // A state-only resume keeps the unary — the resumed state is
-        // mid-run message progress, not a new epoch's prior.
         let priors: Vec<EpochPrior<'a>> = (0..mrf.len())
-            .map(|u| match warm.prior {
+            .map(|u| match warm {
                 Some(w) if mrf.fixed(u).is_none() => EpochPrior::Carried {
                     belief: &w[u],
                     bandwidth: w[u].bandwidth(1e-3).max(mrf.domain().diagonal() * 1e-4),
@@ -455,11 +447,11 @@ impl ParticleBp {
             .collect();
 
         // --- Proposal ---------------------------------------------------
-        let n_prior = share(n, self.prior_fraction);
+        let n_prior = share(n, PRIOR_FRACTION);
         let n_neighbor = if ctx.is_empty() {
             0
         } else {
-            share(n, self.neighbor_fraction)
+            share(n, NEIGHBOR_FRACTION)
         };
         let n_walk = n.saturating_sub(n_prior + n_neighbor);
 

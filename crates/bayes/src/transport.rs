@@ -28,11 +28,20 @@
 //! Dead nodes stop transmitting (their outgoing links stop refreshing)
 //! and stop updating (the engine freezes their beliefs), but their
 //! neighbors keep localizing from held state.
+//!
+//! Sharded execution is a policy on this seam, not a second loop: a
+//! [`crate::ShardedEngine`] scopes the transport to its layout's shard
+//! boundaries. The session then keeps fault state only for directed
+//! links whose endpoints lie in different shards, keyed and rolled
+//! exactly as a flat run keys and rolls them; every other link reads
+//! the live belief on the perfect path. Every iteration reports one
+//! `BoundaryExchange` per occupied shard.
 
 use std::sync::Arc;
 
 use crate::mrf::SpatialMrf;
 use wsnloc_geom::rng::Xoshiro256pp;
+use wsnloc_geom::ShardLayout;
 use wsnloc_net::faults::{DropPolicy, FaultPlan, LossModel};
 use wsnloc_obs::{InferenceObserver, ObsEvent};
 
@@ -46,13 +55,16 @@ use wsnloc_obs::{InferenceObserver, ObsEvent};
 #[derive(Debug, Clone, Default)]
 pub struct Transport {
     plan: Option<Arc<FaultPlan>>,
+    /// Under sharded execution, the layout whose boundaries the plan is
+    /// scoped to.
+    shards: Option<Arc<ShardLayout>>,
 }
 
 impl Transport {
     /// The lossless transport: every message arrives, every node lives.
     #[must_use]
     pub fn perfect() -> Self {
-        Transport { plan: None }
+        Transport::default()
     }
 
     /// A transport that injects `plan`. An identity plan
@@ -60,13 +72,20 @@ impl Transport {
     #[must_use]
     pub fn faulted(plan: Arc<FaultPlan>) -> Self {
         let plan = if plan.is_none() { None } else { Some(plan) };
-        Transport { plan }
+        Transport { plan, shards: None }
     }
 
-    /// True iff this transport is a pass-through.
-    #[must_use]
-    pub fn is_perfect(&self) -> bool {
-        self.plan.is_none()
+    /// This transport scoped to `layout`'s shard boundaries.
+    pub(crate) fn sharded(&self, layout: Arc<ShardLayout>) -> Self {
+        Transport {
+            plan: self.plan.clone(),
+            shards: Some(layout),
+        }
+    }
+
+    /// The shard layout of a sharded run.
+    pub(crate) fn layout(&self) -> Option<&ShardLayout> {
+        self.shards.as_deref()
     }
 
     /// Instantiates per-run fault state for one BP run, or `None` for
@@ -80,7 +99,58 @@ impl Transport {
     ) -> Option<TransportSession<B>> {
         self.plan
             .as_ref()
-            .map(|p| TransportSession::new(Arc::clone(p), mrf, run_seed))
+            .map(|p| TransportSession::new(Arc::clone(p), mrf, run_seed, self.layout()))
+    }
+
+    /// Per-shard boundary accounting for a sharded run; `None` when flat.
+    pub(crate) fn boundary(&self, mrf: &SpatialMrf) -> Option<Boundary> {
+        self.layout().map(|layout| Boundary::new(layout, mrf))
+    }
+}
+
+/// The per-shard boundary traffic of a sharded run.
+pub(crate) struct Boundary {
+    /// Occupied shard ids, ascending.
+    occupied: Vec<usize>,
+    /// Per shard id: directed links from free senders in other shards
+    /// into the shard's free nodes — what a fault-free iteration
+    /// delivers across its boundary.
+    links: Vec<u64>,
+}
+
+impl Boundary {
+    fn new(layout: &ShardLayout, mrf: &SpatialMrf) -> Self {
+        let mut links = vec![0; layout.shard_count()];
+        for edge in mrf.edges() {
+            let (su, sv) = (layout.shard_of(edge.u), layout.shard_of(edge.v));
+            if su != sv && mrf.fixed(edge.u).is_none() && mrf.fixed(edge.v).is_none() {
+                links[su] += 1;
+                links[sv] += 1;
+            }
+        }
+        let occupied = (0..layout.shard_count())
+            .filter(|&s| !layout.shards()[s].is_empty())
+            .collect();
+        Boundary { occupied, links }
+    }
+
+    /// Emits iteration `iter`'s `BoundaryExchange` per occupied shard:
+    /// the fresh cross-shard deliveries `session` rolled, or every
+    /// boundary link on a fault-free plan.
+    pub(crate) fn report<B>(
+        &self,
+        iter: usize,
+        session: Option<&TransportSession<B>>,
+        obs: &dyn InferenceObserver,
+    ) {
+        let counts = session.map_or(&self.links, |s| &s.fresh);
+        for &shard in &self.occupied {
+            obs.on_event(&ObsEvent::BoundaryExchange {
+                round: iter,
+                shard,
+                messages: counts[shard],
+            });
+        }
     }
 }
 
@@ -103,14 +173,22 @@ pub(crate) enum Verdict {
 /// (sequentially, before the — possibly parallel — node updates), after
 /// which the session is consulted read-only.
 ///
-/// Directed links are indexed `2·e` (into `edge.u`, i.e. sent by
-/// `edge.v`) and `2·e + 1` (into `edge.v`, sent by `edge.u`).
+/// A directed link's global id is `2·e` (into `edge.u`, i.e. sent by
+/// `edge.v`) or `2·e + 1` (into `edge.v`, sent by `edge.u`); it keys the
+/// link's random streams. A flat run tracks every link at its global
+/// id. A sharded run tracks only the links between shards, packed in
+/// edge order.
 pub(crate) struct TransportSession<B> {
     plan: Arc<FaultPlan>,
     root: Xoshiro256pp,
     /// Scheduled death iteration per node, `None` = immortal.
     death_at: Vec<Option<usize>>,
     alive: Vec<bool>,
+    /// Under sharding, per edge the first of its two tracked links, or
+    /// `usize::MAX` for an edge inside one shard. `None` when flat.
+    slot: Option<Vec<usize>>,
+    /// Global directed-link id per tracked link.
+    ids: Vec<usize>,
     /// Sender node per directed link.
     senders: Vec<usize>,
     /// Receiver node per directed link.
@@ -130,10 +208,20 @@ pub(crate) struct TransportSession<B> {
     received: Vec<bool>,
     /// Last delivered belief snapshot for free-sender links.
     last: Vec<Option<B>>,
+    /// Under sharding, the receiver's shard per tracked link.
+    shard: Vec<usize>,
+    /// Under sharding, this iteration's fresh deliveries from free
+    /// senders, per receiving shard id.
+    fresh: Vec<u64>,
 }
 
 impl<B: Clone> TransportSession<B> {
-    fn new(plan: Arc<FaultPlan>, mrf: &SpatialMrf, run_seed: u64) -> Self {
+    fn new(
+        plan: Arc<FaultPlan>,
+        mrf: &SpatialMrf,
+        run_seed: u64,
+        layout: Option<&ShardLayout>,
+    ) -> Self {
         let n = mrf.len();
         let root = Xoshiro256pp::seed_from(plan.seed).split(run_seed);
         let mut death_at = vec![None; n];
@@ -142,24 +230,33 @@ impl<B: Clone> TransportSession<B> {
                 death_at[d.node] = Some(d.at_iteration);
             }
         }
-        let links = 2 * mrf.edges().len();
-        let mut senders = Vec::with_capacity(links);
-        let mut receivers = Vec::with_capacity(links);
-        let mut active = Vec::with_capacity(links);
-        let mut sender_fixed = Vec::with_capacity(links);
-        let mut blocked = vec![false; links];
-        for edge in mrf.edges() {
+        let mut slot = layout.map(|_| vec![usize::MAX; mrf.edges().len()]);
+        let (mut ids, mut senders, mut receivers) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut active, mut sender_fixed, mut shard) = (Vec::new(), Vec::new(), Vec::new());
+        for (e, edge) in mrf.edges().iter().enumerate() {
+            if let (Some(layout), Some(slot)) = (layout, slot.as_mut()) {
+                if layout.shard_of(edge.u) == layout.shard_of(edge.v) {
+                    continue;
+                }
+                slot[e] = ids.len();
+            }
             // dir 2e: into edge.u; dir 2e+1: into edge.v.
-            for (recv, send) in [(edge.u, edge.v), (edge.v, edge.u)] {
+            for (d, (recv, send)) in [(edge.u, edge.v), (edge.v, edge.u)].into_iter().enumerate() {
+                ids.push(2 * e + d);
                 senders.push(send);
                 receivers.push(recv);
                 active.push(mrf.fixed(recv).is_none());
                 sender_fixed.push(mrf.fixed(send).is_some());
+                if let Some(layout) = layout {
+                    shard.push(layout.shard_of(recv));
+                }
             }
         }
+        let links = ids.len();
+        let mut blocked = vec![false; links];
         if plan.asymmetry > 0.0 {
             let p = plan.asymmetry.clamp(0.0, 1.0);
-            for (dir, b) in blocked.iter_mut().enumerate() {
+            for (b, &dir) in blocked.iter_mut().zip(&ids) {
                 let mut rng = root.split(0xA5B1_0000_0000_0000 | dir as u64);
                 *b = rng.f64() < p;
             }
@@ -169,6 +266,8 @@ impl<B: Clone> TransportSession<B> {
             root,
             death_at,
             alive: vec![true; n],
+            slot,
+            ids,
             senders,
             receivers,
             active,
@@ -178,7 +277,20 @@ impl<B: Clone> TransportSession<B> {
             age: vec![0; links],
             received: vec![false; links],
             last: (0..links).map(|_| None).collect(),
+            shard,
+            fresh: vec![0; layout.map_or(0, ShardLayout::shard_count)],
         }
+    }
+
+    /// The tracked link carrying edge `e` into its receiver
+    /// (`receiver_is_v` selects which endpoint is receiving), or `None`
+    /// when the edge rides the perfect path.
+    pub(crate) fn link(&self, e: usize, receiver_is_v: bool) -> Option<usize> {
+        let base = match &self.slot {
+            None => 2 * e,
+            Some(slot) => Some(slot[e]).filter(|&b| b != usize::MAX)?,
+        };
+        Some(base + usize::from(receiver_is_v))
     }
 
     /// True iff `u` is still transmitting and updating.
@@ -209,12 +321,13 @@ impl<B: Clone> TransportSession<B> {
         }
         let mut dropped = 0u64;
         let mut stale = 0u64;
+        self.fresh.fill(0);
         let iter_tag = ((iter as u64) + 1) << 32;
         for dir in 0..self.senders.len() {
             if !self.active[dir] || !self.alive[self.receivers[dir]] || self.blocked[dir] {
                 continue;
             }
-            let mut rng = self.root.split(iter_tag | dir as u64);
+            let mut rng = self.root.split(iter_tag | self.ids[dir] as u64);
             let lost = match self.plan.loss {
                 LossModel::None => false,
                 LossModel::Iid { rate } => rng.f64() < rate,
@@ -261,6 +374,9 @@ impl<B: Clone> TransportSession<B> {
             self.age[dir] = 0;
             if !self.sender_fixed[dir] {
                 self.last[dir] = Some(beliefs[self.senders[dir]].clone());
+                if let Some(&shard) = self.shard.get(dir) {
+                    self.fresh[shard] += 1;
+                }
             }
         }
         if dropped > 0 {
@@ -277,10 +393,9 @@ impl<B: Clone> TransportSession<B> {
         }
     }
 
-    /// The delivery verdict for edge `e` into its receiver
-    /// (`receiver_is_v` selects which endpoint is receiving).
-    pub(crate) fn verdict(&self, e: usize, receiver_is_v: bool) -> Verdict {
-        let dir = 2 * e + usize::from(receiver_is_v);
+    /// The delivery verdict for tracked link `dir` (see
+    /// [`TransportSession::link`]).
+    pub(crate) fn verdict(&self, dir: usize) -> Verdict {
         if !self.received[dir] {
             return Verdict::Skip;
         }
@@ -302,9 +417,9 @@ impl<B: Clone> TransportSession<B> {
         Verdict::Deliver { alpha }
     }
 
-    /// The held belief snapshot for edge `e` into its receiver. `None`
-    /// for fixed (anchor) senders, whose content is their position.
-    pub(crate) fn snapshot(&self, e: usize, receiver_is_v: bool) -> Option<&B> {
-        self.last[2 * e + usize::from(receiver_is_v)].as_ref()
+    /// The held belief snapshot for tracked link `dir`. `None` for fixed
+    /// (anchor) senders, whose content is their position.
+    pub(crate) fn snapshot(&self, dir: usize) -> Option<&B> {
+        self.last[dir].as_ref()
     }
 }

@@ -25,8 +25,8 @@
 use std::sync::Arc;
 use wsnloc_bayes::{
     BpEngine, BpOptions, CoarseToFine, GaussianBelief, GaussianBp, GaussianRange, GridBelief,
-    GridBp, ParticleBelief, ParticleBp, RunOutcome, Schedule, ShardedEngine, SpatialMrf,
-    TemperBelief, Transport, UniformBoxUnary, WarmStart,
+    GridBp, ParticleBelief, ParticleBp, RunOutcome, Schedule, ShardedEngine, SpatialMrf, Transport,
+    UniformBoxUnary,
 };
 use wsnloc_geom::rng::Xoshiro256pp;
 use wsnloc_geom::{Aabb, ShardLayout, Vec2};
@@ -37,28 +37,20 @@ use wsnloc_obs::{RunTrace, TraceObserver};
 const GOLDEN: &[(&str, u64)] = &[
     ("grid/synchronous/d0/perfect/cold", 0x227e7e85d7d2a158),
     ("grid/synchronous/d0/perfect/carried", 0xebfec53bbf2bbe7e),
-    ("grid/synchronous/d0/perfect/resume", 0x01aa55ff6a77c140),
     ("grid/synchronous/d0/faulted/cold", 0x6e839bbcc8b43a99),
     ("grid/synchronous/d0/faulted/carried", 0x0b88b1ccdbae1cac),
-    ("grid/synchronous/d0/faulted/resume", 0xf84b99cde6a958a9),
     ("grid/synchronous/d0.3/perfect/cold", 0x6ae4fee233595db3),
     ("grid/synchronous/d0.3/perfect/carried", 0xa3b0ad439665a578),
-    ("grid/synchronous/d0.3/perfect/resume", 0x1a816af10329fb40),
     ("grid/synchronous/d0.3/faulted/cold", 0x78bdc9d55cb4e85c),
     ("grid/synchronous/d0.3/faulted/carried", 0x9615ac7296ee6cdc),
-    ("grid/synchronous/d0.3/faulted/resume", 0x0ffc337a5992cc03),
     ("grid/sweep/d0/perfect/cold", 0xc095bf41c1478f80),
     ("grid/sweep/d0/perfect/carried", 0x6eac5e1d1b5ed96a),
-    ("grid/sweep/d0/perfect/resume", 0x630876efb894859e),
     ("grid/sweep/d0/faulted/cold", 0xd680a6ce89486177),
     ("grid/sweep/d0/faulted/carried", 0x9011df797ab6728a),
-    ("grid/sweep/d0/faulted/resume", 0x5c0132f9ff300c2f),
     ("grid/sweep/d0.3/perfect/cold", 0x6d97ed40aee60bdd),
     ("grid/sweep/d0.3/perfect/carried", 0x76ab70664da884cc),
-    ("grid/sweep/d0.3/perfect/resume", 0x96b1648b4bc14d5d),
     ("grid/sweep/d0.3/faulted/cold", 0xad04c1eca5764f6a),
     ("grid/sweep/d0.3/faulted/carried", 0x39aff726bd4b88ca),
-    ("grid/sweep/d0.3/faulted/resume", 0x5ff5775b08553ab9),
     (
         "grid-reference/synchronous/d0/perfect/cold",
         0x143f77f92d5c3e5c,
@@ -66,10 +58,6 @@ const GOLDEN: &[(&str, u64)] = &[
     (
         "grid-reference/synchronous/d0/perfect/carried",
         0x30d01ae02a33b373,
-    ),
-    (
-        "grid-reference/synchronous/d0/perfect/resume",
-        0x987e7deb4d4107b9,
     ),
     (
         "grid-reference/synchronous/d0/faulted/cold",
@@ -80,20 +68,12 @@ const GOLDEN: &[(&str, u64)] = &[
         0x5fa2cc4771c28c64,
     ),
     (
-        "grid-reference/synchronous/d0/faulted/resume",
-        0xedddd748d35c40c4,
-    ),
-    (
         "grid-reference/synchronous/d0.3/perfect/cold",
         0x75eabe940f0fa04e,
     ),
     (
         "grid-reference/synchronous/d0.3/perfect/carried",
         0x95257a84ed8fc454,
-    ),
-    (
-        "grid-reference/synchronous/d0.3/perfect/resume",
-        0xea8521e5c967af0e,
     ),
     (
         "grid-reference/synchronous/d0.3/faulted/cold",
@@ -103,172 +83,116 @@ const GOLDEN: &[(&str, u64)] = &[
         "grid-reference/synchronous/d0.3/faulted/carried",
         0x725cc0c9a2b71ec3,
     ),
-    (
-        "grid-reference/synchronous/d0.3/faulted/resume",
-        0xe7345ae089ae5097,
-    ),
     ("grid-reference/sweep/d0/perfect/cold", 0xb5c1135b4cf25fcd),
     (
         "grid-reference/sweep/d0/perfect/carried",
         0x4b3ecf147b23b164,
     ),
-    ("grid-reference/sweep/d0/perfect/resume", 0x79ea1df56dfcc7fd),
     ("grid-reference/sweep/d0/faulted/cold", 0x7e47857bf5ed48c0),
     (
         "grid-reference/sweep/d0/faulted/carried",
         0xee2f79febbf85e22,
     ),
-    ("grid-reference/sweep/d0/faulted/resume", 0x0a08890d1d85098e),
     ("grid-reference/sweep/d0.3/perfect/cold", 0x6146bca90a07a012),
     (
         "grid-reference/sweep/d0.3/perfect/carried",
         0x5ad45835232c30cf,
-    ),
-    (
-        "grid-reference/sweep/d0.3/perfect/resume",
-        0x74c214f74f1b6039,
     ),
     ("grid-reference/sweep/d0.3/faulted/cold", 0x5a5b95805d52dc4b),
     (
         "grid-reference/sweep/d0.3/faulted/carried",
         0xc89b32b9fdc88f41,
     ),
-    (
-        "grid-reference/sweep/d0.3/faulted/resume",
-        0xe545f0a7db974dd1,
-    ),
     ("grid-c2f/synchronous/d0/perfect/cold", 0x084fe1e2483cbb69),
     (
         "grid-c2f/synchronous/d0/perfect/carried",
         0xc452f187ef0e2f56,
     ),
-    ("grid-c2f/synchronous/d0/perfect/resume", 0x09554f84e520e3ac),
     ("grid-c2f/synchronous/d0/faulted/cold", 0xb6d82f9fa87c8c82),
     (
         "grid-c2f/synchronous/d0/faulted/carried",
         0x43c1a4cd0aa41ba9,
     ),
-    ("grid-c2f/synchronous/d0/faulted/resume", 0x108de3168c430f55),
     ("grid-c2f/synchronous/d0.3/perfect/cold", 0xfa2ec69820fc99a7),
     (
         "grid-c2f/synchronous/d0.3/perfect/carried",
         0x4af08e7951ba7306,
-    ),
-    (
-        "grid-c2f/synchronous/d0.3/perfect/resume",
-        0xc973273505454b75,
     ),
     ("grid-c2f/synchronous/d0.3/faulted/cold", 0x8313940dba9f8e8f),
     (
         "grid-c2f/synchronous/d0.3/faulted/carried",
         0x96e898c7088de913,
     ),
-    (
-        "grid-c2f/synchronous/d0.3/faulted/resume",
-        0xce522397e369d057,
-    ),
     ("grid-c2f/sweep/d0/perfect/cold", 0x1ba820d3287a3e18),
     ("grid-c2f/sweep/d0/perfect/carried", 0x29b3d972ea4f6af5),
-    ("grid-c2f/sweep/d0/perfect/resume", 0x221e0f588c605a89),
     ("grid-c2f/sweep/d0/faulted/cold", 0xc08ef7f426617130),
     ("grid-c2f/sweep/d0/faulted/carried", 0x58e16b06adbec997),
-    ("grid-c2f/sweep/d0/faulted/resume", 0x9f5008d562c821fb),
     ("grid-c2f/sweep/d0.3/perfect/cold", 0x400c5e0c5928225e),
     ("grid-c2f/sweep/d0.3/perfect/carried", 0x8bbf1ed32763da61),
-    ("grid-c2f/sweep/d0.3/perfect/resume", 0x42535ca42d738c07),
     ("grid-c2f/sweep/d0.3/faulted/cold", 0x5459c853651ca1a2),
     ("grid-c2f/sweep/d0.3/faulted/carried", 0x0d14bfb087fb4cd9),
-    ("grid-c2f/sweep/d0.3/faulted/resume", 0xfccbcde9d2e37f0d),
     ("particle/synchronous/d0/perfect/cold", 0x4aaa3676871ec40a),
     (
         "particle/synchronous/d0/perfect/carried",
         0x3b149dc4dba1872b,
     ),
-    ("particle/synchronous/d0/perfect/resume", 0xc708f79dc5e75182),
     ("particle/synchronous/d0/faulted/cold", 0x4daa4e38f3eeb964),
     (
         "particle/synchronous/d0/faulted/carried",
         0xa073ab509e4b183d,
     ),
-    ("particle/synchronous/d0/faulted/resume", 0x639817c7ea88e75c),
     ("particle/synchronous/d0.3/perfect/cold", 0x9ed383ba7bd912a1),
     (
         "particle/synchronous/d0.3/perfect/carried",
         0x3ec794266a178b0c,
-    ),
-    (
-        "particle/synchronous/d0.3/perfect/resume",
-        0x785f5d8384f5fdc7,
     ),
     ("particle/synchronous/d0.3/faulted/cold", 0xbefdc639e18ce129),
     (
         "particle/synchronous/d0.3/faulted/carried",
         0x0876ea1c3e21a199,
     ),
-    (
-        "particle/synchronous/d0.3/faulted/resume",
-        0xbfac9bcd97d9e116,
-    ),
     ("particle/sweep/d0/perfect/cold", 0xc0e8bc31f1f9a377),
     ("particle/sweep/d0/perfect/carried", 0x6f23d8959ed75b7d),
-    ("particle/sweep/d0/perfect/resume", 0x60e0a757526fb46f),
     ("particle/sweep/d0/faulted/cold", 0x1ca00723d216ef76),
     ("particle/sweep/d0/faulted/carried", 0x54aaf2030247117f),
-    ("particle/sweep/d0/faulted/resume", 0xb09130d5ef70c8aa),
     ("particle/sweep/d0.3/perfect/cold", 0x0a8d04ce44416b85),
     ("particle/sweep/d0.3/perfect/carried", 0x0ace20f7ae7b57e3),
-    ("particle/sweep/d0.3/perfect/resume", 0x17fc9fc3825c481f),
     ("particle/sweep/d0.3/faulted/cold", 0xa93aeddb5f31a7b3),
     ("particle/sweep/d0.3/faulted/carried", 0x75d3b52795dd2d23),
-    ("particle/sweep/d0.3/faulted/resume", 0x64631c04219157d8),
     ("gaussian/synchronous/d0/perfect/cold", 0xcf4025a8b15b9df5),
     (
         "gaussian/synchronous/d0/perfect/carried",
         0x4f68d17b9ca45b55,
     ),
-    ("gaussian/synchronous/d0/perfect/resume", 0xba81bc6e3fe482d4),
     ("gaussian/synchronous/d0/faulted/cold", 0x81d033feb9a02dda),
     (
         "gaussian/synchronous/d0/faulted/carried",
         0x4be56d24c0afe045,
     ),
-    ("gaussian/synchronous/d0/faulted/resume", 0x9151644953687f62),
     ("gaussian/synchronous/d0.3/perfect/cold", 0xbd07e41fc59d3c40),
     (
         "gaussian/synchronous/d0.3/perfect/carried",
         0x0b5a190e99989e76,
-    ),
-    (
-        "gaussian/synchronous/d0.3/perfect/resume",
-        0x1b7b30355268e096,
     ),
     ("gaussian/synchronous/d0.3/faulted/cold", 0x8f69ec1ecd18dbd3),
     (
         "gaussian/synchronous/d0.3/faulted/carried",
         0x8ccac166e51416da,
     ),
-    (
-        "gaussian/synchronous/d0.3/faulted/resume",
-        0x8e3bac69dd6957dd,
-    ),
     ("gaussian/sweep/d0/perfect/cold", 0xd4524d06bf1ed7f6),
     ("gaussian/sweep/d0/perfect/carried", 0x59a8769cb6337e51),
-    ("gaussian/sweep/d0/perfect/resume", 0x01d7c78d689023cc),
     ("gaussian/sweep/d0/faulted/cold", 0x2427e239acd5e91c),
     ("gaussian/sweep/d0/faulted/carried", 0xeaf6089a3668fc7f),
-    ("gaussian/sweep/d0/faulted/resume", 0xa17ab780730e8a34),
     ("gaussian/sweep/d0.3/perfect/cold", 0x04cabe89d455d5bb),
     ("gaussian/sweep/d0.3/perfect/carried", 0x72d126f963159a3d),
-    ("gaussian/sweep/d0.3/perfect/resume", 0x76e52218412793ba),
     ("gaussian/sweep/d0.3/faulted/cold", 0x71275a2ac9d5b191),
     ("gaussian/sweep/d0.3/faulted/carried", 0x5b73452255e14ed0),
-    ("gaussian/sweep/d0.3/faulted/resume", 0x6298615f31596cd7),
-    ("sharded-grid/perfect", 0xd9cc301b49f41c81),
-    ("sharded-grid/faulted", 0xf10024d0de860720),
-    ("sharded-particle/perfect", 0xb4253edc5664469a),
-    ("sharded-particle/faulted", 0x0037253a6cfd47fa),
-    ("sharded-gaussian/perfect", 0x2d4341bb4697ee43),
-    ("sharded-gaussian/faulted", 0xeb30d1e1677dbf47),
+    ("sharded-grid/perfect", 0x77a7c6d9d8197fdf),
+    ("sharded-grid/faulted", 0x6016ab9872a3ac6f),
+    ("sharded-particle/perfect", 0xadf8fb4bba7249ac),
+    ("sharded-particle/faulted", 0x9af3818a8514af2c),
+    ("sharded-gaussian/perfect", 0x449f4321e9f1f637),
+    ("sharded-gaussian/faulted", 0x7a45048f7085e6cb),
 ];
 
 /// FNV-1a, 64-bit.
@@ -518,13 +442,13 @@ where
 }
 
 /// The flat matrix for one engine: schedule × damping × transport ×
-/// start (cold, `run_carried`, `WarmStart::resume`).
+/// start (cold, carried).
 fn flat_cases<E>(label: &str, engine: &E, mrf: &SpatialMrf, out: &mut Vec<(String, u64)>)
 where
     E: BpEngine,
     E::Belief: Digest,
 {
-    // The carried / resumed beliefs: a short cold perfect run.
+    // The carried beliefs: a short cold perfect run.
     let seed_opts = BpOptions::builder()
         .max_iterations(2)
         .tolerance(0.0)
@@ -538,17 +462,13 @@ where
             for (tname, transport) in [("perfect", Transport::perfect()), ("faulted", faulted())] {
                 let prefix = format!("{label}/{}/d{damping}/{tname}", schedule.name());
                 let cold = traced(engine, |e, obs, f| {
-                    e.run_warm(mrf, &opts, &transport, WarmStart::cold(), obs, f)
+                    e.run_carried(mrf, &opts, &transport, None, obs, f)
                 });
                 out.push((format!("{prefix}/cold"), cold));
                 let carry = traced(engine, |e, obs, f| {
                     e.run_carried(mrf, &opts, &transport, Some(&carried), obs, f)
                 });
                 out.push((format!("{prefix}/carried"), carry));
-                let resume = traced(engine, |e, obs, f| {
-                    e.run_warm(mrf, &opts, &transport, WarmStart::resume(&carried), obs, f)
-                });
-                out.push((format!("{prefix}/resume"), resume));
             }
         }
     }
@@ -562,27 +482,20 @@ fn sharded_cases<E>(
     pts: &[Vec2],
     out: &mut Vec<(String, u64)>,
 ) where
-    E: BpEngine + Sync,
-    E::Belief: Digest + TemperBelief,
+    E: BpEngine,
+    E::Belief: Digest,
 {
     let layout = Arc::new(ShardLayout::build(mrf.domain(), 2, 2, pts, 120.0));
     assert!(layout.occupied_shards() > 1, "the layout must really shard");
-    let engine = ShardedEngine::new(inner, layout, 2).expect("valid config");
+    let engine = ShardedEngine::new(inner, layout);
     let perfect = options(Schedule::Synchronous, 0.0);
     let d = traced(&engine, |e, obs, f| {
-        e.run_warm(
-            mrf,
-            &perfect,
-            &Transport::perfect(),
-            WarmStart::cold(),
-            obs,
-            f,
-        )
+        e.run_carried(mrf, &perfect, &Transport::perfect(), None, obs, f)
     });
     out.push((format!("sharded-{label}/perfect"), d));
     let swept = options(Schedule::Sweep, 0.3);
     let d = traced(&engine, |e, obs, f| {
-        e.run_warm(mrf, &swept, &faulted(), WarmStart::cold(), obs, f)
+        e.run_carried(mrf, &swept, &faulted(), None, obs, f)
     });
     out.push((format!("sharded-{label}/faulted"), d));
 }
@@ -605,7 +518,7 @@ fn cases() -> Vec<(String, u64)> {
         &mut out,
     );
     flat_cases("particle", &ParticleBp::with_particles(40), &coop, &mut out);
-    flat_cases("gaussian", &GaussianBp::default(), &coop, &mut out);
+    flat_cases("gaussian", &GaussianBp, &coop, &mut out);
     sharded_cases("grid", GridBp::with_resolution(16), &coop, &pts, &mut out);
     sharded_cases(
         "particle",
@@ -614,7 +527,7 @@ fn cases() -> Vec<(String, u64)> {
         &pts,
         &mut out,
     );
-    sharded_cases("gaussian", GaussianBp::default(), &coop, &pts, &mut out);
+    sharded_cases("gaussian", GaussianBp, &coop, &pts, &mut out);
     out
 }
 

@@ -82,7 +82,7 @@ fn particle_posteriors_pass_distribution_audit() {
 fn gaussian_posteriors_pass_distribution_audit() {
     check::cases(CASES, |_, rng| {
         let mrf = random_mrf(rng);
-        let (beliefs, _) = GaussianBp::default().run(&mrf, &options(rng));
+        let (beliefs, _) = GaussianBp.run(&mrf, &options(rng));
         let audit = DistributionAudit::default();
         for (u, b) in beliefs.iter().enumerate() {
             audit

@@ -30,7 +30,7 @@ use crate::session::{CarriedBeliefs, LocalizationSession};
 use std::sync::Arc;
 use wsnloc_bayes::{
     Belief, BpEngine, BpOptions, GaussianBp, GridBp, ParticleBp, Schedule, ShardedEngine,
-    SpatialMrf, TemperBelief, Transport, ValidationError,
+    SpatialMrf, Transport, ValidationError,
 };
 use wsnloc_geom::{ShardLayout, Vec2};
 use wsnloc_net::accounting::{CommStats, WireMessage};
@@ -338,7 +338,7 @@ impl BnlLocalizer {
                     _ => None,
                 };
                 CarriedBeliefs::Gaussian(self.run_maybe_sharded(
-                    GaussianBp::default(),
+                    GaussianBp,
                     network,
                     &mrf,
                     &opts,
@@ -380,11 +380,10 @@ impl BnlLocalizer {
 
     /// Resolves the configured [`ShardPlan`] against a concrete network:
     /// node positions (anchor > planned > field center), tile counts from
-    /// the target shard size, and the halo radius (configured, or twice
-    /// the mean node spacing). `None` when sharding is off or the plan
-    /// resolves to a single tile — flat execution is the same thing,
-    /// cheaper.
-    fn shard_layout(&self, network: &Network) -> Option<(Arc<ShardLayout>, usize)> {
+    /// the target shard size, and a halo radius of twice the mean node
+    /// spacing. `None` when sharding is off or the plan resolves to a
+    /// single tile — flat execution is the same thing, cheaper.
+    fn shard_layout(&self, network: &Network) -> Option<Arc<ShardLayout>> {
         let plan = self.shards?;
         let n = network.len();
         if n == 0 {
@@ -403,16 +402,11 @@ impl BnlLocalizer {
                     .unwrap_or_else(|| bounds.center())
             })
             .collect();
-        let radius = plan.halo_radius.unwrap_or_else(|| {
-            let spacing = (bounds.width() * bounds.height() / n as f64).sqrt();
-            (2.0 * spacing).max(1e-6)
-        });
-        Some((
-            Arc::new(ShardLayout::build(
-                bounds, tiles_x, tiles_y, &positions, radius,
-            )),
-            plan.interior_iterations,
-        ))
+        let spacing = (bounds.width() * bounds.height() / n as f64).sqrt();
+        let radius = (2.0 * spacing).max(1e-6);
+        Some(Arc::new(ShardLayout::build(
+            bounds, tiles_x, tiles_y, &positions, radius,
+        )))
     }
 
     /// Runs the engine flat, or wrapped in a [`ShardedEngine`] when the
@@ -432,15 +426,12 @@ impl BnlLocalizer {
         on_iteration: F,
     ) -> Vec<E::Belief>
     where
-        E: BpEngine + Sync,
-        E::Belief: TemperBelief,
+        E: BpEngine,
         F: FnMut(usize, &[Option<Vec2>]),
     {
         match self.shard_layout(network) {
-            Some((layout, interior)) => {
-                // `ShardPlan` construction guarantees `interior >= 1`;
-                // `clamped` encodes that invariant infallibly.
-                let sharded = ShardedEngine::clamped(engine, layout, interior);
+            Some(layout) => {
+                let sharded = ShardedEngine::new(engine, layout);
                 self.run_backend(
                     &sharded,
                     mrf,
@@ -909,8 +900,8 @@ mod tests {
     #[test]
     fn sharded_execution_matches_flat_on_small_worlds() {
         // Shards sized to force a multi-tile layout on a 48-node world;
-        // grid backend + synchronous schedule + unit interior rounds is
-        // the exact-equivalence configuration.
+        // on a fault-free plan sharded estimates equal flat ones bit for
+        // bit.
         let (net, _) = small_world(14);
         let base = grid(24)
             .prior(PriorModel::DropPoint { sigma: 40.0 })
@@ -921,12 +912,7 @@ mod tests {
         let sharded = base.shards(plan).try_build().expect("valid config");
         let a = flat.localize(&net, 0);
         let b = sharded.localize(&net, 0);
-        for (fa, fb) in a.estimates.iter().zip(&b.estimates) {
-            match (fa, fb) {
-                (Some(p), Some(q)) => assert!(p.dist(*q) < 1e-9, "sharded drifted: {p:?} vs {q:?}"),
-                _ => assert_eq!(fa, fb),
-            }
-        }
+        assert_eq!(a.estimates, b.estimates);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! [`Backend`](crate::localizer::Backend) variants, and [`ShardPlan`]
 //! opts a localizer into sharded BP execution. Constructors return
 //! [`ValidationError`] at the point of construction — a bad particle
-//! count or halo radius fails where it is written, not iterations later
+//! count or shard size fails where it is written, not iterations later
 //! inside `try_build` (or worse, inside a run).
 
 use wsnloc_bayes::{CoarseToFine, ValidationError};
@@ -78,24 +78,21 @@ impl GridOptions {
 
 /// Opt-in sharded BP execution: the deployment is cut into spatial
 /// tiles (`wsnloc-geom`'s [`ShardLayout`](wsnloc_geom::ShardLayout)),
-/// each tile sweeps its interior independently on the worker pool, and
-/// tiles reconcile through halo exchange each outer round. Meant for
-/// deployments from the tens of thousands of nodes up; on a layout that
-/// resolves to a single tile the localizer runs the flat engine,
-/// bit-identically.
+/// and BP runs over the whole model with the fault plan confined to
+/// links between tiles; every iteration reports each tile's boundary
+/// traffic. On a fault-free plan the estimates equal flat execution's
+/// bit for bit. Meant for deployments from the tens of thousands of
+/// nodes up; on a layout that resolves to a single tile the localizer
+/// runs the flat engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardPlan {
     pub(crate) target_shard_nodes: usize,
-    pub(crate) interior_iterations: usize,
-    pub(crate) halo_radius: Option<f64>,
 }
 
 impl ShardPlan {
     /// Shards sized to roughly `target_shard_nodes` nodes each (at
     /// least 1); the tile grid is derived per network via
     /// [`ShardLayout::tiles_for_target`](wsnloc_geom::ShardLayout::tiles_for_target).
-    /// Interior iterations default to 1 (tightest flat-equivalence),
-    /// the halo radius to twice the network's mean node spacing.
     pub fn target_nodes(target_shard_nodes: usize) -> Result<Self, ValidationError> {
         if target_shard_nodes == 0 {
             return Err(ValidationError::InvalidOption {
@@ -104,42 +101,7 @@ impl ShardPlan {
                 requirement: "must be at least 1 node per shard",
             });
         }
-        Ok(ShardPlan {
-            target_shard_nodes,
-            interior_iterations: 1,
-            halo_radius: None,
-        })
-    }
-
-    /// BP iterations each shard runs between boundary exchanges (at
-    /// least 1). Larger values cut synchronization overhead at the cost
-    /// of boundary staleness.
-    pub fn interior_iterations(mut self, k: usize) -> Result<Self, ValidationError> {
-        if k == 0 {
-            return Err(ValidationError::InvalidOption {
-                option: "interior_iterations",
-                value: 0.0,
-                requirement: "must be at least 1 interior iteration per round",
-            });
-        }
-        self.interior_iterations = k;
-        Ok(self)
-    }
-
-    /// Geometric halo radius in meters (positive, finite). Purely a
-    /// padding knob: the sharded engine always closes halos over the
-    /// factor-graph adjacency, so correctness never depends on this
-    /// bounding the longest edge.
-    pub fn halo_radius(mut self, radius: f64) -> Result<Self, ValidationError> {
-        if !(radius > 0.0 && radius.is_finite()) {
-            return Err(ValidationError::InvalidOption {
-                option: "halo_radius",
-                value: radius,
-                requirement: "must be positive and finite",
-            });
-        }
-        self.halo_radius = Some(radius);
-        Ok(self)
+        Ok(ShardPlan { target_shard_nodes })
     }
 }
 
@@ -177,17 +139,6 @@ mod tests {
     fn shard_plan_validates_at_construction() {
         assert!(ShardPlan::target_nodes(0).is_err());
         let plan = ShardPlan::target_nodes(5000).expect("valid");
-        assert_eq!(plan.interior_iterations, 1);
-        assert!(plan.interior_iterations(0).is_err());
-        assert!(plan.halo_radius(0.0).is_err());
-        assert!(plan.halo_radius(f64::NAN).is_err());
-        assert!(plan.halo_radius(f64::INFINITY).is_err());
-        let tuned = plan
-            .interior_iterations(3)
-            .expect("valid")
-            .halo_radius(120.0)
-            .expect("valid");
-        assert_eq!(tuned.interior_iterations, 3);
-        assert_eq!(tuned.halo_radius, Some(120.0));
+        assert_eq!(plan.target_shard_nodes, 5000);
     }
 }

@@ -4,14 +4,15 @@
 //! The static lint tier can reject *patterns* that tend to break
 //! determinism (unseeded RNG, `HashMap` iteration, unfenced atomics);
 //! this module is the dynamic complement: it *executes* grid and
-//! particle BP — plus a sharded-grid run (per-shard interior sweeps
-//! fanned through the pool with cross-shard boundary exchanges) and a
-//! multi-tenant streaming-engine scenario with belief carry-over and
-//! overload shedding — under every combination of
-//! worker-pool thread count and seeded schedule permutation (the `rayon`
-//! shim's `set_schedule_permutation` hook shuffles the order chunk jobs
-//! reach the shared queue) and asserts that beliefs and folded metrics
-//! are **bit-identical** to a sequential reference run.
+//! particle BP — plus sharded runs (a sharded grid on a perfect
+//! transport, and a sharded particle run whose cross-shard links roll
+//! loss and staleness fates) and a multi-tenant streaming-engine
+//! scenario with belief carry-over and overload shedding — under every
+//! combination of worker-pool thread count and seeded schedule
+//! permutation (the `rayon` shim's `set_schedule_permutation` hook
+//! shuffles the order chunk jobs reach the shared queue) and asserts
+//! that beliefs, folded metrics and per-shard boundary exchanges are
+//! **bit-identical** to a sequential reference run.
 //!
 //! Because the shim assigns each chunk a fixed output slot and drains
 //! the batch latch before returning, a permuted schedule cannot change
@@ -21,7 +22,7 @@
 //! and runs offline, so it doubles as a poor-man's race detector in CI.
 
 use wsnloc::prelude::*;
-use wsnloc_obs::{MetricsObserver, MetricsSnapshot};
+use wsnloc_obs::{FanoutObserver, MetricsObserver, MetricsSnapshot, ObsEvent, RunTrace};
 use wsnloc_serve::{EngineConfig, MeasurementEpoch, SessionConfig, StreamingEngine};
 
 /// The perturbation matrix one audit run sweeps.
@@ -83,9 +84,28 @@ struct Fingerprint {
     iterations: usize,
     converged: bool,
     metrics: MetricsSnapshot,
+    /// `(iteration, shard, messages)` of every boundary exchange.
+    boundary: Vec<(usize, usize, u64)>,
 }
 
-fn fingerprint(result: &LocalizationResult, metrics: MetricsSnapshot) -> Fingerprint {
+fn fingerprint(
+    result: &LocalizationResult,
+    metrics: MetricsSnapshot,
+    trace: Option<RunTrace>,
+) -> Fingerprint {
+    let boundary = trace.map_or_else(Vec::new, |t| {
+        t.events
+            .iter()
+            .filter_map(|e| match e {
+                ObsEvent::BoundaryExchange {
+                    round,
+                    shard,
+                    messages,
+                } => Some((*round, *shard, *messages)),
+                _ => None,
+            })
+            .collect()
+    });
     Fingerprint {
         estimates: result
             .estimates
@@ -100,6 +120,7 @@ fn fingerprint(result: &LocalizationResult, metrics: MetricsSnapshot) -> Fingerp
         iterations: result.iterations,
         converged: result.converged,
         metrics: normalize(metrics),
+        boundary,
     }
 }
 
@@ -113,8 +134,8 @@ fn normalize(mut snapshot: MetricsSnapshot) -> MetricsSnapshot {
 }
 
 /// The audited workload: same drop-cluster scenario the determinism
-/// tier-1 tests pin, exercised by the iterative backends flat and (for
-/// the grid engine) through the sharded execution layer.
+/// tier-1 tests pin, exercised by the iterative backends flat and
+/// through the sharded execution layer.
 fn audit_scenario() -> Scenario {
     Scenario {
         name: "audit-determinism".into(),
@@ -147,16 +168,28 @@ fn backends() -> Vec<(&'static str, BnlLocalizer)> {
                 .try_build()
                 .expect("valid config"),
         ),
-        // Sharded execution fans interior sweeps out per shard through
-        // the worker pool — the layout splits the 50-node audit field
-        // into a 2×2 tile grid, so cross-shard merge order is audited
-        // under permutation too.
+        // The layout splits the 50-node audit field into a 2×2 tile
+        // grid, so the per-shard boundary exchanges are audited under
+        // permutation too.
         (
             "sharded-grid",
             BnlLocalizer::builder(Backend::grid(25).expect("valid backend"))
-                .prior(prior)
+                .prior(prior.clone())
                 .max_iterations(4)
                 .shards(ShardPlan::target_nodes(16).expect("valid shard plan"))
+                .try_build()
+                .expect("valid config"),
+        ),
+        // The faulted boundary path: cross-shard links roll loss and
+        // staleness fates while the updates run on the pool.
+        (
+            "sharded-particle-faulted",
+            BnlLocalizer::builder(Backend::particle(60).expect("valid backend"))
+                .prior(prior)
+                .max_iterations(4)
+                .tolerance(0.0)
+                .shards(ShardPlan::target_nodes(16).expect("valid shard plan"))
+                .fault_plan(FaultPlan::iid_loss(0xA0D17, 0.3).with_stale_prob(0.2))
                 .try_build()
                 .expect("valid config"),
         ),
@@ -214,6 +247,7 @@ fn stream_fingerprint(network: &Network) -> Fingerprint {
         iterations,
         converged,
         metrics: normalize(MetricsSnapshot::merge(&parts)),
+        boundary: Vec::new(),
     }
 }
 
@@ -233,13 +267,15 @@ pub fn audit_determinism(config: &AuditConfig) -> AuditOutcome {
     let run = |threads: usize, permutation: Option<u64>, algo: &BnlLocalizer| -> Fingerprint {
         rayon::set_schedule_permutation(permutation);
         let observer = MetricsObserver::new();
+        let tracer = TraceObserver::new();
+        let fanout = FanoutObserver::new(vec![&observer, &tracer]);
         let result = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
             .expect("shim pool build is infallible")
-            .install(|| algo.localize_with_observer(&network, 0xF1DE, &observer));
+            .install(|| algo.localize_with_observer(&network, 0xF1DE, &fanout));
         rayon::set_schedule_permutation(None);
-        fingerprint(&result, observer.snapshot())
+        fingerprint(&result, observer.snapshot(), tracer.last_run())
     };
 
     for (label, algo) in backends() {
@@ -309,6 +345,8 @@ fn diverged(reference: &Fingerprint, got: &Fingerprint) -> &'static str {
         "belief uncertainty"
     } else if got.iterations != reference.iterations || got.converged != reference.converged {
         "convergence trajectory"
+    } else if got.boundary != reference.boundary {
+        "boundary exchanges"
     } else {
         "metrics fold"
     }
@@ -324,9 +362,10 @@ mod tests {
             thread_counts: vec![1, 2],
             permutation_seeds: vec![0xA0D1_7000],
         });
-        // 4 workloads (grid, particle, sharded-grid, streaming engine)
-        // × (1 reference + 2 thread counts × 2 schedules).
-        assert_eq!(outcome.runs, 20);
+        // 5 workloads (grid, particle, sharded-grid, faulted
+        // sharded-particle, streaming engine) × (1 reference + 2 thread
+        // counts × 2 schedules).
+        assert_eq!(outcome.runs, 25);
         assert!(outcome.passed(), "divergences: {:?}", outcome.failures);
     }
 

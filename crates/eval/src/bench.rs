@@ -26,13 +26,33 @@ pub const GRID_ITERATIONS: usize = 3;
 
 /// Median wall seconds over `samples` executions of `f`.
 fn median_secs(samples: usize, mut f: impl FnMut()) -> f64 {
-    let mut times: Vec<f64> = (0..samples.max(1))
-        .map(|_| {
-            let start = Stopwatch::start();
-            f();
-            start.elapsed_secs()
-        })
-        .collect();
+    let times: Vec<f64> = (0..samples.max(1)).map(|_| secs(&mut f)).collect();
+    median(times)
+}
+
+/// Medians of `samples` timed runs each of `a` and `b`, interleaved
+/// (`a b`, `b a`, `a b`, …) so drift in machine load lands on both.
+fn median_pair_secs(samples: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+    let (mut ta, mut tb) = (Vec::new(), Vec::new());
+    for i in 0..samples.max(1) {
+        if i % 2 == 0 {
+            ta.push(secs(&mut a));
+            tb.push(secs(&mut b));
+        } else {
+            tb.push(secs(&mut b));
+            ta.push(secs(&mut a));
+        }
+    }
+    (median(ta), median(tb))
+}
+
+fn secs(f: &mut impl FnMut()) -> f64 {
+    let start = Stopwatch::start();
+    f();
+    start.elapsed_secs()
+}
+
+fn median(mut times: Vec<f64>) -> f64 {
     times.sort_by(f64::total_cmp);
     times[times.len() / 2]
 }
@@ -155,7 +175,7 @@ pub fn particle_bench_json(samples: usize) -> String {
     let particle_secs = median_secs(samples, || {
         particle_engine.run(&mrf, &opts);
     });
-    let gaussian_engine = GaussianBp::default();
+    let gaussian_engine = GaussianBp;
     let (_, gaussian_outcome) = gaussian_engine.run(&mrf, &opts);
     let gaussian_secs = median_secs(samples, || {
         gaussian_engine.run(&mrf, &opts);
@@ -203,8 +223,7 @@ pub const SHARD_SCALE_RADIUS: f64 = 30.0;
 pub const SHARD_SCALE_DEGREE: f64 = 5.0;
 /// Target nodes per shard handed to [`ShardLayout::tiles_for_target`].
 pub const SHARD_SCALE_TARGET: usize = 500;
-/// Per-node BP iteration budget of the sharded sweep (outer rounds ×
-/// interior iterations with `interior = 1`).
+/// BP iteration budget of the sharded sweep, flat and sharded alike.
 pub const SHARD_SCALE_ITERATIONS: usize = 2;
 
 /// A uniform random deployment at constant density with 2.5% anchors and
@@ -258,9 +277,10 @@ fn sharded_fixture(nodes: usize) -> (SpatialMrf, Arc<ShardLayout>) {
 /// how much the adaptive schedule claws back once beliefs concentrate.
 /// `sharded` runs constant-density uniform deployments from 1k nodes up
 /// (to 1M in full mode) through the Gaussian backend twice — the flat
-/// engine and [`ShardedEngine`] over a [`ShardLayout`] — so the pinned
-/// rows track both the flat baseline and the sharded execution layer's
-/// overhead/scaling on networks far beyond the experiment suite. Graph
+/// engine and [`ShardedEngine`] over a [`ShardLayout`], their samples
+/// interleaved — so the pinned rows track both the flat baseline and the
+/// cost of sharded execution's boundary accounting on networks far
+/// beyond the experiment suite. Graph
 /// shape fields (`edges`, `anchors`, `shards`) are exact-match pinned:
 /// they regress only if deployment construction loses determinism.
 pub fn scale_bench_json(samples: usize, quick: bool) -> String {
@@ -309,15 +329,17 @@ fn scale_bench_json_for(samples: usize, node_counts: &[usize], mode: &str) -> St
     let mut shard_rows = String::new();
     for (i, &nodes) in node_counts.iter().enumerate() {
         let (mrf, layout) = sharded_fixture(nodes);
-        let flat = GaussianBp::default();
-        let sharded = ShardedEngine::new(GaussianBp::default(), Arc::clone(&layout), 1)
-            .expect("one interior iteration is valid");
-        let flat_secs = median_secs(samples, || {
-            flat.run(&mrf, &shard_opts);
-        });
-        let sharded_secs = median_secs(samples, || {
-            sharded.run(&mrf, &shard_opts);
-        });
+        let flat = GaussianBp;
+        let sharded = ShardedEngine::new(GaussianBp, Arc::clone(&layout));
+        let (flat_secs, sharded_secs) = median_pair_secs(
+            samples,
+            || {
+                flat.run(&mrf, &shard_opts);
+            },
+            || {
+                sharded.run(&mrf, &shard_opts);
+            },
+        );
         let comma = if i + 1 < node_counts.len() { "," } else { "" };
         shard_rows.push_str(&format!(
             "      {{ \"nodes\": {nodes}, \"edges\": {edges}, \"anchors\": {anchors}, \"shards\": {shards}, \"flat_secs\": {flat_secs:.6}, \"sharded_secs\": {sharded_secs:.6} }}{comma}\n",

@@ -2,9 +2,8 @@
 //!
 //! Sharded BP execution needs the network cut into spatially contiguous
 //! pieces: belief-propagation messages only travel one hop per
-//! iteration, so a shard can sweep its interior independently and
-//! reconcile with its neighbors through a thin boundary layer. This
-//! module owns the geometry half of that story:
+//! iteration, so the links between tiles form a thin boundary layer.
+//! This module owns the geometry half of that story:
 //!
 //! - **Partition**: the bounding box is cut into a `tiles_x × tiles_y`
 //!   grid and every node is assigned to exactly one tile by its
@@ -19,9 +18,9 @@
 //!   the same positions, every graph neighbor of a member is either a
 //!   member or in the halo.
 //!
-//! The consumer (`wsnloc-bayes`'s sharded engine) additionally closes
-//! halos over the actual factor-graph adjacency, so inference never
-//! depends on the geometric radius being a true bound.
+//! The consumer (`wsnloc-bayes`'s sharded engine) reads only the
+//! membership: it scopes faults to the links between shards. Halos are
+//! still extracted but nothing in inference reads them.
 
 use crate::aabb::Aabb;
 use crate::grid::SpatialGrid;

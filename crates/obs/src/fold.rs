@@ -51,11 +51,13 @@ pub struct EventCounts {
     pub epoch_advances: u64,
     /// Streaming-tenant epochs shed under overload (coasted, no BP).
     pub tenants_shed: u64,
-    /// Correlation-context stamps (tenant/epoch/shard/round markers).
+    /// Correlation-context stamps (tenant/epoch markers).
     pub contexts: u64,
-    /// Sharded outer-round boundary exchanges (one per shard per round).
+    /// Shard boundary exchanges (one per occupied shard per iteration of
+    /// a sharded run).
     pub boundary_exchanges: u64,
-    /// Cross-shard belief messages delivered at boundary exchanges.
+    /// Fresh cross-shard belief deliveries reported by boundary
+    /// exchanges.
     pub boundary_messages: u64,
 }
 
@@ -77,8 +79,8 @@ pub struct IterationMetrics {
     pub stale: u64,
     /// Node deaths at this iteration.
     pub deaths: u64,
-    /// Runs that measured a finite `max_shift` here (a sharded run's
-    /// first round has no baseline and reports infinity).
+    /// Runs that measured a finite `max_shift` here (a diverging run
+    /// can report a non-finite one).
     pub shifts: u64,
     /// Sum of the finite per-run `max_shift`s (divide by `shifts` for
     /// the mean).

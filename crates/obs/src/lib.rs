@@ -60,9 +60,8 @@
 //!   exposing `/metrics` (the store's lifetime and windowed families),
 //!   `/healthz` (liveness, tick count, last-tick age), and `/tenants`
 //!   (JSON rollup) from a hub.
-//! - [`ObsEvent::Context`] correlation stamps (tenant / epoch / shard /
-//!   outer round) let downstream consumers attribute interleaved event
-//!   streams.
+//! - [`ObsEvent::Context`] correlation stamps (tenant / epoch) let
+//!   downstream consumers attribute interleaved event streams.
 //!
 //! Residual conventions (what "belief residual" means per backend):
 //! grid beliefs report the L1 distance between successive cell-mass

@@ -58,9 +58,9 @@ pub enum Fact {
     EpochsShed,
     /// Correlation-context stamps.
     Contexts,
-    /// Sharded outer-round boundary exchanges.
+    /// Per-iteration shard boundary exchanges.
     BoundaryExchanges,
-    /// Cross-shard belief messages delivered at exchanges, per shard.
+    /// Fresh cross-shard belief deliveries at exchanges, per shard.
     BoundaryMessages,
     /// Scheduler ticks executed.
     Ticks,
@@ -143,8 +143,8 @@ impl Fact {
             Fact::GridFallbacks =>     (Some("wsnloc_grid_uniform_fallbacks"),   Some("wsnloc_window_grid_fallbacks"),    Count,               none,   "grid messages collapsed to uniform"),
             Fact::EpochsSolved =>      (Some("wsnloc_serve_epochs_solved"),      Some("wsnloc_window_epochs_solved"),     Count,               tenant, "tenant epochs that ran BP"),
             Fact::EpochsShed =>        (Some("wsnloc_serve_epochs_shed"),        Some("wsnloc_window_epochs_shed"),       Count,               tenant, "tenant epochs shed under overload"),
-            Fact::Contexts =>          (Some("wsnloc_context_stamps"),           None,                                    Count,               none,   "correlation-context stamps (tenant/epoch/shard/round)"),
-            Fact::BoundaryExchanges => (Some("wsnloc_shard_boundary_exchanges"), None,                                    Count,               none,   "sharded outer-round boundary exchanges"),
+            Fact::Contexts =>          (Some("wsnloc_context_stamps"),           None,                                    Count,               none,   "correlation-context stamps (tenant/epoch)"),
+            Fact::BoundaryExchanges => (Some("wsnloc_shard_boundary_exchanges"), None,                                    Count,               none,   "per-iteration shard boundary exchanges"),
             Fact::BoundaryMessages =>  (Some("wsnloc_shard_boundary_messages"),  Some("wsnloc_window_boundary_messages"), Count,               shard,  "cross-shard belief messages delivered at exchanges"),
             Fact::Ticks =>             (Some("wsnloc_serve_ticks"),              None,                                    Count,               none,   "scheduler ticks executed"),
             Fact::TickSeconds =>       (Some("wsnloc_serve_tick_seconds"),       Some("wsnloc_window_tick_seconds"),      Samples(1e-4, 10.0), none,   "wall seconds per scheduler tick"),

@@ -178,30 +178,25 @@ pub enum ObsEvent {
         epoch: u64,
     },
     /// Correlation context stamped into the event stream so one epoch
-    /// can be followed across engines and shard boundaries. The
-    /// streaming engine emits it immediately before (and the sharded
-    /// engine during) the run the context applies to; consumers that
-    /// key state by tenant — sampling policies, windowed metrics —
-    /// treat it as "subsequent records belong to this tenant/epoch".
+    /// can be followed across engines. The streaming engine emits it
+    /// immediately before the run the context applies to; consumers that
+    /// key state by tenant, such as the windowed metrics, treat it as
+    /// "subsequent records belong to this tenant/epoch".
     Context {
         /// Streaming tenant (session) id, when run under an engine.
         tenant: Option<u64>,
         /// 0-based epoch index within the tenant's stream.
         epoch: Option<u64>,
-        /// Shard id, when the run executes inside a sharded engine.
-        shard: Option<u64>,
-        /// Outer boundary-exchange round within a sharded run.
-        round: Option<u64>,
     },
-    /// One shard refreshed its halo mirrors at a sharded outer-round
-    /// boundary exchange — the per-shard boundary-traffic signal the
-    /// windowed metrics tier aggregates.
+    /// One shard's boundary traffic in one BP iteration of a sharded
+    /// run — the per-shard signal the windowed metrics tier aggregates.
     BoundaryExchange {
-        /// Outer round (0-based) the exchange followed.
+        /// The BP iteration (0-based) of the exchange.
         round: usize,
-        /// Shard whose mirrors were refreshed.
+        /// The receiving shard.
         shard: usize,
-        /// Cross-shard belief messages delivered to this shard.
+        /// Fresh belief deliveries from free senders in other shards to
+        /// free nodes in this shard.
         messages: u64,
     },
 }

@@ -495,13 +495,13 @@ fn parse_event(v: &JsonValue) -> Result<Option<ObsEvent>, String> {
             tenant: field_u64(v, "tenant")?,
             epoch: field_u64(v, "epoch")?,
         }),
+        // Traces written before the context lost its `shard` and
+        // `round` keys still parse: unread keys are ignored.
         "context" => {
             let opt = |key: &str| v.get(key).and_then(JsonValue::as_u64);
             Some(ObsEvent::Context {
                 tenant: opt("tenant"),
                 epoch: opt("epoch"),
-                shard: opt("shard"),
-                round: opt("round"),
             })
         }
         "boundary_exchange" => Some(ObsEvent::BoundaryExchange {
@@ -681,8 +681,6 @@ mod tests {
                 ObsEvent::Context {
                     tenant: Some(3),
                     epoch: None,
-                    shard: Some(1),
-                    round: Some(0),
                 },
             ],
             summary: Some(RunSummary {
@@ -704,6 +702,15 @@ mod tests {
         let text = sink.lines.join("\n");
         let parsed = parse_jsonl(&text).expect("parse back");
         assert_eq!(parsed, runs);
+        // Older traces stamped the context with `shard` and `round` keys;
+        // they still parse, to the same event.
+        let context = "{\"type\":\"event\",\"event\":\"context\",\"tenant\":3,\"epoch\":null}";
+        assert!(text.contains(context), "{text}");
+        let older = text.replace(
+            context,
+            "{\"type\":\"event\",\"event\":\"context\",\"tenant\":3,\"epoch\":null,\"shard\":1,\"round\":0}",
+        );
+        assert_eq!(parse_jsonl(&older).expect("older context parses"), runs);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! {"type":"event","event":"stale_message_used","iteration":..,"count":..}
 //! {"type":"event","event":"epoch_advanced","tenant":..,"epoch":..}
 //! {"type":"event","event":"tenant_shed","tenant":..,"epoch":..}
-//! {"type":"event","event":"context","tenant":..,"epoch":..,"shard":..,"round":..}
+//! {"type":"event","event":"context","tenant":..,"epoch":..}
 //! {"type":"event","event":"boundary_exchange","round":..,"shard":..,"messages":..}
 //! {"type":"run_end","iterations":..,"converged":..,"messages":..,"bytes":..}
 //! ```
@@ -223,12 +223,7 @@ fn event_line(event: &ObsEvent) -> String {
             push_json_str(&mut s, "tenant_shed");
             let _ = write!(s, ",\"tenant\":{tenant},\"epoch\":{epoch}");
         }
-        ObsEvent::Context {
-            tenant,
-            epoch,
-            shard,
-            round,
-        } => {
+        ObsEvent::Context { tenant, epoch } => {
             push_json_str(&mut s, "context");
             let opt = |s: &mut String, key: &str, v: &Option<u64>| {
                 let _ = match v {
@@ -238,8 +233,6 @@ fn event_line(event: &ObsEvent) -> String {
             };
             opt(&mut s, "tenant", tenant);
             opt(&mut s, "epoch", epoch);
-            opt(&mut s, "shard", shard);
-            opt(&mut s, "round", round);
         }
         ObsEvent::BoundaryExchange {
             round,

@@ -485,8 +485,6 @@ impl StreamingEngine {
                 obs.on_event(&ObsEvent::Context {
                     tenant: Some(id),
                     epoch: Some(epoch_idx),
-                    shard: None,
-                    round: None,
                 });
                 obs.on_event(&shed_event);
             }
@@ -528,8 +526,6 @@ impl StreamingEngine {
                 fanout.on_event(&ObsEvent::Context {
                     tenant: Some(id),
                     epoch: Some(epoch_idx),
-                    shard: None,
-                    round: None,
                 });
                 let result = t
                     .session

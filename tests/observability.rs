@@ -38,9 +38,8 @@ fn algo() -> BnlLocalizer {
         .expect("valid localizer configuration")
 }
 
-/// A sharded Gaussian localizer on the same scenario. Its first outer
-/// round has no baseline and reports an infinite `max_shift`, which
-/// trace JSONL writes as `null`.
+/// A sharded Gaussian localizer on the same scenario. It reports every
+/// iteration as a flat run does, residuals from iteration 0 included.
 fn sharded_algo() -> BnlLocalizer {
     BnlLocalizer::builder(Backend::gaussian())
         .prior(PriorModel::DropPoint { sigma: 50.0 })
@@ -264,9 +263,8 @@ fn evaluate_traces_serialize_to_replayable_jsonl() {
     let _guard = SERIAL
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    // Flat runs report residuals from iteration 0; a sharded run's first
-    // round has no baseline, so its iteration-0 residual pool is empty.
-    for (localizer, sharded) in [(algo(), false), (sharded_algo(), true)] {
+    // Flat and sharded runs alike report residuals from iteration 0.
+    for localizer in [algo(), sharded_algo()] {
         let outcome = evaluate(
             &localizer,
             &scenario(),
@@ -280,8 +278,7 @@ fn evaluate_traces_serialize_to_replayable_jsonl() {
         let metrics = outcome.metrics.expect("with_metrics collects snapshots");
         let per_iteration = &metrics.overall.per_iteration;
         assert_eq!(per_iteration.len(), 4);
-        assert_eq!(per_iteration[0].residuals.is_empty(), sharded);
-        assert!(per_iteration[1..].iter().all(|it| !it.residuals.is_empty()));
+        assert!(per_iteration.iter().all(|it| !it.residuals.is_empty()));
 
         let mut sink = VecSink::new();
         let lines = write_jsonl(&traces, &mut sink).expect("in-memory sink");
