@@ -13,8 +13,8 @@
 //! is built once per run and scattered row by row, and the inner
 //! accumulate dispatches to runtime-detected SIMD. Beliefs,
 //! messages and tables are all `f64`. One opt-in throughput knob rides
-//! on top: [`CoarseToFine`] pre-solves on a reduced grid and carries
-//! concentrated beliefs up to the full resolution.
+//! on top: [`GridBp::with_refinement`] pre-solves on a reduced grid and
+//! carries concentrated beliefs up to the full resolution.
 
 use crate::engine::{self, BpEngine, Delivery, Inbox, NodeUpdate, RunOutcome};
 use crate::mrf::{BpOptions, SpatialMrf};
@@ -261,49 +261,17 @@ impl GridBelief {
             .max(0.0)
     }
 
-    /// Motion-model predict step on the cell array: an optional affine
-    /// remap through the state-transition matrix `f` (row-major 2×2;
-    /// bilinear gather through `f⁻¹`, identity and singular `f` skip
-    /// it) followed by a separable truncated-Gaussian blur of
-    /// `(sigma_x, sigma_y)` meters — the discrete convolution with the
-    /// process noise `N(0, Q)`. The result is renormalized; sigmas of
-    /// zero leave the corresponding axis untouched.
+    /// Motion-model predict step on the cell array: a separable
+    /// truncated-Gaussian blur of `sigma` meters along each axis — the
+    /// discrete convolution with the isotropic process noise
+    /// `N(0, sigma² I)`. The result is renormalized; a sigma of zero
+    /// leaves the belief untouched.
     #[must_use]
-    pub fn predicted(&self, f: [f64; 4], sigma_x: f64, sigma_y: f64) -> GridBelief {
+    pub fn predicted(&self, sigma: f64) -> GridBelief {
         let mut out = self.clone();
-        let identity = f == [1.0, 0.0, 0.0, 1.0];
-        let det = f[0] * f[3] - f[1] * f[2];
-        if !identity && det.abs() > 1e-12 && det.is_finite() {
-            // x_prev = f⁻¹ · x: gather each target cell's mass from the
-            // bilinearly-interpolated source location.
-            let inv = [f[3] / det, -f[1] / det, -f[2] / det, f[0] / det];
-            let (dx, dy) = self.cell_size();
-            let mut remapped = vec![0.0; self.mass.len()];
-            for (i, slot) in remapped.iter_mut().enumerate() {
-                let c = self.cell_center(i);
-                let s = Vec2::new(inv[0] * c.x + inv[1] * c.y, inv[2] * c.x + inv[3] * c.y);
-                // Fractional cell coordinates of the source point.
-                let fx = (s.x - self.domain.min.x) / dx - 0.5;
-                let fy = (s.y - self.domain.min.y) / dy - 0.5;
-                let x0 = fx.floor();
-                let y0 = fy.floor();
-                let (tx, ty) = (fx - x0, fy - y0);
-                for (gx, gy, w) in [
-                    (x0, y0, (1.0 - tx) * (1.0 - ty)),
-                    (x0 + 1.0, y0, tx * (1.0 - ty)),
-                    (x0, y0 + 1.0, (1.0 - tx) * ty),
-                    (x0 + 1.0, y0 + 1.0, tx * ty),
-                ] {
-                    if gx >= 0.0 && gy >= 0.0 && gx < self.nx as f64 && gy < self.ny as f64 {
-                        *slot += w * self.mass[gy as usize * self.nx + gx as usize];
-                    }
-                }
-            }
-            out.mass = remapped;
-        }
         let (dx, dy) = self.cell_size();
-        blur_axis(&mut out.mass, self.nx, self.ny, sigma_x / dx, true);
-        blur_axis(&mut out.mass, self.nx, self.ny, sigma_y / dy, false);
+        blur_axis(&mut out.mass, self.nx, self.ny, sigma / dx, true);
+        blur_axis(&mut out.mass, self.nx, self.ny, sigma / dy, false);
         out.normalize();
         out
     }
@@ -559,76 +527,19 @@ impl MessageCache {
     }
 }
 
-/// Opt-in coarse-to-fine schedule for [`GridBp`].
-///
-/// The run starts on a `(nx/factor) × (ny/factor)` grid for
-/// `coarse_iterations` BP iterations (or until the run's convergence
-/// tolerance is met). Free nodes whose coarse posterior concentrates —
-/// the mass of their `top_k` heaviest cells reaches `concentration` —
-/// carry their upsampled belief into the full-resolution run as its
-/// starting point (the same belief-level carry-over seam `wsnloc-serve`
-/// uses between epochs); diffuse nodes restart cold from their priors.
-/// The coarse pre-solve runs on the perfect transport without observer
-/// telemetry; its broadcasts are added to the run's message count.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CoarseToFine {
-    /// Resolution divisor for the coarse phase (≥ 2).
-    pub factor: usize,
-    /// Iteration budget of the coarse phase (≥ 1).
-    pub coarse_iterations: usize,
-    /// Number of heaviest cells whose combined mass is thresholded (≥ 1).
-    pub top_k: usize,
-    /// Concentration threshold in `(0, 1]`: carry a node's coarse belief
-    /// up only when its top-k mass reaches this value.
-    pub concentration: f64,
-}
+/// Resolution divisor of the coarse-to-fine pre-solve
+/// ([`GridBp::with_refinement`]).
+const COARSE_FACTOR: usize = 4;
 
-impl Default for CoarseToFine {
-    fn default() -> Self {
-        CoarseToFine {
-            factor: 4,
-            coarse_iterations: 6,
-            top_k: 9,
-            concentration: 0.5,
-        }
-    }
-}
+/// Iteration budget of the coarse pre-solve.
+const COARSE_ITERATIONS: usize = 6;
 
-impl CoarseToFine {
-    /// Validates the schedule parameters, returning `self` unchanged on
-    /// success.
-    pub fn validated(self) -> Result<Self, ValidationError> {
-        if self.factor < 2 {
-            return Err(ValidationError::InvalidOption {
-                option: "refine.factor",
-                value: self.factor as f64,
-                requirement: "coarse-to-fine resolution divisor must be at least 2",
-            });
-        }
-        if self.coarse_iterations == 0 {
-            return Err(ValidationError::InvalidOption {
-                option: "refine.coarse_iterations",
-                value: 0.0,
-                requirement: "coarse phase needs at least 1 iteration",
-            });
-        }
-        if self.top_k == 0 {
-            return Err(ValidationError::InvalidOption {
-                option: "refine.top_k",
-                value: 0.0,
-                requirement: "concentration statistic needs at least 1 cell",
-            });
-        }
-        if !(self.concentration > 0.0 && self.concentration <= 1.0) {
-            return Err(ValidationError::InvalidOption {
-                option: "refine.concentration",
-                value: self.concentration,
-                requirement: "concentration threshold must lie in (0, 1]",
-            });
-        }
-        Ok(self)
-    }
-}
+/// Number of heaviest coarse cells whose combined mass decides whether a
+/// node's coarse belief carries up.
+const COARSE_TOP_K: usize = 9;
+
+/// A node's coarse belief carries up when its top-k mass reaches this.
+const COARSE_CONCENTRATION: f64 = 0.5;
 
 /// Per-node warm-start lookup unifying the two carry-over sources: the
 /// caller's carried beliefs (all free nodes) and the coarse-to-fine
@@ -656,16 +567,13 @@ const MASS_FLOOR: f64 = 1e-4;
 /// Loopy belief propagation with grid-discretized beliefs.
 #[derive(Debug, Clone, Copy)]
 pub struct GridBp {
-    /// Cells along x.
-    pub nx: usize,
-    /// Cells along y.
-    pub ny: usize,
+    nx: usize,
+    ny: usize,
     /// Whether the per-run message cache (prior beliefs, anchor messages,
-    /// kernel stencils) is used. On by default; disabling it runs the
-    /// recompute-everything reference path, kept for equivalence tests
-    /// and before/after benchmarks.
-    pub cache_messages: bool,
-    refine: Option<CoarseToFine>,
+    /// kernel stencils) is used.
+    cache_messages: bool,
+    /// Whether a cold run pre-solves on a coarse grid first.
+    refine: bool,
 }
 
 impl GridBp {
@@ -675,32 +583,35 @@ impl GridBp {
             nx: n,
             ny: n,
             cache_messages: true,
-            refine: None,
+            refine: false,
         }
     }
 
     /// The same engine with the per-run message cache disabled: every
     /// prior, anchor message, and kernel evaluation is recomputed from
     /// the potentials each iteration, exactly as the pre-cache engine
-    /// did.
+    /// did. The cache is on by default; this reference path is kept for
+    /// equivalence tests and before/after benchmarks.
     pub fn without_message_cache(mut self) -> Self {
         self.cache_messages = false;
         self
     }
 
-    /// The same engine with the coarse-to-fine schedule enabled.
-    /// Callers should pass parameters through
-    /// [`CoarseToFine::validated`]; degenerate values (a factor that
-    /// leaves fewer than 2 coarse cells per axis) skip the pre-solve at
-    /// run time rather than failing.
-    pub fn with_refinement(mut self, refine: CoarseToFine) -> Self {
-        self.refine = Some(refine);
+    /// The same engine with the coarse-to-fine schedule enabled. A cold
+    /// run first pre-solves on a `(nx/4) × (ny/4)` grid for 6 BP
+    /// iterations (or until the run's convergence tolerance is met).
+    /// Free nodes whose coarse posterior concentrates — the mass of
+    /// their 9 heaviest cells reaches 0.5 — carry their upsampled belief
+    /// into the full-resolution run as its starting point (the same
+    /// belief-level carry-over seam `wsnloc-serve` uses between epochs);
+    /// diffuse nodes restart cold from their priors. The coarse
+    /// pre-solve runs on the perfect transport without observer
+    /// telemetry; its broadcasts are added to the run's message count.
+    /// A grid too small to leave at least 2 coarse cells per axis skips
+    /// the pre-solve.
+    pub fn with_refinement(mut self) -> Self {
+        self.refine = true;
         self
-    }
-
-    /// The coarse-to-fine schedule, when enabled.
-    pub fn refinement(&self) -> Option<CoarseToFine> {
-        self.refine
     }
 
     /// Initial beliefs and update state for one run at this engine's
@@ -916,37 +827,34 @@ impl BpEngine for GridBp {
     {
         let mut carried: Option<Vec<Option<GridBelief>>> = None;
         let mut pre_messages = 0u64;
-        if let Some(cf) = self.refine {
-            let f = cf.factor.max(1);
-            let (cnx, cny) = (self.nx / f, self.ny / f);
-            if warm.is_none() && cf.factor >= 2 && cnx >= 2 && cny >= 2 {
-                let coarse = GridBp {
-                    nx: cnx,
-                    ny: cny,
-                    refine: None,
-                    ..*self
-                };
-                let mut copts = *opts;
-                copts.max_iterations = cf.coarse_iterations.max(1);
-                let (beliefs, bp) = coarse.run(mrf, &copts);
-                pre_messages = bp.messages;
-                carried = Some(
-                    beliefs
-                        .into_iter()
-                        .enumerate()
-                        .map(|(u, b)| {
-                            if mrf.fixed(u).is_some() {
-                                return None;
-                            }
-                            if b.top_k_mass(cf.top_k) >= cf.concentration {
-                                Some(b.upsampled_to(self.nx, self.ny))
-                            } else {
-                                None
-                            }
-                        })
-                        .collect(),
-                );
-            }
+        let (cnx, cny) = (self.nx / COARSE_FACTOR, self.ny / COARSE_FACTOR);
+        if self.refine && warm.is_none() && cnx >= 2 && cny >= 2 {
+            let coarse = GridBp {
+                nx: cnx,
+                ny: cny,
+                refine: false,
+                ..*self
+            };
+            let mut copts = *opts;
+            copts.max_iterations = COARSE_ITERATIONS;
+            let (beliefs, bp) = coarse.run(mrf, &copts);
+            pre_messages = bp.messages;
+            carried = Some(
+                beliefs
+                    .into_iter()
+                    .enumerate()
+                    .map(|(u, b)| {
+                        if mrf.fixed(u).is_some() {
+                            return None;
+                        }
+                        if b.top_k_mass(COARSE_TOP_K) >= COARSE_CONCENTRATION {
+                            Some(b.upsampled_to(self.nx, self.ny))
+                        } else {
+                            None
+                        }
+                    })
+                    .collect(),
+            );
         }
         let prior = match (&carried, warm) {
             (Some(c), _) => Warm::PerNode(c),
@@ -1319,9 +1227,8 @@ mod tests {
             .try_build()
             .expect("valid options");
         let (dense, od) = GridBp::with_resolution(40).run(&mrf, &opts);
-        let refine = CoarseToFine::default().validated().expect("valid schedule");
         let (refined, or) = GridBp::with_resolution(40)
-            .with_refinement(refine)
+            .with_refinement()
             .run(&mrf, &opts);
         // The coarse pre-solve's broadcasts are real messages.
         assert!(or.messages > od.messages, "coarse messages counted");
@@ -1336,34 +1243,6 @@ mod tests {
     }
 
     #[test]
-    fn coarse_to_fine_validation_rejects_degenerate_schedules() {
-        assert!(CoarseToFine::default().validated().is_ok());
-        let bad_factor = CoarseToFine {
-            factor: 1,
-            ..CoarseToFine::default()
-        };
-        assert!(matches!(
-            bad_factor.validated(),
-            Err(ValidationError::InvalidOption { option, .. }) if option == "refine.factor"
-        ));
-        let bad_conc = CoarseToFine {
-            concentration: 0.0,
-            ..CoarseToFine::default()
-        };
-        assert!(bad_conc.validated().is_err());
-        let bad_iters = CoarseToFine {
-            coarse_iterations: 0,
-            ..CoarseToFine::default()
-        };
-        assert!(bad_iters.validated().is_err());
-        let bad_k = CoarseToFine {
-            top_k: 0,
-            ..CoarseToFine::default()
-        };
-        assert!(bad_k.validated().is_err());
-    }
-
-    #[test]
     fn refinement_skips_degenerate_coarse_grids() {
         // 4÷4 = 1 coarse cell per axis: the pre-solve must be skipped,
         // leaving a plain full-resolution run.
@@ -1375,7 +1254,7 @@ mod tests {
             .expect("valid options");
         let (plain, op) = GridBp::with_resolution(4).run(&mrf, &opts);
         let (refined, or) = GridBp::with_resolution(4)
-            .with_refinement(CoarseToFine::default())
+            .with_refinement()
             .run(&mrf, &opts);
         assert_eq!(op.messages, or.messages);
         for (a, b) in plain.iter().zip(&refined) {

@@ -43,13 +43,12 @@ pub mod validate;
 
 pub use engine::{Belief, BpEngine, RunOutcome};
 pub use gaussian::{GaussianBelief, GaussianBp};
-pub use grid::{CoarseToFine, GridBelief, GridBp};
+pub use grid::{GridBelief, GridBp};
 pub use motion::MotionModel;
 pub use mrf::{BpOptions, BpOptionsBuilder, BpOutcome, Schedule, SpatialMrf};
 pub use particle::{ParticleBelief, ParticleBp};
 pub use potential::{
-    DeltaUnary, GaussianRange, GaussianUnary, MixtureUnary, PairPotential, UnaryPotential,
-    UniformBoxUnary, UniformShapeUnary,
+    GaussianRange, GaussianUnary, PairPotential, UnaryPotential, UniformBoxUnary, UniformShapeUnary,
 };
 pub use sharded::ShardedEngine;
 pub use stencil::KernelStencil;

@@ -5,8 +5,8 @@
 //!
 //! - **Unary potentials** `φ_u` ([`UnaryPotential`]) encode everything known
 //!   about a node *before* measurements — this is exactly the paper's
-//!   "pre-knowledge". Implementations: delta (anchors), Gaussian drop-point
-//!   priors, uniform boxes/shapes, and mixtures.
+//!   "pre-knowledge". Implementations: Gaussian drop-point priors and
+//!   uniform boxes/shapes.
 //! - **Pairwise potentials** `ψ_uv` ([`PairPotential`]) encode measurements.
 //!   They depend on the two positions only through their distance, which is
 //!   what makes message passing tractable. Implementations here cover the
@@ -23,12 +23,6 @@ pub trait UnaryPotential: Send + Sync {
 
     /// Draws a sample from (an approximation of) the prior.
     fn sample(&self, rng: &mut Xoshiro256pp) -> Vec2;
-
-    /// A representative point (mode/mean) if one exists — used to seed
-    /// deterministic initializations.
-    fn mode_hint(&self) -> Option<Vec2> {
-        None
-    }
 }
 
 /// A measurement potential over the distance between two nodes.
@@ -94,26 +88,6 @@ pub trait PairPotential: Send + Sync {
     }
 }
 
-/// Exactly-known position (anchors enter the graph as delta priors).
-#[derive(Debug, Clone, Copy)]
-pub struct DeltaUnary(pub Vec2);
-
-impl UnaryPotential for DeltaUnary {
-    fn log_density(&self, x: Vec2) -> f64 {
-        // A numerical delta: extremely tight Gaussian so grid cells
-        // containing the anchor dominate without producing actual infinities.
-        -x.dist_sq(self.0) / (2.0 * 1e-6)
-    }
-
-    fn sample(&self, _rng: &mut Xoshiro256pp) -> Vec2 {
-        self.0
-    }
-
-    fn mode_hint(&self) -> Option<Vec2> {
-        Some(self.0)
-    }
-}
-
 /// Isotropic Gaussian prior — the drop-point pre-knowledge model.
 #[derive(Debug, Clone, Copy)]
 pub struct GaussianUnary {
@@ -130,10 +104,6 @@ impl UnaryPotential for GaussianUnary {
 
     fn sample(&self, rng: &mut Xoshiro256pp) -> Vec2 {
         rng.gaussian_point(self.mean, self.sigma)
-    }
-
-    fn mode_hint(&self) -> Option<Vec2> {
-        Some(self.mean)
     }
 }
 
@@ -154,10 +124,6 @@ impl UnaryPotential for UniformBoxUnary {
     fn sample(&self, rng: &mut Xoshiro256pp) -> Vec2 {
         rng.point_in(self.0.min, self.0.max)
     }
-
-    fn mode_hint(&self) -> Option<Vec2> {
-        Some(self.0.center())
-    }
 }
 
 /// Uniform prior over an arbitrary region — corridor/zone pre-knowledge
@@ -176,55 +142,6 @@ impl UnaryPotential for UniformShapeUnary {
 
     fn sample(&self, rng: &mut Xoshiro256pp) -> Vec2 {
         self.0.sample(rng)
-    }
-
-    fn mode_hint(&self) -> Option<Vec2> {
-        Some(self.0.bounding_box().center())
-    }
-}
-
-/// Weighted mixture of priors — e.g. "dropped from pass A or pass B".
-pub struct MixtureUnary {
-    components: Vec<(f64, Box<dyn UnaryPotential>)>,
-}
-
-impl MixtureUnary {
-    /// Builds a mixture; weights are normalized. Panics when empty or when
-    /// weights do not sum to a positive value.
-    pub fn new(components: Vec<(f64, Box<dyn UnaryPotential>)>) -> Self {
-        assert!(!components.is_empty(), "mixture needs components");
-        let total: f64 = components.iter().map(|(w, _)| *w).sum();
-        assert!(total > 0.0, "mixture weights must sum to a positive value");
-        MixtureUnary {
-            components: components
-                .into_iter()
-                .map(|(w, c)| (w / total, c))
-                .collect(),
-        }
-    }
-}
-
-impl UnaryPotential for MixtureUnary {
-    fn log_density(&self, x: Vec2) -> f64 {
-        // log-sum-exp over components.
-        let logs: Vec<f64> = self
-            .components
-            .iter()
-            .map(|(w, c)| w.ln() + c.log_density(x))
-            .collect();
-        let m = logs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        if m == f64::NEG_INFINITY {
-            return f64::NEG_INFINITY;
-        }
-        m + logs.iter().map(|l| (l - m).exp()).sum::<f64>().ln()
-    }
-
-    fn sample(&self, rng: &mut Xoshiro256pp) -> Vec2 {
-        let weights: Vec<f64> = self.components.iter().map(|(w, _)| *w).collect();
-        // Weights are normalized at construction; fall back to the first
-        // component if the mass has degenerated.
-        let idx = rng.weighted_index(&weights).unwrap_or(0);
-        self.components[idx].1.sample(rng)
     }
 }
 
@@ -259,16 +176,6 @@ impl PairPotential for GaussianRange {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn delta_concentrates_all_mass() {
-        let d = DeltaUnary(Vec2::new(3.0, 4.0));
-        assert_eq!(d.log_density(Vec2::new(3.0, 4.0)), 0.0);
-        assert!(d.log_density(Vec2::new(3.1, 4.0)) < -100.0);
-        let mut rng = Xoshiro256pp::seed_from(1);
-        assert_eq!(d.sample(&mut rng), Vec2::new(3.0, 4.0));
-        assert_eq!(d.mode_hint(), Some(Vec2::new(3.0, 4.0)));
-    }
 
     #[test]
     fn gaussian_prior_shape() {
@@ -311,45 +218,6 @@ mod tests {
         for _ in 0..500 {
             assert!(u.log_density(u.sample(&mut rng)).is_finite());
         }
-    }
-
-    #[test]
-    fn mixture_combines_components() {
-        let m = MixtureUnary::new(vec![
-            (
-                1.0,
-                Box::new(GaussianUnary {
-                    mean: Vec2::ZERO,
-                    sigma: 1.0,
-                }) as Box<dyn UnaryPotential>,
-            ),
-            (
-                3.0,
-                Box::new(GaussianUnary {
-                    mean: Vec2::new(100.0, 0.0),
-                    sigma: 1.0,
-                }),
-            ),
-        ]);
-        // Density near both modes, higher (by weight) at the second.
-        let d0 = m.log_density(Vec2::ZERO);
-        let d1 = m.log_density(Vec2::new(100.0, 0.0));
-        assert!(d1 > d0);
-        assert!((d1 - d0 - (3.0f64).ln()).abs() < 1e-9);
-        // Samples split ~1:3.
-        let mut rng = Xoshiro256pp::seed_from(5);
-        let n = 20_000;
-        let right = (0..n).filter(|_| m.sample(&mut rng).x > 50.0).count();
-        assert!((right as f64 / n as f64 - 0.75).abs() < 0.02);
-    }
-
-    #[test]
-    fn mixture_log_density_outside_all_support() {
-        let m = MixtureUnary::new(vec![(
-            1.0,
-            Box::new(UniformBoxUnary(Aabb::from_size(1.0, 1.0))) as Box<dyn UnaryPotential>,
-        )]);
-        assert_eq!(m.log_density(Vec2::new(5.0, 5.0)), f64::NEG_INFINITY);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Golden bit-identity contract for the BP iteration loop.
 //!
-//! Every flat engine — grid (cached and `without_message_cache`), grid
-//! with [`CoarseToFine`], particle and Gaussian — runs a small matrix of
+//! Every flat engine — grid (cached, `without_message_cache` and
+//! `with_refinement`), particle and Gaussian — runs a small matrix of
 //! schedule × damping × transport × start, and one [`ShardedEngine`] per
 //! backend runs on a perfect and on a faulted transport. Each case folds
 //! into one FNV-1a digest of:
@@ -24,8 +24,8 @@
 
 use std::sync::Arc;
 use wsnloc_bayes::{
-    BpEngine, BpOptions, CoarseToFine, GaussianBelief, GaussianBp, GaussianRange, GridBelief,
-    GridBp, ParticleBelief, ParticleBp, RunOutcome, Schedule, ShardedEngine, SpatialMrf, Transport,
+    BpEngine, BpOptions, GaussianBelief, GaussianBp, GaussianRange, GridBelief, GridBp,
+    ParticleBelief, ParticleBp, RunOutcome, Schedule, ShardedEngine, SpatialMrf, Transport,
     UniformBoxUnary,
 };
 use wsnloc_geom::rng::Xoshiro256pp;
@@ -513,7 +513,7 @@ fn cases() -> Vec<(String, u64)> {
     );
     flat_cases(
         "grid-c2f",
-        &GridBp::with_resolution(16).with_refinement(CoarseToFine::default()),
+        &GridBp::with_resolution(16).with_refinement(),
         &lattice,
         &mut out,
     );

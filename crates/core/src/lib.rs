@@ -44,9 +44,10 @@
 //! - [`model`] — [`model::build_mrf`]: network → Bayesian network.
 //! - [`localizer`] — the [`BnlLocalizer`] engine and the
 //!   [`Localizer`] trait every algorithm in the workspace implements.
-//! - [`session`] — [`session::LocalizationSession`]: the streaming
-//!   entry point; one BP solve per measurement epoch with posterior
-//!   beliefs motion-predicted and carried into the next epoch.
+//! - [`session`] — [`session::LocalizationSession`]: the streaming and
+//!   tracking entry point; one BP solve per measurement epoch with
+//!   posterior beliefs predicted through a [`MotionModel`] and carried
+//!   into the next epoch as its pre-knowledge.
 //!   One-shot [`Localizer::localize`] is the single-epoch case.
 //! - [`result`] — [`LocalizationResult`] and error computation.
 //! - [`crlb`] — the Cramér–Rao lower bound for range-based cooperative
@@ -66,15 +67,13 @@ pub mod options;
 pub mod prior;
 pub mod result;
 pub mod session;
-pub mod tracking;
 
 pub use localizer::{Backend, BnlLocalizer, BnlLocalizerBuilder, Estimator};
 pub use options::{GridOptions, ParticleOptions, ShardPlan};
 pub use prior::PriorModel;
 pub use result::{LocalizationResult, Localizer};
 pub use session::{CarriedBeliefs, LocalizationSession};
-pub use tracking::{TrackingLocalizer, TrackingLocalizerBuilder};
-pub use wsnloc_bayes::{CoarseToFine, MotionModel};
+pub use wsnloc_bayes::MotionModel;
 pub use wsnloc_obs as obs;
 
 /// Convenient glob import for applications.
@@ -85,9 +84,8 @@ pub mod prelude {
     pub use crate::prior::PriorModel;
     pub use crate::result::{LocalizationResult, Localizer};
     pub use crate::session::{CarriedBeliefs, LocalizationSession};
-    pub use crate::tracking::{TrackingLocalizer, TrackingLocalizerBuilder};
     pub use wsnloc_bayes::{
-        BpEngine, BpOptions, CoarseToFine, MotionModel, Schedule, Transport, ValidationError,
+        BpEngine, BpOptions, MotionModel, Schedule, Transport, ValidationError,
     };
     pub use wsnloc_geom::{Aabb, Shape, Vec2};
     pub use wsnloc_net::{

@@ -12,7 +12,7 @@
 //!
 //! Construction goes through [`BnlLocalizer::builder`], the *only*
 //! route: every knob is validated either at its own constructor
-//! ([`Backend::particle`], [`GridOptions::refine`],
+//! ([`Backend::particle`], [`GridOptions::new`],
 //! [`ShardPlan::target_nodes`], …) or by
 //! [`BnlLocalizerBuilder::try_build`], so a `BnlLocalizer` that exists
 //! is a `BnlLocalizer` that is valid.
@@ -63,7 +63,7 @@ impl Backend {
     }
 
     /// Grid backend at `resolution` cells per side (at least 2), with no
-    /// refinement — use [`GridOptions`] directly for that knob.
+    /// refinement — use [`GridOptions::refine`] for that switch.
     pub fn grid(resolution: usize) -> Result<Backend, ValidationError> {
         Ok(Backend::Grid(GridOptions::new(resolution)?))
     }
@@ -356,8 +356,8 @@ impl BnlLocalizer {
                     _ => None,
                 };
                 let mut engine = GridBp::with_resolution(gopts.resolution);
-                if let Some(refine) = gopts.refine {
-                    engine = engine.with_refinement(refine);
+                if gopts.refine {
+                    engine = engine.with_refinement();
                 }
                 CarriedBeliefs::Grid(self.run_maybe_sharded(
                     engine,

@@ -9,7 +9,7 @@
 //! count or shard size fails where it is written, not iterations later
 //! inside `try_build` (or worse, inside a run).
 
-use wsnloc_bayes::{CoarseToFine, ValidationError};
+use wsnloc_bayes::ValidationError;
 
 /// Options for the nonparametric (particle) backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,12 +38,12 @@ impl ParticleOptions {
 }
 
 /// Options for the grid (discrete Bayesian-network) backend: resolution
-/// plus the coarse-to-fine knob. The knob means nothing on any other
+/// plus the coarse-to-fine switch. The switch means nothing on any other
 /// backend, which is why it lives here and not on the localizer builder.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GridOptions {
     pub(crate) resolution: usize,
-    pub(crate) refine: Option<CoarseToFine>,
+    pub(crate) refine: bool,
 }
 
 impl GridOptions {
@@ -59,14 +59,16 @@ impl GridOptions {
         }
         Ok(GridOptions {
             resolution,
-            refine: None,
+            refine: false,
         })
     }
 
-    /// Enables the coarse-to-fine schedule, validated here.
-    pub fn refine(mut self, refine: CoarseToFine) -> Result<Self, ValidationError> {
-        self.refine = Some(refine.validated()?);
-        Ok(self)
+    /// Enables the coarse-to-fine schedule
+    /// ([`GridBp::with_refinement`](wsnloc_bayes::GridBp::with_refinement)).
+    #[must_use]
+    pub fn refine(mut self) -> Self {
+        self.refine = true;
+        self
     }
 
     /// Cells along each axis.
@@ -121,18 +123,8 @@ mod tests {
         assert!(GridOptions::new(1).is_err());
         let g = GridOptions::new(25).expect("valid");
         assert_eq!(g.resolution(), 25);
-        assert!(g.refine.is_none());
-        // Refinement parameters are checked when attached.
-        let bad = CoarseToFine {
-            factor: 1,
-            ..CoarseToFine::default()
-        };
-        assert!(GridOptions::new(25).expect("valid").refine(bad).is_err());
-        let ok = GridOptions::new(25)
-            .expect("valid")
-            .refine(CoarseToFine::default())
-            .expect("default schedule is valid");
-        assert!(ok.refine.is_some());
+        assert!(!g.refine);
+        assert!(g.refine().refine);
     }
 
     #[test]

@@ -12,12 +12,10 @@ use std::sync::Arc;
 use wsnloc_bayes::{GaussianUnary, UnaryPotential, UniformBoxUnary, UniformShapeUnary};
 use wsnloc_geom::rng::Xoshiro256pp;
 use wsnloc_geom::Shape;
-use wsnloc_geom::Vec2;
 use wsnloc_net::Network;
 
 /// What is known about unknown-node positions before measurement.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PriorModel {
     /// No pre-knowledge: uniform over the field bounding box. This ablation
     /// turns BNL-PK into plain cooperative NBP.
@@ -34,16 +32,6 @@ pub enum PriorModel {
     /// Every unknown node is known to lie inside a region (e.g. "the
     /// corridor", "sector 7") — uniform over that shape.
     Region(Shape),
-    /// An explicit Gaussian prior per node (`None` entries fall back to
-    /// uninformative). This is how temporal tracking feeds one step's
-    /// posterior into the next step's Bayesian network.
-    PerNodeGaussian {
-        /// Prior mean per node (`None` = uninformative).
-        means: Vec<Option<Vec2>>,
-        /// Prior standard deviation per node (ignored where `means` is
-        /// `None`).
-        sigmas: Vec<f64>,
-    },
     /// Drop-point priors for a random fraction of nodes, uninformative for
     /// the rest — models partial pre-knowledge.
     PartialDropPoint {
@@ -75,21 +63,6 @@ impl PriorModel {
                     None => uninformative.clone(),
                 })
                 .collect(),
-            PriorModel::PerNodeGaussian { means, sigmas } => {
-                assert_eq!(means.len(), network.len(), "one mean slot per node");
-                assert_eq!(sigmas.len(), network.len(), "one sigma per node");
-                means
-                    .iter()
-                    .zip(sigmas)
-                    .map(|(m, &sigma)| match m {
-                        Some(mean) => Arc::new(GaussianUnary {
-                            mean: *mean,
-                            sigma: sigma.max(1e-3),
-                        }) as Arc<dyn UnaryPotential>,
-                        None => uninformative.clone(),
-                    })
-                    .collect()
-            }
             PriorModel::Region(shape) => {
                 let region: Arc<dyn UnaryPotential> = Arc::new(UniformShapeUnary(shape.clone()));
                 vec![region; network.len()]
@@ -233,21 +206,6 @@ mod tests {
             let p = Vec2::new(123.0, 456.0);
             assert_eq!(priors[id].log_density(p), again[id].log_density(p));
         }
-    }
-
-    #[test]
-    fn per_node_gaussian_mixes_informative_and_flat() {
-        let net = uniform_network();
-        let mut means = vec![None; net.len()];
-        means[0] = Some(Vec2::new(100.0, 100.0));
-        let sigmas = vec![10.0; net.len()];
-        let priors = PriorModel::PerNodeGaussian { means, sigmas }.build(&net);
-        assert_eq!(priors[0].log_density(Vec2::new(100.0, 100.0)), 0.0);
-        assert!(priors[0].log_density(Vec2::new(200.0, 100.0)) < -10.0);
-        // Node 1 is flat inside the field.
-        let a = priors[1].log_density(Vec2::new(100.0, 100.0));
-        let b = priors[1].log_density(Vec2::new(800.0, 800.0));
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -7,7 +7,6 @@ use wsnloc_obs::InferenceObserver;
 
 /// The output of one localization run.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LocalizationResult {
     /// Per-node position estimate. Anchors carry their known position;
     /// `None` marks unknowns the algorithm could not localize (e.g. DV-Hop

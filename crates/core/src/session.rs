@@ -6,8 +6,8 @@
 //! with a [`MotionModel`] so that each epoch starts from last epoch's
 //! knowledge instead of from the static pre-knowledge prior. This is
 //! the paper's pre-knowledge idea made recursive — the posterior at
-//! time `t`, pushed through `x_{t+1} = F·x_t + w`, *is* the
-//! pre-knowledge at time `t+1` — and it is what lets a moving network
+//! time `t`, pushed through the random walk `x_{t+1} = x_t + w`, *is*
+//! the pre-knowledge at time `t+1` — and it is what lets a moving network
 //! be tracked with 2–3 BP iterations per epoch instead of re-solved
 //! from scratch.
 //!
@@ -277,6 +277,9 @@ mod tests {
     use crate::localizer::Backend;
     use crate::prior::PriorModel;
     use crate::result::Localizer;
+    use wsnloc_geom::stats;
+    use wsnloc_geom::{Aabb, Shape};
+    use wsnloc_net::mobility::{MobileWorld, RandomWaypoint};
     use wsnloc_net::network::NetworkBuilder;
     use wsnloc_net::{AnchorStrategy, Deployment, GroundTruth, RadioModel, RangingModel};
 
@@ -428,5 +431,90 @@ mod tests {
                 algo.name()
             );
         }
+    }
+
+    /// 50 nodes, 8 anchors, moving by random waypoint at `speed` m/s.
+    fn mobile_world(seed: u64, speed: f64) -> MobileWorld {
+        MobileWorld::new(
+            Shape::Rect(Aabb::from_size(500.0, 500.0)),
+            50,
+            8,
+            RadioModel::UnitDisk { range: 160.0 },
+            RangingModel::Multiplicative { factor: 0.08 },
+            RandomWaypoint {
+                min_speed: speed,
+                max_speed: speed,
+                pause: 0.0,
+            },
+            1.0,
+            seed,
+        )
+    }
+
+    /// A deliberately tight per-step budget: 2 BP iterations. This is the
+    /// regime tracking is for — a memoryless run cannot flood anchor
+    /// information across the network in 2 iterations, a warm-started one
+    /// doesn't need to.
+    fn tight_engine() -> BnlLocalizer {
+        BnlLocalizer::builder(Backend::particle(150).expect("valid backend"))
+            .max_iterations(2)
+            .tolerance(0.0)
+            .try_build()
+            .expect("valid config")
+    }
+
+    /// A tracking session whose random walk covers `sigma` meters a step.
+    fn tracker(sigma: f64) -> LocalizationSession {
+        LocalizationSession::new(tight_engine())
+            .with_motion(MotionModel::new(sigma).expect("valid sigma"))
+    }
+
+    fn step_error(result: &LocalizationResult, net: &Network, truth: &[Vec2]) -> f64 {
+        let gt = GroundTruth::from_positions(truth.to_vec());
+        let errs: Vec<f64> = result
+            .errors_for(&gt, Some(net))
+            .into_iter()
+            .flatten()
+            .collect();
+        stats::mean(&errs).unwrap_or(f64::NAN)
+    }
+
+    #[test]
+    fn tracking_beats_memoryless_on_later_steps() {
+        let mut w = mobile_world(1, 8.0);
+        let mut tracker = tracker(10.0);
+        let memoryless = tight_engine();
+        let mut tracked = Vec::new();
+        let mut fresh = Vec::new();
+        for t in 0..6u64 {
+            let net = w.step();
+            let truth = w.positions().to_vec();
+            tracked.push(step_error(&tracker.advance(&net, t), &net, &truth));
+            fresh.push(step_error(&memoryless.localize(&net, t), &net, &truth));
+        }
+        // After warm-up, the temporal prior must dominate under the tight
+        // iteration budget.
+        let tracked_tail: f64 = tracked[2..].iter().sum();
+        let fresh_tail: f64 = fresh[2..].iter().sum();
+        assert!(
+            tracked_tail < fresh_tail,
+            "tracking {tracked_tail:.1} should beat memoryless {fresh_tail:.1} (per-step: {tracked:?} vs {fresh:?})"
+        );
+    }
+
+    #[test]
+    fn tracker_error_stays_bounded_over_time() {
+        let mut w = mobile_world(2, 12.0);
+        let mut tracker = tracker(15.0);
+        let mut errors = Vec::new();
+        for t in 0..8u64 {
+            let net = w.step();
+            let truth = w.positions().to_vec();
+            errors.push(step_error(&tracker.advance(&net, t), &net, &truth));
+        }
+        // No divergence: late errors comparable to early ones.
+        let early = errors[1];
+        let late = errors[7];
+        assert!(late < 3.0 * early + 30.0, "tracker diverged: {errors:?}");
     }
 }

@@ -11,8 +11,8 @@
 
 use std::sync::Arc;
 use wsnloc_bayes::{
-    BpEngine, BpOptions, CoarseToFine, GaussianBp, GaussianRange, GridBp, ParticleBp,
-    ShardedEngine, SpatialMrf, UniformBoxUnary,
+    BpEngine, BpOptions, GaussianBp, GaussianRange, GridBp, ParticleBp, ShardedEngine, SpatialMrf,
+    UniformBoxUnary,
 };
 use wsnloc_geom::grid::SpatialGrid;
 use wsnloc_geom::rng::Xoshiro256pp;
@@ -272,7 +272,7 @@ fn sharded_fixture(nodes: usize) -> (SpatialMrf, Arc<ShardLayout>) {
 ///
 /// Two sections share the file. `grid` times each pinned resolution
 /// twice — flat full-resolution inference and the coarse-to-fine
-/// schedule ([`CoarseToFine::default`]) — with a single fine iteration,
+/// schedule ([`GridBp::with_refinement`]) — with a single fine iteration,
 /// so the sweep exposes how the scatter cost grows with cell count and
 /// how much the adaptive schedule claws back once beliefs concentrate.
 /// `sharded` runs constant-density uniform deployments from 1k nodes up
@@ -304,7 +304,7 @@ fn scale_bench_json_for(samples: usize, node_counts: &[usize], mode: &str) -> St
     let mut grid_rows = String::new();
     for (i, &resolution) in SCALE_RESOLUTIONS.iter().enumerate() {
         let dense = GridBp::with_resolution(resolution);
-        let refined = dense.with_refinement(CoarseToFine::default());
+        let refined = dense.with_refinement();
         let dense_secs = median_secs(samples, || {
             dense.run(&mrf, &opts);
         });

@@ -4,8 +4,9 @@
 //! snapshot. Three per-step strategies under the same *tight* inference
 //! budget (2 BP iterations per step):
 //!
-//! - **Track** — [`wsnloc::TrackingLocalizer`]: previous posterior (+motion
-//!   inflation) as the next prior;
+//! - **Track** — a [`LocalizationSession`] with a random-walk
+//!   [`MotionModel`]: previous posterior (+motion inflation) as the next
+//!   prior;
 //! - **Memoryless** — full re-localization from an uninformative prior;
 //! - **Memoryless (full budget)** — re-localization with the standard
 //!   iteration budget, as the accuracy reference.
@@ -17,7 +18,6 @@
 use super::{built, particles, RANGE};
 use crate::{ExpConfig, Report};
 use wsnloc::prelude::*;
-use wsnloc::TrackingLocalizer;
 use wsnloc_geom::stats;
 use wsnloc_geom::{Aabb, Shape};
 use wsnloc_net::mobility::{MobileWorld, RandomWaypoint};
@@ -50,10 +50,8 @@ fn run_world(speed: f64, trial: u64, cfg: &ExpConfig) -> (f64, f64, f64) {
             .max_iterations(cfg.iterations)
             .tolerance(RANGE * 0.02),
     );
-    let mut tracker = TrackingLocalizer::builder(tight.clone())
-        .motion_per_step(speed.max(0.1) * 1.5)
-        .try_build()
-        .expect("valid tracker");
+    let mut tracker = LocalizationSession::new(tight.clone())
+        .with_motion(MotionModel::random_walk(speed.max(0.1) * 1.5));
 
     let mut track_err = Vec::new();
     let mut tight_err = Vec::new();
@@ -69,7 +67,7 @@ fn run_world(speed: f64, trial: u64, cfg: &ExpConfig) -> (f64, f64, f64) {
                 .collect();
             stats::mean(&errs).unwrap_or(f64::NAN)
         };
-        let a = score(&tracker.step(&net, t));
+        let a = score(&tracker.advance(&net, t));
         let b = score(&tight.localize(&net, t));
         let c = score(&full.localize(&net, t));
         if t as usize >= WARMUP {

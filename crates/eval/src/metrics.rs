@@ -4,7 +4,6 @@ use wsnloc_geom::stats;
 
 /// Summary statistics of a set of per-node localization errors (meters).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ErrorSummary {
     /// Number of localized nodes contributing errors.
     pub n: usize,

@@ -103,7 +103,6 @@ pub struct MetricsAggregate {
 
 /// Aggregated evaluation of one algorithm on one scenario.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EvalOutcome {
     /// Algorithm display name.
     pub algo: String,
@@ -132,11 +131,9 @@ pub struct EvalOutcome {
     /// The recorded runs in trial order, ready for
     /// [`wsnloc_obs::write_jsonl`]; `Some` only when the evaluation ran
     /// with [`EvalConfig::collect_traces`].
-    #[cfg_attr(feature = "serde", serde(skip))]
     pub traces: Option<Vec<RunTrace>>,
     /// Per-trial metric snapshots and their merge; `Some` only when the
     /// evaluation ran with [`EvalConfig::collect_metrics`].
-    #[cfg_attr(feature = "serde", serde(skip))]
     pub metrics: Option<MetricsAggregate>,
 }
 

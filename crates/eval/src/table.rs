@@ -5,7 +5,6 @@ use std::path::Path;
 
 /// A rectangular experiment report: labeled rows of numeric columns.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Report {
     /// Experiment id ("f1", "t2", …).
     pub id: String,

@@ -7,7 +7,6 @@ use crate::vec2::Vec2;
 
 /// A closed axis-aligned rectangle `[min.x, max.x] × [min.y, max.y]`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Aabb {
     /// Lower-left corner.
     pub min: Vec2,
@@ -83,14 +82,6 @@ impl Aabb {
         p.clamp(self.min, self.max)
     }
 
-    /// `true` iff the two boxes overlap (closed-interval semantics).
-    pub fn intersects(&self, other: &Aabb) -> bool {
-        self.min.x <= other.max.x
-            && other.min.x <= self.max.x
-            && self.min.y <= other.max.y
-            && other.min.y <= self.max.y
-    }
-
     /// The smallest box containing both.
     pub fn union(&self, other: &Aabb) -> Aabb {
         Aabb {
@@ -105,16 +96,6 @@ impl Aabb {
         Aabb::new(
             self.min - Vec2::splat(margin),
             self.max + Vec2::splat(margin),
-        )
-    }
-
-    /// Maps a unit-square coordinate `(u, v) ∈ [0,1]²` into the box. With
-    /// uniform `(u, v)` this yields uniform samples over the box.
-    #[inline]
-    pub fn lerp_point(&self, u: f64, v: f64) -> Vec2 {
-        Vec2::new(
-            self.min.x + u * self.width(),
-            self.min.y + v * self.height(),
         )
     }
 }
@@ -171,23 +152,12 @@ mod tests {
     }
 
     #[test]
-    fn intersection_and_union() {
+    fn union_spans_both_boxes() {
         let a = Aabb::from_size(2.0, 2.0);
-        let b = Aabb::new(Vec2::new(1.0, 1.0), Vec2::new(3.0, 3.0));
         let c = Aabb::new(Vec2::new(5.0, 5.0), Vec2::new(6.0, 6.0));
-        assert!(a.intersects(&b));
-        assert!(b.intersects(&a));
-        assert!(!a.intersects(&c));
         let u = a.union(&c);
         assert_eq!(u.min, Vec2::ZERO);
         assert_eq!(u.max, Vec2::new(6.0, 6.0));
-    }
-
-    #[test]
-    fn edge_touching_boxes_intersect() {
-        let a = Aabb::from_size(1.0, 1.0);
-        let b = Aabb::new(Vec2::new(1.0, 0.0), Vec2::new(2.0, 1.0));
-        assert!(a.intersects(&b));
     }
 
     #[test]
@@ -195,13 +165,5 @@ mod tests {
         let b = Aabb::from_size(2.0, 2.0).inflated(1.0);
         assert_eq!(b.min, Vec2::new(-1.0, -1.0));
         assert_eq!(b.max, Vec2::new(3.0, 3.0));
-    }
-
-    #[test]
-    fn lerp_point_corners() {
-        let b = Aabb::new(Vec2::new(1.0, 2.0), Vec2::new(3.0, 6.0));
-        assert_eq!(b.lerp_point(0.0, 0.0), b.min);
-        assert_eq!(b.lerp_point(1.0, 1.0), b.max);
-        assert_eq!(b.lerp_point(0.5, 0.5), b.center());
     }
 }

@@ -25,7 +25,6 @@ use std::ops::{Add, Index, IndexMut, Mul, Sub};
 /// assert!((b[0] - 1.0).abs() < 1e-12 && (b[1] - 2.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -65,12 +64,6 @@ impl Matrix {
             cols: c,
             data,
         }
-    }
-
-    /// Builds from a flat row-major vector; panics if the length mismatches.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), rows * cols, "flat data length mismatch");
-        Matrix { rows, cols, data }
     }
 
     /// Number of rows.
@@ -141,21 +134,6 @@ impl Matrix {
     /// Frobenius norm.
     pub fn frobenius_norm(&self) -> f64 {
         self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
-    /// `true` iff square and symmetric within `tol`.
-    pub fn is_symmetric(&self, tol: f64) -> bool {
-        if self.rows != self.cols {
-            return false;
-        }
-        for i in 0..self.rows {
-            for j in (i + 1)..self.cols {
-                if (self[(i, j)] - self[(j, i)]).abs() > tol {
-                    return false;
-                }
-            }
-        }
-        true
     }
 
     /// Cholesky factor `L` (lower triangular, `A = L Lᵀ`) of a symmetric
@@ -684,8 +662,8 @@ mod tests {
     fn trace_and_symmetry() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 5.0]]);
         assert_eq!(a.trace(), 6.0);
-        assert!(a.is_symmetric(1e-12));
+        assert_eq!(a.transpose(), a);
         let b = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 5.0]]);
-        assert!(!b.is_symmetric(1e-12));
+        assert_ne!(b.transpose(), b);
     }
 }

@@ -176,14 +176,6 @@ impl Xoshiro256pp {
         Vec2::new(self.range(min.x, max.x), self.range(min.y, max.y))
     }
 
-    /// Uniform point inside the disk of radius `r` centered at `c`
-    /// (inverse-CDF radius, not rejection).
-    pub fn point_in_disk(&mut self, c: Vec2, r: f64) -> Vec2 {
-        let rho = r * self.f64().sqrt();
-        let theta = self.range(0.0, std::f64::consts::TAU);
-        c + Vec2::from_angle(theta) * rho
-    }
-
     /// Isotropic 2-D Gaussian sample centered at `mean` with per-axis
     /// standard deviation `sigma`.
     #[inline]
@@ -357,28 +349,6 @@ mod tests {
         let n = 100_000;
         let mean: f64 = (0..n).map(|_| rng.exponential(2.0)).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
-    }
-
-    #[test]
-    fn point_in_disk_stays_in_disk() {
-        let mut rng = Xoshiro256pp::seed_from(7);
-        let c = Vec2::new(3.0, -1.0);
-        for _ in 0..5_000 {
-            let p = rng.point_in_disk(c, 2.5);
-            assert!(p.dist(c) <= 2.5 + 1e-12);
-        }
-    }
-
-    #[test]
-    fn disk_sampling_is_area_uniform() {
-        // Inner disk of half radius should receive ~25% of samples.
-        let mut rng = Xoshiro256pp::seed_from(8);
-        let n = 100_000;
-        let inner = (0..n)
-            .filter(|_| rng.point_in_disk(Vec2::ZERO, 1.0).norm() < 0.5)
-            .count();
-        let frac = inner as f64 / n as f64;
-        assert!((frac - 0.25).abs() < 0.01, "inner fraction {frac}");
     }
 
     #[test]

@@ -11,7 +11,6 @@ use crate::vec2::Vec2;
 
 /// A deployment region in the plane.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Shape {
     /// Solid axis-aligned rectangle.
     Rect(Aabb),

@@ -85,27 +85,9 @@ pub fn ci95_half_width(xs: &[f64]) -> Option<f64> {
     Some(1.96 * sd / (xs.len() as f64).sqrt())
 }
 
-/// Evaluates the empirical CDF at `points.len()` evenly spaced error levels
-/// from 0 to `max`, returning `(level, fraction ≤ level)` pairs. Used to
-/// reproduce per-node error CDF figures.
-pub fn empirical_cdf(xs: &[f64], max: f64, points: usize) -> Vec<(f64, f64)> {
-    assert!(points >= 2, "need at least two CDF points");
-    let sorted = sorted_total(xs);
-    let n = sorted.len();
-    (0..points)
-        .map(|i| {
-            let level = max * i as f64 / (points - 1) as f64;
-            let count = sorted.partition_point(|&x| x <= level);
-            let frac = if n == 0 { 0.0 } else { count as f64 / n as f64 };
-            (level, frac)
-        })
-        .collect()
-}
-
 /// One-pass (Welford) accumulator for mean and variance; usable online and
 /// mergeable across parallel shards.
 #[derive(Debug, Clone, Copy, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Welford {
     count: u64,
     mean: f64,
@@ -162,7 +144,6 @@ impl Welford {
 /// Fixed-bin histogram over `[lo, hi)` with out-of-range clamping; used for
 /// belief visualization and distribution sanity checks.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Histogram {
     lo: f64,
     hi: f64,
@@ -254,21 +235,6 @@ mod tests {
         let small = [1.0, 2.0, 3.0, 4.0];
         let big: Vec<f64> = small.iter().cycle().take(400).copied().collect();
         assert!(ci95_half_width(&big).unwrap() < ci95_half_width(&small).unwrap());
-    }
-
-    #[test]
-    fn cdf_monotone_and_bounded() {
-        let xs = [0.1, 0.4, 0.4, 0.9, 2.0];
-        let cdf = empirical_cdf(&xs, 2.0, 11);
-        assert_eq!(cdf.len(), 11);
-        assert_eq!(cdf[0].0, 0.0);
-        assert_eq!(cdf.last().unwrap().1, 1.0);
-        for w in cdf.windows(2) {
-            assert!(w[1].1 >= w[0].1, "CDF must be monotone");
-        }
-        // Fraction at level 0.4 counts the two 0.4 values and 0.1.
-        let at_04 = cdf.iter().find(|(l, _)| (*l - 0.4).abs() < 1e-9).unwrap();
-        assert!((at_04.1 - 0.6).abs() < 1e-12);
     }
 
     #[test]

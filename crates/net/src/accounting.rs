@@ -7,11 +7,9 @@
 //! - [`WireMessage`], the on-air payloads a distributed implementation would
 //!   send, with a compact hand-rolled big-endian encoding so byte counts
 //!   are honest rather than guessed;
-//! - [`MessageLedger`], a thread-safe counter of per-node messages and bytes
-//!   that inference code charges as it exchanges beliefs. The ledger is
-//!   shared across rayon workers, hence the mutex.
+//! - [`CommStats`], the message and byte totals a run reports;
+//! - [`EnergyModel`], which converts those totals into radio energy.
 
-use std::sync::Mutex;
 use wsnloc_geom::Vec2;
 
 /// Big-endian cursor over an encoded [`WireMessage`]; each getter consumes
@@ -213,7 +211,6 @@ impl WireMessage {
 
 /// Aggregate communication statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CommStats {
     /// Total messages sent.
     pub messages: u64,
@@ -237,7 +234,6 @@ impl CommStats {
 /// range squared. Lets experiments convert [`CommStats`] into energy —
 /// the currency WSN papers ultimately argue in.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EnergyModel {
     /// Electronics energy per bit, nJ (typ. 50).
     pub elec_nj_per_bit: f64,
@@ -273,73 +269,6 @@ impl EnergyModel {
     /// `avg_neighbors` listeners (broadcast medium).
     pub fn total_mj(&self, comm: &CommStats, radio_range: f64, avg_neighbors: f64) -> f64 {
         self.tx_mj(comm.bytes, radio_range) + self.rx_mj(comm.bytes) * avg_neighbors
-    }
-}
-
-/// Thread-safe per-node message/byte counters.
-#[derive(Debug)]
-pub struct MessageLedger {
-    inner: Mutex<LedgerInner>,
-}
-
-#[derive(Debug)]
-struct LedgerInner {
-    per_node_messages: Vec<u64>,
-    per_node_bytes: Vec<u64>,
-}
-
-impl MessageLedger {
-    /// Ledger for a network of `n` nodes.
-    pub fn new(n: usize) -> Self {
-        MessageLedger {
-            inner: Mutex::new(LedgerInner {
-                per_node_messages: vec![0; n],
-                per_node_bytes: vec![0; n],
-            }),
-        }
-    }
-
-    /// Locks the ledger; a poisoned lock (panicking charge) is recovered
-    /// since the counters stay internally consistent under every panic.
-    fn locked(&self) -> std::sync::MutexGuard<'_, LedgerInner> {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Charges one transmission of `bytes` payload bytes to `sender`.
-    pub fn charge(&self, sender: usize, bytes: usize) {
-        let mut inner = self.locked();
-        inner.per_node_messages[sender] += 1;
-        inner.per_node_bytes[sender] += bytes as u64;
-    }
-
-    /// Charges a concrete wire message to `sender`.
-    pub fn charge_message(&self, sender: usize, msg: &WireMessage) {
-        self.charge(sender, msg.encoded_len());
-    }
-
-    /// Charges `count` identical transmissions at once (e.g. a broadcast
-    /// heard by `count` neighbors counted as one send — call with 1 — or a
-    /// per-neighbor unicast model — call with the neighbor count).
-    pub fn charge_many(&self, sender: usize, bytes: usize, count: u64) {
-        let mut inner = self.locked();
-        inner.per_node_messages[sender] += count;
-        inner.per_node_bytes[sender] += bytes as u64 * count;
-    }
-
-    /// Totals across all nodes.
-    pub fn totals(&self) -> CommStats {
-        let inner = self.locked();
-        CommStats {
-            messages: inner.per_node_messages.iter().sum(),
-            bytes: inner.per_node_bytes.iter().sum(),
-        }
-    }
-
-    /// Per-node message counts.
-    pub fn per_node_messages(&self) -> Vec<u64> {
-        self.locked().per_node_messages.clone()
     }
 }
 
@@ -448,45 +377,12 @@ mod tests {
     }
 
     #[test]
-    fn ledger_accumulates() {
-        let ledger = MessageLedger::new(3);
-        ledger.charge(0, 100);
-        ledger.charge(0, 50);
-        ledger.charge(2, 10);
-        let totals = ledger.totals();
-        assert_eq!(totals.messages, 3);
-        assert_eq!(totals.bytes, 160);
-        assert_eq!(ledger.per_node_messages(), vec![2, 0, 1]);
-        assert!((totals.messages_per_node(3) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ledger_charge_many() {
-        let ledger = MessageLedger::new(2);
-        ledger.charge_many(1, 24, 5);
-        let totals = ledger.totals();
-        assert_eq!(totals.messages, 5);
-        assert_eq!(totals.bytes, 120);
-    }
-
-    #[test]
-    fn ledger_is_shareable_across_threads() {
-        use std::sync::Arc;
-        let ledger = Arc::new(MessageLedger::new(8));
-        let handles: Vec<_> = (0..8)
-            .map(|i| {
-                let l = Arc::clone(&ledger);
-                std::thread::spawn(move || {
-                    for _ in 0..100 {
-                        l.charge(i, 24);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(ledger.totals().messages, 800);
-        assert_eq!(ledger.totals().bytes, 800 * 24);
+    fn messages_per_node_averages_over_the_network() {
+        let comm = CommStats {
+            messages: 3,
+            bytes: 160,
+        };
+        assert!((comm.messages_per_node(3) - 1.0).abs() < 1e-12);
+        assert_eq!(comm.messages_per_node(0), 0.0);
     }
 }

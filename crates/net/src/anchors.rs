@@ -10,7 +10,6 @@ use wsnloc_geom::{Aabb, Vec2};
 
 /// How anchors are selected from the deployed node population.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AnchorStrategy {
     /// Select `count` anchors uniformly at random.
     Random {

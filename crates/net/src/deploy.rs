@@ -11,7 +11,6 @@ use wsnloc_geom::{Aabb, Shape, Vec2};
 
 /// How nodes are placed in the field.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Deployment {
     /// Independent uniform placement inside a shape. No planned positions
     /// exist (pre-knowledge reduces to "somewhere in the field").
@@ -50,7 +49,6 @@ pub enum Deployment {
 
 /// The result of realizing a deployment.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Placement {
     /// Realized (true) node positions — hidden from algorithms.
     pub positions: Vec<Vec2>,

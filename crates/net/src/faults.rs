@@ -21,7 +21,6 @@ use wsnloc_geom::rng::Xoshiro256pp;
 
 /// Per-iteration message-loss model for a directed link.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum LossModel {
     /// Every transmitted message arrives.
     None,
@@ -48,7 +47,6 @@ pub enum LossModel {
 
 /// What a receiver substitutes for a message that did not arrive.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DropPolicy {
     /// Keep using the last successfully received message at full weight.
     HoldLast,
@@ -64,7 +62,6 @@ pub enum DropPolicy {
 
 /// One scheduled node death.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeDeath {
     /// Node index that dies.
     pub node: usize,
@@ -75,7 +72,6 @@ pub struct NodeDeath {
 
 /// Which nodes die, and when.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DeathModel {
     /// Nobody dies.
     None,
@@ -99,7 +95,6 @@ pub enum DeathModel {
 /// the exact fault-free code path, so a `none()` plan is bit-identical
 /// to not supplying a plan at all.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultPlan {
     /// Seed for every fault decision. Mixed with the run seed by the
     /// transport layer so different trials see different fault draws

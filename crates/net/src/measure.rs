@@ -12,7 +12,6 @@ use wsnloc_geom::rng::Xoshiro256pp;
 
 /// A symmetric pairwise range observation between nodes `a` and `b`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Measurement {
     /// First endpoint (node index).
     pub a: usize,
@@ -24,7 +23,6 @@ pub struct Measurement {
 
 /// Noise model for distance observations.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum RangingModel {
     /// `observed = true + N(0, sigma²)`, truncated at a small positive floor.
     AdditiveGaussian {

@@ -18,7 +18,6 @@ use wsnloc_geom::{Shape, Vec2};
 
 /// Random-waypoint mobility parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RandomWaypoint {
     /// Minimum leg speed (m/s), > 0.
     pub min_speed: f64,

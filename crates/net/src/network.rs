@@ -25,7 +25,6 @@ pub type NodeId = usize;
 
 /// Whether a node knows its own position.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum NodeKind {
     /// Position known a priori (GPS/manual placement).
     Anchor,
@@ -35,7 +34,6 @@ pub enum NodeKind {
 
 /// The observable simulation state: what localization algorithms receive.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Network {
     field: Shape,
     radio: RadioModel,
@@ -53,7 +51,6 @@ pub struct Network {
 
 /// The hidden true positions, for evaluation only.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GroundTruth {
     positions: Vec<Vec2>,
 }
@@ -180,16 +177,6 @@ impl Network {
         self.meas_by_node[id].iter().map(|&k| &self.measurements[k])
     }
 
-    /// The measured distance between two specific nodes, if they share a
-    /// link.
-    pub fn measured_distance(&self, a: NodeId, b: NodeId) -> Option<f64> {
-        self.meas_by_node[a]
-            .iter()
-            .map(|&k| &self.measurements[k])
-            .find(|m| (m.a == a && m.b == b) || (m.a == b && m.b == a))
-            .map(|m| m.distance)
-    }
-
     /// Mean node degree.
     pub fn avg_degree(&self) -> f64 {
         self.topology.avg_degree()
@@ -246,7 +233,6 @@ impl Network {
 
 /// Configures and generates a network + ground truth pair.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NetworkBuilder {
     /// Node placement model.
     pub deployment: Deployment,
@@ -390,14 +376,6 @@ mod tests {
             got > expected * 0.6 && got < expected * 1.1,
             "avg degree {got} vs expected ~{expected}"
         );
-    }
-
-    #[test]
-    fn measured_distance_symmetric_lookup() {
-        let (net, _) = standard_builder().build(21);
-        let m = net.measurements()[0];
-        assert_eq!(net.measured_distance(m.a, m.b), Some(m.distance));
-        assert_eq!(net.measured_distance(m.b, m.a), Some(m.distance));
     }
 
     #[test]

@@ -15,7 +15,6 @@ use wsnloc_geom::rng::Xoshiro256pp;
 
 /// Link model between two nodes at a known true distance.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum RadioModel {
     /// Deterministic disk: connected iff `distance <= range`.
     UnitDisk {

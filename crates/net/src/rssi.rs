@@ -13,7 +13,6 @@ use wsnloc_geom::rng::Xoshiro256pp;
 
 /// Log-distance path-loss channel model.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PathLossModel {
     /// Received power at the reference distance (dBm).
     pub p0_dbm: f64,
@@ -64,7 +63,6 @@ impl PathLossModel {
 /// One calibration observation: a known distance and the RSSI measured at
 /// it (anchor–anchor pairs).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CalibrationSample {
     /// True (known) distance, meters.
     pub distance: f64,

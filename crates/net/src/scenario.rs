@@ -1,9 +1,9 @@
-//! Serializable simulation scenarios.
+//! Simulation scenarios.
 //!
 //! A [`Scenario`] fully determines one simulated world: deployment, node
 //! counts, anchors, radio, ranging noise, and the seed. Experiments are
-//! defined as scenario sweeps; persisting scenarios (JSON via serde)
-//! makes every reported number regenerable from its config alone.
+//! defined as scenario sweeps in code, so every reported number is
+//! regenerable from its config alone.
 
 use crate::anchors::AnchorStrategy;
 use crate::deploy::Deployment;
@@ -24,7 +24,6 @@ use crate::radio::RadioModel;
 /// }
 /// ```
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Scenario {
     /// Human-readable label used in reports.
     pub name: String,
@@ -118,22 +117,9 @@ mod tests {
         assert!(net.planned_position(0).is_some());
     }
 
-    #[cfg(feature = "serde")]
-    #[test]
-    fn scenario_serde_roundtrip() {
-        let s = Scenario::standard_with_preknowledge(80.0);
-        let json = serde_json::to_string(&s).unwrap();
-        let back: Scenario = serde_json::from_str(&json).unwrap();
-        // Same config must regenerate the same world.
-        let (_, t1) = s.build_trial(3);
-        let (_, t2) = back.build_trial(3);
-        assert_eq!(t1, t2);
-    }
-
     #[test]
     fn cloned_scenario_regenerates_identical_world() {
-        // Stand-in for the serde roundtrip while the `serde` feature is
-        // parked: the config alone must determine the generated world.
+        // The config alone must determine the generated world.
         let s = Scenario::standard_with_preknowledge(80.0);
         let back = s.clone();
         let (_, t1) = s.build_trial(3);

@@ -8,7 +8,6 @@ use std::collections::VecDeque;
 
 /// Undirected adjacency structure over node indices `0..n`.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Topology {
     adj: Vec<Vec<usize>>,
 }
@@ -121,13 +120,6 @@ impl Topology {
         }
         (label, next)
     }
-
-    /// Indices of degree-zero nodes.
-    pub fn isolated_nodes(&self) -> Vec<usize> {
-        (0..self.adj.len())
-            .filter(|&v| self.adj[v].is_empty())
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -197,7 +189,6 @@ mod tests {
         assert_eq!(labels[0], labels[2]);
         assert_ne!(labels[0], labels[3]);
         assert_eq!(labels[4], labels[5]);
-        assert_eq!(t.isolated_nodes(), vec![3]);
     }
 
     #[test]

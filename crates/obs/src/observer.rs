@@ -4,7 +4,6 @@ use wsnloc_net::accounting::CommStats;
 
 /// Metadata reported once at the start of every inference run.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RunInfo {
     /// Belief representation: `"particle"`, `"grid"`, or `"gaussian"`,
     /// prefixed `"sharded-"` when a sharded engine runs it.
@@ -32,7 +31,6 @@ pub struct RunInfo {
 
 /// One node's belief change across an iteration.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeResidual {
     /// Variable id.
     pub node: usize,
@@ -46,7 +44,6 @@ pub struct NodeResidual {
 
 /// Everything one BP iteration reports.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct IterationRecord {
     /// 0-based iteration index.
     pub iteration: usize,
@@ -88,7 +85,6 @@ impl IterationRecord {
 
 /// The phases a localization run is timed in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SpanKind {
     /// Network → factor-graph translation (priors, measurement factors,
     /// negative constraints).
@@ -115,7 +111,6 @@ impl SpanKind {
 
 /// Structured events outside the per-iteration cadence.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ObsEvent {
     /// A MAP point estimate was requested from a backend that cannot
     /// produce one; the run fell back to the MMSE (posterior-mean)
@@ -203,7 +198,6 @@ pub enum ObsEvent {
 
 /// Final verdict of an inference run.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RunSummary {
     /// Iterations actually executed.
     pub iterations: usize,

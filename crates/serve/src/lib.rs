@@ -139,6 +139,9 @@ pub struct PositionUpdate {
     pub result: LocalizationResult,
 }
 
+/// Tick slots of the sliding window in an engine's own telemetry hub.
+const WINDOW_SLOTS: usize = 64;
+
 /// Engine-wide scheduling configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
@@ -232,33 +235,24 @@ impl std::fmt::Debug for EngineBuilder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EngineBuilder")
             .field("config", &self.config)
-            .field("window_slots", &self.window_slots)
             .field("telemetry_addr", &self.telemetry_addr)
             .finish_non_exhaustive()
     }
 }
 
 /// Configures a [`StreamingEngine`] beyond the scheduling knobs of
-/// [`EngineConfig`]: window sizing, an embedded [`TelemetryServer`], an
-/// external [`TelemetryHub`], and an extra run observer. Obtained from
-/// [`StreamingEngine::builder`].
+/// [`EngineConfig`]: an embedded [`TelemetryServer`], an external
+/// [`TelemetryHub`] (which also sizes the sliding window; the engine's
+/// own hub keeps 64 tick slots), and an extra run observer. Obtained
+/// from [`StreamingEngine::builder`].
 pub struct EngineBuilder {
     config: EngineConfig,
-    window_slots: usize,
     telemetry_addr: Option<String>,
     hub: Option<TelemetryHub>,
     observer: Option<Arc<dyn InferenceObserver + Send + Sync>>,
 }
 
 impl EngineBuilder {
-    /// Ring slots of the sliding window (default 64 ticks). Ignored
-    /// when [`EngineBuilder::hub`] is set (the hub's window wins).
-    #[must_use]
-    pub fn window_slots(mut self, slots: usize) -> Self {
-        self.window_slots = slots;
-        self
-    }
-
     /// Binds an embedded [`TelemetryServer`] on `addr` (e.g.
     /// `"127.0.0.1:0"` for an ephemeral port — read it back with
     /// [`StreamingEngine::telemetry_addr`]). The server lives exactly
@@ -308,13 +302,12 @@ impl EngineBuilder {
     /// [`EngineBuilder::build`], used directly by the plain
     /// constructors.
     fn build_unserved(self) -> StreamingEngine {
-        let slots = self.window_slots;
         StreamingEngine {
             config: self.config,
             tenants: BTreeMap::new(),
             next_id: 0,
             ticks: 0,
-            hub: self.hub.unwrap_or_else(|| TelemetryHub::new(slots)),
+            hub: self.hub.unwrap_or_else(|| TelemetryHub::new(WINDOW_SLOTS)),
             server: None,
             observer: self.observer,
         }
@@ -333,7 +326,6 @@ impl StreamingEngine {
     pub fn builder(config: EngineConfig) -> EngineBuilder {
         EngineBuilder {
             config,
-            window_slots: 64,
             telemetry_addr: None,
             hub: None,
             observer: None,
@@ -779,7 +771,6 @@ mod tests {
         let plain = workload_fingerprint(StreamingEngine::new(overloaded));
         let served = workload_fingerprint(
             StreamingEngine::builder(overloaded)
-                .window_slots(4)
                 .telemetry("127.0.0.1:0")
                 .build()
                 .expect("bind ephemeral port"),
@@ -801,7 +792,6 @@ mod tests {
             capacity_per_tick: 1,
             shed_policy: DropPolicy::DecayToPrior { decay: 0.5 },
         })
-        .window_slots(8)
         .telemetry("127.0.0.1:0")
         .build()
         .expect("bind ephemeral port");
@@ -847,7 +837,7 @@ mod tests {
     #[test]
     fn window_retires_old_ticks() {
         let mut engine = StreamingEngine::builder(EngineConfig::default())
-            .window_slots(2)
+            .hub(TelemetryHub::new(2))
             .build()
             .expect("no listener to bind");
         let network = net(8);

@@ -1,6 +1,6 @@
-//! Tracking a mobile network: nodes drift by random waypoint while the
-//! tracker carries each step's posterior into the next step as
-//! pre-knowledge. Run side by side with a memoryless localizer under the
+//! Tracking a mobile network: nodes drift by random waypoint while a
+//! localization session carries each step's posterior, blurred by a
+//! random-walk motion model, into the next step as pre-knowledge. Run side by side with a memoryless localizer under the
 //! same tight 2-iteration-per-step budget.
 //!
 //! ```text
@@ -8,7 +8,6 @@
 //! ```
 
 use wsnloc::prelude::*;
-use wsnloc::TrackingLocalizer;
 use wsnloc_net::mobility::{MobileWorld, RandomWaypoint};
 
 fn main() {
@@ -36,10 +35,8 @@ fn main() {
         .tolerance(0.0)
         .try_build()
         .expect("valid config");
-    let mut tracker = TrackingLocalizer::builder(tight.clone())
-        .motion_per_step(speed * 1.5)
-        .try_build()
-        .expect("valid tracker");
+    let motion = MotionModel::new(speed * 1.5).expect("speed must be finite and non-negative");
+    let mut tracker = LocalizationSession::new(tight.clone()).with_motion(motion);
 
     println!("80 nodes, 10 anchors, nodes move at {speed} m/s, 2 BP iterations per step\n");
     println!(
@@ -57,7 +54,7 @@ fn main() {
                 .collect();
             errs.iter().sum::<f64>() / errs.len().max(1) as f64
         };
-        let tracked = score(&tracker.step(&net, t));
+        let tracked = score(&tracker.advance(&net, t));
         let fresh = score(&tight.localize(&net, t));
         println!("{t:>4} {tracked:>16.1} {fresh:>20.1}");
     }

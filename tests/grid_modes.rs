@@ -1,8 +1,8 @@
 //! Accuracy contracts of the grid backend's opt-in coarse-to-fine
 //! resolution schedule: it must track the default dense run on a
 //! realistic localization scenario (the F4 convergence-experiment
-//! shape), and its knobs must be rejected with typed errors on
-//! backends or parameters where they make no sense.
+//! shape), and its switch must exist only on the grid backend, behind a
+//! validated resolution.
 
 use wsnloc::prelude::*;
 
@@ -52,14 +52,10 @@ fn coarse_to_fine_rmse_stays_within_a_cell_of_dense() {
         .try_build()
         .expect("valid dense configuration")
         .localize(&net, 0);
-    let refined = grid_builder_with(
-        grid_opts(40)
-            .refine(CoarseToFine::default())
-            .expect("default schedule is valid"),
-    )
-    .try_build()
-    .expect("valid refined configuration")
-    .localize(&net, 0);
+    let refined = grid_builder_with(grid_opts(40).refine())
+        .try_build()
+        .expect("valid refined configuration")
+        .localize(&net, 0);
     let (rd, rr) = (rmse(&dense, &truth, &net), rmse(&refined, &truth, &net));
     let cell = 400.0 / 40.0;
     assert!(
@@ -68,27 +64,14 @@ fn coarse_to_fine_rmse_stays_within_a_cell_of_dense() {
     );
 }
 
-/// The knobs are grid-only *by type* — they live on [`GridOptions`], so
-/// attaching them to another backend no longer even compiles — and their
-/// parameters are validated where the options are constructed.
+/// The switch is grid-only *by type* — it lives on [`GridOptions`], so
+/// attaching it to another backend does not even compile — and the
+/// resolution it refines is validated where the options are constructed.
 #[test]
 fn mode_knobs_are_validated_at_construction_time() {
     // Degenerate resolutions are rejected before a backend exists.
     assert!(Backend::grid(0).is_err());
     assert!(Backend::grid(1).is_err());
-    // Degenerate schedule parameters are rejected when attached.
-    assert!(grid_opts(40)
-        .refine(CoarseToFine {
-            factor: 1,
-            ..CoarseToFine::default()
-        })
-        .is_err());
-    assert!(grid_opts(40)
-        .refine(CoarseToFine {
-            concentration: 1.5,
-            ..CoarseToFine::default()
-        })
-        .is_err());
     // The default dense configuration stays valid.
     assert!(grid_builder(40).try_build().is_ok());
 }

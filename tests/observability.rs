@@ -447,7 +447,6 @@ fn scrape_surface_keeps_every_golden_series() {
         capacity_per_tick: 1,
         ..EngineConfig::default()
     })
-    .window_slots(4)
     .telemetry("127.0.0.1:0")
     .build()
     .expect("bind an ephemeral port");
