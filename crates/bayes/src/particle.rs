@@ -23,6 +23,7 @@ use crate::mrf::{BpOptions, SpatialMrf};
 use crate::potential::{PairPotential, UnaryPotential};
 use crate::transport::Transport;
 use crate::validate::{DistributionAudit, ValidationError};
+use wsnloc_geom::exp::exp_in_place;
 use wsnloc_geom::kde::silverman_bandwidth;
 use wsnloc_geom::rng::{systematic_resample, Xoshiro256pp};
 use wsnloc_geom::{Matrix, Vec2};
@@ -149,34 +150,6 @@ impl ParticleBelief {
     pub fn bandwidth(&self, min: f64) -> f64 {
         silverman_bandwidth(&self.particles, &self.weights, min)
     }
-
-    /// KDE log-density at `x`: `log Σᵢ wᵢ·N(x; pᵢ, h²I)` with an
-    /// isotropic Gaussian kernel of bandwidth `h` (log-sum-exp
-    /// stabilized). This is what lets a carried particle set act as a
-    /// *prior* in a later importance-weighting pass, not just as a
-    /// sample support.
-    pub fn kde_log_density(&self, x: Vec2, bandwidth: f64) -> f64 {
-        let h2 = bandwidth.max(1e-9).powi(2);
-        let log_norm = -(std::f64::consts::TAU * h2).ln();
-        let log_kernel = |p: Vec2, w: f64| w.ln() - 0.5 * x.dist_sq(p) / h2;
-        let mut max_l = f64::NEG_INFINITY;
-        for (&p, &w) in self.particles.iter().zip(&self.weights) {
-            if w > 0.0 {
-                max_l = max_l.max(log_kernel(p, w));
-            }
-        }
-        if max_l == f64::NEG_INFINITY {
-            return f64::NEG_INFINITY;
-        }
-        let sum: f64 = self
-            .particles
-            .iter()
-            .zip(&self.weights)
-            .filter(|&(_, &w)| w > 0.0)
-            .map(|(&p, &w)| (log_kernel(p, w) - max_l).exp())
-            .sum();
-        max_l + sum.ln() + log_norm
-    }
 }
 
 /// Whole-number share of the particle budget: `round(n * fraction)`.
@@ -231,29 +204,87 @@ enum EpochPrior<'a> {
     /// Cold start: sample and weight against the node's unary.
     Unary(&'a dyn UnaryPotential),
     /// Warm start: sample and weight against the carried belief's KDE.
-    Carried {
-        /// The carried particle set.
-        belief: &'a ParticleBelief,
-        /// KDE kernel bandwidth for sampling and density evaluation.
-        bandwidth: f64,
-    },
+    Carried(CarriedKde<'a>),
+}
+
+/// A carried particle set as an isotropic Gaussian KDE prior,
+/// `log Σᵢ wᵢ·N(x; pᵢ, h²I)`. This is what lets a carried set act as a
+/// *prior* in a later importance-weighting pass, not just as a sample
+/// support. Everything that does not depend on the query point — the
+/// log weights, `h²` and the normalizer — is computed once per run.
+struct CarriedKde<'a> {
+    /// The carried particle set (sampled with its full weight vector).
+    belief: &'a ParticleBelief,
+    /// Kernel bandwidth for sampling.
+    bandwidth: f64,
+    /// The support points with positive weight…
+    points: Vec<Vec2>,
+    /// …and their log weights.
+    log_weights: Vec<f64>,
+    /// Squared bandwidth (floored at `1e-18`).
+    h2: f64,
+    /// `−ln(2π·h²)`, the 2-D kernel normalizer.
+    log_norm: f64,
+}
+
+impl<'a> CarriedKde<'a> {
+    fn new(belief: &'a ParticleBelief, bandwidth: f64) -> Self {
+        let h2 = bandwidth.max(1e-9).powi(2);
+        let (points, log_weights) = belief
+            .particles()
+            .iter()
+            .zip(belief.weights())
+            .filter(|&(_, &w)| w > 0.0)
+            .map(|(&p, &w)| (p, w.ln()))
+            .unzip();
+        CarriedKde {
+            belief,
+            bandwidth,
+            points,
+            log_weights,
+            h2,
+            log_norm: -(std::f64::consts::TAU * h2).ln(),
+        }
+    }
+
+    /// KDE log-density at `x`, log-sum-exp stabilized: one pass of
+    /// log-kernels into `terms`, then one batched `exp`.
+    fn log_density(&self, x: Vec2, terms: &mut Vec<f64>) -> f64 {
+        terms.clear();
+        let mut max_l = f64::NEG_INFINITY;
+        for (&p, &lw) in self.points.iter().zip(&self.log_weights) {
+            let l = lw - 0.5 * x.dist_sq(p) / self.h2;
+            max_l = max_l.max(l);
+            terms.push(l);
+        }
+        if max_l == f64::NEG_INFINITY {
+            return f64::NEG_INFINITY;
+        }
+        for l in terms.iter_mut() {
+            *l -= max_l;
+        }
+        exp_in_place(terms);
+        let sum: f64 = terms.iter().sum();
+        max_l + sum.ln() + self.log_norm
+    }
 }
 
 impl EpochPrior<'_> {
     fn sample(&self, rng: &mut Xoshiro256pp) -> Vec2 {
         match self {
             EpochPrior::Unary(u) => u.sample(rng),
-            EpochPrior::Carried { belief, bandwidth } => {
-                let idx = rng.weighted_index(belief.weights()).unwrap_or(0);
-                rng.gaussian_point(belief.particles()[idx], *bandwidth)
+            EpochPrior::Carried(kde) => {
+                let idx = rng.weighted_index(kde.belief.weights()).unwrap_or(0);
+                rng.gaussian_point(kde.belief.particles()[idx], kde.bandwidth)
             }
         }
     }
 
-    fn log_density(&self, x: Vec2) -> f64 {
+    /// Log prior density at `x`; `terms` holds the KDE's log-kernels.
+    fn log_density(&self, x: Vec2, terms: &mut Vec<f64>) -> f64 {
         match self {
             EpochPrior::Unary(u) => u.log_density(x),
-            EpochPrior::Carried { belief, bandwidth } => belief.kde_log_density(x, *bandwidth),
+            EpochPrior::Carried(kde) => kde.log_density(x, terms),
         }
     }
 }
@@ -270,7 +301,8 @@ pub struct ParticleBp {
     /// Particles per free variable.
     pub particles: usize,
     /// Neighbor particles subsampled when evaluating mixture likelihoods
-    /// (caps the O(particles × neighbors × mixture) inner loop).
+    /// (caps the O(particles × neighbors × mixture) inner loop). At
+    /// least 1: a run panics on 0.
     pub mixture_samples: usize,
 }
 
@@ -321,6 +353,10 @@ impl BpEngine for ParticleBp {
         F: FnMut(usize, &[ParticleBelief]),
     {
         assert!(self.particles > 0, "need at least one particle");
+        assert!(
+            self.mixture_samples > 0,
+            "need at least one mixture sample per neighbor"
+        );
         let init = || self.init(mrf, opts, warm);
         engine::drive(mrf, opts, transport, obs, 0, init, on_iter)
     }
@@ -392,10 +428,10 @@ impl ParticleBp {
         // free nodes; the KDE bandwidth matches the walk-jitter floor.
         let priors: Vec<EpochPrior<'a>> = (0..mrf.len())
             .map(|u| match warm {
-                Some(w) if mrf.fixed(u).is_none() => EpochPrior::Carried {
-                    belief: &w[u],
-                    bandwidth: w[u].bandwidth(1e-3).max(mrf.domain().diagonal() * 1e-4),
-                },
+                Some(w) if mrf.fixed(u).is_none() => EpochPrior::Carried(CarriedKde::new(
+                    &w[u],
+                    w[u].bandwidth(1e-3).max(mrf.domain().diagonal() * 1e-4),
+                )),
                 _ => EpochPrior::Unary(mrf.unary(u).as_ref()),
             })
             .collect();
@@ -487,15 +523,15 @@ impl ParticleBp {
         }
 
         // --- Weighting ----------------------------------------------------
+        let mut bufs = KernelBufs::default();
         let log_weights: Vec<f64> = candidates
             .iter()
             .map(|&x| {
-                let mut lw = prior.log_density(x);
+                let mut lw = prior.log_density(x, &mut bufs.likelihoods);
                 for c in &ctx {
                     // alpha == 1 multiplies exactly (IEEE), so the
                     // perfect path stays bit-identical.
-                    lw += c.alpha
-                        * self.mixture_log_likelihood(x, c.belief, c.fixed, c.potential, rng);
+                    lw += c.alpha * self.mixture_log_likelihood(x, c, rng, &mut bufs);
                 }
                 lw
             })
@@ -525,43 +561,73 @@ impl ParticleBp {
         resampled
     }
 
-    /// `log Σ_k w_k ψ(‖x − y_k‖)` against a (subsampled) neighbor belief.
+    /// `log Σ_k w_k ψ(‖x − y_k‖)` against a (subsampled) neighbor belief:
+    /// the distances go to `bufs`, then one batched
+    /// [`PairPotential::likelihoods`] call weighs them all.
     fn mixture_log_likelihood(
         &self,
         x: Vec2,
-        neighbor: &ParticleBelief,
-        neighbor_fixed: Option<Vec2>,
-        potential: &dyn PairPotential,
+        edge: &EdgeCtx<'_>,
         rng: &mut Xoshiro256pp,
+        bufs: &mut KernelBufs,
     ) -> f64 {
-        if let Some(p) = neighbor_fixed {
-            return potential.log_likelihood(x.dist(p));
+        if let Some(p) = edge.fixed {
+            return edge.potential.log_likelihood(x.dist(p));
         }
-        let m = neighbor.len();
+        let (particles, weights) = (edge.belief.particles(), edge.belief.weights());
+        let m = particles.len();
         let take = self.mixture_samples.min(m);
-        let mut acc = 0.0f64;
-        if take == m {
-            for (&p, &w) in neighbor.particles().iter().zip(neighbor.weights()) {
-                acc += w * potential.likelihood(x.dist(p));
-            }
+        let KernelBufs {
+            distances,
+            likelihoods,
+        } = bufs;
+        // Every particle, or a uniform-stride subsample with a random
+        // phase, which keeps the estimate unbiased without per-candidate
+        // index draws; `phase < stride` and `take · stride ≤ m`, so the
+        // subsample never wraps.
+        let (phase, stride) = if take == m {
+            (0, 1)
         } else {
-            // Uniform-stride subsample with a random phase keeps the
-            // estimate unbiased without per-candidate index draws.
             let stride = m / take;
-            let phase = rng.index(stride.max(1));
-            let mut total_w = 0.0;
-            for k in 0..take {
-                let idx = (phase + k * stride) % m;
-                let w = neighbor.weights()[idx];
-                total_w += w;
-                acc += w * potential.likelihood(x.dist(neighbor.particles()[idx]));
-            }
-            if total_w > 0.0 {
-                acc /= total_w;
-            }
+            (rng.index(stride), stride)
+        };
+        // `sqrt(dx² + dy²)`, not `Vec2::dist`'s libm `hypot`: positions
+        // are bounded by the field, so the squares cannot overflow.
+        distances.clear();
+        distances.extend(
+            particles[phase..]
+                .iter()
+                .step_by(stride)
+                .take(take)
+                .map(|&p| x.dist_sq(p).sqrt()),
+        );
+        likelihoods.resize(take, 0.0);
+        edge.potential.likelihoods(distances, likelihoods);
+        let (mut acc, mut total_w) = (0.0f64, 0.0f64);
+        for (&w, &l) in weights[phase..]
+            .iter()
+            .step_by(stride)
+            .zip(likelihoods.iter())
+        {
+            total_w += w;
+            acc += w * l;
+        }
+        // A subsample's weights need not sum to one.
+        if take < m && total_w > 0.0 {
+            acc /= total_w;
         }
         acc.max(1e-300).ln()
     }
+}
+
+/// Per-update buffers for the weighting kernels, reused across every
+/// candidate and neighbor of one node update.
+#[derive(Default)]
+struct KernelBufs {
+    /// Candidate-to-particle distances of one mixture term.
+    distances: Vec<f64>,
+    /// Their likelihoods, or the carried KDE's log-kernel terms.
+    likelihoods: Vec<f64>,
 }
 
 #[cfg(test)]
@@ -621,6 +687,224 @@ mod tests {
         assert!(cov[(0, 0)] > 100.0);
         assert!(cov[(1, 1)].abs() < 1e-9);
         assert!(b.spread() > 10.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one particle")]
+    fn empty_belief_panics() {
+        let _ = ParticleBelief::new(vec![], vec![]);
+    }
+
+    fn random_belief(rng: &mut Xoshiro256pp, m: usize) -> ParticleBelief {
+        let pts = (0..m)
+            .map(|_| rng.point_in(Vec2::ZERO, Vec2::new(100.0, 100.0)))
+            .collect();
+        let ws = (0..m)
+            .map(|k| if k % 5 == 3 { 0.0 } else { rng.f64() })
+            .collect();
+        ParticleBelief::new(pts, ws)
+    }
+
+    /// The mixture kernel as scalar code: `Vec2::dist` (libm `hypot`)
+    /// and one `likelihood` call per term.
+    fn reference_mixture(
+        engine: &ParticleBp,
+        x: Vec2,
+        edge: &EdgeCtx<'_>,
+        rng: &mut Xoshiro256pp,
+    ) -> f64 {
+        if let Some(p) = edge.fixed {
+            return edge.potential.log_likelihood(x.dist(p));
+        }
+        let nb = edge.belief;
+        let m = nb.len();
+        let take = engine.mixture_samples.min(m);
+        let mut acc = 0.0;
+        if take == m {
+            for (&p, &w) in nb.particles().iter().zip(nb.weights()) {
+                acc += w * edge.potential.likelihood(x.dist(p));
+            }
+        } else {
+            let stride = m / take;
+            let phase = rng.index(stride);
+            let mut total_w = 0.0;
+            for k in 0..take {
+                let idx = phase + k * stride;
+                let w = nb.weights()[idx];
+                total_w += w;
+                acc += w * edge.potential.likelihood(x.dist(nb.particles()[idx]));
+            }
+            if total_w > 0.0 {
+                acc /= total_w;
+            }
+        }
+        acc.max(1e-300).ln()
+    }
+
+    /// The carried prior's KDE as a scalar two-pass log-sum-exp.
+    fn reference_kde(belief: &ParticleBelief, x: Vec2, bandwidth: f64) -> f64 {
+        let h2 = bandwidth.max(1e-9).powi(2);
+        let terms: Vec<f64> = belief
+            .particles()
+            .iter()
+            .zip(belief.weights())
+            .filter(|&(_, &w)| w > 0.0)
+            .map(|(&p, &w)| w.ln() - 0.5 * x.dist_sq(p) / h2)
+            .collect();
+        let max_l = terms.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let sum: f64 = terms.iter().map(|l| (l - max_l).exp()).sum();
+        max_l + sum.ln() - (std::f64::consts::TAU * h2).ln()
+    }
+
+    #[test]
+    fn batched_mixture_matches_scalar_reference() {
+        let mut rng = Xoshiro256pp::seed_from(0x18);
+        let potential = GaussianRange {
+            observed: 35.0,
+            sigma: 4.0,
+        };
+        let engine = ParticleBp::with_particles(50);
+        let mut bufs = KernelBufs::default();
+        // 100 and 50 particles take the strided branch (24 of them);
+        // 24 and 7 take every particle.
+        for m in [100, 50, 24, 7] {
+            let belief = random_belief(&mut rng, m);
+            for fixed in [None, Some(Vec2::new(30.0, 70.0))] {
+                let edge = EdgeCtx {
+                    belief: &belief,
+                    potential: &potential,
+                    fixed,
+                    alpha: 1.0,
+                };
+                for _ in 0..40 {
+                    let x = rng.point_in(Vec2::new(-20.0, -20.0), Vec2::new(120.0, 120.0));
+                    let (mut a, mut b) = (rng.clone(), rng.clone());
+                    let got = engine.mixture_log_likelihood(x, &edge, &mut a, &mut bufs);
+                    let want = reference_mixture(&engine, x, &edge, &mut b);
+                    assert!(
+                        (got - want).abs() <= 1e-12 * want.abs().max(1.0),
+                        "m {m}, fixed {fixed:?}, x {x}: batched {got} vs scalar {want}"
+                    );
+                    assert_eq!(a.next_u64(), b.next_u64(), "the RNG draws must match");
+                    rng.next_u64();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn carried_prior_density_matches_scalar_reference() {
+        let mut rng = Xoshiro256pp::seed_from(0x19);
+        let mut terms = Vec::new();
+        for m in [1, 13, 50] {
+            let belief = random_belief(&mut rng, m);
+            for bandwidth in [0.5, belief.bandwidth(1e-3)] {
+                let kde = CarriedKde::new(&belief, bandwidth);
+                for _ in 0..40 {
+                    let x = rng.point_in(Vec2::ZERO, Vec2::new(100.0, 100.0));
+                    let got = kde.log_density(x, &mut terms);
+                    let want = reference_kde(&belief, x, bandwidth);
+                    assert!(
+                        (got - want).abs() <= 1e-12 * want.abs().max(1.0),
+                        "m {m}, h {bandwidth}, x {x}: batched {got} vs scalar {want}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn carried_prior_density_is_normalized() {
+        // Numerically integrate the KDE of a two-particle set on a grid.
+        let belief = ParticleBelief::new(vec![Vec2::ZERO, Vec2::new(3.0, 1.0)], vec![1.0, 3.0]);
+        let h = 0.7;
+        let kde = CarriedKde::new(&belief, h);
+        let mut terms = Vec::new();
+        let (step, lo, hi) = (0.05, -6.0 * h, 3.0 + 6.0 * h);
+        let n = ((hi - lo) / step) as usize;
+        let mut acc = 0.0;
+        for i in 0..n {
+            for j in 0..n {
+                let x = Vec2::new(lo + (i as f64 + 0.5) * step, lo + (j as f64 + 0.5) * step);
+                acc += kde.log_density(x, &mut terms).exp() * step * step;
+            }
+        }
+        assert!((acc - 1.0).abs() < 1e-3, "integral {acc}");
+    }
+
+    #[test]
+    fn carried_prior_kernel_peaks_at_particle() {
+        // A one-particle KDE is the bare kernel: it falls off with distance.
+        let belief = ParticleBelief::from_points(vec![Vec2::ZERO]);
+        let kde = CarriedKde::new(&belief, 1.0);
+        let mut terms = Vec::new();
+        let mut at = |x: f64| kde.log_density(Vec2::new(x, 0.0), &mut terms);
+        let (peak, near, far) = (at(0.0), at(0.5), at(2.0));
+        assert!(peak > near && near > far, "{peak} {near} {far}");
+    }
+
+    #[test]
+    fn carried_prior_density_positive_and_peaked() {
+        let belief = ParticleBelief::from_points(vec![Vec2::ZERO, Vec2::new(10.0, 0.0)]);
+        let kde = CarriedKde::new(&belief, 1.0);
+        let mut terms = Vec::new();
+        let mut at = |x: f64| kde.log_density(Vec2::new(x, 0.0), &mut terms);
+        let (peak, mid) = (at(0.0), at(5.0));
+        assert!(peak > mid, "{peak} {mid}");
+        assert!(mid.is_finite());
+        // Weightless particles drop out of the density.
+        let one = ParticleBelief::new(vec![Vec2::ZERO, Vec2::new(10.0, 0.0)], vec![1.0, 0.0]);
+        let kde = CarriedKde::new(&one, 1.0);
+        assert!(kde.log_density(Vec2::new(10.0, 0.0), &mut terms) < -40.0);
+    }
+
+    #[test]
+    fn carried_prior_sampling_tracks_weights() {
+        let belief = ParticleBelief::new(vec![Vec2::ZERO, Vec2::new(100.0, 0.0)], vec![0.2, 0.8]);
+        let prior = EpochPrior::Carried(CarriedKde::new(&belief, 1.0));
+        let mut rng = Xoshiro256pp::seed_from(7);
+        let n = 20_000;
+        let right = (0..n).filter(|_| prior.sample(&mut rng).x > 50.0).count();
+        let frac = right as f64 / n as f64;
+        assert!((frac - 0.8).abs() < 0.02, "right fraction {frac}");
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one mixture sample")]
+    fn zero_mixture_samples_panics() {
+        let dom = domain();
+        let mut mrf = SpatialMrf::new(3, dom, Arc::new(UniformBoxUnary(dom)));
+        mrf.fix(0, Vec2::new(50.0, 50.0));
+        for u in [1, 2] {
+            mrf.add_edge(
+                0,
+                u,
+                Arc::new(GaussianRange {
+                    observed: 15.0,
+                    sigma: 2.0,
+                }),
+            );
+        }
+        mrf.add_edge(
+            1,
+            2,
+            Arc::new(GaussianRange {
+                observed: 10.0,
+                sigma: 2.0,
+            }),
+        );
+        let engine = ParticleBp {
+            particles: 50,
+            mixture_samples: 0,
+        };
+        let _ = engine.run(
+            &mrf,
+            &BpOptions::builder()
+                .max_iterations(2)
+                .seed(1)
+                .try_build()
+                .expect("valid options"),
+        );
     }
 
     #[test]

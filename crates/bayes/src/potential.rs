@@ -13,6 +13,7 @@
 //!   Gaussian range observation; the core crate adapts its richer noise
 //!   models through the same trait.
 
+use wsnloc_geom::exp::exp_in_place;
 use wsnloc_geom::rng::Xoshiro256pp;
 use wsnloc_geom::{Aabb, Shape, Vec2};
 
@@ -34,6 +35,18 @@ pub trait PairPotential: Send + Sync {
     /// Likelihood (convenience; exponentiated [`PairPotential::log_likelihood`]).
     fn likelihood(&self, d: f64) -> f64 {
         self.log_likelihood(d).exp()
+    }
+
+    /// [`PairPotential::likelihood`] at every distance in `ds`, written to
+    /// `out` (equal lengths). The particle engine's mixture kernel makes
+    /// one such call per (candidate, neighbor) pair, so an override can
+    /// hoist per-observation terms and exponentiate the batch at once
+    /// (`wsnloc_geom::exp`); the default loops over the scalar form.
+    fn likelihoods(&self, ds: &[f64], out: &mut [f64]) {
+        debug_assert_eq!(ds.len(), out.len());
+        for (o, &d) in out.iter_mut().zip(ds) {
+            *o = self.likelihood(d);
+        }
     }
 
     /// Draws a distance hypothesis compatible with the potential — the
@@ -158,6 +171,15 @@ impl PairPotential for GaussianRange {
     fn log_likelihood(&self, d: f64) -> f64 {
         let z = (self.observed - d) / self.sigma;
         -0.5 * z * z
+    }
+
+    fn likelihoods(&self, ds: &[f64], out: &mut [f64]) {
+        debug_assert_eq!(ds.len(), out.len());
+        for (o, &d) in out.iter_mut().zip(ds) {
+            let z = (self.observed - d) / self.sigma;
+            *o = -0.5 * z * z;
+        }
+        exp_in_place(out);
     }
 
     fn sample_distance(&self, rng: &mut Xoshiro256pp) -> f64 {

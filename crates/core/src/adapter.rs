@@ -29,6 +29,13 @@ impl PairPotential for RangingPotential {
         self.model.log_likelihood(self.observed, d)
     }
 
+    /// The model's batch form. The scalar `likelihood` stays
+    /// `exp(log_likelihood)`: the grid's kernel tables read it, and their
+    /// bits are pinned.
+    fn likelihoods(&self, ds: &[f64], out: &mut [f64]) {
+        self.model.likelihoods(self.observed, ds, out);
+    }
+
     fn sample_distance(&self, rng: &mut Xoshiro256pp) -> f64 {
         self.model.sample_distance(self.observed, rng)
     }

@@ -1,18 +1,10 @@
-//! Gaussian kernel density estimation over 2-D point sets.
+//! Kernel bandwidth selection for weighted 2-D point sets.
 //!
-//! Nonparametric belief propagation represents messages as weighted particle
-//! sets and needs (a) a bandwidth rule and (b) cheap density evaluation when
-//! forming message products. Both live here.
+//! The particle engine jitters its proposals and smooths a carried particle
+//! set into a Gaussian-KDE prior; both take their kernel width from
+//! [`silverman_bandwidth`].
 
 use crate::vec2::Vec2;
-
-/// Isotropic Gaussian kernel value at squared distance `d2` with bandwidth
-/// (standard deviation) `h`, including the 2-D normalizing constant.
-#[inline]
-pub fn gaussian_kernel(d2: f64, h: f64) -> f64 {
-    let h2 = h * h;
-    (-(d2) / (2.0 * h2)).exp() / (std::f64::consts::TAU * h2)
-}
 
 /// Silverman's rule-of-thumb bandwidth for a weighted 2-D sample.
 ///
@@ -53,120 +45,9 @@ pub fn silverman_bandwidth(points: &[Vec2], weights: &[f64], min_bandwidth: f64)
     h.max(min_bandwidth)
 }
 
-/// A weighted Gaussian-mixture density over the plane (the KDE of a particle
-/// set). Weights are normalized at construction.
-#[derive(Debug, Clone)]
-pub struct Kde {
-    points: Vec<Vec2>,
-    weights: Vec<f64>,
-    bandwidth: f64,
-}
-
-impl Kde {
-    /// Builds a KDE; weights are normalized to sum to one. Panics when the
-    /// inputs are empty, mismatched, or the weights are not summable to a
-    /// positive value.
-    pub fn new(points: Vec<Vec2>, mut weights: Vec<f64>, bandwidth: f64) -> Self {
-        assert_eq!(
-            points.len(),
-            weights.len(),
-            "points/weights length mismatch"
-        );
-        assert!(!points.is_empty(), "KDE needs at least one particle");
-        assert!(bandwidth > 0.0, "KDE bandwidth must be positive");
-        let total: f64 = weights.iter().sum();
-        assert!(
-            total > 0.0 && total.is_finite(),
-            "KDE weights must sum to a positive finite value"
-        );
-        for w in &mut weights {
-            *w /= total;
-        }
-        Kde {
-            points,
-            weights,
-            bandwidth,
-        }
-    }
-
-    /// Uniform-weight KDE with a Silverman bandwidth (floored at
-    /// `min_bandwidth`).
-    pub fn from_points(points: Vec<Vec2>, min_bandwidth: f64) -> Self {
-        let w = vec![1.0; points.len()];
-        let h = silverman_bandwidth(&points, &w, min_bandwidth);
-        Kde::new(points, w, h)
-    }
-
-    /// The kernel bandwidth.
-    pub fn bandwidth(&self) -> f64 {
-        self.bandwidth
-    }
-
-    /// The particle support.
-    pub fn points(&self) -> &[Vec2] {
-        &self.points
-    }
-
-    /// The normalized weights.
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
-
-    /// Density at `x` (integrates to one over the plane).
-    pub fn density(&self, x: Vec2) -> f64 {
-        let mut acc = 0.0;
-        for (&p, &w) in self.points.iter().zip(&self.weights) {
-            acc += w * gaussian_kernel(x.dist_sq(p), self.bandwidth);
-        }
-        acc
-    }
-
-    /// Mean of the mixture (equals the weighted particle mean).
-    pub fn mean(&self) -> Vec2 {
-        self.points
-            .iter()
-            .zip(&self.weights)
-            .fold(Vec2::ZERO, |acc, (&p, &w)| acc + p * w)
-    }
-
-    /// Draws one sample: pick a component by weight, then jitter by the
-    /// kernel.
-    pub fn sample(&self, rng: &mut crate::rng::Xoshiro256pp) -> Vec2 {
-        // Weights are normalized at construction; if the mass has somehow
-        // degenerated to zero, fall back to the first component.
-        let idx = rng.weighted_index(&self.weights).unwrap_or(0);
-        rng.gaussian_point(self.points[idx], self.bandwidth)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::Xoshiro256pp;
-
-    #[test]
-    fn kernel_is_normalized() {
-        // Numerically integrate the kernel on a grid.
-        let h = 0.7;
-        let step = 0.05;
-        let mut acc = 0.0;
-        let half = 6.0 * h;
-        let n = (2.0 * half / step) as i64;
-        for i in 0..n {
-            for j in 0..n {
-                let x = -half + (i as f64 + 0.5) * step;
-                let y = -half + (j as f64 + 0.5) * step;
-                acc += gaussian_kernel(x * x + y * y, h) * step * step;
-            }
-        }
-        assert!((acc - 1.0).abs() < 1e-3, "integral {acc}");
-    }
-
-    #[test]
-    fn kernel_peaks_at_zero() {
-        assert!(gaussian_kernel(0.0, 1.0) > gaussian_kernel(0.5, 1.0));
-        assert!(gaussian_kernel(0.5, 1.0) > gaussian_kernel(2.0, 1.0));
-    }
 
     #[test]
     fn silverman_scales_with_spread() {
@@ -184,46 +65,5 @@ mod tests {
         let w = vec![1.0; 10];
         assert_eq!(silverman_bandwidth(&pts, &w, 0.5), 0.5);
         assert_eq!(silverman_bandwidth(&[], &[], 0.25), 0.25);
-    }
-
-    #[test]
-    fn kde_density_positive_and_peaked() {
-        let pts = vec![Vec2::ZERO, Vec2::new(10.0, 0.0)];
-        let kde = Kde::new(pts, vec![1.0, 1.0], 1.0);
-        assert!(kde.density(Vec2::ZERO) > kde.density(Vec2::new(5.0, 0.0)));
-        assert!(kde.density(Vec2::new(5.0, 0.0)) > 0.0);
-    }
-
-    #[test]
-    fn kde_weights_normalize() {
-        let kde = Kde::new(vec![Vec2::ZERO, Vec2::new(1.0, 0.0)], vec![2.0, 6.0], 0.5);
-        assert!((kde.weights()[0] - 0.25).abs() < 1e-12);
-        assert!((kde.weights()[1] - 0.75).abs() < 1e-12);
-        assert!((kde.mean().x - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn kde_sampling_tracks_mixture() {
-        let kde = Kde::new(vec![Vec2::ZERO, Vec2::new(100.0, 0.0)], vec![0.2, 0.8], 1.0);
-        let mut rng = Xoshiro256pp::seed_from(7);
-        let n = 20_000;
-        let right = (0..n).filter(|_| kde.sample(&mut rng).x > 50.0).count();
-        let frac = right as f64 / n as f64;
-        assert!((frac - 0.8).abs() < 0.02, "right fraction {frac}");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one particle")]
-    fn empty_kde_panics() {
-        let _ = Kde::new(vec![], vec![], 1.0);
-    }
-
-    #[test]
-    fn from_points_uses_silverman() {
-        let pts: Vec<Vec2> = (0..100)
-            .map(|i| Vec2::new((i % 10) as f64, (i / 10) as f64))
-            .collect();
-        let kde = Kde::from_points(pts, 1e-6);
-        assert!(kde.bandwidth() > 0.1);
     }
 }

@@ -19,7 +19,10 @@
 //!   accumulation.
 //! - [`rng`] — xoshiro256++ generator, SplitMix64 seeding, normal/exponential
 //!   sampling, weighted choice, shuffling, and stream splitting.
-//! - [`kde`] — Gaussian kernel density estimation with Silverman bandwidths.
+//! - [`kde`] — Silverman's rule-of-thumb kernel bandwidth for weighted
+//!   particle sets.
+//! - [`exp`] — a batched `exp` from IEEE add/sub/mul/div only, the same
+//!   bits on every host (the particle engine's likelihood kernels).
 //! - [`grid`] — a uniform spatial hash grid for radius neighbor queries.
 //! - [`partition`] — spatial tiling of node sets into shards with halos
 //!   (the geometry layer of sharded BP execution).
@@ -30,6 +33,7 @@
 
 pub mod aabb;
 pub mod check;
+pub mod exp;
 pub mod grid;
 pub mod kde;
 pub mod matrix;
