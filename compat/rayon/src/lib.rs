@@ -26,6 +26,31 @@
 //! `[workspace.dependencies]` back at a registry version; no call sites
 //! need to change.
 
+// Library lint policy (README "Correctness tooling"); test code is exempt.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::float_cmp,
+        clippy::undocumented_unsafe_blocks,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "audited atomics: the dispatch counters and the schedule-permutation flag are \
+              Relaxed because nothing synchronizes through them; job hand-off goes through \
+              the queue mutex and the batch latch condvar"
+)]
+
 use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -41,8 +66,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 /// instead of input order. Because output slots are fixed per chunk and
 /// the batch latch drains before `map_ordered` returns, a permuted
 /// schedule MUST produce bit-identical results — the audit harness
-/// (`cargo xtask audit-determinism`) flips this hook to prove that no
-/// caller smuggles order-dependence through the pool.
+/// (`repro audit-determinism`) flips this hook to prove that no caller
+/// smuggles order-dependence through the pool.
 static SCHEDULE_PERMUTATION: AtomicU64 = AtomicU64::new(0);
 
 /// Parallel maps that ran inline (single-thread install or input below
@@ -622,6 +647,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a set of worker ids that is only counted, never iterated"
+    )]
     fn workers_are_reused_across_calls() {
         use std::collections::HashSet;
         use std::sync::Mutex;

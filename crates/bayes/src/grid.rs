@@ -22,7 +22,6 @@ use crate::potential::{PairPotential, UnaryPotential};
 use crate::stencil::KernelStencil;
 use crate::transport::Transport;
 use crate::validate::{DistributionAudit, ValidationError};
-use std::collections::HashMap;
 use std::sync::Arc;
 use wsnloc_geom::{Aabb, Matrix, Vec2};
 use wsnloc_obs::{InferenceObserver, ObsEvent};
@@ -122,6 +121,11 @@ impl GridBelief {
     }
 
     /// Flat index of the cell containing `p` (clamped into the grid).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "float→cell index: `as isize` saturates (NaN to 0), and the clamp keeps the \
+                  cell on the grid"
+    )]
     pub fn cell_of(&self, p: Vec2) -> usize {
         let (dx, dy) = self.cell_size();
         let x = (((p.x - self.domain.min.x) / dx) as isize).clamp(0, self.nx as isize - 1);
@@ -283,6 +287,10 @@ impl GridBelief {
 /// edges asymmetrically. A sub-cell sigma is a no-op. The support is
 /// also clamped to the axis length − 1, the furthest reachable offset,
 /// so a huge (but finite) sigma cannot ask for an unbounded kernel.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "blur kernel radius: sigma is checked finite and positive above, once per blur pass"
+)]
 fn blur_axis(mass: &mut [f64], nx: usize, ny: usize, sigma: f64, along_x: bool) {
     if sigma <= 1e-6 || !sigma.is_finite() {
         return;
@@ -373,6 +381,11 @@ fn damp(new: &mut GridBelief, old: &GridBelief, damping: f64) {
 /// Computes the message from a source belief into a target grid through a
 /// distance potential, truncated at the potential's support radius.
 /// Returns the message and whether the uniform fallback fired.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "support radius in cells: `as isize` saturates an unbounded reach, and the scatter \
+              window is clamped to the grid"
+)]
 fn kernel_message(
     source: &GridBelief,
     potential: &dyn PairPotential,
@@ -451,6 +464,11 @@ struct MessageCache {
 }
 
 impl MessageCache {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "Arc-pointer-identity memo: entry() lookup only, never iterated, and pointer \
+                  keys have no stable order for a BTreeMap to expose"
+    )]
     fn build(
         mrf: &SpatialMrf,
         domain: Aabb,
@@ -471,7 +489,8 @@ impl MessageCache {
         let mut anchor_msgs = Vec::with_capacity(mrf.edges().len());
         let mut edge_stencils = Vec::with_capacity(mrf.edges().len());
         let mut stencils: Vec<KernelStencil> = Vec::new();
-        let mut by_potential: HashMap<usize, Option<usize>> = HashMap::new();
+        let mut by_potential: std::collections::HashMap<usize, Option<usize>> =
+            std::collections::HashMap::new();
         for (e, edge) in mrf.edges().iter().enumerate() {
             let anchor = match (mrf.fixed(edge.u), mrf.fixed(edge.v)) {
                 (Some(p), None) | (None, Some(p)) => {

@@ -27,6 +27,25 @@
 //! runs to localize sensor networks.
 
 #![warn(missing_docs)]
+// Library lint policy (README "Correctness tooling"); test code is exempt.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::float_cmp,
+        clippy::undocumented_unsafe_blocks,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason,
+        clippy::cast_possible_truncation
+    )
+)]
 
 mod cellbuf;
 pub mod engine;

@@ -156,6 +156,10 @@ impl ParticleBelief {
 ///
 /// Fractions lie in `[0, 1]` (constants or validated damping), and the
 /// cast happens once per node update — never in a per-particle loop.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "fraction-of-budget sizing: validated [0, 1] input, once per node update"
+)]
 fn share(n: usize, fraction: f64) -> usize {
     ((n as f64) * fraction).round() as usize
 }

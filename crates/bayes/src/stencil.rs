@@ -31,6 +31,11 @@ impl KernelStencil {
     /// so an oversized `max_distance` cannot tabulate unreachable
     /// offsets (a previous clamp to `n` kept one dead row and column per
     /// axis).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "support radius in cells: `as isize` saturates an unbounded reach, and the \
+                  radius is clamped to the axis length − 1 below"
+    )]
     pub fn build(
         potential: &dyn PairPotential,
         nx: usize,

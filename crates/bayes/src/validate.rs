@@ -392,6 +392,11 @@ impl GraphAudit {
 /// audit. Compiled only where audits are; every other caller should
 /// propagate the [`ValidationError`] instead.
 #[cfg(any(debug_assertions, feature = "strict-validate"))]
+#[expect(
+    clippy::panic,
+    reason = "the single abort point for a failed numerical-invariant audit, compiled in only \
+              under debug_assertions or strict-validate"
+)]
 fn fail(context: &str, e: &ValidationError) -> ! {
     panic!("wsnloc-bayes: {context}: {e}")
 }

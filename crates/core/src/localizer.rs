@@ -411,7 +411,10 @@ impl BnlLocalizer {
 
     /// Runs the engine flat, or wrapped in a [`ShardedEngine`] when the
     /// shard plan resolves to more than one tile for this network.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "private hop that forwards one solve's state to `run_backend`"
+    )]
     fn run_maybe_sharded<E, F>(
         &self,
         engine: E,
@@ -465,7 +468,10 @@ impl BnlLocalizer {
     /// epoch carry-over. A MAP request on a backend without a mode
     /// extractor falls back to MMSE and reports the switch as an observer
     /// event.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "private solve step; its inputs are one solve's state, not a reusable config"
+    )]
     fn run_backend<E, F>(
         &self,
         engine: &E,

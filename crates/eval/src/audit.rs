@@ -1,7 +1,7 @@
-//! Schedule-perturbation determinism audit (`repro audit-determinism`,
-//! usually invoked as `cargo xtask audit-determinism`).
+//! Schedule-perturbation determinism audit (`cargo run --release -p
+//! wsnloc-eval --bin repro -- audit-determinism [--quick]`).
 //!
-//! The static lint tier can reject *patterns* that tend to break
+//! The clippy gate can reject *patterns* that tend to break
 //! determinism (unseeded RNG, `HashMap` iteration, unfenced atomics);
 //! this module is the dynamic complement: it *executes* grid and
 //! particle BP — plus sharded runs (a sharded grid on a perfect

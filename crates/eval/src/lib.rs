@@ -13,6 +13,16 @@
 //! ```
 
 #![warn(missing_docs)]
+// The harness subset of the library lint policy (README "Correctness
+// tooling"): binaries print, the library reports through return values.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::undocumented_unsafe_blocks
+    )
+)]
 
 pub mod audit;
 pub mod bench;

@@ -12,6 +12,7 @@ use std::collections::BTreeMap;
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::time::Duration;
+use wsnloc_obs::{parse_json, JsonValue};
 
 /// One parsed OpenMetrics sample: family name, sorted labels, value.
 #[derive(Debug, Clone, PartialEq)]
@@ -162,15 +163,17 @@ fn parse_labels(body: &str) -> Option<Vec<(String, String)>> {
     Some(labels)
 }
 
-/// Extracts a string field from a flat JSON-ish document the telemetry
-/// endpoints emit (`"key":value` with numeric/bool/null values). Good
-/// enough for the two known shapes; not a general JSON parser.
-fn json_scalar<'a>(doc: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = doc.find(&pat)? + pat.len();
-    let rest = &doc[start..];
-    let end = rest.find([',', '}', ']']).unwrap_or(rest.len());
-    Some(rest[..end].trim())
+/// Scalar field `key` of a parsed telemetry document, as the dashboard
+/// prints it; `None` when the field is missing or not a scalar.
+fn scalar(doc: &JsonValue, key: &str) -> Option<String> {
+    Some(match doc.get(key)? {
+        JsonValue::Null => "null".to_owned(),
+        JsonValue::Bool(b) => b.to_string(),
+        JsonValue::Int(v) => v.to_string(),
+        JsonValue::Num(v) => v.to_string(),
+        JsonValue::Str(s) => s.clone(),
+        JsonValue::Arr(_) | JsonValue::Obj(_) => return None,
+    })
 }
 
 /// Per-tenant row accumulated from windowed series and the rollup.
@@ -204,9 +207,12 @@ pub fn render_top(metrics_body: &str, healthz_body: &str, tenants_body: &str) ->
     };
 
     let mut out = String::new();
-    let ticks = json_scalar(healthz_body, "ticks").unwrap_or("?");
-    let age = json_scalar(healthz_body, "last_tick_age_secs").unwrap_or("?");
-    let ok = json_scalar(healthz_body, "ok").unwrap_or("?");
+    let healthz = parse_json(healthz_body).ok();
+    let health = |key| {
+        let value = healthz.as_ref().and_then(|doc| scalar(doc, key));
+        value.unwrap_or_else(|| "?".into())
+    };
+    let (ticks, age, ok) = (health("ticks"), health("last_tick_age_secs"), health("ok"));
     let _ = writeln!(out, "wsnloc live telemetry");
     let _ = writeln!(
         out,
@@ -246,18 +252,21 @@ pub fn render_top(metrics_body: &str, healthz_body: &str, tenants_body: &str) ->
             _ => {}
         }
     }
-    // `/tenants` entries look like {"id":N,...}; walk them naively.
-    for entry in tenants_body.split("{\"id\":").skip(1) {
-        let Some(id) = entry
-            .find(|c: char| !c.is_ascii_digit())
-            .and_then(|e| entry[..e].parse::<u64>().ok())
-        else {
+    // `/tenants` is {"tenants":[{"id":N,...},...],...}.
+    let rollup = parse_json(tenants_body).ok();
+    let entries = rollup
+        .as_ref()
+        .and_then(|doc| doc.get("tenants"))
+        .and_then(JsonValue::as_arr)
+        .unwrap_or_default();
+    for entry in entries {
+        let Some(id) = entry.get("id").and_then(JsonValue::as_u64) else {
             continue;
         };
         let row = tenants.entry(id).or_default();
-        row.lifetime_solved = json_scalar(entry, "solved").map(str::to_owned);
-        row.lifetime_shed = json_scalar(entry, "shed").map(str::to_owned);
-        row.pending = json_scalar(entry, "pending").map(str::to_owned);
+        row.lifetime_solved = scalar(entry, "solved");
+        row.lifetime_shed = scalar(entry, "shed");
+        row.pending = scalar(entry, "pending");
     }
     if tenants.is_empty() {
         let _ = writeln!(out, "  tenants: none yet");

@@ -33,6 +33,10 @@ pub fn case_rng(case: u64) -> Xoshiro256pp {
 ///
 /// Panics (re-raising the property's own panic) as soon as one case fails,
 /// after printing the failing case index to stderr.
+#[expect(
+    clippy::print_stderr,
+    reason = "one-shot replay hint printed just before a failing property re-panics"
+)]
 pub fn cases<F>(n: u64, mut property: F)
 where
     F: FnMut(u64, &mut Xoshiro256pp),

@@ -58,7 +58,10 @@ impl MobileWorld {
     /// Creates a world with `node_count` nodes uniformly placed in `field`,
     /// `anchor_count` static random anchors, and the given models. `dt` is
     /// the interval between snapshots in seconds.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the world's full configuration, each value set once at construction"
+    )]
     pub fn new(
         field: Shape,
         node_count: usize,

@@ -185,7 +185,6 @@ impl Network {
     /// Constructs a network directly from parts — the escape hatch for unit
     /// tests and hand-built topologies. `measurements` must reference valid
     /// node ids; links are derived from them.
-    #[allow(clippy::too_many_arguments)]
     pub fn from_parts(
         field: Shape,
         radio: RadioModel,

@@ -6,6 +6,12 @@
 //! records — is asserted in tests by reading these counters around a run,
 //! rather than by trusting the code to stay honest.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "audited atomics: monotone leak-check tallies, Relaxed because callers read them \
+              as totals after the workload quiesces and never synchronize through them"
+)]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Residual buffers allocated by BP engines (one per observed iteration

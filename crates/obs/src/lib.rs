@@ -44,8 +44,8 @@
 //!   frozen into a [`MetricsSnapshot`] that renders the convergence,
 //!   fault and flame tables. The fold is *order-insensitive*, which is
 //!   what makes trace replay equal the live run. [`Stopwatch`] is the
-//!   one sanctioned timing primitive outside this crate (enforced by
-//!   `cargo xtask lint`).
+//!   one sanctioned timing primitive (`clippy.toml` bans
+//!   `Instant::now` everywhere else).
 //! - [`analyze_str`] / [`replay()`] — parse `trace.jsonl` back into
 //!   [`RunTrace`]s and feed them through the same fold a live run uses,
 //!   so `repro analyze` and in-process metrics share one path.
@@ -72,6 +72,24 @@
 //! counts.
 
 #![warn(missing_docs)]
+// Library lint policy (README "Correctness tooling"); test code is exempt.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::float_cmp,
+        clippy::undocumented_unsafe_blocks,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 pub mod accounting;
 pub mod fold;

@@ -1,16 +1,16 @@
 //! Wall-clock timing: [`Stopwatch`].
 //!
 //! `Stopwatch` is the single sanctioned timing primitive of the
-//! workspace: `cargo xtask lint` rejects `Instant::now()` everywhere
-//! outside `wsnloc-obs`, so every measured duration flows through this
-//! module. Engines report what they time as observer spans, and the
+//! workspace: `clippy.toml` bans `Instant::now()` everywhere else, so
+//! every measured duration flows through this module. Engines report
+//! what they time as observer spans, and the
 //! [`MetricsObserver`](crate::MetricsObserver) fold attributes them
 //! (see [`MetricsSnapshot::flame_table`](crate::MetricsSnapshot::flame_table)).
 
 use std::time::Instant;
 
 /// A started wall-clock timer. The only place the workspace is allowed
-/// to read the monotonic clock (enforced by `cargo xtask lint`).
+/// to read the monotonic clock (enforced by `clippy.toml`).
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch {
     start: Instant,
@@ -19,6 +19,10 @@ pub struct Stopwatch {
 impl Stopwatch {
     /// Starts timing now.
     #[must_use]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the workspace's one sanctioned clock read"
+    )]
     pub fn start() -> Self {
         Stopwatch {
             start: Instant::now(),

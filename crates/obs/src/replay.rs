@@ -125,6 +125,12 @@ impl JsonValue {
     }
 }
 
+/// Deepest array/object nesting [`parse_json`] accepts. The parser
+/// recurses once per level, so without a cap one line of `[`s overflows
+/// the stack; the trace encoder and the `BENCH_*.json` writers nest at
+/// most 4 levels.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -163,11 +169,16 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> PResult<JsonValue> {
+    /// Parses one value nested inside `depth` arrays or objects.
+    fn value(&mut self, depth: usize) -> PResult<JsonValue> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at offset {}",
+                self.pos
+            )),
+            Some(b'{') => self.object(depth),
+            Some(b'[') => self.array(depth),
             Some(b'"') => self.string().map(JsonValue::Str),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -274,7 +285,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> PResult<JsonValue> {
+    fn array(&mut self, depth: usize) -> PResult<JsonValue> {
         self.expect_byte(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -283,7 +294,7 @@ impl<'a> Parser<'a> {
             return Ok(JsonValue::Arr(items));
         }
         loop {
-            items.push(self.value()?);
+            items.push(self.value(depth + 1)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => {
@@ -298,7 +309,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> PResult<JsonValue> {
+    fn object(&mut self, depth: usize) -> PResult<JsonValue> {
         self.expect_byte(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
@@ -311,7 +322,7 @@ impl<'a> Parser<'a> {
             let key = self.string()?;
             self.skip_ws();
             self.expect_byte(b':')?;
-            let value = self.value()?;
+            let value = self.value(depth + 1)?;
             fields.push((key, value));
             self.skip_ws();
             match self.peek() {
@@ -341,11 +352,12 @@ fn utf8_len(lead: u8) -> usize {
     }
 }
 
-/// Parses one JSON document (used for trace lines and the pinned bench
-/// JSON files).
+/// Parses one JSON document (used for trace lines, the pinned bench
+/// JSON files and the telemetry endpoints' bodies). Arrays and objects
+/// may nest at most 64 levels deep; deeper input is an error.
 pub fn parse_json(text: &str) -> Result<JsonValue, String> {
     let mut p = Parser::new(text);
-    let v = p.value()?;
+    let v = p.value(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(format!("trailing garbage at offset {}", p.pos));
@@ -728,6 +740,20 @@ mod tests {
         assert!(c.as_u64().is_none(), "negative numbers are not u64");
         assert!(parse_json("{\"a\":}").is_err());
         assert!(parse_json("{} trailing").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse_json(&nested(MAX_DEPTH)).is_ok());
+        let err = parse_json(&nested(MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert!(err.contains("nesting"), "{err}");
+        // Unbounded recursion overflowed the stack well before this.
+        let hostile = "[".repeat(1_000_000);
+        assert!(parse_json(&hostile).is_err());
+        let err = analyze_str(&hostile).expect_err("hostile trace line");
+        assert_eq!(err.line, 1);
+        assert!(parse_json(&format!("{{\"a\":{}", "{\"a\":".repeat(1_000_000))).is_err());
     }
 
     #[test]

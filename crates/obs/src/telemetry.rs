@@ -29,6 +29,12 @@
 //! hub whether or not a server is attached, so instrumentation cost does
 //! not depend on whether anyone is scraping.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "audited atomic: the set-once shutdown flag is SeqCst, checked once per accepted \
+              connection, and the self-connect in `shutdown` guarantees the loop observes it"
+)]
+
 use crate::metrics::Fact;
 use crate::profiler::Stopwatch;
 use crate::window::WindowedMetrics;

@@ -47,6 +47,24 @@
 //! with `f64::to_bits` fingerprints.
 
 #![warn(missing_docs)]
+// Library lint policy (README "Correctness tooling"); test code is exempt.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::float_cmp,
+        clippy::undocumented_unsafe_blocks,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 use rayon::{IntoParallelIterator, ParallelIterator};
 use std::collections::{BTreeMap, VecDeque};

@@ -128,9 +128,10 @@ fn particle_bp_is_bit_identical_across_pool_sizes() {
 
 #[test]
 fn schedule_permutation_audit_passes_on_a_small_matrix() {
-    // The full {1,2,4,8}-thread × 8-seed sweep is the CI `cargo xtask
-    // audit-determinism` gate; this pins a reduced matrix into tier-1 so
-    // a regression in the permutation hook or an order-dependence in the
+    // CI runs `repro audit-determinism --quick` ({1,2,4} threads × 3
+    // seeds), and the full {1,2,4,8} × 8 sweep is the same command
+    // without `--quick`; this pins a reduced matrix into tier-1 so a
+    // regression in the permutation hook or an order-dependence in the
     // BP stack fails the plain test suite too.
     let outcome = wsnloc_eval::audit_determinism(&wsnloc_eval::AuditConfig {
         thread_counts: vec![1, 2],
