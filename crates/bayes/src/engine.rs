@@ -211,8 +211,7 @@ pub(crate) trait NodeUpdate: Sync {
 /// The BP iteration loop of every engine, flat or sharded.
 ///
 /// `init` runs inside the prior-init span and returns the backend's
-/// per-run update state with the initial beliefs. `messages` seeds the
-/// broadcast count (the grid's coarse pre-solve). Each iteration rolls
+/// per-run update state with the initial beliefs. Each iteration rolls
 /// the transport session, reports a sharded run's boundary exchanges,
 /// updates the live free nodes in parallel (synchronous) or in index
 /// order (sweep), audits the beliefs, calls `on_iter`, reports an
@@ -223,7 +222,6 @@ pub(crate) fn drive<U, F>(
     opts: &BpOptions,
     transport: &Transport,
     obs: &dyn InferenceObserver,
-    messages: u64,
     init: impl FnOnce() -> (U, Vec<U::Belief>),
     mut on_iter: F,
 ) -> RunOutcome<U::Belief>
@@ -260,7 +258,7 @@ where
     let mut outcome = BpOutcome {
         iterations: 0,
         converged: false,
-        messages,
+        messages: 0,
     };
     let loop_start = Stopwatch::start();
     for iter in 0..opts.max_iterations {

@@ -127,7 +127,7 @@ impl BpEngine for GaussianBp {
         F: FnMut(usize, &[GaussianBelief]),
     {
         let init = || init(mrf, opts, warm);
-        engine::drive(mrf, opts, transport, obs, 0, init, on_iter)
+        engine::drive(mrf, opts, transport, obs, init, on_iter)
     }
 }
 

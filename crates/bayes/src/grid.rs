@@ -12,9 +12,7 @@
 //! The scatter kernel lives in [`crate::stencil`]: each potential's table
 //! is built once per run and scattered row by row, and the inner
 //! accumulate dispatches to runtime-detected SIMD. Beliefs,
-//! messages and tables are all `f64`. One opt-in throughput knob rides
-//! on top: [`GridBp::with_refinement`] pre-solves on a reduced grid and
-//! carries concentrated beliefs up to the full resolution.
+//! messages and tables are all `f64`.
 
 use crate::engine::{self, BpEngine, Delivery, Inbox, NodeUpdate, RunOutcome};
 use crate::mrf::{BpOptions, SpatialMrf};
@@ -153,39 +151,6 @@ impl GridBelief {
             *m *= o;
         }
         self.normalize();
-    }
-
-    /// Piecewise-constant upsample onto a finer `nx × ny` grid over the
-    /// same domain, renormalized — the belief carry-over step of the
-    /// coarse-to-fine schedule.
-    fn upsampled_to(&self, nx: usize, ny: usize) -> GridBelief {
-        let mut out = GridBelief {
-            domain: self.domain,
-            nx,
-            ny,
-            mass: vec![0.0; nx * ny],
-        };
-        for y in 0..ny {
-            let cy = y * self.ny / ny;
-            for x in 0..nx {
-                let cx = x * self.nx / nx;
-                out.mass[y * nx + x] = self.mass[cy * self.nx + cx];
-            }
-        }
-        out.normalize();
-        out
-    }
-
-    /// Sum of the `k` largest cell masses — the concentration statistic
-    /// the coarse-to-fine schedule thresholds on (≈1 when the posterior
-    /// has collapsed onto a few cells, ≈`k/cells` when diffuse).
-    fn top_k_mass(&self, k: usize) -> f64 {
-        if k >= self.mass.len() {
-            return self.mass.iter().sum();
-        }
-        let mut m = self.mass.clone();
-        m.sort_unstable_by(|a, b| b.total_cmp(a));
-        m[..k].iter().sum()
     }
 
     /// MMSE point estimate: the belief mean.
@@ -378,53 +343,6 @@ fn damp(new: &mut GridBelief, old: &GridBelief, damping: f64) {
     new.normalize();
 }
 
-/// Computes the message from a source belief into a target grid through a
-/// distance potential, truncated at the potential's support radius.
-/// Returns the message and whether the uniform fallback fired.
-#[expect(
-    clippy::cast_possible_truncation,
-    reason = "support radius in cells: `as isize` saturates an unbounded reach, and the scatter \
-              window is clamped to the grid"
-)]
-fn kernel_message(
-    source: &GridBelief,
-    potential: &dyn PairPotential,
-    mass_floor: f64,
-) -> (Vec<f64>, bool) {
-    let nx = source.nx;
-    let ny = source.ny;
-    let (dx, dy) = source.cell_size();
-    let mut msg = vec![0.0; nx * ny];
-    // Support radius in cells, conservatively ceil'd. Unbounded potentials
-    // scatter over the whole grid.
-    let reach = potential.max_distance();
-    let (rx, ry) = match reach {
-        Some(r) => ((r / dx).ceil() as isize, (r / dy).ceil() as isize),
-        None => (nx as isize, ny as isize),
-    };
-    for (s, &m) in source.mass.iter().enumerate() {
-        if m < mass_floor {
-            continue;
-        }
-        let sp = source.cell_center(s);
-        let sx = (s % nx) as isize;
-        let sy = (s / nx) as isize;
-        let x0 = (sx - rx).max(0) as usize;
-        let x1 = (sx + rx).min(nx as isize - 1) as usize;
-        let y0 = (sy - ry).max(0) as usize;
-        let y1 = (sy + ry).min(ny as isize - 1) as usize;
-        for y in y0..=y1 {
-            for x in x0..=x1 {
-                let t = y * nx + x;
-                let d = source.cell_center(t).dist(sp);
-                msg[t] += m * potential.likelihood(d);
-            }
-        }
-    }
-    let collapsed = finalize_message(&mut msg);
-    (msg, collapsed)
-}
-
 /// Message from a *fixed* (anchor) source: the potential evaluated against
 /// the known position. Returns the message and whether the uniform
 /// fallback fired.
@@ -440,26 +358,32 @@ fn point_message(
     (msg, collapsed)
 }
 
+/// How one edge's message reaches its free endpoint.
+enum EdgeMessage {
+    /// Exactly one endpoint is fixed: the message into the free one,
+    /// computed once in the fixed→free direction.
+    Anchor(Vec<f64>),
+    /// Both endpoints are free: an index into [`MessageCache::stencils`],
+    /// scattered from the sender's belief in every update.
+    Kernel(usize),
+    /// Both endpoints are fixed: no update reads the edge.
+    Inert,
+}
+
 /// Iteration-invariant message state, built once per run.
 ///
 /// Three quantities never change across BP iterations: the prior-derived
 /// initial beliefs (unary potentials don't change), the anchor messages
-/// (fixed positions don't move), and the kernel tables of distance-only
-/// potentials (on a regular grid the likelihood depends only on the cell
-/// offset). The seed path recomputed all three inside every
-/// `update_one`; this cache hoists them out of the iteration loop.
+/// (fixed positions don't move), and the kernel tables of the pair
+/// potentials (on a regular grid a pair likelihood depends only on the
+/// cell offset). All three are built before the iteration loop.
 struct MessageCache {
-    /// Initial beliefs: priors for free variables, deltas for fixed
-    /// ones (shared with the run's belief vector).
+    /// Initial beliefs: priors for free variables, deltas for fixed ones.
     init: Vec<GridBelief>,
-    /// Per-edge anchor message — `Some` iff exactly one endpoint is
-    /// fixed, computed in the fixed→free direction.
-    anchor_msgs: Vec<Option<Vec<f64>>>,
-    /// Per-edge index into `stencils` — `Some` iff both endpoints are
-    /// free and the potential discretizes.
-    edge_stencils: Vec<Option<usize>>,
-    /// Deduplicated stencils: edges sharing a potential (by
-    /// `Arc` identity) share one entry.
+    /// Per-edge message source, indexed like [`SpatialMrf::edges`].
+    edges: Vec<EdgeMessage>,
+    /// Deduplicated stencils: edges sharing a potential (by `Arc`
+    /// identity) share one entry.
     stencils: Vec<KernelStencil>,
 }
 
@@ -469,112 +393,51 @@ impl MessageCache {
         reason = "Arc-pointer-identity memo: entry() lookup only, never iterated, and pointer \
                   keys have no stable order for a BTreeMap to expose"
     )]
-    fn build(
-        mrf: &SpatialMrf,
-        domain: Aabb,
-        nx: usize,
-        ny: usize,
-        obs: &dyn InferenceObserver,
-    ) -> MessageCache {
+    fn build(mrf: &SpatialMrf, shape: &GridBelief, obs: &dyn InferenceObserver) -> MessageCache {
+        let (domain, nx, ny) = (shape.domain, shape.nx, shape.ny);
         let init: Vec<GridBelief> = (0..mrf.len())
             .map(|u| match mrf.fixed(u) {
                 Some(p) => GridBelief::delta(p, domain, nx, ny),
                 None => GridBelief::from_unary(mrf.unary(u).as_ref(), domain, nx, ny),
             })
             .collect();
-        // Geometry template for anchor messages: point_message reads only
-        // cell centers, identical across all beliefs on this grid.
-        let shape = GridBelief::uniform(domain, nx, ny);
         let (dx, dy) = shape.cell_size();
-        let mut anchor_msgs = Vec::with_capacity(mrf.edges().len());
-        let mut edge_stencils = Vec::with_capacity(mrf.edges().len());
         let mut stencils: Vec<KernelStencil> = Vec::new();
-        let mut by_potential: std::collections::HashMap<usize, Option<usize>> =
+        let mut by_potential: std::collections::HashMap<usize, usize> =
             std::collections::HashMap::new();
+        let mut edges = Vec::with_capacity(mrf.edges().len());
         for (e, edge) in mrf.edges().iter().enumerate() {
-            let anchor = match (mrf.fixed(edge.u), mrf.fixed(edge.v)) {
+            edges.push(match (mrf.fixed(edge.u), mrf.fixed(edge.v)) {
                 (Some(p), None) | (None, Some(p)) => {
-                    let (msg, collapsed) = point_message(&shape, p, edge.potential.as_ref());
+                    let (msg, collapsed) = point_message(shape, p, edge.potential.as_ref());
                     if collapsed {
                         obs.on_event(&ObsEvent::GridUniformFallback {
                             edge: e,
                             stage: "point",
                         });
                     }
-                    Some(msg)
+                    EdgeMessage::Anchor(msg)
                 }
-                _ => None,
-            };
-            // Kernel messages only flow along free–free edges; fixed
-            // sources use the anchor message and fixed targets are never
-            // updated.
-            let stencil =
-                if anchor.is_none() && mrf.fixed(edge.u).is_none() && mrf.fixed(edge.v).is_none() {
+                (None, None) => {
                     let key = Arc::as_ptr(&edge.potential) as *const () as usize;
-                    *by_potential.entry(key).or_insert_with(|| {
-                        KernelStencil::build(edge.potential.as_ref(), nx, ny, dx, dy).map(|s| {
-                            stencils.push(s);
-                            stencils.len() - 1
-                        })
-                    })
-                } else {
-                    None
-                };
-            anchor_msgs.push(anchor);
-            edge_stencils.push(stencil);
+                    EdgeMessage::Kernel(*by_potential.entry(key).or_insert_with(|| {
+                        stencils.push(KernelStencil::build(
+                            edge.potential.as_ref(),
+                            nx,
+                            ny,
+                            dx,
+                            dy,
+                        ));
+                        stencils.len() - 1
+                    }))
+                }
+                (Some(_), Some(_)) => EdgeMessage::Inert,
+            });
         }
         MessageCache {
             init,
-            anchor_msgs,
-            edge_stencils,
+            edges,
             stencils,
-        }
-    }
-
-    /// The cached anchor message for edge `e`, when one exists.
-    fn anchor(&self, e: usize) -> Option<&[f64]> {
-        self.anchor_msgs.get(e).and_then(|m| m.as_deref())
-    }
-
-    /// The shared stencil for edge `e`, when the potential discretizes.
-    fn stencil(&self, e: usize) -> Option<&KernelStencil> {
-        self.edge_stencils
-            .get(e)
-            .copied()
-            .flatten()
-            .and_then(|i| self.stencils.get(i))
-    }
-}
-
-/// Resolution divisor of the coarse-to-fine pre-solve
-/// ([`GridBp::with_refinement`]).
-const COARSE_FACTOR: usize = 4;
-
-/// Iteration budget of the coarse pre-solve.
-const COARSE_ITERATIONS: usize = 6;
-
-/// Number of heaviest coarse cells whose combined mass decides whether a
-/// node's coarse belief carries up.
-const COARSE_TOP_K: usize = 9;
-
-/// A node's coarse belief carries up when its top-k mass reaches this.
-const COARSE_CONCENTRATION: f64 = 0.5;
-
-/// Per-node warm-start lookup unifying the two carry-over sources: the
-/// caller's carried beliefs (all free nodes) and the coarse-to-fine
-/// pre-solve (only nodes that concentrated).
-enum Warm<'a> {
-    None,
-    All(&'a [GridBelief]),
-    PerNode(&'a [Option<GridBelief>]),
-}
-
-impl Warm<'_> {
-    fn get(&self, u: usize) -> Option<&GridBelief> {
-        match self {
-            Warm::None => None,
-            Warm::All(w) => w.get(u),
-            Warm::PerNode(w) => w.get(u).and_then(|b| b.as_ref()),
         }
     }
 }
@@ -588,81 +451,36 @@ const MASS_FLOOR: f64 = 1e-4;
 pub struct GridBp {
     nx: usize,
     ny: usize,
-    /// Whether the per-run message cache (prior beliefs, anchor messages,
-    /// kernel stencils) is used.
-    cache_messages: bool,
-    /// Whether a cold run pre-solves on a coarse grid first.
-    refine: bool,
 }
 
 impl GridBp {
     /// Engine with an `n × n` grid.
     pub fn with_resolution(n: usize) -> Self {
-        GridBp {
-            nx: n,
-            ny: n,
-            cache_messages: true,
-            refine: false,
-        }
-    }
-
-    /// The same engine with the per-run message cache disabled: every
-    /// prior, anchor message, and kernel evaluation is recomputed from
-    /// the potentials each iteration, exactly as the pre-cache engine
-    /// did. The cache is on by default; this reference path is kept for
-    /// equivalence tests and before/after benchmarks.
-    pub fn without_message_cache(mut self) -> Self {
-        self.cache_messages = false;
-        self
-    }
-
-    /// The same engine with the coarse-to-fine schedule enabled. A cold
-    /// run first pre-solves on a `(nx/4) × (ny/4)` grid for 6 BP
-    /// iterations (or until the run's convergence tolerance is met).
-    /// Free nodes whose coarse posterior concentrates — the mass of
-    /// their 9 heaviest cells reaches 0.5 — carry their upsampled belief
-    /// into the full-resolution run as its starting point (the same
-    /// belief-level carry-over seam `wsnloc-serve` uses between epochs);
-    /// diffuse nodes restart cold from their priors. The coarse
-    /// pre-solve runs on the perfect transport without observer
-    /// telemetry; its broadcasts are added to the run's message count.
-    /// A grid too small to leave at least 2 coarse cells per axis skips
-    /// the pre-solve.
-    pub fn with_refinement(mut self) -> Self {
-        self.refine = true;
-        self
+        GridBp { nx: n, ny: n }
     }
 
     /// Initial beliefs and update state for one run at this engine's
-    /// resolution. With the message cache on, the iteration-invariant
-    /// pieces (priors, anchor messages, kernel stencils) are built here,
-    /// once, and the initial beliefs are shared with the cache.
+    /// resolution. The iteration-invariant pieces (priors, anchor
+    /// messages, kernel stencils) are built here, once.
     fn init<'a>(
         &self,
         mrf: &'a SpatialMrf,
         opts: &BpOptions,
-        warm: Warm<'a>,
+        warm: Option<&'a [GridBelief]>,
         obs: &'a dyn InferenceObserver,
     ) -> (GridRun<'a>, Vec<GridBelief>) {
-        let domain = mrf.domain();
-        let cache = self
-            .cache_messages
-            .then(|| MessageCache::build(mrf, domain, self.nx, self.ny, obs));
+        let shape = GridBelief::uniform(mrf.domain(), self.nx, self.ny);
         let run = GridRun {
             mrf,
             floor: MASS_FLOOR / (self.nx * self.ny) as f64,
             damping: opts.damping,
-            shape: GridBelief::uniform(domain, self.nx, self.ny),
-            cache,
+            cache: MessageCache::build(mrf, &shape, obs),
+            shape,
             warm,
             obs,
         };
-        // Every node starts from its update base; a cold cached run
-        // shares the cache's initial beliefs.
-        let beliefs = match (&run.cache, &run.warm) {
-            (Some(c), Warm::None) => c.init.clone(),
-            _ => (0..mrf.len()).map(|u| run.base_belief(u)).collect(),
-        };
+        // Every node starts from its update base.
+        let beliefs = (0..mrf.len()).map(|u| run.base_belief(u).clone()).collect();
         (run, beliefs)
     }
 }
@@ -674,12 +492,12 @@ struct GridRun<'a> {
     floor: f64,
     /// Fraction of the old belief blended into each update.
     damping: f64,
-    /// The run's grid: its shape, and the cell-center template for the
-    /// pointwise fallback paths (identical across all its beliefs).
+    /// The run's grid, as a uniform belief: the shape a carried belief
+    /// must match.
     shape: GridBelief,
-    cache: Option<MessageCache>,
+    cache: MessageCache,
     /// Carried beliefs that replace the prior-derived update base.
-    warm: Warm<'a>,
+    warm: Option<&'a [GridBelief]>,
     obs: &'a dyn InferenceObserver,
 }
 
@@ -695,20 +513,11 @@ impl GridRun<'_> {
 
     /// The per-node base belief every update product starts from: a
     /// warm carried belief shadows the prior-derived initial belief.
-    fn base_belief(&self, u: usize) -> GridBelief {
-        if let Some(b) = self.warm.get(u).filter(|b| self.matches(u, b)) {
-            return b.clone();
-        }
-        match &self.cache {
-            Some(c) => c.init[u].clone(),
-            None => {
-                let (domain, nx, ny) = (self.shape.domain, self.shape.nx, self.shape.ny);
-                match self.mrf.fixed(u) {
-                    Some(p) => GridBelief::delta(p, domain, nx, ny),
-                    None => GridBelief::from_unary(self.mrf.unary(u).as_ref(), domain, nx, ny),
-                }
-            }
-        }
+    fn base_belief(&self, u: usize) -> &GridBelief {
+        self.warm
+            .and_then(|w| w.get(u))
+            .filter(|b| self.matches(u, b))
+            .unwrap_or(&self.cache.init[u])
     }
 }
 
@@ -720,63 +529,43 @@ impl NodeUpdate for GridRun<'_> {
     const SNAPSHOT_RESIDUALS: bool = true;
 
     fn update(&self, u: usize, _iter: usize, inbox: &Inbox<'_, GridBelief>) -> GridBelief {
-        let mrf = self.mrf;
-        let mut bel = self.base_belief(u);
+        let mut bel = self.base_belief(u).clone();
         // Message scratch, reused across edges.
         let mut msg: Vec<f64> = Vec::new();
-        for &e in mrf.edges_of(u) {
+        for &e in self.mrf.edges_of(u) {
             // Never-received links contribute nothing; held content is
             // tempered by its staleness discount `alpha`.
             let Some(Delivery {
-                v,
                 belief: source,
                 alpha,
+                ..
             }) = inbox.receive(e, u)
             else {
                 continue;
             };
-            let potential = mrf.edges()[e].potential.as_ref();
-            match mrf.fixed(v) {
-                Some(p) => {
-                    // Anchor message: cached once per run (its fallback,
-                    // if any, was reported at build time), recomputed
-                    // only on the reference path.
-                    if let Some(am) = self.cache.as_ref().and_then(|c| c.anchor(e)) {
-                        if alpha < 1.0 {
-                            msg.clear();
-                            msg.extend_from_slice(am);
-                            temper_message(&mut msg, alpha);
-                            bel.product(&msg);
-                        } else {
-                            bel.product(am);
-                        }
+            match &self.cache.edges[e] {
+                // Cached once per run; its fallback, if any, was reported
+                // at build time.
+                EdgeMessage::Anchor(am) => {
+                    if alpha < 1.0 {
+                        msg.clear();
+                        msg.extend_from_slice(am);
+                        temper_message(&mut msg, alpha);
+                        bel.product(&msg);
                     } else {
-                        let (mut m, collapsed) = point_message(&self.shape, p, potential);
-                        if collapsed {
-                            self.obs.on_event(&ObsEvent::GridUniformFallback {
-                                edge: e,
-                                stage: "point",
-                            });
-                        }
-                        temper_message(&mut m, alpha);
-                        bel.product(&m);
+                        bel.product(am);
                     }
                 }
-                None => {
-                    let collapsed = match self.cache.as_ref().and_then(|c| c.stencil(e)) {
-                        Some(st) => {
-                            msg.clear();
-                            msg.resize(bel.mass.len(), 0.0);
-                            st.scatter(&source.mass, self.shape.nx, self.floor, &mut msg);
-                            finalize_message(&mut msg)
-                        }
-                        None => {
-                            let (m, collapsed) = kernel_message(source, potential, self.floor);
-                            msg = m;
-                            collapsed
-                        }
-                    };
-                    if collapsed {
+                EdgeMessage::Kernel(k) => {
+                    msg.clear();
+                    msg.resize(bel.mass.len(), 0.0);
+                    self.cache.stencils[*k].scatter(
+                        &source.mass,
+                        self.shape.nx,
+                        self.floor,
+                        &mut msg,
+                    );
+                    if finalize_message(&mut msg) {
                         self.obs.on_event(&ObsEvent::GridUniformFallback {
                             edge: e,
                             stage: "kernel",
@@ -785,6 +574,7 @@ impl NodeUpdate for GridRun<'_> {
                     temper_message(&mut msg, alpha);
                     bel.product(&msg);
                 }
+                EdgeMessage::Inert => {}
             }
         }
         if self.damping > 0.0 {
@@ -825,13 +615,6 @@ impl BpEngine for GridBp {
     /// update product, so a carried posterior acts as this epoch's prior
     /// instead of re-applying the pre-knowledge unary it already
     /// absorbed.
-    ///
-    /// With coarse-to-fine enabled, a cold run first pre-solves on a
-    /// reduced grid and carries concentrated coarse posteriors up per
-    /// node; the pre-solve's broadcasts are counted as this run's
-    /// messages. The pre-solve is skipped when the caller already
-    /// supplied warm beliefs (they carry posterior structure of their
-    /// own) or when the coarse grid would degenerate.
     fn run_carried<F>(
         &self,
         mrf: &SpatialMrf,
@@ -844,44 +627,8 @@ impl BpEngine for GridBp {
     where
         F: FnMut(usize, &[GridBelief]),
     {
-        let mut carried: Option<Vec<Option<GridBelief>>> = None;
-        let mut pre_messages = 0u64;
-        let (cnx, cny) = (self.nx / COARSE_FACTOR, self.ny / COARSE_FACTOR);
-        if self.refine && warm.is_none() && cnx >= 2 && cny >= 2 {
-            let coarse = GridBp {
-                nx: cnx,
-                ny: cny,
-                refine: false,
-                ..*self
-            };
-            let mut copts = *opts;
-            copts.max_iterations = COARSE_ITERATIONS;
-            let (beliefs, bp) = coarse.run(mrf, &copts);
-            pre_messages = bp.messages;
-            carried = Some(
-                beliefs
-                    .into_iter()
-                    .enumerate()
-                    .map(|(u, b)| {
-                        if mrf.fixed(u).is_some() {
-                            return None;
-                        }
-                        if b.top_k_mass(COARSE_TOP_K) >= COARSE_CONCENTRATION {
-                            Some(b.upsampled_to(self.nx, self.ny))
-                        } else {
-                            None
-                        }
-                    })
-                    .collect(),
-            );
-        }
-        let prior = match (&carried, warm) {
-            (Some(c), _) => Warm::PerNode(c),
-            (None, Some(w)) => Warm::All(w),
-            (None, None) => Warm::None,
-        };
-        let init = || self.init(mrf, opts, prior, obs);
-        engine::drive(mrf, opts, transport, obs, pre_messages, init, on_iter)
+        let init = || self.init(mrf, opts, warm, obs);
+        engine::drive(mrf, opts, transport, obs, init, on_iter)
     }
 }
 
@@ -985,32 +732,6 @@ mod tests {
         b.normalize();
         let cov = b.covariance();
         assert!(cov[(0, 0)] > 100.0 * cov[(1, 1)].max(1e-12));
-    }
-
-    #[test]
-    fn upsample_preserves_structure() {
-        let coarse = GridBelief::from_unary(
-            &GaussianUnary {
-                mean: Vec2::new(30.0, 60.0),
-                sigma: 8.0,
-            },
-            domain(),
-            10,
-            10,
-        );
-        let fine = coarse.upsampled_to(40, 40);
-        assert_eq!(fine.nx(), 40);
-        assert!((fine.mass().iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!(fine.mean().dist(coarse.mean()) < 4.0);
-    }
-
-    #[test]
-    fn top_k_mass_measures_concentration() {
-        let peaked = GridBelief::delta(Vec2::new(50.0, 50.0), domain(), 10, 10);
-        assert!((peaked.top_k_mass(1) - 1.0).abs() < 1e-12);
-        let uniform = GridBelief::uniform(domain(), 10, 10);
-        assert!((uniform.top_k_mass(10) - 0.1).abs() < 1e-12);
-        assert!((uniform.top_k_mass(1000) - 1.0).abs() < 1e-12);
     }
 
     /// Three nodes on a line: anchor(10,50) — u1 — anchor(90,50), ranges 40
@@ -1164,121 +885,6 @@ mod tests {
         assert!(!outcome.converged);
         assert_eq!(seen, vec![(0, 2), (1, 2), (2, 2), (3, 2)]);
         assert_eq!(outcome.messages, 4);
-    }
-
-    #[test]
-    fn stencil_message_matches_kernel_message() {
-        let pot = GaussianRange {
-            observed: 30.0,
-            sigma: 4.0,
-        };
-        let src = GridBelief::from_unary(
-            &GaussianUnary {
-                mean: Vec2::new(40.0, 60.0),
-                sigma: 12.0,
-            },
-            domain(),
-            25,
-            25,
-        );
-        let (dx, dy) = src.cell_size();
-        let st = KernelStencil::build(&pot, 25, 25, dx, dy).expect("range potential discretizes");
-        let floor = 1e-4 / 625.0;
-        let (reference, ref_collapsed) = kernel_message(&src, &pot, floor);
-        let mut cached = vec![0.0f64; 625];
-        st.scatter(src.mass(), 25, floor, &mut cached);
-        let cache_collapsed = finalize_message(&mut cached);
-        assert_eq!(ref_collapsed, cache_collapsed);
-        for (t, (a, b)) in reference.iter().zip(&cached).enumerate() {
-            assert!(
-                (a - b).abs() <= 1e-12 * a.abs().max(1.0),
-                "cell {t}: reference {a} vs stencil {b}"
-            );
-        }
-    }
-
-    fn four_node_mrf() -> SpatialMrf {
-        let dom = domain();
-        let mut mrf = SpatialMrf::new(4, dom, Arc::new(UniformBoxUnary(dom)));
-        mrf.fix(0, Vec2::new(10.0, 50.0));
-        mrf.fix(3, Vec2::new(90.0, 50.0));
-        for (u, v, d) in [(0, 1, 30.0), (1, 2, 25.0), (2, 3, 30.0), (1, 3, 52.0)] {
-            mrf.add_edge(
-                u,
-                v,
-                Arc::new(GaussianRange {
-                    observed: d,
-                    sigma: 3.0,
-                }),
-            );
-        }
-        mrf
-    }
-
-    #[test]
-    fn cached_run_matches_reference_run() {
-        let mrf = four_node_mrf();
-        let opts = BpOptions::builder()
-            .max_iterations(6)
-            .tolerance(0.0)
-            .try_build()
-            .expect("valid options");
-        let engine = GridBp::with_resolution(30);
-        let (cached, co) = engine.run(&mrf, &opts);
-        let (reference, ro) = engine.without_message_cache().run(&mrf, &opts);
-        assert_eq!(co.iterations, ro.iterations);
-        for (u, (c, r)) in cached.iter().zip(&reference).enumerate() {
-            for (i, (a, b)) in c.mass().iter().zip(r.mass()).enumerate() {
-                assert!(
-                    (a - b).abs() <= 1e-9,
-                    "belief[{u}] cell {i}: cached {a} vs reference {b}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn coarse_to_fine_tracks_dense_estimates() {
-        let mrf = four_node_mrf();
-        let opts = BpOptions::builder()
-            .max_iterations(8)
-            .tolerance(0.0)
-            .try_build()
-            .expect("valid options");
-        let (dense, od) = GridBp::with_resolution(40).run(&mrf, &opts);
-        let (refined, or) = GridBp::with_resolution(40)
-            .with_refinement()
-            .run(&mrf, &opts);
-        // The coarse pre-solve's broadcasts are real messages.
-        assert!(or.messages > od.messages, "coarse messages counted");
-        for (u, (a, b)) in dense.iter().zip(&refined).enumerate() {
-            assert!(
-                a.mean().dist(b.mean()) < 3.0,
-                "node {u}: dense {} vs refined {}",
-                a.mean(),
-                b.mean()
-            );
-        }
-    }
-
-    #[test]
-    fn refinement_skips_degenerate_coarse_grids() {
-        // 4÷4 = 1 coarse cell per axis: the pre-solve must be skipped,
-        // leaving a plain full-resolution run.
-        let mrf = four_node_mrf();
-        let opts = BpOptions::builder()
-            .max_iterations(3)
-            .tolerance(0.0)
-            .try_build()
-            .expect("valid options");
-        let (plain, op) = GridBp::with_resolution(4).run(&mrf, &opts);
-        let (refined, or) = GridBp::with_resolution(4)
-            .with_refinement()
-            .run(&mrf, &opts);
-        assert_eq!(op.messages, or.messages);
-        for (a, b) in plain.iter().zip(&refined) {
-            assert_eq!(a.mass(), b.mass());
-        }
     }
 
     #[test]

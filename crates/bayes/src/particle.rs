@@ -362,7 +362,7 @@ impl BpEngine for ParticleBp {
             "need at least one mixture sample per neighbor"
         );
         let init = || self.init(mrf, opts, warm);
-        engine::drive(mrf, opts, transport, obs, 0, init, on_iter)
+        engine::drive(mrf, opts, transport, obs, init, on_iter)
     }
 }
 

@@ -65,40 +65,6 @@ pub trait PairPotential: Send + Sync {
     fn gaussian_range(&self) -> Option<(f64, f64)> {
         None
     }
-
-    /// Translation-invariance hook for the grid backend's stencil cache.
-    ///
-    /// On a regular grid a distance-only potential depends on a cell pair
-    /// only through the integer offset `(Δx, Δy)` between the cells, so
-    /// the grid engine can precompute the likelihood once per offset
-    /// instead of once per (source cell × kernel cell) pair. This method
-    /// returns that table for cell sizes `(dx, dy)` and half-extents
-    /// `(rx, ry)`: a row-major `(2·ry + 1) × (2·rx + 1)` vector where the
-    /// entry for offset `(ox, oy)` (each in `−r..=r`) lives at
-    /// `(oy + ry) · (2·rx + 1) + (ox + rx)` and holds
-    /// `likelihood(‖(ox·dx, oy·dy)‖)`.
-    ///
-    /// The default evaluates [`PairPotential::likelihood`] per offset,
-    /// which is exact for every distance-only potential. Override to
-    /// return `None` for a potential whose discretization must *not*
-    /// assume pure distance dependence (an anisotropic or
-    /// position-dependent factor adapted through this trait); the grid
-    /// engine then falls back to the per-pair evaluation path for that
-    /// potential's edges.
-    fn discretized_kernel(&self, dx: f64, dy: f64, rx: usize, ry: usize) -> Option<Vec<f64>> {
-        let w = 2 * rx + 1;
-        let h = 2 * ry + 1;
-        let mut table = Vec::with_capacity(w * h);
-        for iy in 0..h {
-            let oy = iy as isize - ry as isize;
-            for ix in 0..w {
-                let ox = ix as isize - rx as isize;
-                let d = Vec2::new(ox as f64 * dx, oy as f64 * dy).norm();
-                table.push(self.likelihood(d));
-            }
-        }
-        Some(table)
-    }
 }
 
 /// Isotropic Gaussian prior — the drop-point pre-knowledge model.
@@ -239,24 +205,6 @@ mod tests {
         let mut rng = Xoshiro256pp::seed_from(4);
         for _ in 0..500 {
             assert!(u.log_density(u.sample(&mut rng)).is_finite());
-        }
-    }
-
-    #[test]
-    fn discretized_kernel_matches_pointwise_likelihood() {
-        let g = GaussianRange {
-            observed: 10.0,
-            sigma: 3.0,
-        };
-        let (dx, dy, rx, ry) = (2.0, 2.5, 6usize, 5usize);
-        let table = g.discretized_kernel(dx, dy, rx, ry).expect("default table");
-        assert_eq!(table.len(), (2 * rx + 1) * (2 * ry + 1));
-        for oy in -(ry as isize)..=(ry as isize) {
-            for ox in -(rx as isize)..=(rx as isize) {
-                let idx = (oy + ry as isize) as usize * (2 * rx + 1) + (ox + rx as isize) as usize;
-                let d = Vec2::new(ox as f64 * dx, oy as f64 * dy).norm();
-                assert_eq!(table[idx].to_bits(), g.likelihood(d).to_bits());
-            }
         }
     }
 

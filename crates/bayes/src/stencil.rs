@@ -1,8 +1,9 @@
 //! Translation-invariant kernel stencils for grid message passing.
 //!
-//! A distance-only [`PairPotential`] depends on a cell pair only through
-//! the integer offset `(Δx, Δy)`, so the grid engine tabulates its
-//! likelihood once per run as a full `(2ry+1) × (2rx+1)` table and the
+//! A [`PairPotential`] sees two positions only through their distance,
+//! so on a regular grid its likelihood between two cells depends only on
+//! the integer offset `(Δx, Δy)`. The grid engine therefore tabulates it
+//! once per run as a full `(2ry+1) × (2rx+1)` table, and the
 //! per-message scatter becomes table-lookup multiply–adds, row by row
 //! over contiguous slices. The row accumulate is the runtime-dispatched
 //! SIMD `axpy` in `cellbuf`, and the scatter is `#[inline(never)]` so
@@ -10,6 +11,7 @@
 
 use crate::cellbuf::axpy;
 use crate::potential::PairPotential;
+use wsnloc_geom::Vec2;
 
 /// A tabulated kernel with its support radii in cells: the full
 /// `(2ry+1) × (2rx+1)` table, row-major by `Δy`.
@@ -22,15 +24,16 @@ pub struct KernelStencil {
 
 impl KernelStencil {
     /// Tabulates `potential` for an `nx × ny` grid with cell size
-    /// `(dx, dy)`. `None` when the potential opts out of discretization
-    /// or returns a malformed table (callers then scatter through the
-    /// pointwise path).
+    /// `(dx, dy)`: the entry for offset `(ox, oy)`, each in `−r..=r`,
+    /// holds `likelihood(‖(ox·dx, oy·dy)‖)`. That is exact for every
+    /// [`PairPotential`], which sees positions only through
+    /// [`PairPotential::log_likelihood`] of their distance.
     ///
-    /// The support radius is clamped to `nx − 1` / `ny − 1`: the furthest
-    /// reachable offset between two cells of an `n`-wide axis is `n − 1`,
-    /// so an oversized `max_distance` cannot tabulate unreachable
-    /// offsets (a previous clamp to `n` kept one dead row and column per
-    /// axis).
+    /// The support radius is `⌈max_distance / d⌉` cells per axis, the
+    /// whole grid when the potential is unbounded, clamped to `nx − 1` /
+    /// `ny − 1`: the furthest reachable offset between two cells of an
+    /// `n`-wide axis is `n − 1`, so an oversized `max_distance` cannot
+    /// tabulate unreachable offsets.
     #[expect(
         clippy::cast_possible_truncation,
         reason = "support radius in cells: `as isize` saturates an unbounded reach, and the \
@@ -42,18 +45,21 @@ impl KernelStencil {
         ny: usize,
         dx: f64,
         dy: f64,
-    ) -> Option<KernelStencil> {
+    ) -> KernelStencil {
         let (rx, ry) = match potential.max_distance() {
             Some(r) => ((r / dx).ceil() as isize, (r / dy).ceil() as isize),
             None => (nx as isize, ny as isize),
         };
-        let rx = rx.clamp(0, nx as isize - 1) as usize;
-        let ry = ry.clamp(0, ny as isize - 1) as usize;
-        let table = potential.discretized_kernel(dx, dy, rx, ry)?;
-        if table.len() != (2 * rx + 1) * (2 * ry + 1) {
-            return None; // malformed custom kernel: pointwise fallback
+        let rx = rx.clamp(0, nx as isize - 1);
+        let ry = ry.clamp(0, ny as isize - 1);
+        let mut table = Vec::with_capacity((2 * rx as usize + 1) * (2 * ry as usize + 1));
+        for oy in -ry..=ry {
+            for ox in -rx..=rx {
+                let d = Vec2::new(ox as f64 * dx, oy as f64 * dy).norm();
+                table.push(potential.likelihood(d));
+            }
         }
-        Some(KernelStencil::dense(rx, ry, table))
+        KernelStencil { rx, ry, table }
     }
 
     /// A stencil from a full `(2ry+1) × (2rx+1)` table.
@@ -71,21 +77,6 @@ impl KernelStencil {
             ry: ry as isize,
             table,
         }
-    }
-
-    /// Support radius in cells along x.
-    pub fn rx(&self) -> isize {
-        self.rx
-    }
-
-    /// Support radius in cells along y.
-    pub fn ry(&self) -> isize {
-        self.ry
-    }
-
-    /// Stored table entries, `(2rx+1)·(2ry+1)`.
-    pub fn stored_len(&self) -> usize {
-        self.table.len()
     }
 
     /// Scatters `src` (row-major `nx`-wide cell masses) into `out`
@@ -133,7 +124,7 @@ fn scatter_dense(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::potential::{GaussianRange, PairPotential};
+    use crate::potential::GaussianRange;
     use wsnloc_geom::rng::Xoshiro256pp;
 
     /// Random table with no symmetry.
@@ -145,30 +136,38 @@ mod tests {
     }
 
     #[test]
-    fn gaussian_range_classifies_dense() {
-        let pot = GaussianRange {
-            observed: 30.0,
-            sigma: 4.0,
+    fn build_tabulates_pointwise_likelihood() {
+        // Bit for bit: entry (ox, oy) is likelihood(‖(ox·dx, oy·dy)‖),
+        // row-major by Δy, on unequal cell sides.
+        let g = GaussianRange {
+            observed: 10.0,
+            sigma: 3.0,
         };
-        let st = KernelStencil::build(&pot, 25, 25, 4.0, 4.0).expect("discretizes");
-        // Ring kernels keep the full table.
-        assert_eq!(
-            st.stored_len(),
-            (2 * st.rx() as usize + 1) * (2 * st.ry() as usize + 1)
-        );
+        let (dx, dy) = (2.0, 2.5);
+        let st = KernelStencil::build(&g, 40, 40, dx, dy);
+        let (rx, ry) = (st.rx, st.ry);
+        assert_eq!((rx, ry), (13, 10), "⌈25/2⌉ and ⌈25/2.5⌉ cells");
+        let mut entries = st.table.iter();
+        for oy in -ry..=ry {
+            for ox in -rx..=rx {
+                let d = Vec2::new(ox as f64 * dx, oy as f64 * dy).norm();
+                let got = entries.next().map(|v| v.to_bits());
+                assert_eq!(got, Some(g.likelihood(d).to_bits()), "offset ({ox}, {oy})");
+            }
+        }
+        assert!(entries.next().is_none(), "table longer than its radii");
     }
 
     #[test]
-    fn asymmetric_tables_fall_back_to_dense() {
-        // An asymmetric table is stored whole, and a unit source at the
-        // grid center scatters it back in table orientation (row-major by
-        // Δy, Δx increasing along the row).
+    fn asymmetric_tables_scatter_in_table_orientation() {
+        // A unit source at the grid center scatters an asymmetric table
+        // back in table orientation (row-major by Δy, Δx increasing
+        // along the row).
         let (rx, ry) = (5usize, 3usize);
         let (nx, ny) = (2 * rx + 1, 2 * ry + 1);
         for seed in 0..8 {
             let table = asymmetric_table(rx, ry, 1000 + seed);
             let st = KernelStencil::dense(rx, ry, table.clone());
-            assert_eq!(st.stored_len(), table.len());
             let mut src = vec![0.0; nx * ny];
             src[ry * nx + rx] = 1.0;
             let mut out = vec![0.0; nx * ny];
@@ -195,11 +194,11 @@ mod tests {
             }
         }
         let (nx, ny) = (10usize, 8usize);
-        let st = KernelStencil::build(&Everywhere, nx, ny, 2.0, 2.0).expect("discretizes");
-        assert_eq!(st.rx(), nx as isize - 1);
-        assert_eq!(st.ry(), ny as isize - 1);
+        let st = KernelStencil::build(&Everywhere, nx, ny, 2.0, 2.0);
         // The table covers exactly the (2nx−1) × (2ny−1) reachable offsets.
-        assert_eq!(st.stored_len(), (2 * nx - 1) * (2 * ny - 1));
+        assert_eq!(st.rx, nx as isize - 1);
+        assert_eq!(st.ry, ny as isize - 1);
+        assert_eq!(st.table.len(), (2 * nx - 1) * (2 * ny - 1));
 
         // Unbounded potentials clamp identically.
         struct Unbounded;
@@ -214,7 +213,7 @@ mod tests {
                 None
             }
         }
-        let st = KernelStencil::build(&Unbounded, nx, ny, 2.0, 2.0).expect("discretizes");
-        assert_eq!((st.rx(), st.ry()), (nx as isize - 1, ny as isize - 1));
+        let st = KernelStencil::build(&Unbounded, nx, ny, 2.0, 2.0);
+        assert_eq!((st.rx, st.ry), (nx as isize - 1, ny as isize - 1));
     }
 }

@@ -1,7 +1,6 @@
 //! Golden bit-identity contract for the BP iteration loop.
 //!
-//! Every flat engine — grid (cached, `without_message_cache` and
-//! `with_refinement`), particle and Gaussian — runs a small matrix of
+//! Every flat engine — grid, particle and Gaussian — runs a small matrix of
 //! schedule × damping × transport × start, and one [`ShardedEngine`] per
 //! backend runs on a perfect and on a faulted transport. Each case folds
 //! into one FNV-1a digest of:
@@ -51,86 +50,6 @@ const GOLDEN: &[(&str, u64)] = &[
     ("grid/sweep/d0.3/perfect/carried", 0x76ab70664da884cc),
     ("grid/sweep/d0.3/faulted/cold", 0xad04c1eca5764f6a),
     ("grid/sweep/d0.3/faulted/carried", 0x39aff726bd4b88ca),
-    (
-        "grid-reference/synchronous/d0/perfect/cold",
-        0x143f77f92d5c3e5c,
-    ),
-    (
-        "grid-reference/synchronous/d0/perfect/carried",
-        0x30d01ae02a33b373,
-    ),
-    (
-        "grid-reference/synchronous/d0/faulted/cold",
-        0x8d8c5f91ab147696,
-    ),
-    (
-        "grid-reference/synchronous/d0/faulted/carried",
-        0x5fa2cc4771c28c64,
-    ),
-    (
-        "grid-reference/synchronous/d0.3/perfect/cold",
-        0x75eabe940f0fa04e,
-    ),
-    (
-        "grid-reference/synchronous/d0.3/perfect/carried",
-        0x95257a84ed8fc454,
-    ),
-    (
-        "grid-reference/synchronous/d0.3/faulted/cold",
-        0xb0819fddde3157dd,
-    ),
-    (
-        "grid-reference/synchronous/d0.3/faulted/carried",
-        0x725cc0c9a2b71ec3,
-    ),
-    ("grid-reference/sweep/d0/perfect/cold", 0xb5c1135b4cf25fcd),
-    (
-        "grid-reference/sweep/d0/perfect/carried",
-        0x4b3ecf147b23b164,
-    ),
-    ("grid-reference/sweep/d0/faulted/cold", 0x7e47857bf5ed48c0),
-    (
-        "grid-reference/sweep/d0/faulted/carried",
-        0xee2f79febbf85e22,
-    ),
-    ("grid-reference/sweep/d0.3/perfect/cold", 0x6146bca90a07a012),
-    (
-        "grid-reference/sweep/d0.3/perfect/carried",
-        0x5ad45835232c30cf,
-    ),
-    ("grid-reference/sweep/d0.3/faulted/cold", 0x5a5b95805d52dc4b),
-    (
-        "grid-reference/sweep/d0.3/faulted/carried",
-        0xc89b32b9fdc88f41,
-    ),
-    ("grid-c2f/synchronous/d0/perfect/cold", 0x084fe1e2483cbb69),
-    (
-        "grid-c2f/synchronous/d0/perfect/carried",
-        0xc452f187ef0e2f56,
-    ),
-    ("grid-c2f/synchronous/d0/faulted/cold", 0xb6d82f9fa87c8c82),
-    (
-        "grid-c2f/synchronous/d0/faulted/carried",
-        0x43c1a4cd0aa41ba9,
-    ),
-    ("grid-c2f/synchronous/d0.3/perfect/cold", 0xfa2ec69820fc99a7),
-    (
-        "grid-c2f/synchronous/d0.3/perfect/carried",
-        0x4af08e7951ba7306,
-    ),
-    ("grid-c2f/synchronous/d0.3/faulted/cold", 0x8313940dba9f8e8f),
-    (
-        "grid-c2f/synchronous/d0.3/faulted/carried",
-        0x96e898c7088de913,
-    ),
-    ("grid-c2f/sweep/d0/perfect/cold", 0x1ba820d3287a3e18),
-    ("grid-c2f/sweep/d0/perfect/carried", 0x29b3d972ea4f6af5),
-    ("grid-c2f/sweep/d0/faulted/cold", 0xc08ef7f426617130),
-    ("grid-c2f/sweep/d0/faulted/carried", 0x58e16b06adbec997),
-    ("grid-c2f/sweep/d0.3/perfect/cold", 0x400c5e0c5928225e),
-    ("grid-c2f/sweep/d0.3/perfect/carried", 0x8bbf1ed32763da61),
-    ("grid-c2f/sweep/d0.3/faulted/cold", 0x5459c853651ca1a2),
-    ("grid-c2f/sweep/d0.3/faulted/carried", 0x0d14bfb087fb4cd9),
     ("particle/synchronous/d0/perfect/cold", 0x4aaa3676871ec40a),
     (
         "particle/synchronous/d0/perfect/carried",
@@ -505,18 +424,6 @@ fn cases() -> Vec<(String, u64)> {
     let (coop, pts) = cooperative25();
     let mut out = Vec::new();
     flat_cases("grid", &GridBp::with_resolution(16), &lattice, &mut out);
-    flat_cases(
-        "grid-reference",
-        &GridBp::with_resolution(16).without_message_cache(),
-        &lattice,
-        &mut out,
-    );
-    flat_cases(
-        "grid-c2f",
-        &GridBp::with_resolution(16).with_refinement(),
-        &lattice,
-        &mut out,
-    );
     flat_cases("particle", &ParticleBp::with_particles(40), &coop, &mut out);
     flat_cases("gaussian", &GaussianBp, &coop, &mut out);
     sharded_cases("grid", GridBp::with_resolution(16), &coop, &pts, &mut out);

@@ -48,7 +48,7 @@ pub enum Backend {
     /// Nonparametric (particle) beliefs.
     Particle(ParticleOptions),
     /// Grid-discretized beliefs (the discrete Bayesian-network
-    /// formulation), including the coarse-to-fine knob.
+    /// formulation).
     Grid(GridOptions),
     /// Single-Gaussian beliefs (EKF-style linearized updates) — the cheap
     /// parametric ablation. Fast and bandwidth-minimal, but blind to the
@@ -62,8 +62,7 @@ impl Backend {
         Ok(Backend::Particle(ParticleOptions::new(particles)?))
     }
 
-    /// Grid backend at `resolution` cells per side (at least 2), with no
-    /// refinement — use [`GridOptions::refine`] for that switch.
+    /// Grid backend at `resolution` cells per side (at least 2).
     pub fn grid(resolution: usize) -> Result<Backend, ValidationError> {
         Ok(Backend::Grid(GridOptions::new(resolution)?))
     }
@@ -355,12 +354,8 @@ impl BnlLocalizer {
                     Some(CarriedBeliefs::Grid(v)) => Some(v.as_slice()),
                     _ => None,
                 };
-                let mut engine = GridBp::with_resolution(gopts.resolution);
-                if gopts.refine {
-                    engine = engine.with_refinement();
-                }
                 CarriedBeliefs::Grid(self.run_maybe_sharded(
-                    engine,
+                    GridBp::with_resolution(gopts.resolution),
                     network,
                     &mrf,
                     &opts,

@@ -37,18 +37,16 @@ impl ParticleOptions {
     }
 }
 
-/// Options for the grid (discrete Bayesian-network) backend: resolution
-/// plus the coarse-to-fine switch. The switch means nothing on any other
-/// backend, which is why it lives here and not on the localizer builder.
+/// Options for the grid (discrete Bayesian-network) backend: its
+/// resolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GridOptions {
     pub(crate) resolution: usize,
-    pub(crate) refine: bool,
 }
 
 impl GridOptions {
     /// `resolution` cells along each axis of the field bounding box;
-    /// must be at least 2. Coarse-to-fine refinement defaults to off.
+    /// must be at least 2.
     pub fn new(resolution: usize) -> Result<Self, ValidationError> {
         if resolution < 2 {
             return Err(ValidationError::InvalidOption {
@@ -57,18 +55,7 @@ impl GridOptions {
                 requirement: "must be at least 2 cells per side",
             });
         }
-        Ok(GridOptions {
-            resolution,
-            refine: false,
-        })
-    }
-
-    /// Enables the coarse-to-fine schedule
-    /// ([`GridBp::with_refinement`](wsnloc_bayes::GridBp::with_refinement)).
-    #[must_use]
-    pub fn refine(mut self) -> Self {
-        self.refine = true;
-        self
+        Ok(GridOptions { resolution })
     }
 
     /// Cells along each axis.
@@ -123,8 +110,6 @@ mod tests {
         assert!(GridOptions::new(1).is_err());
         let g = GridOptions::new(25).expect("valid");
         assert_eq!(g.resolution(), 25);
-        assert!(!g.refine);
-        assert!(g.refine().refine);
     }
 
     #[test]

@@ -4,10 +4,7 @@
 //! `BENCH_particle.json`, `BENCH_stream.json`) meant to be committed
 //! alongside the code, so
 //! the perf trajectory of the message-passing hot path is visible in
-//! review diffs. The grid bench times the same inference twice — with
-//! the per-run message cache (kernel stencils + hoisted priors/anchor
-//! messages) and on the recompute-everything reference path — and
-//! reports the speedup.
+//! review diffs.
 
 use std::sync::Arc;
 use wsnloc_bayes::{
@@ -124,24 +121,15 @@ fn cooperative_fixture() -> (SpatialMrf, BpOptions) {
     (mrf, opts)
 }
 
-/// Runs the grid message-passing bench (cached vs reference path) and
-/// returns the `BENCH_grid.json` contents.
+/// Runs the grid message-passing bench and returns the
+/// `BENCH_grid.json` contents.
 pub fn grid_bench_json(samples: usize) -> String {
     let (mrf, opts) = grid_fixture();
-    let cached_engine = GridBp::with_resolution(GRID_RESOLUTION);
-    let reference_engine = cached_engine.without_message_cache();
-    let (_, outcome) = cached_engine.run(&mrf, &opts);
-    let cached_secs = median_secs(samples, || {
-        cached_engine.run(&mrf, &opts);
+    let engine = GridBp::with_resolution(GRID_RESOLUTION);
+    let (_, outcome) = engine.run(&mrf, &opts);
+    let secs = median_secs(samples, || {
+        engine.run(&mrf, &opts);
     });
-    let uncached_secs = median_secs(samples, || {
-        reference_engine.run(&mrf, &opts);
-    });
-    let speedup = if cached_secs > 0.0 {
-        uncached_secs / cached_secs
-    } else {
-        f64::INFINITY
-    };
     format!(
         concat!(
             "{{\n",
@@ -151,18 +139,14 @@ pub fn grid_bench_json(samples: usize) -> String {
             "  \"samples\": {samples},\n",
             "  \"iterations\": {iterations},\n",
             "  \"messages\": {messages},\n",
-            "  \"cached_secs\": {cached:.6},\n",
-            "  \"uncached_secs\": {uncached:.6},\n",
-            "  \"speedup\": {speedup:.2}\n",
+            "  \"secs\": {secs:.6}\n",
             "}}\n"
         ),
         resolution = GRID_RESOLUTION,
         samples = samples.max(1),
         iterations = outcome.iterations,
         messages = outcome.messages,
-        cached = cached_secs,
-        uncached = uncached_secs,
-        speedup = speedup,
+        secs = secs,
     )
 }
 
@@ -281,17 +265,14 @@ fn sharded_fixture(nodes: usize) -> (SpatialMrf, Arc<ShardLayout>) {
 /// Runs the scale sweeps and returns the `BENCH_scale.json` (or, with
 /// `quick`, `BENCH_scale_quick.json`) contents.
 ///
-/// Two sections share the file. `grid` times each pinned resolution
-/// twice — flat full-resolution inference and the coarse-to-fine
-/// schedule ([`GridBp::with_refinement`]) — with a single fine iteration,
-/// so the sweep exposes how the scatter cost grows with cell count and
-/// how much the adaptive schedule claws back once beliefs concentrate.
-/// `sharded` runs constant-density uniform deployments from 1k nodes up
-/// (to 1M in full mode) through the Gaussian backend twice — the flat
-/// engine and [`ShardedEngine`] over a [`ShardLayout`], their samples
-/// interleaved — so the pinned rows track both the flat baseline and the
-/// cost of sharded execution's boundary accounting on networks far
-/// beyond the experiment suite. Graph
+/// Two sections share the file. `grid` times one iteration at each
+/// pinned resolution, so the sweep exposes how the scatter cost grows
+/// with cell count. `sharded` runs constant-density uniform deployments
+/// from 1k nodes up (to 1M in full mode) through the Gaussian backend
+/// twice — the flat engine and [`ShardedEngine`] over a [`ShardLayout`],
+/// their samples interleaved — so the pinned rows track both the flat
+/// baseline and the cost of sharded execution's boundary accounting on
+/// networks far beyond the experiment suite. Graph
 /// shape fields (`edges`, `anchors`, `shards`) are exact-match pinned:
 /// they regress only if deployment construction loses determinism.
 pub fn scale_bench_json(samples: usize, quick: bool) -> String {
@@ -314,13 +295,9 @@ fn scale_bench_json_for(samples: usize, node_counts: &[usize], mode: &str) -> St
         .expect("pinned scale options are valid");
     let mut grid_rows = String::new();
     for (i, &resolution) in SCALE_RESOLUTIONS.iter().enumerate() {
-        let dense = GridBp::with_resolution(resolution);
-        let refined = dense.with_refinement();
+        let engine = GridBp::with_resolution(resolution);
         let dense_secs = median_secs(samples, || {
-            dense.run(&mrf, &opts);
-        });
-        let refined_secs = median_secs(samples, || {
-            refined.run(&mrf, &opts);
+            engine.run(&mrf, &opts);
         });
         let comma = if i + 1 < SCALE_RESOLUTIONS.len() {
             ","
@@ -328,7 +305,7 @@ fn scale_bench_json_for(samples: usize, node_counts: &[usize], mode: &str) -> St
             ""
         };
         grid_rows.push_str(&format!(
-            "      {{ \"resolution\": {resolution}, \"dense_secs\": {dense_secs:.6}, \"refined_secs\": {refined_secs:.6} }}{comma}\n",
+            "      {{ \"resolution\": {resolution}, \"dense_secs\": {dense_secs:.6} }}{comma}\n",
         ));
     }
 
@@ -531,10 +508,12 @@ pub fn stream_bench_json(samples: usize) -> String {
 ///
 /// Timing fields (keys ending in `secs`) regress only when the fresh
 /// number exceeds `pinned * tolerance` — getting faster is never a
-/// failure, and neither is a derived `speedup` shift. Every other field
-/// (scenario shape, iteration and message counts) must match exactly:
-/// a changed message count means the bench is no longer measuring the
-/// same work, which would make the timing comparison meaningless.
+/// failure. Every other field (scenario shape, iteration and message
+/// counts) must match exactly: a changed message count means the bench
+/// is no longer measuring the same work, which would make the timing
+/// comparison meaningless. Shape is checked both ways: a pinned field
+/// the fresh output lacks is missing, and a fresh field the pin lacks is
+/// not pinned.
 ///
 /// Returns the list of regressions, empty on success.
 pub fn check_bench_json(pinned: &str, fresh: &str, tolerance: f64) -> Result<Vec<String>, String> {
@@ -552,9 +531,6 @@ fn check_value(
     tolerance: f64,
     failures: &mut Vec<String>,
 ) {
-    if path.ends_with("speedup") {
-        return; // derived from the timings; checked via its inputs
-    }
     if path.ends_with("secs") {
         match (pinned.as_f64(), fresh.as_f64()) {
             (Some(want), Some(got)) if got.is_finite() && want.is_finite() => {
@@ -571,15 +547,24 @@ fn check_value(
     }
     match pinned {
         JsonValue::Obj(fields) => {
-            for (key, want) in fields {
-                let child = if path.is_empty() {
-                    key.clone()
+            let child = |key: &str| {
+                if path.is_empty() {
+                    key.to_owned()
                 } else {
                     format!("{path}.{key}")
-                };
+                }
+            };
+            for (key, want) in fields {
                 match fresh.get(key) {
-                    Some(got) => check_value(&child, want, got, tolerance, failures),
-                    None => failures.push(format!("{child}: missing from fresh output")),
+                    Some(got) => check_value(&child(key), want, got, tolerance, failures),
+                    None => failures.push(format!("{}: missing from fresh output", child(key))),
+                }
+            }
+            if let JsonValue::Obj(fresh_fields) = fresh {
+                for (key, _) in fresh_fields {
+                    if pinned.get(key).is_none() {
+                        failures.push(format!("{}: not pinned", child(key)));
+                    }
                 }
             }
         }
@@ -610,7 +595,7 @@ mod tests {
     fn grid_bench_reports_plausible_json() {
         let json = grid_bench_json(1);
         assert!(json.contains("\"bench\": \"grid_message_passing\""));
-        assert!(json.contains("\"speedup\""));
+        assert!(json.contains("\"secs\""));
         assert!(json.contains("\"iterations\": 3"));
     }
 
@@ -725,14 +710,37 @@ mod tests {
 
     #[test]
     fn check_flags_shape_drift_and_missing_fields() {
-        let pinned = "{\"messages\":10,\"nested\":{\"secs\":0.01,\"speedup\":9.0}}";
-        let drifted = "{\"messages\":12,\"nested\":{\"speedup\":1.0}}";
+        let pinned = "{\"messages\":10,\"nested\":{\"secs\":0.01,\"iterations\":3}}";
+        let drifted = "{\"messages\":12,\"nested\":{\"iterations\":3}}";
         let failures = check_bench_json(pinned, drifted, 10.0).expect("parses");
-        // messages mismatch + nested.secs missing; speedup is never checked.
+        // messages mismatch + nested.secs missing.
         assert_eq!(failures.len(), 2);
         assert!(failures.iter().any(|f| f.starts_with("messages:")));
-        assert!(failures.iter().any(|f| f.contains("nested.secs")));
+        assert!(failures
+            .iter()
+            .any(|f| f == "nested.secs: missing from fresh output"));
         assert!(check_bench_json("{", "{}", 1.0).is_err());
+    }
+
+    #[test]
+    fn check_flags_fresh_fields_the_pin_lacks() {
+        let pinned = "{\"messages\":10,\"rows\":[{\"secs\":0.01}]}";
+        let grown =
+            "{\"messages\":10,\"speedup\":3.5,\"rows\":[{\"secs\":0.01,\"p99_secs\":0.02}]}";
+        let failures = check_bench_json(pinned, grown, 10.0).expect("parses");
+        assert_eq!(
+            failures,
+            vec![
+                "rows[0].p99_secs: not pinned".to_owned(),
+                "speedup: not pinned".to_owned(),
+            ],
+        );
+        // The reverse direction reports the same fields as missing.
+        let failures = check_bench_json(grown, pinned, 10.0).expect("parses");
+        assert_eq!(failures.len(), 2, "{failures:?}");
+        assert!(failures
+            .iter()
+            .all(|f| f.ends_with("missing from fresh output")));
     }
 
     #[test]

@@ -552,7 +552,7 @@ fn run_bench(
             return ExitCode::FAILURE;
         }
     }
-    eprintln!("grid message-passing bench: cached vs reference path ({SAMPLES} samples each)...");
+    eprintln!("grid message-passing bench ({SAMPLES} samples)...");
     let grid = bench::grid_bench_json(SAMPLES);
     eprintln!("particle/gaussian bench ({SAMPLES} samples each)...");
     let particle = bench::particle_bench_json(SAMPLES);
@@ -569,7 +569,7 @@ fn run_bench(
     ];
     if scale {
         eprintln!(
-            "scale sweep: grid resolutions {:?} dense vs coarse-to-fine, sharded deployments {:?}{} flat vs sharded-gaussian ({SCALE_SAMPLES} samples each)...",
+            "scale sweep: grid resolutions {:?}, sharded deployments {:?}{} flat vs sharded-gaussian ({SCALE_SAMPLES} samples each)...",
             bench::SCALE_RESOLUTIONS,
             if quick {
                 &bench::SHARD_SCALE_NODES[..bench::SHARD_SCALE_NODES.len() - 1]

@@ -4,9 +4,16 @@
 //! model is used twice: *generatively* by the simulator
 //! ([`RangingModel::observe`]) and *inferentially* by the Bayesian-network
 //! localizer ([`RangingModel::likelihood`] evaluates p(observed | true
-//! distance) up to proportionality). Keeping both in one type guarantees the
-//! inference likelihood matches the simulator exactly — the "well-specified
-//! model" regime the paper's Bayesian formulation assumes.
+//! distance) up to proportionality). Keeping both in one type keeps the two
+//! in step. For `AdditiveGaussian`, `Multiplicative` and `LogNormal` the
+//! likelihood is the simulator's density exactly, up to the `MIN_DISTANCE`
+//! floor both apply — the "well-specified model" regime the paper's
+//! Bayesian formulation assumes. `NlosMixture` is approximate: `observe`
+//! scales an outlier's `d + e` by the LOS factor `(1 + N(0, factor²))`,
+//! while the likelihood models the outlier excess as a pure exponential
+//! starting at `observed = d`, leaving that smear out. The gap grows with
+//! distance: at d = 150 m and a 10% factor the smear's spread (15 m) is a
+//! quarter of a 60 m outlier scale.
 
 use wsnloc_geom::exp::exp_in_place;
 use wsnloc_geom::rng::Xoshiro256pp;

@@ -39,14 +39,19 @@ use crate::metrics::Fact;
 use crate::profiler::Stopwatch;
 use crate::window::WindowedMetrics;
 use std::io::{Read as _, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Time a client gets to send its whole request head.
+/// Time a client gets to send its whole request head, and the bound on
+/// one connection's time in the server thread.
 const HEAD_DEADLINE_SECS: f64 = 2.0;
+
+/// Largest request head served, its blank-line terminator included;
+/// a longer one gets `431 Request Header Fields Too Large`.
+const MAX_HEAD_BYTES: usize = 16 * 1024;
 
 #[derive(Debug, Default)]
 struct HubState {
@@ -220,62 +225,91 @@ fn accept_loop(listener: &TcpListener, hub: &TelemetryHub, stop: &AtomicBool) {
     }
 }
 
-/// Reads one request head, routes it, writes one response. The whole
-/// head must arrive within [`HEAD_DEADLINE_SECS`]; a per-read timeout
-/// alone would let a client sending a byte at a time hold the only
-/// server thread indefinitely. On expiry the connection is dropped.
+/// Reads one request head, writes [`respond`]'s answer, then
+/// half-closes and drains the client's remaining input. The whole
+/// connection must finish within [`HEAD_DEADLINE_SECS`]; a per-read
+/// timeout alone would let a client sending a byte at a time hold the
+/// only server thread indefinitely. On expiry before the head is read
+/// the connection is dropped unanswered.
+///
+/// Reading stops at [`MAX_HEAD_BYTES`]. Closing a socket with request
+/// bytes still unread makes the kernel send a reset, which can discard
+/// the response in flight, so the unread rest is drained (until EOF or
+/// the deadline) after the response is written.
 fn serve_one(mut stream: TcpStream, hub: &TelemetryHub) -> std::io::Result<()> {
     let deadline = Stopwatch::start();
+    let remaining = || {
+        let left = HEAD_DEADLINE_SECS - deadline.elapsed_secs();
+        (left > 0.0).then(|| Duration::from_secs_f64(left))
+    };
     let mut buf = [0u8; 2048];
     let mut head = Vec::new();
-    loop {
-        let left = HEAD_DEADLINE_SECS - deadline.elapsed_secs();
-        if left <= 0.0 {
-            return Err(std::io::ErrorKind::TimedOut.into());
-        }
-        stream.set_read_timeout(Some(Duration::from_secs_f64(left)))?;
-        let n = stream.read(&mut buf)?;
+    while !head.windows(4).any(|w| w == b"\r\n\r\n") && head.len() < MAX_HEAD_BYTES {
+        let left = remaining().ok_or(std::io::ErrorKind::TimedOut)?;
+        stream.set_read_timeout(Some(left))?;
+        let want = buf.len().min(MAX_HEAD_BYTES - head.len());
+        let n = stream.read(&mut buf[..want])?;
         if n == 0 {
             break;
         }
         head.extend_from_slice(&buf[..n]);
-        if head.windows(4).any(|w| w == b"\r\n\r\n") || head.len() > 16 * 1024 {
+    }
+    stream.write_all(respond(&head, hub).as_bytes())?;
+    stream.flush()?;
+    stream.shutdown(Shutdown::Write)?;
+    while let Some(left) = remaining() {
+        stream.set_read_timeout(Some(left))?;
+        if stream.read(&mut buf)? == 0 {
             break;
         }
     }
-    let request = String::from_utf8_lossy(&head);
-    let mut parts = request.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let path = parts.next().unwrap_or("");
-    let (status, content_type, body) = if method != "GET" {
-        (
+    Ok(())
+}
+
+/// The complete HTTP response to a request whose head starts `head`.
+/// A head that does not end (`\r\n\r\n`) within [`MAX_HEAD_BYTES`]
+/// gets `431`; otherwise the first two whitespace-separated words are
+/// the method and the path. A head cut short by EOF is routed as sent.
+fn respond(head: &[u8], hub: &TelemetryHub) -> String {
+    let scanned = &head[..head.len().min(MAX_HEAD_BYTES)];
+    let end = scanned
+        .windows(4)
+        .position(|w| w == b"\r\n\r\n")
+        .map(|at| at + 4);
+    let oversized = end.is_none() && head.len() >= MAX_HEAD_BYTES;
+    let request = String::from_utf8_lossy(&scanned[..end.unwrap_or(scanned.len())]);
+    let mut words = request.split_whitespace();
+    let route = (words.next().unwrap_or(""), words.next().unwrap_or(""));
+    let text = "text/plain; charset=utf-8";
+    let (status, content_type, body) = match route {
+        _ if oversized => (
+            "431 Request Header Fields Too Large",
+            text,
+            format!("request head exceeds {MAX_HEAD_BYTES} bytes\n"),
+        ),
+        ("GET", "/metrics") => (
+            "200 OK",
+            // The OpenMetrics media type; plain enough for curl too.
+            "application/openmetrics-text; version=1.0.0; charset=utf-8",
+            hub.render_metrics(),
+        ),
+        ("GET", "/healthz") => ("200 OK", "application/json", hub.render_healthz()),
+        ("GET", "/tenants") => ("200 OK", "application/json", hub.render_tenants()),
+        ("GET", _) => (
+            "404 Not Found",
+            text,
+            "routes: /metrics /healthz /tenants\n".to_owned(),
+        ),
+        _ => (
             "405 Method Not Allowed",
-            "text/plain; charset=utf-8",
+            text,
             "only GET is supported\n".to_owned(),
-        )
-    } else {
-        match path {
-            "/metrics" => (
-                "200 OK",
-                // The OpenMetrics media type; plain enough for curl too.
-                "application/openmetrics-text; version=1.0.0; charset=utf-8",
-                hub.render_metrics(),
-            ),
-            "/healthz" => ("200 OK", "application/json", hub.render_healthz()),
-            "/tenants" => ("200 OK", "application/json", hub.render_tenants()),
-            _ => (
-                "404 Not Found",
-                "text/plain; charset=utf-8",
-                "routes: /metrics /healthz /tenants\n".to_owned(),
-            ),
-        }
+        ),
     };
-    let response = format!(
+    format!(
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
-    );
-    stream.write_all(response.as_bytes())?;
-    stream.flush()
+    )
 }
 
 #[cfg(test)]
@@ -365,6 +399,106 @@ mod tests {
             "scrape waited {waited:.2}s behind a slow client"
         );
         trickle.join().expect("trickle thread");
+        server.shutdown();
+    }
+
+    /// Whether `resp` is an `HTTP/1.1` response whose `Content-Length`
+    /// equals its body's byte length.
+    fn well_framed(resp: &str) -> bool {
+        let Some((headers, body)) = resp.split_once("\r\n\r\n") else {
+            return false;
+        };
+        let length = headers
+            .lines()
+            .find_map(|l| l.strip_prefix("Content-Length: "))
+            .and_then(|n| n.parse::<usize>().ok());
+        resp.starts_with("HTTP/1.1 ") && length == Some(body.len())
+    }
+
+    /// One mutation of a well-formed request head: byte flips, a
+    /// truncation, invalid UTF-8 spliced in, or a 1 MiB request line.
+    fn mutate(rng: &mut wsnloc_geom::rng::Xoshiro256pp) -> Vec<u8> {
+        let path = ["/metrics", "/healthz", "/tenants", "/"][rng.index(4)];
+        let mut head =
+            format!("GET {path} HTTP/1.1\r\nHost: t\r\nAccept: */*\r\n\r\n").into_bytes();
+        match rng.index(4) {
+            0 => {
+                for _ in 0..=rng.index(6) {
+                    let at = rng.index(head.len());
+                    head[at] = rng.next_u64() as u8;
+                }
+            }
+            1 => head.truncate(rng.index(head.len())),
+            2 => {
+                let at = rng.index(head.len());
+                let junk: &[u8] =
+                    [&b"\xff\xfe"[..], b"\xc3", b"\x80\x80", b"\xed\xa0\x80"][rng.index(4)];
+                head.splice(at..at, junk.iter().copied());
+            }
+            _ => head = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(1 << 20)).into_bytes(),
+        }
+        head
+    }
+
+    #[test]
+    fn mutated_heads_get_well_framed_responses() {
+        let h = hub();
+        let mut statuses = std::collections::BTreeSet::new();
+        wsnloc_geom::check::cases(1000, |case, rng| {
+            let head = mutate(rng);
+            let resp = respond(&head, &h);
+            assert!(
+                well_framed(&resp),
+                "case {case}: {:?}",
+                resp.chars().take(200).collect::<String>()
+            );
+            statuses.insert(resp[9..12].to_owned());
+        });
+        // The mutations reach every branch of the routing.
+        let want = ["200", "404", "405", "431"];
+        assert!(want.iter().all(|s| statuses.contains(*s)), "{statuses:?}");
+    }
+
+    #[test]
+    fn the_head_limit_counts_the_terminator() {
+        let h = hub();
+        let head_of = |len: usize| {
+            let pad = len - "GET /healthz HTTP/1.1\r\nX: \r\n\r\n".len();
+            format!("GET /healthz HTTP/1.1\r\nX: {}\r\n\r\n", "a".repeat(pad)).into_bytes()
+        };
+        assert!(respond(&head_of(MAX_HEAD_BYTES), &h).starts_with("HTTP/1.1 200 OK"));
+        assert!(respond(&head_of(MAX_HEAD_BYTES + 1), &h).starts_with("HTTP/1.1 431 "));
+        // A capped read with no terminator is oversized; a shorter one
+        // ended by EOF is routed as sent.
+        let cut = &head_of(MAX_HEAD_BYTES + 10)[..MAX_HEAD_BYTES];
+        assert!(respond(cut, &h).starts_with("HTTP/1.1 431 "));
+        assert!(respond(b"GET /healthz", &h).starts_with("HTTP/1.1 200 OK"));
+    }
+
+    #[test]
+    fn an_oversized_head_gets_a_complete_431_without_a_reset() {
+        let mut server = TelemetryServer::start("127.0.0.1:0", hub()).expect("bind");
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("set timeout");
+        let head = format!(
+            "GET /healthz HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
+            "a".repeat(20 * 1024)
+        );
+        stream.write_all(head.as_bytes()).expect("send the head");
+        let mut resp = String::new();
+        stream
+            .read_to_string(&mut resp)
+            .expect("the whole response, then EOF, with no reset");
+        assert!(
+            resp.starts_with("HTTP/1.1 431 Request Header Fields Too Large\r\n"),
+            "got {resp:?}"
+        );
+        assert!(well_framed(&resp), "got {resp:?}");
+        drop(stream);
+        let next = get(server.local_addr(), "/healthz");
+        assert!(next.starts_with("HTTP/1.1 200 OK"), "got {next:?}");
         server.shutdown();
     }
 

@@ -141,18 +141,6 @@ fn flat_grid_stays_within_crlb_factor() {
     assert_within("flat grid", builder(backend), 4, 2.5);
 }
 
-/// Coarse-to-fine grid(30) (`GridOptions::refine`: a 7 × 7 pre-solve),
-/// 4 trials: measured 8.33 (per trial 4.84–9.89; 8.12 over 30 trials,
-/// per trial 3.89–11.88). Ceiling: 8.33 + 15%. A concentrated node's
-/// upsampled coarse belief is its update base for the whole fine run, so
-/// this path reads about 4.7× the flat grid's ratio on this scenario.
-/// Refining grid(15) instead (a 3 × 3 pre-solve) reads 31.7 and fails.
-#[test]
-fn coarse_to_fine_grid_stays_within_crlb_factor() {
-    let backend = Backend::Grid(GridOptions::new(30).expect("valid resolution").refine());
-    assert_within("coarse-to-fine grid", builder(backend), 4, 9.6);
-}
-
 /// Particle(150), 6 trials: measured 2.98 (per trial 2.09–3.77; 3.14
 /// over 30 trials, per trial 1.61–5.43). Ceiling: 3.14 + 15%. Cutting
 /// the mixture subsample from 24 to 2 (`broadcast_particles(2)`) reads
