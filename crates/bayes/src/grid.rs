@@ -10,28 +10,56 @@
 //! `O(active source cells × kernel cells)` rather than `O(cells²)`.
 //!
 //! The scatter kernel lives in [`crate::stencil`]: each potential's table
-//! is built once per run and scattered row by row, and the inner
-//! accumulate dispatches to runtime-detected SIMD. Beliefs,
-//! messages and tables are all `f64`.
+//! is built once per run, and each message is one register-grouped
+//! scatter dispatched to runtime-detected SIMD. Beliefs, messages and
+//! tables are all `f64`.
+//!
+//! **Cost follows the mass.** Every [`GridBelief`] carries a private
+//! support box, and every cell outside it holds exactly `+0.0`. A
+//! kernel message's window is the sender's above-floor box grown by the
+//! stencil radii; the product zeroes the receiving box's cells outside
+//! that window and shrinks the box to the overlap. Normalization,
+//! message totals, tempering, damping (over the union of both boxes),
+//! `mean`, `covariance` and the residuals run over the box only, in
+//! row-major order. That leaves every result bit-identical to the same
+//! pass over the whole grid: each pass is a left-to-right row-major fold
+//! or an elementwise operation, a skipped cell holds `+0.0`, and adding
+//! `+0.0` to a sum or multiplying it by a finite factor changes nothing.
+//! Every fallback (a zero or non-finite total becoming uniform) resets
+//! the box to the whole grid, as it writes every cell.
 
 use crate::engine::{self, BpEngine, Delivery, Inbox, NodeUpdate, RunOutcome};
 use crate::mrf::{BpOptions, SpatialMrf};
 use crate::potential::{PairPotential, UnaryPotential};
-use crate::stencil::KernelStencil;
+use crate::stencil::{scatters, CellBox, KernelStencil, Message};
 use crate::transport::Transport;
 use crate::validate::{DistributionAudit, ValidationError};
+use rayon::prelude::*;
 use std::sync::Arc;
 use wsnloc_geom::{Aabb, Matrix, Vec2};
 use wsnloc_obs::{InferenceObserver, ObsEvent};
 
 /// A probability mass function over the cells of a fixed grid.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality compares the domain, the shape and the cell masses.
+#[derive(Debug, Clone)]
 pub struct GridBelief {
     domain: Aabb,
     nx: usize,
     ny: usize,
     /// Cell masses, row-major by y then x, summing to 1.
     mass: Vec<f64>,
+    /// Every cell outside this box holds exactly `+0.0`.
+    support: CellBox,
+}
+
+impl PartialEq for GridBelief {
+    fn eq(&self, other: &Self) -> bool {
+        self.domain == other.domain
+            && self.nx == other.nx
+            && self.ny == other.ny
+            && self.mass == other.mass
+    }
 }
 
 impl GridBelief {
@@ -44,6 +72,7 @@ impl GridBelief {
             nx,
             ny,
             mass: vec![1.0 / cells as f64; cells],
+            support: CellBox::full(nx, ny),
         }
     }
 
@@ -73,9 +102,11 @@ impl GridBelief {
             nx,
             ny,
             mass: vec![0.0; nx * ny],
+            support: CellBox::EMPTY,
         };
         let idx = b.cell_of(p);
         b.mass[idx] = 1.0;
+        b.support = CellBox::cell(idx % nx, idx / nx);
         b
     }
 
@@ -97,6 +128,11 @@ impl GridBelief {
     /// Cell masses (row-major, y-major ordering).
     pub fn mass(&self) -> &[f64] {
         &self.mass
+    }
+
+    /// The support box: every cell outside it holds exactly `+0.0`.
+    pub(crate) fn support(&self) -> CellBox {
+        self.support
     }
 
     /// Cell side lengths `(dx, dy)`.
@@ -131,15 +167,28 @@ impl GridBelief {
         y as usize * self.nx + x as usize
     }
 
+    /// The support box's cells, row by row, with their flat indices.
+    fn support_cells(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let (nx, x0) = (self.nx, self.support.x0);
+        self.support
+            .rows(&self.mass, nx)
+            .flat_map(move |(y, row)| (y * nx + x0..).zip(row.iter().copied()))
+    }
+
+    /// Scales the box to sum 1, summing it in row-major order; a zero or
+    /// non-finite total makes the whole grid uniform.
     fn normalize(&mut self) {
-        let total: f64 = self.mass.iter().sum();
+        let total: f64 = self.support_cells().map(|(_, m)| m).sum();
         if total > 0.0 && total.is_finite() {
-            for m in &mut self.mass {
-                *m /= total;
+            for (_, row) in self.support.rows_mut(&mut self.mass, self.nx) {
+                for m in row {
+                    *m /= total;
+                }
             }
         } else {
             let cells = self.mass.len();
             self.mass.fill(1.0 / cells as f64);
+            self.support = CellBox::full(self.nx, self.ny);
         }
     }
 
@@ -150,13 +199,44 @@ impl GridBelief {
         for (m, &o) in self.mass.iter_mut().zip(other) {
             *m *= o;
         }
+        self.support = CellBox::full(self.nx, self.ny);
+        self.normalize();
+    }
+
+    /// The product with message `msg` tempered as `msg^alpha`,
+    /// renormalized: [`GridBelief::product`] with a message that is 0
+    /// outside its window. Box cells outside the window become 0 and the
+    /// box shrinks to the overlap, so only the overlap is multiplied.
+    fn absorb(&mut self, msg: &Message<'_>, alpha: f64) {
+        let keep = self.support.intersect(msg.window);
+        let x0 = self.support.x0;
+        for (y, row) in self.support.rows_mut(&mut self.mass, self.nx) {
+            if !(keep.y0..keep.y1).contains(&y) {
+                row.fill(0.0);
+                continue;
+            }
+            let (lo, hi) = (keep.x0 - x0, keep.x1 - x0);
+            row[..lo].fill(0.0);
+            row[hi..].fill(0.0);
+            let factors = msg.row(y, keep.x0, keep.x1);
+            if alpha >= 1.0 {
+                for (m, &o) in row[lo..hi].iter_mut().zip(factors) {
+                    *m *= o;
+                }
+            } else {
+                for (m, &o) in row[lo..hi].iter_mut().zip(factors) {
+                    *m *= tempered(o, alpha);
+                }
+            }
+        }
+        self.support = keep;
         self.normalize();
     }
 
     /// MMSE point estimate: the belief mean.
     pub fn mean(&self) -> Vec2 {
         let mut acc = Vec2::ZERO;
-        for (i, &m) in self.mass.iter().enumerate() {
+        for (i, m) in self.support_cells() {
             acc += self.cell_center(i) * m;
         }
         acc
@@ -177,7 +257,7 @@ impl GridBelief {
     pub fn covariance(&self) -> Matrix {
         let mean = self.mean();
         let mut cov = Matrix::zeros(2, 2);
-        for (i, &m) in self.mass.iter().enumerate() {
+        for (i, m) in self.support_cells() {
             let d = self.cell_center(i) - mean;
             cov[(0, 0)] += m * d.x * d.x;
             cov[(0, 1)] += m * d.x * d.y;
@@ -203,12 +283,18 @@ impl GridBelief {
     }
 
     /// Total-variation-style L1 distance to another belief on the same grid
-    /// (in `[0, 2]`).
+    /// (in `[0, 2]`), summed row-major over the union of both supports.
     pub fn l1_distance(&self, other: &GridBelief) -> f64 {
         assert_eq!(self.mass.len(), other.mass.len(), "grid shape mismatch");
-        self.mass
-            .iter()
-            .zip(&other.mass)
+        let cells = if self.nx == other.nx {
+            self.support.union(other.support)
+        } else {
+            CellBox::full(self.nx, self.ny)
+        };
+        cells
+            .rows(&self.mass, self.nx)
+            .zip(cells.rows(&other.mass, self.nx))
+            .flat_map(|((_, a), (_, b))| a.iter().zip(b))
             .map(|(a, b)| (a - b).abs())
             .sum()
     }
@@ -221,11 +307,11 @@ impl GridBelief {
     /// summarizable for convergence curves.
     pub fn kl_divergence(&self, other: &GridBelief) -> f64 {
         assert_eq!(self.mass.len(), other.mass.len(), "grid shape mismatch");
-        self.mass
-            .iter()
-            .zip(&other.mass)
-            .filter(|(&p, _)| p > 0.0)
-            .map(|(&p, &q)| p * (p.ln() - q.max(1e-300).ln()))
+        // Only `self`'s support can hold p > 0.
+        self.support_cells()
+            .map(|(i, p)| (p, other.mass[i]))
+            .filter(|&(p, _)| p > 0.0)
+            .map(|(p, q)| p * (p.ln() - q.max(1e-300).ln()))
             .sum::<f64>()
             .max(0.0)
     }
@@ -241,6 +327,7 @@ impl GridBelief {
         let (dx, dy) = self.cell_size();
         blur_axis(&mut out.mass, self.nx, self.ny, sigma / dx, true);
         blur_axis(&mut out.mass, self.nx, self.ny, sigma / dy, false);
+        out.support = CellBox::full(self.nx, self.ny);
         out.normalize();
         out
     }
@@ -306,39 +393,44 @@ impl crate::engine::Belief for GridBelief {
     }
 }
 
-/// Guard against total annihilation downstream: a zero or non-finite
-/// message total is replaced by a flat message. Returns whether the
-/// fallback fired (callers surface it as
+/// Whether a message with this total collapses: a zero or non-finite
+/// total would annihilate the product downstream, so the message is
+/// replaced by a flat one (callers surface it as
 /// [`ObsEvent::GridUniformFallback`]).
+fn collapses(total: f64) -> bool {
+    total <= 0.0 || !total.is_finite()
+}
+
+/// Guards a full-grid message against total annihilation: a collapsing
+/// message becomes all ones. Returns whether the fallback fired.
 fn finalize_message(msg: &mut [f64]) -> bool {
-    let total: f64 = msg.iter().sum();
-    if total <= 0.0 || !total.is_finite() {
+    let collapsed = collapses(msg.iter().sum());
+    if collapsed {
         msg.fill(1.0);
-        true
+    }
+    collapsed
+}
+
+/// Staleness tempering `m^alpha` of one positive cell; `alpha ≥ 1` is
+/// the identity and a negative `alpha` acts as 0.
+fn tempered(m: f64, alpha: f64) -> f64 {
+    if alpha < 1.0 && m > 0.0 {
+        m.powf(alpha.max(0.0))
     } else {
-        false
+        m
     }
 }
 
-/// Staleness tempering `m^alpha` per positive cell; `alpha ≥ 1` is the
-/// identity and a negative `alpha` acts as 0.
-fn temper_message(msg: &mut [f64], alpha: f64) {
-    if alpha >= 1.0 {
-        return;
-    }
-    let a = alpha.max(0.0);
-    for m in msg.iter_mut() {
-        if *m > 0.0 {
-            *m = m.powf(a);
-        }
-    }
-}
-
-/// Damped belief blend `new = (1 − d)·new + d·old`, renormalized.
+/// Damped belief blend `new = (1 − d)·new + d·old` over the union of
+/// both supports, renormalized.
 fn damp(new: &mut GridBelief, old: &GridBelief, damping: f64) {
     let keep = 1.0 - damping;
-    for (n, &o) in new.mass.iter_mut().zip(&old.mass) {
-        *n = keep * *n + damping * o;
+    new.support = new.support.union(old.support);
+    let olds = new.support.rows(&old.mass, old.nx);
+    for ((_, n), (_, o)) in new.support.rows_mut(&mut new.mass, new.nx).zip(olds) {
+        for (n, &o) in n.iter_mut().zip(o) {
+            *n = keep * *n + damping * o;
+        }
     }
     new.normalize();
 }
@@ -376,7 +468,8 @@ enum EdgeMessage {
 /// initial beliefs (unary potentials don't change), the anchor messages
 /// (fixed positions don't move), and the kernel tables of the pair
 /// potentials (on a regular grid a pair likelihood depends only on the
-/// cell offset). All three are built before the iteration loop.
+/// cell offset). All three are built before the iteration loop, in
+/// parallel over the pool.
 struct MessageCache {
     /// Initial beliefs: priors for free variables, deltas for fixed ones.
     init: Vec<GridBelief>,
@@ -388,6 +481,9 @@ struct MessageCache {
 }
 
 impl MessageCache {
+    /// Plans the edges sequentially (which ones share a stencil), builds
+    /// the priors, stencils and anchor messages in parallel, then
+    /// reports collapsed anchor messages in edge order.
     #[expect(
         clippy::disallowed_types,
         reason = "Arc-pointer-identity memo: entry() lookup only, never iterated, and pointer \
@@ -395,44 +491,58 @@ impl MessageCache {
     )]
     fn build(mrf: &SpatialMrf, shape: &GridBelief, obs: &dyn InferenceObserver) -> MessageCache {
         let (domain, nx, ny) = (shape.domain, shape.nx, shape.ny);
+        let mut edges = Vec::with_capacity(mrf.edges().len());
+        let mut tables: Vec<&dyn PairPotential> = Vec::new();
+        let mut anchors: Vec<(Vec2, &dyn PairPotential)> = Vec::new();
+        let mut by_potential: std::collections::HashMap<usize, usize> =
+            std::collections::HashMap::new();
+        for edge in mrf.edges() {
+            edges.push(match (mrf.fixed(edge.u), mrf.fixed(edge.v)) {
+                (Some(p), None) | (None, Some(p)) => {
+                    anchors.push((p, edge.potential.as_ref()));
+                    EdgeMessage::Anchor(Vec::new())
+                }
+                (None, None) => {
+                    let key = Arc::as_ptr(&edge.potential) as *const () as usize;
+                    EdgeMessage::Kernel(*by_potential.entry(key).or_insert_with(|| {
+                        tables.push(edge.potential.as_ref());
+                        tables.len() - 1
+                    }))
+                }
+                (Some(_), Some(_)) => EdgeMessage::Inert,
+            });
+        }
         let init: Vec<GridBelief> = (0..mrf.len())
+            .into_par_iter()
             .map(|u| match mrf.fixed(u) {
                 Some(p) => GridBelief::delta(p, domain, nx, ny),
                 None => GridBelief::from_unary(mrf.unary(u).as_ref(), domain, nx, ny),
             })
             .collect();
         let (dx, dy) = shape.cell_size();
-        let mut stencils: Vec<KernelStencil> = Vec::new();
-        let mut by_potential: std::collections::HashMap<usize, usize> =
-            std::collections::HashMap::new();
-        let mut edges = Vec::with_capacity(mrf.edges().len());
-        for (e, edge) in mrf.edges().iter().enumerate() {
-            edges.push(match (mrf.fixed(edge.u), mrf.fixed(edge.v)) {
-                (Some(p), None) | (None, Some(p)) => {
-                    let (msg, collapsed) = point_message(shape, p, edge.potential.as_ref());
-                    if collapsed {
-                        obs.on_event(&ObsEvent::GridUniformFallback {
-                            edge: e,
-                            stage: "point",
-                        });
-                    }
-                    EdgeMessage::Anchor(msg)
-                }
-                (None, None) => {
-                    let key = Arc::as_ptr(&edge.potential) as *const () as usize;
-                    EdgeMessage::Kernel(*by_potential.entry(key).or_insert_with(|| {
-                        stencils.push(KernelStencil::build(
-                            edge.potential.as_ref(),
-                            nx,
-                            ny,
-                            dx,
-                            dy,
-                        ));
-                        stencils.len() - 1
-                    }))
-                }
-                (Some(_), Some(_)) => EdgeMessage::Inert,
+        let stencils: Vec<KernelStencil> = tables
+            .par_iter()
+            .map(|&potential| KernelStencil::build(potential, nx, ny, dx, dy))
+            .collect();
+        let messages: Vec<(Vec<f64>, bool)> = anchors
+            .par_iter()
+            .map(|&(p, potential)| point_message(shape, p, potential))
+            .collect();
+        let slots = edges
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(e, edge)| match edge {
+                EdgeMessage::Anchor(slot) => Some((e, slot)),
+                _ => None,
             });
+        for ((e, slot), (msg, collapsed)) in slots.zip(messages) {
+            if collapsed {
+                obs.on_event(&ObsEvent::GridUniformFallback {
+                    edge: e,
+                    stage: "point",
+                });
+            }
+            *slot = msg;
         }
         MessageCache {
             init,
@@ -530,8 +640,9 @@ impl NodeUpdate for GridRun<'_> {
 
     fn update(&self, u: usize, _iter: usize, inbox: &Inbox<'_, GridBelief>) -> GridBelief {
         let mut bel = self.base_belief(u).clone();
+        let (nx, ny) = (self.shape.nx, self.shape.ny);
         // Message scratch, reused across edges.
-        let mut msg: Vec<f64> = Vec::new();
+        let mut scratch: Vec<f64> = Vec::new();
         for &e in self.mrf.edges_of(u) {
             // Never-received links contribute nothing; held content is
             // tempered by its staleness discount `alpha`.
@@ -546,33 +657,29 @@ impl NodeUpdate for GridRun<'_> {
             match &self.cache.edges[e] {
                 // Cached once per run; its fallback, if any, was reported
                 // at build time.
-                EdgeMessage::Anchor(am) => {
-                    if alpha < 1.0 {
-                        msg.clear();
-                        msg.extend_from_slice(am);
-                        temper_message(&mut msg, alpha);
-                        bel.product(&msg);
-                    } else {
-                        bel.product(am);
-                    }
-                }
+                EdgeMessage::Anchor(am) => bel.absorb(&Message::dense(am, nx, ny), alpha),
                 EdgeMessage::Kernel(k) => {
-                    msg.clear();
-                    msg.resize(bel.mass.len(), 0.0);
-                    self.cache.stencils[*k].scatter(
+                    let live = source
+                        .support
+                        .bound(&source.mass, nx, |m| scatters(m, self.floor));
+                    let msg = self.cache.stencils[*k].scatter_box(
                         &source.mass,
-                        self.shape.nx,
+                        nx,
+                        live,
                         self.floor,
-                        &mut msg,
+                        &mut scratch,
                     );
-                    if finalize_message(&mut msg) {
+                    if collapses(msg.total()) {
                         self.obs.on_event(&ObsEvent::GridUniformFallback {
                             edge: e,
                             stage: "kernel",
                         });
+                        // The flat fallback message, tempered or not, is
+                        // all ones: the product only renormalizes.
+                        bel.normalize();
+                    } else {
+                        bel.absorb(&msg, alpha);
                     }
-                    temper_message(&mut msg, alpha);
-                    bel.product(&msg);
                 }
                 EdgeMessage::Inert => {}
             }
@@ -916,12 +1023,12 @@ mod tests {
 
     #[test]
     fn temper_flattens_toward_one() {
-        let mut m = vec![0.25f64, 0.0, 1.0];
-        temper_message(&mut m, 0.5);
+        let m: Vec<f64> = [0.25f64, 0.0, 1.0]
+            .iter()
+            .map(|&m| tempered(m, 0.5))
+            .collect();
         assert_eq!(m, vec![0.5, 0.0, 1.0]);
-        let mut id = vec![0.25f64];
-        temper_message(&mut id, 1.0);
-        assert_eq!(id, vec![0.25]);
+        assert_eq!(tempered(0.25, 1.0), 0.25);
     }
 
     #[test]
@@ -951,5 +1058,120 @@ mod tests {
         let delta = GridBelief::delta(Vec2::new(5.0, 5.0), domain(), 10, 10);
         let kl = peaked.kl_divergence(&delta);
         assert!(kl.is_finite() && kl > 0.0);
+    }
+
+    /// `b` with its support box widened to the whole grid: the same
+    /// masses, read by every pass over every cell.
+    fn widened(b: &GridBelief) -> GridBelief {
+        GridBelief {
+            support: CellBox::full(b.nx, b.ny),
+            ..b.clone()
+        }
+    }
+
+    fn same_bits(a: &GridBelief, b: &GridBelief) -> bool {
+        a.mass.len() == b.mass.len()
+            && a.mass
+                .iter()
+                .zip(&b.mass)
+                .all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    #[test]
+    fn windowed_passes_equal_whole_grid_passes() {
+        // Random priors on an unequal grid, shrunk by kernel messages
+        // from concentrated senders (tempered or not): every windowed
+        // pass reads the same bits as the same pass over every cell.
+        use wsnloc_geom::rng::Xoshiro256pp;
+        let bits = |v: Vec2| (v.x.to_bits(), v.y.to_bits());
+        let mut rng = Xoshiro256pp::seed_from(0x51D3);
+        let (nx, ny) = (23, 17);
+        let dom = Aabb::new(Vec2::new(-40.0, 10.0), Vec2::new(75.0, 95.0));
+        let floor = MASS_FLOOR / (nx * ny) as f64;
+        let mut point = || Vec2::new(rng.range(-40.0, 75.0), rng.range(10.0, 95.0));
+        let mut shrunk = 0;
+        for case in 0..24 {
+            let unary = |mean, sigma| GaussianUnary { mean, sigma };
+            let base = GridBelief::from_unary(&unary(point(), 30.0), dom, nx, ny);
+            let mut b = base.clone();
+            for m in 0..3 {
+                let sender = GridBelief::from_unary(&unary(point(), 4.0), dom, nx, ny);
+                let range = GaussianRange {
+                    observed: 15.0 + 5.0 * m as f64,
+                    sigma: 2.0,
+                };
+                let (dx, dy) = b.cell_size();
+                let st = KernelStencil::build(&range, nx, ny, dx, dy);
+                let live = sender
+                    .support
+                    .bound(&sender.mass, nx, |v| scatters(v, floor));
+                let mut scratch = Vec::new();
+                let msg = st.scatter_box(&sender.mass, nx, live, floor, &mut scratch);
+                let mut dense = vec![0.0; nx * ny];
+                st.scatter(&sender.mass, nx, floor, &mut dense);
+                assert_eq!(msg.total().to_bits(), dense.iter().sum::<f64>().to_bits());
+                let alpha = if case % 2 == 0 { 1.0 } else { 0.6 };
+                let mut whole = widened(&b);
+                for v in &mut dense {
+                    *v = tempered(*v, alpha);
+                }
+                whole.product(&dense);
+                b.absorb(&msg, alpha);
+                assert!(same_bits(&b, &whole), "case {case}: product {m}");
+            }
+            let full = CellBox::full(nx, ny);
+            shrunk += usize::from(b.support != full);
+            let w = widened(&b);
+            assert_eq!(bits(b.mean()), bits(w.mean()), "case {case}: mean");
+            let (c, cw) = (b.covariance(), w.covariance());
+            for (i, j) in [(0, 0), (0, 1), (1, 1)] {
+                assert_eq!(
+                    c[(i, j)].to_bits(),
+                    cw[(i, j)].to_bits(),
+                    "case {case}: cov"
+                );
+            }
+            let other = GridBelief::from_unary(&unary(point(), 3.0), dom, nx, ny);
+            let mut narrow = widened(&other);
+            narrow.absorb(&Message::dense(&b.mass, nx, ny), 1.0);
+            for o in [&base, &narrow] {
+                let ow = widened(o);
+                assert_eq!(b.l1_distance(o).to_bits(), w.l1_distance(&ow).to_bits());
+                assert_eq!(o.l1_distance(&b).to_bits(), ow.l1_distance(&w).to_bits());
+                assert_eq!(b.kl_divergence(o).to_bits(), w.kl_divergence(&ow).to_bits());
+                assert_eq!(
+                    o.kl_divergence(&b).to_bits(),
+                    ow.kl_divergence(&w).to_bits()
+                );
+                let (mut d, mut dw) = (b.clone(), w.clone());
+                damp(&mut d, o, 0.3);
+                damp(&mut dw, &ow, 0.3);
+                assert!(same_bits(&d, &dw), "case {case}: damping");
+            }
+        }
+        assert!(shrunk >= 12, "only {shrunk} of 24 supports shrank");
+    }
+
+    #[test]
+    fn support_audit_rejects_mass_outside_the_box() {
+        let audit = DistributionAudit::default();
+        let mut b = GridBelief::delta(Vec2::new(15.0, 25.0), domain(), 10, 10);
+        assert_eq!(audit.check_grid("delta", &b), Ok(()));
+        // Half the mass moves outside the one-cell box.
+        let inside = b.cell_of(Vec2::new(15.0, 25.0));
+        b.mass[inside] = 0.5;
+        b.mass[inside + 3] = 0.5;
+        assert!(matches!(
+            audit.check_grid("stray", &b),
+            Err(ValidationError::MassOutsideSupport { index, .. }) if index == inside + 3
+        ));
+        // A negative zero is not the +0.0 the windowed passes assume.
+        b.mass[inside] = 1.0;
+        b.mass[inside + 3] = -0.0;
+        assert!(matches!(
+            audit.check_grid("signed zero", &b),
+            Err(ValidationError::MassOutsideSupport { .. })
+        ));
+        assert_eq!(audit.check_grid("widened", &widened(&b)), Ok(()));
     }
 }

@@ -47,7 +47,6 @@
     )
 )]
 
-mod cellbuf;
 pub mod engine;
 pub mod gaussian;
 pub mod grid;

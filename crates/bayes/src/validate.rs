@@ -50,6 +50,16 @@ pub enum ValidationError {
         /// The offending value.
         value: f64,
     },
+    /// A grid belief holds something other than `+0.0` in a cell outside
+    /// its support box, which every windowed pass over the belief skips.
+    MassOutsideSupport {
+        /// What was being audited.
+        context: String,
+        /// Offending flat cell index.
+        index: usize,
+        /// The offending value.
+        value: f64,
+    },
     /// A distribution's total mass is not 1 within the audit's epsilon.
     NotNormalized {
         /// What was being audited.
@@ -142,6 +152,14 @@ impl fmt::Display for ValidationError {
                 index,
                 value,
             } => write!(f, "{context}: negative mass {value} at index {index}"),
+            ValidationError::MassOutsideSupport {
+                context,
+                index,
+                value,
+            } => write!(
+                f,
+                "{context}: mass {value} at cell {index} lies outside the support box"
+            ),
             ValidationError::NotNormalized {
                 context,
                 total,
@@ -283,9 +301,24 @@ impl DistributionAudit {
         Ok(())
     }
 
-    /// Audits a grid belief: normalized non-negative cell masses.
+    /// Audits a grid belief: normalized non-negative cell masses, and
+    /// exactly `+0.0` in every cell outside the belief's support box.
     pub fn check_grid(&self, context: &str, belief: &GridBelief) -> Result<(), ValidationError> {
-        self.check_masses(context, belief.mass())
+        self.check_masses(context, belief.mass())?;
+        let (nx, support) = (belief.nx(), belief.support());
+        let outside = belief
+            .mass()
+            .iter()
+            .enumerate()
+            .find(|&(i, m)| m.to_bits() != 0 && !support.contains(i % nx, i / nx));
+        match outside {
+            Some((index, &value)) => Err(ValidationError::MassOutsideSupport {
+                context: context.to_string(),
+                index,
+                value,
+            }),
+            None => Ok(()),
+        }
     }
 
     /// Audits a particle belief: normalized weights and finite, bounded

@@ -271,22 +271,26 @@ fn cached_beliefs_match_reference_on_unequal_cell_sides() {
 /// Randomized asymmetric tables: the stencil scatter reproduces the
 /// brute-force table scatter (same table values, same accumulation
 /// targets), so no transposed or mirrored lookup can hide behind a
-/// radially symmetric kernel.
+/// radially symmetric kernel. Grid widths are not multiples of the
+/// kernel's 4-cell source groups, radii reach `nx − 1` (spans wider
+/// than one accumulator chunk), and half the cases skip sources below
+/// a floor.
 #[test]
 fn asymmetric_kernels_scatter_like_brute_force() {
-    check::cases(8, |_, rng| {
-        let (nx, ny) = (14, 11);
+    check::cases(16, |case, rng| {
+        let (nx, ny) = ([14, 9, 23, 37][case as usize % 4], 11);
         let (rx, ry) = (1 + rng.index(nx - 1), 1 + rng.index(ny - 1));
         let table: Vec<f64> = (0..(2 * rx + 1) * (2 * ry + 1))
             .map(|_| rng.range(0.1, 1.0))
             .collect();
         let st = KernelStencil::dense(rx, ry, table.clone());
         let src: Vec<f64> = (0..nx * ny).map(|_| rng.range(0.0, 1.0)).collect();
-        let mut out = vec![0.0f64; nx * ny];
-        st.scatter(&src, nx, 0.0, &mut out);
+        let floor = if case % 2 == 0 { 0.0 } else { 0.6 };
+        let mut out = vec![f64::NAN; nx * ny];
+        st.scatter(&src, nx, floor, &mut out);
         let mut want = vec![0.0f64; nx * ny];
         let w = 2 * rx + 1;
-        for (s, &m) in src.iter().enumerate() {
+        for (s, &m) in src.iter().enumerate().filter(|&(_, &m)| m >= floor) {
             let (sx, sy) = ((s % nx) as isize, (s / nx) as isize);
             for oy in -(ry as isize)..=(ry as isize) {
                 let y = sy + oy;

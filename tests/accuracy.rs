@@ -122,6 +122,9 @@ fn assert_ratio_within<F>(
         "{label}: RMSE / CRLB = {ratio:.3} over {trials} trials \
          (per trial {lo:.2}–{hi:.2}) exceeds the {ceiling} ceiling"
     );
+    // The shortest round-trip form: `--nocapture` shows whether a change
+    // moved a gate's ratio by even one bit.
+    eprintln!("{label} {ratio}");
 }
 
 /// One-shot localization of each trial's network.
