@@ -38,18 +38,11 @@ use wsnloc_obs::{
 
 /// Backend-agnostic read access to a posterior position belief.
 pub trait Belief {
-    /// Whether [`Belief::map_estimate`] can return `Some` for this
-    /// representation (only the grid backend has a mode extractor).
-    const SUPPORTS_MAP: bool;
-
-    /// MMSE point estimate: the posterior mean.
+    /// Point estimate: the posterior mean.
     fn mean(&self) -> Vec2;
 
     /// Scalar positional uncertainty (RMS spread, meters).
     fn spread(&self) -> f64;
-
-    /// MAP point estimate, for representations that support one.
-    fn map_estimate(&self) -> Option<Vec2>;
 }
 
 /// Everything one BP run produced.
@@ -69,10 +62,6 @@ pub struct RunOutcome<B> {
 pub trait BpEngine {
     /// The belief representation this engine produces.
     type Belief: Belief + Clone + Send + Sync;
-
-    /// Stable backend name, as reported in run telemetry ("grid",
-    /// "particle", "gaussian").
-    fn backend_name(&self) -> &'static str;
 
     /// Runs BP with every inter-node message routed through
     /// `transport`, reporting structured telemetry into `obs` and
@@ -177,27 +166,16 @@ pub(crate) trait NodeUpdate: Sync {
     /// Backend name as run telemetry reports it.
     const BACKEND: &'static str;
 
-    /// Whether residuals compare whole beliefs, which needs a snapshot
-    /// of the free beliefs before every update round (taken only when
-    /// the observer wants residuals). Otherwise the residual is the
-    /// belief-mean displacement and no belief is cloned.
-    const SNAPSHOT_RESIDUALS: bool = false;
-
     /// Node `u`'s new belief at iteration `iter`, damping included,
     /// from the beliefs `inbox` delivers. Both schedules pass the node's
     /// own not-yet-updated belief in `inbox.beliefs()[u]`.
     fn update(&self, u: usize, iter: usize, inbox: &Inbox<'_, Self::Belief>) -> Self::Belief;
 
     /// The residual (and KL, where the representation has one) of a
-    /// node whose belief moved to `new` from mean `prev_mean` — and from
-    /// belief `old`, the snapshot, when [`NodeUpdate::SNAPSHOT_RESIDUALS`]
-    /// is set. The default is the mean displacement.
-    fn residual(
-        _old: Option<&Self::Belief>,
-        new: &Self::Belief,
-        prev_mean: Vec2,
-    ) -> (f64, Option<f64>) {
-        (new.mean().dist(prev_mean), None)
+    /// node whose belief moved from `old` to `new`, its mean by `shift`
+    /// meters. The default is the mean shift.
+    fn residual(_old: &Self::Belief, _new: &Self::Belief, shift: f64) -> (f64, Option<f64>) {
+        (shift, None)
     }
 
     /// The representation's [`DistributionAudit`] check.
@@ -213,8 +191,13 @@ pub(crate) trait NodeUpdate: Sync {
 /// `init` runs inside the prior-init span and returns the backend's
 /// per-run update state with the initial beliefs. Each iteration rolls
 /// the transport session, reports a sharded run's boundary exchanges,
-/// updates the live free nodes in parallel (synchronous) or in index
-/// order (sweep), audits the beliefs, calls `on_iter`, reports an
+/// and steps every free node once, in parallel (synchronous) or in
+/// index order (sweep): a live node's update returns its new belief
+/// with its mean shift against the belief it replaces (and, when the
+/// observer wants residuals, [`NodeUpdate::residual`] against that
+/// same belief), and a dead node keeps its belief and gets the same
+/// rule applied to it unchanged. No belief is copied for this. Then the
+/// loop audits the beliefs, calls `on_iter`, reports an
 /// [`IterationRecord`] and stops once the largest free-node mean shift
 /// falls below `opts.tolerance`.
 pub(crate) fn drive<U, F>(
@@ -271,15 +254,43 @@ where
         if let Some(b) = &boundary {
             b.report(iter, session.as_ref(), obs);
         }
-        let active_owned: Option<Vec<usize>> = session
-            .as_ref()
-            .map(|s| free.iter().copied().filter(|&u| s.node_alive(u)).collect());
-        let active: &[usize] = active_owned.as_deref().unwrap_or(&free);
-        let prev_means: Vec<Vec2> = free.iter().map(|&u| beliefs[u].mean()).collect();
-        let snapshot: Option<Vec<U::Belief>> = (U::SNAPSHOT_RESIDUALS && wants_residuals)
-            .then(|| free.iter().map(|&u| beliefs[u].clone()).collect());
-
         let links = session.as_ref();
+        // One step per free node: a live node's new belief (a dead node
+        // keeps its own), its mean shift against the belief it replaces
+        // and, only when the observer asks (the zero-cost contract), its
+        // residual against that same belief.
+        let step = |u: usize, inbox: &Inbox<'_, U::Belief>| {
+            let old = &inbox.beliefs()[u];
+            let new = links
+                .is_none_or(|s| s.node_alive(u))
+                .then(|| update.update(u, iter, inbox));
+            let now = new.as_ref().unwrap_or(old);
+            let shift = now.mean().dist(old.mean());
+            let residual = wants_residuals.then(|| {
+                let (residual, kl) = U::residual(old, now, shift);
+                NodeResidual {
+                    node: u,
+                    residual,
+                    kl,
+                }
+            });
+            (new, shift, residual)
+        };
+        let mut live = 0u64;
+        let mut max_shift = 0.0_f64;
+        let mut residuals = Vec::new();
+        if wants_residuals {
+            wsnloc_obs::accounting::note_residual_buffer();
+            residuals.reserve_exact(free.len());
+        }
+        let mut settle = |beliefs: &mut [U::Belief], u: usize, (new, shift, residual)| {
+            if let Some(b) = new {
+                beliefs[u] = b;
+                live += 1;
+            }
+            max_shift = max_shift.max(shift);
+            residuals.extend(residual);
+        };
         match opts.schedule {
             Schedule::Synchronous => {
                 let inbox = Inbox {
@@ -287,28 +298,26 @@ where
                     beliefs: &beliefs,
                     session: links,
                 };
-                let new: Vec<(usize, U::Belief)> = active
-                    .par_iter()
-                    .map(|&u| (u, update.update(u, iter, &inbox)))
-                    .collect();
-                for (u, b) in new {
-                    beliefs[u] = b;
+                let steps: Vec<_> = free.par_iter().map(|&u| step(u, &inbox)).collect();
+                for (&u, s) in free.iter().zip(steps) {
+                    settle(&mut beliefs, u, s);
                 }
             }
             Schedule::Sweep => {
-                for &u in active {
+                for &u in &free {
                     let inbox = Inbox {
                         mrf,
                         beliefs: &beliefs,
                         session: links,
                     };
-                    beliefs[u] = update.update(u, iter, &inbox);
+                    let s = step(u, &inbox);
+                    settle(&mut beliefs, u, s);
                 }
             }
         }
 
         outcome.iterations = iter + 1;
-        outcome.messages += active.len() as u64;
+        outcome.messages += live;
         validate::enforce(U::BACKEND, || {
             let audit = DistributionAudit::default();
             for (u, b) in beliefs.iter().enumerate() {
@@ -318,37 +327,12 @@ where
         });
         on_iter(iter, &beliefs);
 
-        let max_shift = free
-            .iter()
-            .zip(&prev_means)
-            .map(|(&u, &prev)| beliefs[u].mean().dist(prev))
-            .fold(0.0, f64::max);
-        // Residuals are computed only when the observer asks — the
-        // zero-cost contract.
-        let residuals: Vec<NodeResidual> = if wants_residuals {
-            wsnloc_obs::accounting::note_residual_buffer();
-            free.iter()
-                .zip(&prev_means)
-                .enumerate()
-                .map(|(i, (&u, &prev))| {
-                    let old = snapshot.as_ref().and_then(|s| s.get(i));
-                    let (residual, kl) = U::residual(old, &beliefs[u], prev);
-                    NodeResidual {
-                        node: u,
-                        residual,
-                        kl,
-                    }
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
         obs.on_iteration(&IterationRecord {
             iteration: iter,
             max_shift,
             comm: CommStats {
-                messages: active.len() as u64,
-                bytes: active.len() as u64 * opts.message_bytes,
+                messages: live,
+                bytes: live * opts.message_bytes,
             },
             damping: opts.damping,
             schedule: opts.schedule.name(),

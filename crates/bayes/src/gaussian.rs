@@ -67,18 +67,12 @@ impl GaussianBelief {
 }
 
 impl crate::engine::Belief for GaussianBelief {
-    const SUPPORTS_MAP: bool = false;
-
     fn mean(&self) -> Vec2 {
         self.mean
     }
 
     fn spread(&self) -> f64 {
         GaussianBelief::spread(self)
-    }
-
-    fn map_estimate(&self) -> Option<Vec2> {
-        None
     }
 }
 
@@ -102,10 +96,6 @@ pub struct GaussianBp;
 
 impl BpEngine for GaussianBp {
     type Belief = GaussianBelief;
-
-    fn backend_name(&self) -> &'static str {
-        GaussianRun::BACKEND
-    }
 
     /// Under a fault plan, undelivered neighbor beliefs are replaced by
     /// held snapshots (their information contribution scaled by

@@ -233,24 +233,13 @@ impl GridBelief {
         self.normalize();
     }
 
-    /// MMSE point estimate: the belief mean.
+    /// Point estimate: the belief mean.
     pub fn mean(&self) -> Vec2 {
         let mut acc = Vec2::ZERO;
         for (i, m) in self.support_cells() {
             acc += self.cell_center(i) * m;
         }
         acc
-    }
-
-    /// MAP point estimate: center of the highest-mass cell.
-    pub fn map_estimate(&self) -> Vec2 {
-        let idx = self
-            .mass
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map_or(0, |(i, _)| i);
-        self.cell_center(idx)
     }
 
     /// Covariance matrix of the belief (2×2).
@@ -378,18 +367,12 @@ fn blur_axis(mass: &mut [f64], nx: usize, ny: usize, sigma: f64, along_x: bool) 
 }
 
 impl crate::engine::Belief for GridBelief {
-    const SUPPORTS_MAP: bool = true;
-
     fn mean(&self) -> Vec2 {
         GridBelief::mean(self)
     }
 
     fn spread(&self) -> f64 {
         GridBelief::spread(self)
-    }
-
-    fn map_estimate(&self) -> Option<Vec2> {
-        Some(GridBelief::map_estimate(self))
     }
 }
 
@@ -636,8 +619,6 @@ impl NodeUpdate for GridRun<'_> {
 
     const BACKEND: &'static str = "grid";
 
-    const SNAPSHOT_RESIDUALS: bool = true;
-
     fn update(&self, u: usize, _iter: usize, inbox: &Inbox<'_, GridBelief>) -> GridBelief {
         let mut bel = self.base_belief(u).clone();
         let (nx, ny) = (self.shape.nx, self.shape.ny);
@@ -690,12 +671,9 @@ impl NodeUpdate for GridRun<'_> {
         bel
     }
 
-    /// L1 mass distance and KL divergence from the pre-update snapshot.
-    fn residual(old: Option<&GridBelief>, new: &GridBelief, prev_mean: Vec2) -> (f64, Option<f64>) {
-        match old {
-            Some(old) => (new.l1_distance(old), Some(new.kl_divergence(old))),
-            None => (new.mean().dist(prev_mean), None),
-        }
+    /// L1 mass distance and KL divergence from the belief replaced.
+    fn residual(old: &GridBelief, new: &GridBelief, _shift: f64) -> (f64, Option<f64>) {
+        (new.l1_distance(old), Some(new.kl_divergence(old)))
     }
 
     fn audit(
@@ -709,10 +687,6 @@ impl NodeUpdate for GridRun<'_> {
 
 impl BpEngine for GridBp {
     type Belief = GridBelief;
-
-    fn backend_name(&self) -> &'static str {
-        GridRun::BACKEND
-    }
 
     /// Under a fault plan, undelivered messages fall back per the plan's
     /// drop policy (stale held messages are tempered as `m^α`),
@@ -778,7 +752,6 @@ mod tests {
         };
         let b = GridBelief::from_unary(&g, domain(), 50, 50);
         assert!(b.mean().dist(g.mean) < 2.0);
-        assert!(b.map_estimate().dist(g.mean) < 2.0);
         assert!(b.spread() < 10.0);
     }
 

@@ -165,18 +165,12 @@ fn share(n: usize, fraction: f64) -> usize {
 }
 
 impl crate::engine::Belief for ParticleBelief {
-    const SUPPORTS_MAP: bool = false;
-
     fn mean(&self) -> Vec2 {
         ParticleBelief::mean(self)
     }
 
     fn spread(&self) -> f64 {
         ParticleBelief::spread(self)
-    }
-
-    fn map_estimate(&self) -> Option<Vec2> {
-        None
     }
 }
 
@@ -331,10 +325,6 @@ impl ParticleBp {
 
 impl BpEngine for ParticleBp {
     type Belief = ParticleBelief;
-
-    fn backend_name(&self) -> &'static str {
-        ParticleRun::BACKEND
-    }
 
     /// Under a fault plan, undelivered neighbor beliefs are replaced by
     /// held snapshots (their log-likelihood contribution discounted by

@@ -63,10 +63,6 @@ impl<E> ShardedEngine<E> {
 impl<E: BpEngine> BpEngine for ShardedEngine<E> {
     type Belief = E::Belief;
 
-    fn backend_name(&self) -> &'static str {
-        run_label(self.inner.backend_name())
-    }
-
     fn run_carried<F>(
         &self,
         mrf: &SpatialMrf,

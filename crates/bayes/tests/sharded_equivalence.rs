@@ -166,7 +166,6 @@ where
         assert_eq!(flat.bp, shard.bp, "{case}: outcome");
         assert_eq!(flat_iters, shard_iters, "{case}: on_iter beliefs");
         assert_eq!(shard_iters.len(), 4, "{case}: on_iter calls");
-        assert_eq!(trace.info.backend, sharded.backend_name(), "{case}: label");
         assert_eq!(
             trace.info.backend,
             format!("sharded-{label}"),

@@ -87,7 +87,7 @@ pub mod prior;
 pub mod result;
 pub mod session;
 
-pub use localizer::{Backend, BnlLocalizer, BnlLocalizerBuilder, Estimator};
+pub use localizer::{Backend, BnlLocalizer, BnlLocalizerBuilder};
 pub use options::{GridOptions, ParticleOptions, ShardPlan};
 pub use prior::PriorModel;
 pub use result::{LocalizationResult, Localizer};
@@ -98,7 +98,7 @@ pub use wsnloc_obs as obs;
 /// Convenient glob import for applications.
 pub mod prelude {
     pub use crate::crlb::crlb_per_node;
-    pub use crate::localizer::{Backend, BnlLocalizer, BnlLocalizerBuilder, Estimator};
+    pub use crate::localizer::{Backend, BnlLocalizer, BnlLocalizerBuilder};
     pub use crate::options::{GridOptions, ParticleOptions, ShardPlan};
     pub use crate::prior::PriorModel;
     pub use crate::result::{LocalizationResult, Localizer};

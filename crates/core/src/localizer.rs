@@ -6,7 +6,6 @@
 //!   Bayesian network), or Gaussian (parametric ablation) — carrying
 //!   its backend-specific options ([`ParticleOptions`]/[`GridOptions`]),
 //! - [`BpOptions`] controlling schedule/iterations/damping,
-//! - optional negative connectivity constraints,
 //! - an optional [`ShardPlan`] switching inference to sharded BP
 //!   execution for very large deployments.
 //!
@@ -36,7 +35,7 @@ use wsnloc_geom::{ShardLayout, Vec2};
 use wsnloc_net::accounting::{CommStats, WireMessage};
 use wsnloc_net::{FaultPlan, Network};
 use wsnloc_obs::Stopwatch;
-use wsnloc_obs::{InferenceObserver, NullObserver, ObsEvent, SpanKind};
+use wsnloc_obs::{InferenceObserver, NullObserver, SpanKind};
 
 /// Belief representation used by inference, with its backend-specific
 /// options. Variants carry construction-validated option bundles;
@@ -74,18 +73,6 @@ impl Backend {
     }
 }
 
-/// Point-estimate extraction rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Estimator {
-    /// Posterior mean (minimum mean squared error).
-    Mmse,
-    /// Posterior mode (maximum a posteriori). Only the grid backend can
-    /// extract a mode from its beliefs; the particle and Gaussian backends
-    /// fall back to MMSE and report the switch as an
-    /// [`ObsEvent::MapFallbackToMmse`] observer event rather than silently.
-    Map,
-}
-
 /// Cooperative Bayesian-network localization with pre-knowledge.
 ///
 /// Construct through [`BnlLocalizer::builder`] — the only construction
@@ -99,10 +86,6 @@ pub struct BnlLocalizer {
     pub(crate) backend: Backend,
     /// BP engine options (seed is overridden per `localize` call).
     pub(crate) bp: BpOptions,
-    /// Negative connectivity constraints per node (0 = off).
-    pub(crate) negative_constraints: usize,
-    /// Point estimate rule.
-    pub(crate) estimator: Estimator,
     /// Particles included in each broadcast belief summary (communication
     /// accounting; also the mixture subsample size of the particle engine).
     pub(crate) broadcast_particles: usize,
@@ -166,18 +149,6 @@ impl BnlLocalizerBuilder {
         self
     }
 
-    /// Sets the point-estimate rule.
-    pub fn estimator(mut self, estimator: Estimator) -> Self {
-        self.inner.estimator = estimator;
-        self
-    }
-
-    /// Sets sampled negative connectivity constraints per node (0 = off).
-    pub fn negative_constraints(mut self, per_node: usize) -> Self {
-        self.inner.negative_constraints = per_node;
-        self
-    }
-
     /// Sets the broadcast belief summary size (must be at least 1).
     pub fn broadcast_particles(mut self, count: usize) -> Self {
         self.inner.broadcast_particles = count;
@@ -229,8 +200,6 @@ impl BnlLocalizer {
                 prior: PriorModel::Uninformative,
                 backend,
                 bp: BpOptions::default(),
-                negative_constraints: 0,
-                estimator: Estimator::Mmse,
                 broadcast_particles: 24,
                 fault_plan: None,
                 shards: None,
@@ -283,7 +252,7 @@ impl BnlLocalizer {
             network,
             &self.prior,
             &ModelOptions {
-                negative_constraints_per_node: self.negative_constraints,
+                negative_constraints_per_node: 0,
                 seed: seed ^ 0x9E37_79B9,
             },
         );
@@ -458,11 +427,9 @@ impl BnlLocalizer {
 
     /// Backend-generic run-and-extract: drives [`BpEngine::run_carried`]
     /// with the warm beliefs and the estimate-level iteration callback,
-    /// then reads point estimates and uncertainties out of the final
-    /// beliefs through the [`Belief`] trait and returns those beliefs for
-    /// epoch carry-over. A MAP request on a backend without a mode
-    /// extractor falls back to MMSE and reports the switch as an observer
-    /// event.
+    /// then reads point estimates (posterior means) and uncertainties out
+    /// of the final beliefs through the [`Belief`] trait and returns those
+    /// beliefs for epoch carry-over.
     #[expect(
         clippy::too_many_arguments,
         reason = "private solve step; its inputs are one solve's state, not a reusable config"
@@ -494,32 +461,25 @@ impl BnlLocalizer {
             on_iteration(iter, &estimates);
         });
         obs.on_span(SpanKind::ModelBuild, build_secs);
-        let want_map = self.estimator == Estimator::Map;
-        if want_map && !E::Belief::SUPPORTS_MAP {
-            obs.on_event(&ObsEvent::MapFallbackToMmse {
-                backend: engine.backend_name(),
-            });
-        }
         let extract_start = Stopwatch::start();
         for id in mrf.free_vars() {
             let b = &out.beliefs[id];
-            let estimate = if want_map {
-                b.map_estimate().unwrap_or_else(|| b.mean())
-            } else {
-                b.mean()
-            };
-            result.estimates[id] = Some(estimate);
+            result.estimates[id] = Some(b.mean());
             result.uncertainty[id] = Some(b.spread());
         }
         obs.on_span(SpanKind::EstimateExtract, extract_start.elapsed_secs());
         result.iterations = out.bp.iterations;
         result.converged = out.bp.converged;
-        result.comm = self.comm_stats(out.bp.messages);
+        result.comm = CommStats {
+            messages: out.bp.messages,
+            bytes: out.bp.messages * opts.message_bytes,
+        };
         out.beliefs
     }
 
     /// Encoded size of one belief broadcast for the configured backend —
-    /// what the observer's per-iteration byte accounting charges.
+    /// what the observer's per-iteration byte accounting and the result's
+    /// ledger charge. Computed once per solve.
     fn broadcast_message_bytes(&self) -> u64 {
         let msg = match self.backend {
             Backend::Particle(_) => WireMessage::ParticleBelief {
@@ -534,15 +494,6 @@ impl BnlLocalizer {
             },
         };
         msg.encoded_len() as u64
-    }
-
-    /// Communication ledger for `broadcasts` belief transmissions, charged
-    /// at the configured backend's wire-encoded summary size.
-    fn comm_stats(&self, broadcasts: u64) -> CommStats {
-        CommStats {
-            messages: broadcasts,
-            bytes: broadcasts * self.broadcast_message_bytes(),
-        }
     }
 }
 
@@ -835,67 +786,6 @@ mod tests {
         // Residuals recorded for every free node each iteration.
         let free = net.unknowns().count();
         assert!(run.iterations.iter().all(|it| it.residuals.len() == free));
-    }
-
-    #[test]
-    fn map_fallback_is_reported_not_silent() {
-        use wsnloc_obs::{ObsEvent, TraceObserver};
-        let (net, _) = small_world(13);
-        for (loc, backend) in [
-            (
-                particle(60)
-                    .estimator(Estimator::Map)
-                    .max_iterations(2)
-                    .try_build()
-                    .expect("valid config"),
-                "particle",
-            ),
-            (
-                BnlLocalizer::builder(Backend::gaussian())
-                    .estimator(Estimator::Map)
-                    .max_iterations(2)
-                    .try_build()
-                    .expect("valid config"),
-                "gaussian",
-            ),
-        ] {
-            let obs = TraceObserver::new();
-            let mut mmse_loc = loc.clone();
-            mmse_loc.estimator = Estimator::Mmse;
-            let mmse = mmse_loc.localize(&net, 0);
-            let map = loc.localize_with_observer(&net, 0, &obs);
-            // The fallback means MAP and MMSE coincide on these backends…
-            assert_eq!(map.estimates, mmse.estimates);
-            // …and the switch is reported as a structured event.
-            let run = obs.last_run().expect("run recorded");
-            assert!(run
-                .events
-                .iter()
-                .any(|e| matches!(e, ObsEvent::MapFallbackToMmse { backend: b } if *b == backend)));
-        }
-        // The grid backend has a real mode: no fallback event.
-        let obs = TraceObserver::new();
-        let _ = grid(20)
-            .estimator(Estimator::Map)
-            .max_iterations(2)
-            .try_build()
-            .expect("valid config")
-            .localize_with_observer(&net, 0, &obs);
-        assert!(obs.last_run().expect("run").events.is_empty());
-    }
-
-    #[test]
-    fn map_estimator_works_on_grid() {
-        let (net, truth) = small_world(8);
-        let loc = grid(25)
-            .prior(PriorModel::DropPoint { sigma: 40.0 })
-            .estimator(Estimator::Map)
-            .max_iterations(5)
-            .try_build()
-            .expect("valid config");
-        let r = loc.localize(&net, 0);
-        let err = mean_error(&r, &truth, &net);
-        assert!(err < 90.0, "MAP mean error {err}");
     }
 
     #[test]

@@ -43,8 +43,6 @@ pub struct EventCounts {
     pub stale_messages: u64,
     /// Nodes that died under the fault plan.
     pub node_deaths: u64,
-    /// MAP→MMSE estimator fallbacks.
-    pub map_fallbacks: u64,
     /// Grid messages that collapsed to the uniform fallback.
     pub grid_uniform_fallbacks: u64,
     /// Streaming-tenant epochs advanced (BP ran).
@@ -170,7 +168,6 @@ impl MetricsSnapshot {
             e.dropped_messages += p.events.dropped_messages;
             e.stale_messages += p.events.stale_messages;
             e.node_deaths += p.events.node_deaths;
-            e.map_fallbacks += p.events.map_fallbacks;
             e.grid_uniform_fallbacks += p.events.grid_uniform_fallbacks;
             e.epoch_advances += p.events.epoch_advances;
             e.tenants_shed += p.events.tenants_shed;
@@ -257,12 +254,8 @@ impl MetricsSnapshot {
         let e = &self.events;
         let _ = writeln!(
             out,
-            "totals: dropped={} stale={} deaths={} map_fallbacks={} grid_fallbacks={}",
-            e.dropped_messages,
-            e.stale_messages,
-            e.node_deaths,
-            e.map_fallbacks,
-            e.grid_uniform_fallbacks
+            "totals: dropped={} stale={} deaths={} grid_fallbacks={}",
+            e.dropped_messages, e.stale_messages, e.node_deaths, e.grid_uniform_fallbacks
         );
         out
     }
@@ -462,7 +455,6 @@ impl MetricsObserver {
                 dropped_messages: t(Fact::Dropped),
                 stale_messages: t(Fact::Stale),
                 node_deaths: t(Fact::Deaths),
-                map_fallbacks: t(Fact::MapFallbacks),
                 grid_uniform_fallbacks: t(Fact::GridFallbacks),
                 epoch_advances: t(Fact::EpochsSolved),
                 tenants_shed: t(Fact::EpochsShed),

@@ -48,8 +48,6 @@ pub enum Fact {
     Stale,
     /// Nodes dead under the fault plan.
     Deaths,
-    /// MAP→MMSE estimator fallbacks.
-    MapFallbacks,
     /// Grid messages collapsed to the uniform fallback.
     GridFallbacks,
     /// Tenant epochs that ran BP, per tenant.
@@ -100,7 +98,7 @@ pub(crate) struct Spec {
 
 impl Fact {
     /// Every fact, in declaration order (`ALL[f as usize] == f`).
-    pub(crate) const ALL: [Fact; 20] = [
+    pub(crate) const ALL: [Fact; 19] = [
         Fact::Runs,
         Fact::RunsConverged,
         Fact::Iterations,
@@ -111,7 +109,6 @@ impl Fact {
         Fact::Dropped,
         Fact::Stale,
         Fact::Deaths,
-        Fact::MapFallbacks,
         Fact::GridFallbacks,
         Fact::EpochsSolved,
         Fact::EpochsShed,
@@ -139,7 +136,6 @@ impl Fact {
             Fact::Dropped =>           (Some("wsnloc_fault_dropped_messages"),   Some("wsnloc_window_fault_dropped"),     Count,               none,   "messages lost to the fault transport"),
             Fact::Stale =>             (Some("wsnloc_fault_stale_messages"),     Some("wsnloc_window_fault_stale"),       Count,               none,   "stale (duplicate) deliveries"),
             Fact::Deaths =>            (Some("wsnloc_fault_node_deaths"),        Some("wsnloc_window_node_deaths"),       Count,               none,   "nodes dead under the fault plan"),
-            Fact::MapFallbacks =>      (Some("wsnloc_map_fallbacks"),            None,                                    Count,               none,   "MAP->MMSE estimator fallbacks"),
             Fact::GridFallbacks =>     (Some("wsnloc_grid_uniform_fallbacks"),   Some("wsnloc_window_grid_fallbacks"),    Count,               none,   "grid messages collapsed to uniform"),
             Fact::EpochsSolved =>      (Some("wsnloc_serve_epochs_solved"),      Some("wsnloc_window_epochs_solved"),     Count,               tenant, "tenant epochs that ran BP"),
             Fact::EpochsShed =>        (Some("wsnloc_serve_epochs_shed"),        Some("wsnloc_window_epochs_shed"),       Count,               tenant, "tenant epochs shed under overload"),

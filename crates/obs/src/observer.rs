@@ -112,13 +112,6 @@ impl SpanKind {
 /// Structured events outside the per-iteration cadence.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ObsEvent {
-    /// A MAP point estimate was requested from a backend that cannot
-    /// produce one; the run fell back to the MMSE (posterior-mean)
-    /// estimator. Previously this switch was silent.
-    MapFallbackToMmse {
-        /// The backend that lacks a mode extractor.
-        backend: &'static str,
-    },
     /// A grid BP message collapsed to the uniform fallback: the scattered
     /// (or anchor-evaluated) likelihood summed to zero or a non-finite
     /// total, so the engine substituted a flat message to keep inference
@@ -211,15 +204,16 @@ pub struct RunSummary {
 ///
 /// All methods default to no-ops, so an observer implements only what it
 /// needs, and `&NullObserver` costs nothing: engines gate every
-/// observer-only computation (residuals, belief clones) behind
+/// observer-only computation (residuals) behind
 /// [`InferenceObserver::wants_residuals`]. Implementations must be
 /// [`Send`]`+`[`Sync`] because the synchronous schedule reports from rayon
 /// workers.
 pub trait InferenceObserver: Send + Sync {
     /// `true` if per-node residuals should be computed and attached to
-    /// [`IterationRecord::residuals`]. Residuals require diffing each new
-    /// belief against its predecessor (and, for grid beliefs, cloning the
-    /// previous iteration's masses), so the default is `false`.
+    /// [`IterationRecord::residuals`]. Residuals diff each new belief
+    /// against the one it replaces (for grid beliefs, an L1 distance and
+    /// a KL divergence over the support boxes), so the default is
+    /// `false`.
     fn wants_residuals(&self) -> bool {
         false
     }

@@ -480,9 +480,6 @@ fn parse_iteration(v: &JsonValue) -> Result<IterationRecord, String> {
 
 fn parse_event(v: &JsonValue) -> Result<Option<ObsEvent>, String> {
     let event = match field_str(v, "event")? {
-        "map_fallback_to_mmse" => Some(ObsEvent::MapFallbackToMmse {
-            backend: intern_backend(field_str(v, "backend")?),
-        }),
         "grid_uniform_fallback" => Some(ObsEvent::GridUniformFallback {
             edge: field_usize(v, "edge")?,
             stage: intern_stage(field_str(v, "stage")?),
@@ -770,6 +767,36 @@ mod tests {
         assert!(parsed[0].summary.is_none());
         let analysis = analyze_str(&sink.lines.join("\n")).expect("analyze");
         assert_eq!(analysis.incomplete_runs, 1);
+    }
+
+    #[test]
+    fn unknown_records_spans_and_events_are_skipped() {
+        let mut sink = VecSink::new();
+        write_jsonl(&sample_trace(), &mut sink).expect("serialize");
+        let known = sink.lines.join("\n");
+        // Inside the run, before its `run_end`: an event this version no
+        // longer emits (recorded by older traces), a record type and a
+        // span label it does not know.
+        let (body, run_end) = known.rsplit_once('\n').expect("several lines");
+        let mixed = [
+            body,
+            "{\"type\":\"event\",\"event\":\"map_fallback_to_mmse\",\"backend\":\"gaussian\"}",
+            "{\"type\":\"checkpoint\",\"iter\":0}",
+            "{\"type\":\"span\",\"span\":\"shard_compile\",\"secs\":0.5}",
+            run_end,
+        ]
+        .join("\n");
+        assert_eq!(
+            parse_jsonl(&mixed).expect("unknown lines parse"),
+            parse_jsonl(&known).expect("known lines parse")
+        );
+        let (a, b) = (
+            analyze_str(&mixed).expect("analyze"),
+            analyze_str(&known).expect("analyze"),
+        );
+        assert_eq!(a.snapshot, b.snapshot);
+        assert_eq!((a.runs, a.incomplete_runs), (b.runs, b.incomplete_runs));
+        assert_eq!(a.openmetrics, b.openmetrics);
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //!  "damping":..,"schedule":..,"secs":..,"max_residual":..,
 //!  "mean_residual":..,"residuals":[{"node":..,"residual":..,"kl":..},..]}
 //! {"type":"span","span":"model_build|prior_init|message_passing|estimate_extract","secs":..}
-//! {"type":"event","event":"map_fallback_to_mmse","backend":..}
 //! {"type":"event","event":"grid_uniform_fallback","edge":..,"stage":"kernel|point"}
 //! {"type":"event","event":"message_dropped","iteration":..,"count":..}
 //! {"type":"event","event":"node_died","iteration":..,"node":..}
@@ -193,11 +192,6 @@ fn run_start_line(run: &RunTrace) -> String {
 fn event_line(event: &ObsEvent) -> String {
     let mut s = String::from("{\"type\":\"event\",\"event\":");
     match event {
-        ObsEvent::MapFallbackToMmse { backend } => {
-            push_json_str(&mut s, "map_fallback_to_mmse");
-            s.push_str(",\"backend\":");
-            push_json_str(&mut s, backend);
-        }
         ObsEvent::GridUniformFallback { edge, stage } => {
             push_json_str(&mut s, "grid_uniform_fallback");
             let _ = write!(s, ",\"edge\":{edge},\"stage\":");
@@ -390,15 +384,10 @@ mod tests {
     #[test]
     fn serializes_fallback_events() {
         let mut run = sample_run();
-        run.events = vec![
-            ObsEvent::GridUniformFallback {
-                edge: 7,
-                stage: "kernel",
-            },
-            ObsEvent::MapFallbackToMmse {
-                backend: "gaussian",
-            },
-        ];
+        run.events = vec![ObsEvent::GridUniformFallback {
+            edge: 7,
+            stage: "kernel",
+        }];
         let mut sink = VecSink::new();
         write_jsonl(&[run], &mut sink).unwrap();
         assert!(sink
@@ -407,11 +396,6 @@ mod tests {
             .any(|l| l.contains("\"event\":\"grid_uniform_fallback\"")
                 && l.contains("\"edge\":7")
                 && l.contains("\"stage\":\"kernel\"")));
-        assert!(sink
-            .lines
-            .iter()
-            .any(|l| l.contains("\"event\":\"map_fallback_to_mmse\"")
-                && l.contains("\"backend\":\"gaussian\"")));
     }
 
     #[test]

@@ -168,8 +168,9 @@ mod tests {
         obs.on_span(SpanKind::PriorInit, 0.01);
         obs.on_iteration(&iteration(0, 3.0));
         obs.on_iteration(&iteration(1, 1.0));
-        obs.on_event(&ObsEvent::MapFallbackToMmse {
-            backend: "particle",
+        obs.on_event(&ObsEvent::GridUniformFallback {
+            edge: 3,
+            stage: "kernel",
         });
         obs.on_run_end(&RunSummary {
             iterations: 2,

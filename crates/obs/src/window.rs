@@ -249,7 +249,6 @@ impl InferenceObserver for WindowedMetrics {
     fn on_event(&self, event: &ObsEvent) {
         let mut st = self.locked();
         match event {
-            ObsEvent::MapFallbackToMmse { .. } => st.add(Fact::MapFallbacks, 0, 1),
             ObsEvent::GridUniformFallback { .. } => st.add(Fact::GridFallbacks, 0, 1),
             ObsEvent::MessageDropped { count, .. } => st.add(Fact::Dropped, 0, *count),
             ObsEvent::StaleMessageUsed { count, .. } => st.add(Fact::Stale, 0, *count),

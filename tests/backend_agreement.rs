@@ -98,33 +98,3 @@ fn both_backends_beat_the_prior_alone() {
         );
     }
 }
-
-#[test]
-fn grid_map_and_mmse_estimators_are_close_on_unimodal_posteriors() {
-    let s = easy_scenario();
-    let (net, _) = s.build_trial(2);
-    let mmse = BnlLocalizer::builder(Backend::grid(40).expect("valid backend"))
-        .prior(PriorModel::DropPoint { sigma: 35.0 })
-        .estimator(Estimator::Mmse)
-        .max_iterations(6)
-        .try_build()
-        .expect("valid config")
-        .localize(&net, 0);
-    let map = BnlLocalizer::builder(Backend::grid(40).expect("valid backend"))
-        .prior(PriorModel::DropPoint { sigma: 35.0 })
-        .estimator(Estimator::Map)
-        .max_iterations(6)
-        .try_build()
-        .expect("valid config")
-        .localize(&net, 0);
-    let cell = 400.0 / 40.0;
-    let mut far = 0;
-    let mut count = 0;
-    for u in net.unknowns() {
-        count += 1;
-        if mmse.estimates[u].unwrap().dist(map.estimates[u].unwrap()) > 3.0 * cell {
-            far += 1;
-        }
-    }
-    assert!(far * 4 <= count, "{far}/{count} MAP/MMSE disagreements");
-}

@@ -1,8 +1,8 @@
 //! Observer-layer guarantees: the zero-cost contract of `NullObserver`,
 //! thread-count-independent telemetry under the synchronous schedule, the
-//! builder-first validation surface, structured MAP-fallback events, the
-//! trace.jsonl serialization path end to end, the flame table against
-//! golden literals, and the live scrape surface against a golden capture.
+//! builder-first validation surface, the trace.jsonl serialization path
+//! end to end, the flame table against golden literals, and the live
+//! scrape surface against a golden capture.
 
 use std::sync::Mutex;
 use wsnloc::prelude::*;
@@ -38,6 +38,17 @@ fn algo() -> BnlLocalizer {
         .expect("valid localizer configuration")
 }
 
+/// A grid localizer on the same scenario: its residuals are L1 mass
+/// distances with a KL divergence, computed on the pool workers.
+fn grid_algo() -> BnlLocalizer {
+    BnlLocalizer::builder(Backend::grid(30).expect("valid backend"))
+        .prior(PriorModel::DropPoint { sigma: 50.0 })
+        .max_iterations(4)
+        .tolerance(0.0)
+        .try_build()
+        .expect("valid localizer configuration")
+}
+
 /// A sharded Gaussian localizer on the same scenario. It reports every
 /// iteration as a flat run does, residuals from iteration 0 included.
 fn sharded_algo() -> BnlLocalizer {
@@ -55,40 +66,47 @@ fn trace_residuals_are_bit_identical_across_pool_sizes() {
     let _guard = SERIAL
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    // The synchronous schedule parallelizes belief updates over rayon
-    // workers; residuals are deterministic functions of the beliefs, so
-    // the recorded telemetry must not depend on the pool size.
+    // The synchronous schedule parallelizes belief updates, residuals
+    // included, over rayon workers; residuals are deterministic functions
+    // of the beliefs, so the recorded telemetry must not depend on the
+    // pool size.
     let (net, _) = scenario().build_trial(0);
-    let run = |threads: usize| {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("pool")
-            .install(|| {
-                let tracer = TraceObserver::new();
-                let result = algo().localize_with_observer(&net, 11, &tracer);
-                (result, tracer.take_runs())
-            })
-    };
-    let (res1, runs1) = run(1);
-    let (res4, runs4) = run(4);
-    assert_eq!(res1.estimates, res4.estimates);
-    assert_eq!(runs1.len(), 1);
-    assert_eq!(runs4.len(), 1);
-    assert_eq!(runs1[0].info, runs4[0].info);
-    assert_eq!(runs1[0].iterations.len(), runs4[0].iterations.len());
-    for (a, b) in runs1[0].iterations.iter().zip(&runs4[0].iterations) {
-        // Bit-identical: exact f64 equality on every per-node residual and
-        // on the convergence quantity itself. Only wall-clock timing may
-        // differ between the two runs.
-        assert_eq!(a.iteration, b.iteration);
-        assert!(a.max_shift.to_bits() == b.max_shift.to_bits());
-        assert_eq!(a.comm, b.comm);
-        assert_eq!(a.residuals.len(), b.residuals.len());
-        for (ra, rb) in a.residuals.iter().zip(&b.residuals) {
-            assert_eq!(ra.node, rb.node);
-            assert!(ra.residual.to_bits() == rb.residual.to_bits());
-            assert_eq!(ra.kl.map(f64::to_bits), rb.kl.map(f64::to_bits));
+    for (backend, localizer) in [("particle", algo()), ("grid", grid_algo())] {
+        let run = |threads: usize| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("pool")
+                .install(|| {
+                    let tracer = TraceObserver::new();
+                    let result = localizer.localize_with_observer(&net, 11, &tracer);
+                    (result, tracer.take_runs())
+                })
+        };
+        let (res1, runs1) = run(1);
+        let (res4, runs4) = run(4);
+        assert_eq!(res1.estimates, res4.estimates, "{backend}");
+        assert_eq!(runs1.len(), 1, "{backend}");
+        assert_eq!(runs4.len(), 1, "{backend}");
+        assert_eq!(runs1[0].info, runs4[0].info, "{backend}");
+        assert_eq!(runs1[0].info.backend, backend);
+        assert_eq!(runs1[0].iterations.len(), runs4[0].iterations.len());
+        for (a, b) in runs1[0].iterations.iter().zip(&runs4[0].iterations) {
+            // Bit-identical: exact f64 equality on every per-node residual
+            // and on the convergence quantity itself. Only wall-clock
+            // timing may differ between the two runs.
+            assert_eq!(a.iteration, b.iteration);
+            assert!(a.max_shift.to_bits() == b.max_shift.to_bits(), "{backend}");
+            assert_eq!(a.comm, b.comm);
+            assert_eq!(a.residuals.len(), b.residuals.len());
+            assert!(!a.residuals.is_empty(), "{backend}: no residuals");
+            for (ra, rb) in a.residuals.iter().zip(&b.residuals) {
+                assert_eq!(ra.node, rb.node);
+                assert!(ra.residual.to_bits() == rb.residual.to_bits(), "{backend}");
+                assert_eq!(ra.kl.map(f64::to_bits), rb.kl.map(f64::to_bits));
+                // Only grid beliefs carry a KL divergence.
+                assert_eq!(ra.kl.is_some(), backend == "grid");
+            }
         }
     }
 }
@@ -145,33 +163,6 @@ fn builder_rejects_invalid_configuration_before_any_run() {
         .try_build()
         .expect_err("zero iterations must not validate");
     assert!(err.to_string().contains("max_iterations"));
-}
-
-#[test]
-fn map_fallback_is_a_structured_event() {
-    let _guard = SERIAL
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let (net, _) = scenario().build_trial(2);
-    let algo = BnlLocalizer::builder(Backend::gaussian())
-        .prior(PriorModel::DropPoint { sigma: 50.0 })
-        .max_iterations(3)
-        .estimator(Estimator::Map)
-        .try_build()
-        .expect("valid localizer configuration");
-    let tracer = TraceObserver::new();
-    let _ = algo.localize_with_observer(&net, 0, &tracer);
-    let run = tracer.last_run().expect("one recorded run");
-    assert!(
-        run.events.iter().any(|e| matches!(
-            e,
-            ObsEvent::MapFallbackToMmse {
-                backend: "gaussian"
-            }
-        )),
-        "gaussian backend must report the MAP->MMSE fallback, got {:?}",
-        run.events
-    );
 }
 
 #[test]
