@@ -8,9 +8,9 @@
 //!
 //! - Links whose endpoints share a shard read the sender's live belief
 //!   on the perfect path.
-//! - Links between shards carry the fault plan: loss, bursts,
-//!   staleness, asymmetry and drop policy act on them exactly as on a
-//!   flat faulted run, keyed by the same global directed-link ids. Node
+//! - Links between shards carry the fault plan: loss, staleness,
+//!   asymmetry and drop policy act on them exactly as on a flat
+//!   faulted run, keyed by the same global directed-link ids. Node
 //!   deaths follow the plan's schedule as on a flat run.
 //! - Every iteration reports one `BoundaryExchange` per occupied shard,
 //!   counting fresh belief deliveries from free senders in other shards

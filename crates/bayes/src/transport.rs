@@ -6,8 +6,8 @@
 //! is a zero-cost pass-through (engines detect it and run the exact
 //! fault-free code path, bit-identical to not having a transport at
 //! all), while a faulted transport rolls per-directed-link fates each
-//! iteration from a [`FaultPlan`] — message loss (i.i.d. or bursty),
-//! node death, stale delivery, and structurally asymmetric links.
+//! iteration from a [`FaultPlan`] — i.i.d. message loss, node death,
+//! stale delivery, and structurally asymmetric links.
 //!
 //! The state machine per directed link is deliberately simple:
 //!
@@ -200,8 +200,6 @@ pub(crate) struct TransportSession<B> {
     sender_fixed: Vec<bool>,
     /// Structurally silent links (asymmetry model), fixed for the run.
     blocked: Vec<bool>,
-    /// Gilbert–Elliott channel state per directed link (`true` = Bad).
-    ge_bad: Vec<bool>,
     /// Iterations since the link's content was last refreshed.
     age: Vec<u64>,
     /// Whether the link has ever delivered anything.
@@ -273,7 +271,6 @@ impl<B: Clone> TransportSession<B> {
             active,
             sender_fixed,
             blocked,
-            ge_bad: vec![false; links],
             age: vec![0; links],
             received: vec![false; links],
             last: (0..links).map(|_| None).collect(),
@@ -331,20 +328,6 @@ impl<B: Clone> TransportSession<B> {
             let lost = match self.plan.loss {
                 LossModel::None => false,
                 LossModel::Iid { rate } => rng.f64() < rate,
-                LossModel::GilbertElliott {
-                    p_bad,
-                    p_recover,
-                    loss_good,
-                    loss_bad,
-                } => {
-                    let bad = if self.ge_bad[dir] {
-                        rng.f64() >= p_recover
-                    } else {
-                        rng.f64() < p_bad
-                    };
-                    self.ge_bad[dir] = bad;
-                    rng.f64() < if bad { loss_bad } else { loss_good }
-                }
             };
             if !self.alive[self.senders[dir]] {
                 // A dead sender transmits nothing; the link just ages.

@@ -11,7 +11,8 @@
 //! combination of worker-pool thread count and seeded schedule
 //! permutation (the `rayon` shim's `set_schedule_permutation` hook
 //! shuffles the order chunk jobs reach the shared queue) and asserts
-//! that beliefs, folded metrics and per-shard boundary exchanges are
+//! that beliefs, folded metrics (for the streaming engine, its store's
+//! lifetime counts) and per-shard boundary exchanges are
 //! **bit-identical** to a sequential reference run.
 //!
 //! Because the shim assigns each chunk a fixed output slot and drains
@@ -22,7 +23,7 @@
 //! and runs offline, so it doubles as a poor-man's race detector in CI.
 
 use wsnloc::prelude::*;
-use wsnloc_obs::{FanoutObserver, MetricsObserver, MetricsSnapshot, ObsEvent, RunTrace};
+use wsnloc_obs::{Fact, FanoutObserver, MetricsObserver, MetricsSnapshot, ObsEvent, RunTrace};
 use wsnloc_serve::{EngineConfig, MeasurementEpoch, SessionConfig, StreamingEngine};
 
 /// The perturbation matrix one audit run sweeps.
@@ -83,10 +84,27 @@ struct Fingerprint {
     uncertainty: Vec<Option<u64>>,
     iterations: usize,
     converged: bool,
+    /// The run fold's snapshot; empty for the streaming workload.
     metrics: MetricsSnapshot,
+    /// The streaming engine store's lifetime [`STREAM_TOTALS`]; empty
+    /// for single runs.
+    totals: Vec<u64>,
     /// `(iteration, shard, messages)` of every boundary exchange.
     boundary: Vec<(usize, usize, u64)>,
 }
+
+/// The engine store's counts the streaming fingerprint compares. Its
+/// float sums are left out: parallel tenants add into the one store in
+/// schedule order. The residual values themselves are audited on the
+/// single runs.
+const STREAM_TOTALS: [Fact; 6] = [
+    Fact::Runs,
+    Fact::Iterations,
+    Fact::Messages,
+    Fact::EpochsSolved,
+    Fact::EpochsShed,
+    Fact::Residual,
+];
 
 fn fingerprint(
     result: &LocalizationResult,
@@ -120,6 +138,7 @@ fn fingerprint(
         iterations: result.iterations,
         converged: result.converged,
         metrics: normalize(metrics),
+        totals: Vec::new(),
         boundary,
     }
 }
@@ -201,7 +220,7 @@ fn backends() -> Vec<(&'static str, BnlLocalizer)> {
 /// carry-over, and a per-tick capacity of two so the round-robin shed
 /// path (decay-to-prior coasting) executes under perturbation too. The
 /// fingerprint concatenates every update's estimates/uncertainty in
-/// tenant order and merges the per-tenant metrics folds.
+/// tenant order and reads the engine store's [`STREAM_TOTALS`].
 fn stream_fingerprint(network: &Network) -> Fingerprint {
     let mut engine = StreamingEngine::new(EngineConfig {
         capacity_per_tick: 2,
@@ -240,13 +259,14 @@ fn stream_fingerprint(network: &Network) -> Fingerprint {
             converged &= up.result.converged || up.degraded;
         }
     }
-    let parts: Vec<MetricsSnapshot> = ids.iter().filter_map(|&id| engine.metrics(id)).collect();
+    let store = engine.window();
     Fingerprint {
         estimates,
         uncertainty,
         iterations,
         converged,
-        metrics: normalize(MetricsSnapshot::merge(&parts)),
+        metrics: MetricsSnapshot::default(),
+        totals: STREAM_TOTALS.map(|fact| store.total(fact)).to_vec(),
         boundary: Vec::new(),
     }
 }
@@ -347,6 +367,8 @@ fn diverged(reference: &Fingerprint, got: &Fingerprint) -> &'static str {
         "convergence trajectory"
     } else if got.boundary != reference.boundary {
         "boundary exchanges"
+    } else if got.totals != reference.totals {
+        "engine store totals"
     } else {
         "metrics fold"
     }

@@ -83,10 +83,7 @@ fn telemetry_session_config(cfg: &ExpConfig, tenant: usize) -> SessionConfig {
 /// Builds a report engine, publishing into `hub` when telemetry is on.
 fn engine_for(config: EngineConfig, hub: Option<&TelemetryHub>) -> StreamingEngine {
     match hub {
-        Some(h) => StreamingEngine::builder(config)
-            .hub(h.clone())
-            .build()
-            .unwrap_or_else(|_| unreachable!("no listener to bind")),
+        Some(h) => StreamingEngine::builder(config).hub(h.clone()).build(),
         None => StreamingEngine::new(config),
     }
 }

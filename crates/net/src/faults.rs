@@ -1,13 +1,13 @@
 //! Deterministic communication-fault models for distributed inference.
 //!
 //! A real WSN deployment is not the perfect synchronous fabric the BP
-//! engines' happy path assumes: packets are lost (independently or in
-//! bursts), nodes exhaust their batteries mid-run, messages arrive one
-//! round late, and links are frequently asymmetric (u hears v, v never
-//! hears u). A [`FaultPlan`] describes all of these as a *seeded,
-//! deterministic* schedule, so a faulted run is exactly as replayable as
-//! a fault-free one: the same plan applied to the same network and the
-//! same run seed yields bit-identical fault decisions.
+//! engines' happy path assumes: packets are lost, nodes exhaust their
+//! batteries mid-run, messages arrive one round late, and links are
+//! frequently asymmetric (u hears v, v never hears u). A [`FaultPlan`]
+//! describes all of these as a *seeded, deterministic* schedule, so a
+//! faulted run is exactly as replayable as a fault-free one: the same
+//! plan applied to the same network and the same run seed yields
+//! bit-identical fault decisions.
 //!
 //! The plan is pure data. The BP engines consume it through the
 //! `Transport` seam in `wsnloc-bayes`, which rolls per-link fates once
@@ -28,20 +28,6 @@ pub enum LossModel {
     Iid {
         /// Per-message loss probability in `[0, 1]`.
         rate: f64,
-    },
-    /// Bursty loss: a two-state Gilbert–Elliott channel per directed
-    /// link. The link flips Good→Bad with probability `p_bad` and
-    /// Bad→Good with probability `p_recover` each iteration, and drops
-    /// messages with `loss_good` / `loss_bad` in the respective states.
-    GilbertElliott {
-        /// Good→Bad transition probability per iteration.
-        p_bad: f64,
-        /// Bad→Good transition probability per iteration.
-        p_recover: f64,
-        /// Loss probability while the link is in the Good state.
-        loss_good: f64,
-        /// Loss probability while the link is in the Bad state.
-        loss_bad: f64,
     },
 }
 
@@ -179,24 +165,12 @@ impl FaultPlan {
             && self.asymmetry <= 0.0
     }
 
-    /// Long-run (stationary) per-message loss probability of the loss
-    /// model. For Gilbert–Elliott this is the stationary mixture of the
-    /// good/bad loss rates.
+    /// Long-run per-message loss probability of the loss model.
     #[must_use]
     pub fn expected_loss_rate(&self) -> f64 {
         match self.loss {
             LossModel::None => 0.0,
             LossModel::Iid { rate } => rate.clamp(0.0, 1.0),
-            LossModel::GilbertElliott {
-                p_bad,
-                p_recover,
-                loss_good,
-                loss_bad,
-            } => {
-                let denom = p_bad + p_recover;
-                let pi_bad = if denom > 0.0 { p_bad / denom } else { 0.0 };
-                (pi_bad * loss_bad + (1.0 - pi_bad) * loss_good).clamp(0.0, 1.0)
-            }
         }
     }
 

@@ -1,4 +1,4 @@
-//! Embedded scrape endpoint: [`TelemetryHub`] + [`TelemetryServer`].
+//! In-process scrape endpoint: [`TelemetryHub`] + [`TelemetryServer`].
 //!
 //! Long-running engines need to answer "is it alive, and how fast is it
 //! going" *while* they run, without a metrics dependency the build

@@ -17,9 +17,13 @@
 //!
 //! The [`InferenceObserver`] impl is the only code that maps observer
 //! callbacks onto facts: run starts and verdicts, iteration records
-//! (message and byte volume, iteration seconds, residuals), fault
-//! events, tenant epochs solved and shed, per-shard
+//! (message and byte volume, iteration seconds, residuals, which it
+//! asks for), fault events, tenant epochs solved and shed, per-shard
 //! [`ObsEvent::BoundaryExchange`] traffic and context stamps.
+//! A series' state is fixed in size (a window slot's sample pool empties
+//! when the slot retires), so a ticked store grows only with the tenants
+//! and shards it labels; [`retire_tenant`](WindowedMetrics::retire_tenant)
+//! drops a closed tenant's series.
 //! [`render_openmetrics`](WindowedMetrics::render_openmetrics) writes both
 //! views through the fact table in [`metrics`](crate::metrics).
 
@@ -212,6 +216,19 @@ impl WindowedMetrics {
         }
     }
 
+    /// Drops the window series labelled with `tenant` (its epochs solved
+    /// and shed, its queue depth). Lifetime totals and shard series stay.
+    /// Engines call this when a tenant's session closes, so tenants that
+    /// come and go leave no series behind.
+    pub fn retire_tenant(&self, tenant: u64) {
+        let mut st = self.locked();
+        for fact in Fact::ALL {
+            if fact.spec().label == Some("tenant") {
+                st.rings.remove(&(fact, tenant));
+            }
+        }
+    }
+
     /// The OpenMetrics exposition of both views (see
     /// [`metrics`](crate::metrics)), ending in `# EOF`.
     #[must_use]
@@ -231,6 +248,11 @@ impl WindowedMetrics {
 
 /// The one fold from observer callbacks onto facts.
 impl InferenceObserver for WindowedMetrics {
+    /// Residuals feed the lifetime `wsnloc_bp_residual` histogram.
+    fn wants_residuals(&self) -> bool {
+        true
+    }
+
     fn on_run_start(&self, _info: &RunInfo) {
         self.add(Fact::Runs, 0, 1);
     }
@@ -367,6 +389,31 @@ mod tests {
         assert!(out.contains("wsnloc_window_tick_seconds_count 1\n"));
         // One TYPE header per family, not per label set.
         assert_eq!(out.matches("# TYPE wsnloc_window_epochs_solved").count(), 1);
+    }
+
+    #[test]
+    fn retiring_a_tenant_keeps_totals_and_shard_series() {
+        let w = WindowedMetrics::new(4);
+        for tenant in [1, 2] {
+            w.on_event(&ObsEvent::EpochAdvanced { tenant, epoch: 0 });
+            w.on_event(&ObsEvent::TenantShed { tenant, epoch: 1 });
+            w.set(Fact::QueueDepth, tenant, 2.0);
+        }
+        w.on_event(&ObsEvent::BoundaryExchange {
+            round: 0,
+            shard: 1,
+            messages: 5,
+        });
+        w.retire_tenant(1);
+        for fact in [Fact::EpochsSolved, Fact::EpochsShed] {
+            assert_eq!(w.window_total(fact, 1), None);
+            assert_eq!(w.window_total(fact, 2), Some(1));
+            assert_eq!(w.total(fact), 2);
+        }
+        assert_eq!(w.gauge_value(Fact::QueueDepth, 1), None);
+        assert_eq!(w.gauge_value(Fact::QueueDepth, 2), Some(2.0));
+        assert_eq!(w.window_total(Fact::BoundaryMessages, 1), Some(5));
+        assert!(!w.render_openmetrics().contains("tenant=\"1\""));
     }
 
     #[test]

@@ -19,24 +19,27 @@
 //!   model (uncertainty grows toward the prior), `HoldLast` freezes the
 //!   carried beliefs — and the update is flagged
 //!   [`degraded`](PositionUpdate::degraded);
-//! - per-tenant [`MetricsSnapshot`]s and the engine's telemetry store
-//!   expose epoch/shed totals for scraping.
+//! - the engine's telemetry store exposes epoch/shed totals for
+//!   scraping.
 //!
 //! **Live telemetry.** Every engine publishes into a [`TelemetryHub`]:
-//! one [`WindowedMetrics`] store that folds every solve and shed event
-//! (lifetime totals plus per-tenant epochs solved/shed and per-shard
-//! boundary-message windows when a tenant's localizer is sharded), the
-//! tick count, tick latency and per-tenant queue depths the engine
-//! records as it closes each [`tick`](StreamingEngine::tick), liveness,
-//! and a per-tenant JSON rollup. The engine keeps no counts of its own.
-//! [`StreamingEngine::builder`] can bind an embedded
-//! [`TelemetryServer`] (`/metrics`, `/healthz`, `/tenants`), join an
-//! external hub shared across engines, and attach an extra
+//! one [`WindowedMetrics`] store, the only fold of every solve and shed
+//! event (lifetime totals plus per-tenant epochs solved/shed and
+//! per-shard boundary-message windows when a tenant's localizer is
+//! sharded), the tick count, tick latency and per-tenant queue depths
+//! the engine records as it closes each [`tick`](StreamingEngine::tick),
+//! liveness, and a per-tenant JSON rollup. Beyond its session and queue a
+//! tenant keeps two counters (epochs solved and shed) for that rollup,
+//! and closing its session retires its series from the store, so a
+//! long-running engine does not grow with its ticks. Whoever owns a hub
+//! serves it: `TelemetryServer::start(addr, engine.hub())` binds
+//! `/metrics`, `/healthz` and `/tenants`. [`StreamingEngine::builder`]
+//! can join an external hub shared across engines and attach an extra
 //! [`InferenceObserver`] (e.g. a trace recorder) that receives
 //! [`ObsEvent::Context`] correlation stamps (tenant/epoch) ahead of each
-//! run's callbacks. Telemetry never
-//! touches the solve path: updates are bit-identical with the server
-//! on, off, or absent (pinned by tests).
+//! run's callbacks. Telemetry never touches the solve path: updates are
+//! bit-identical with a scrape server on, off, or absent (pinned by
+//! tests).
 //!
 //! **Determinism.** Tenant state is fully isolated (sessions never share
 //! RNG streams, beliefs, or seeds) and admission is a pure function of
@@ -68,14 +71,12 @@
 
 use rayon::{IntoParallelIterator, ParallelIterator};
 use std::collections::{BTreeMap, VecDeque};
-use std::net::SocketAddr;
 use std::sync::Arc;
 use wsnloc::session::LocalizationSession;
 use wsnloc::{BnlLocalizer, LocalizationResult, MotionModel};
 use wsnloc_net::{DropPolicy, Network};
 use wsnloc_obs::{
-    Fact, FanoutObserver, InferenceObserver, MetricsObserver, MetricsSnapshot, ObsEvent, Stopwatch,
-    TelemetryHub, TelemetryServer, WindowedMetrics,
+    FanoutObserver, InferenceObserver, ObsEvent, Stopwatch, TelemetryHub, WindowedMetrics,
 };
 
 /// Opaque handle identifying one tenant's session within an engine.
@@ -183,14 +184,14 @@ impl Default for EngineConfig {
     }
 }
 
-/// One tenant's full state: session, epoch queue, private metrics fold.
+/// One tenant's full state: session, epoch queue, and the epoch counts
+/// `/tenants` reports.
 #[derive(Debug)]
 struct Tenant {
     session: LocalizationSession,
     queue: VecDeque<MeasurementEpoch>,
-    /// Private observer (own store) so per-tenant snapshots never mix
-    /// with other tenants' totals; its lifetime counts feed `/tenants`.
-    metrics: MetricsObserver,
+    solved: u64,
+    shed: u64,
 }
 
 /// A long-running, multi-tenant localization engine.
@@ -228,11 +229,9 @@ pub struct StreamingEngine {
     next_id: u64,
     /// Lifetime tick count — drives the round-robin admission rotation.
     ticks: u64,
-    /// Store + liveness + rollup publication point (always present; a
-    /// scrape server is only attached when the builder asked for one).
+    /// Store + liveness + rollup publication point (always present,
+    /// whether or not a server scrapes it).
     hub: TelemetryHub,
-    /// Embedded scrape server, when the builder bound one.
-    server: Option<TelemetryServer>,
     /// Extra observer fanned into every solve, after its correlation
     /// stamps. `None` keeps the pre-telemetry solve wiring.
     observer: Option<Arc<dyn InferenceObserver + Send + Sync>>,
@@ -244,7 +243,6 @@ impl std::fmt::Debug for StreamingEngine {
             .field("config", &self.config)
             .field("tenants", &self.tenants.len())
             .field("ticks", &self.ticks)
-            .field("telemetry_addr", &self.telemetry_addr())
             .finish_non_exhaustive()
     }
 }
@@ -253,38 +251,24 @@ impl std::fmt::Debug for EngineBuilder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EngineBuilder")
             .field("config", &self.config)
-            .field("telemetry_addr", &self.telemetry_addr)
             .finish_non_exhaustive()
     }
 }
 
 /// Configures a [`StreamingEngine`] beyond the scheduling knobs of
-/// [`EngineConfig`]: an embedded [`TelemetryServer`], an external
-/// [`TelemetryHub`] (which also sizes the sliding window; the engine's
-/// own hub keeps 64 tick slots), and an extra run observer. Obtained
-/// from [`StreamingEngine::builder`].
+/// [`EngineConfig`]: an external [`TelemetryHub`] (which also sizes the
+/// sliding window; the engine's own hub keeps 64 tick slots) and an
+/// extra run observer. Obtained from [`StreamingEngine::builder`].
 pub struct EngineBuilder {
     config: EngineConfig,
-    telemetry_addr: Option<String>,
     hub: Option<TelemetryHub>,
     observer: Option<Arc<dyn InferenceObserver + Send + Sync>>,
 }
 
 impl EngineBuilder {
-    /// Binds an embedded [`TelemetryServer`] on `addr` (e.g.
-    /// `"127.0.0.1:0"` for an ephemeral port — read it back with
-    /// [`StreamingEngine::telemetry_addr`]). The server lives exactly
-    /// as long as the engine.
-    #[must_use]
-    pub fn telemetry(mut self, addr: &str) -> Self {
-        self.telemetry_addr = Some(addr.to_owned());
-        self
-    }
-
     /// Joins an external hub instead of creating one: the engine adopts
-    /// the hub's store (so several sequential engines can
-    /// publish to one scrape endpoint) and does not start a server of
-    /// its own — whoever owns the hub owns the server.
+    /// the hub's store, so several sequential engines can publish to one
+    /// scrape endpoint. Whoever owns the hub serves it.
     #[must_use]
     pub fn hub(mut self, hub: TelemetryHub) -> Self {
         self.hub = Some(hub);
@@ -292,7 +276,7 @@ impl EngineBuilder {
     }
 
     /// Fans an extra observer into every solved epoch, after the
-    /// tenant's private metrics fold. It receives an
+    /// engine's store. It receives an
     /// [`ObsEvent::Context`] stamp (tenant + epoch) immediately before
     /// each run's callbacks and a stamp + [`ObsEvent::TenantShed`] for
     /// shed epochs. With `capacity_per_tick > 1` the admitted batch
@@ -304,29 +288,15 @@ impl EngineBuilder {
         self
     }
 
-    /// Builds the engine. The only fallible step is binding the
-    /// embedded telemetry listener, so without
-    /// [`EngineBuilder::telemetry`] this always succeeds.
-    pub fn build(mut self) -> std::io::Result<StreamingEngine> {
-        let addr = self.telemetry_addr.take();
-        let mut engine = self.build_unserved();
-        if let Some(addr) = addr {
-            engine.server = Some(TelemetryServer::start(&addr, engine.hub.clone())?);
-        }
-        Ok(engine)
-    }
-
-    /// Everything except the listener — the infallible part of
-    /// [`EngineBuilder::build`], used directly by the plain
-    /// constructors.
-    fn build_unserved(self) -> StreamingEngine {
+    /// Builds the engine.
+    #[must_use]
+    pub fn build(self) -> StreamingEngine {
         StreamingEngine {
             config: self.config,
             tenants: BTreeMap::new(),
             next_id: 0,
             ticks: 0,
             hub: self.hub.unwrap_or_else(|| TelemetryHub::new(WINDOW_SLOTS)),
-            server: None,
             observer: self.observer,
         }
     }
@@ -336,7 +306,7 @@ impl StreamingEngine {
     /// An engine with its own private telemetry hub.
     #[must_use]
     pub fn new(config: EngineConfig) -> Self {
-        StreamingEngine::builder(config).build_unserved()
+        StreamingEngine::builder(config).build()
     }
 
     /// Starts configuring an engine (see [`EngineBuilder`]).
@@ -344,7 +314,6 @@ impl StreamingEngine {
     pub fn builder(config: EngineConfig) -> EngineBuilder {
         EngineBuilder {
             config,
-            telemetry_addr: None,
             hub: None,
             observer: None,
         }
@@ -357,17 +326,11 @@ impl StreamingEngine {
     }
 
     /// The telemetry hub the engine publishes into: store, liveness and
-    /// the `/tenants` rollup.
+    /// the `/tenants` rollup. Serve it with
+    /// [`TelemetryServer::start`](wsnloc_obs::TelemetryServer::start).
     #[must_use]
     pub fn hub(&self) -> TelemetryHub {
         self.hub.clone()
-    }
-
-    /// Bound address of the embedded telemetry server, when
-    /// [`EngineBuilder::telemetry`] asked for one.
-    #[must_use]
-    pub fn telemetry_addr(&self) -> Option<SocketAddr> {
-        self.server.as_ref().map(TelemetryServer::local_addr)
     }
 
     /// Opens a tenant session and returns its handle.
@@ -383,16 +346,24 @@ impl StreamingEngine {
             Tenant {
                 session,
                 queue: VecDeque::new(),
-                metrics: MetricsObserver::new(),
+                solved: 0,
+                shed: 0,
             },
         );
         SessionId(id)
     }
 
-    /// Closes a session, dropping its state and any queued epochs.
-    /// Returns `false` if the id was unknown (already closed).
+    /// Closes a session, dropping its state, any queued epochs, its
+    /// tenant-labelled series in the store (the lifetime totals keep its
+    /// epochs) and its `/tenants` entry. Returns `false` if the id was
+    /// unknown (already closed).
     pub fn close_session(&mut self, id: SessionId) -> bool {
-        self.tenants.remove(&id.0).is_some()
+        let open = self.tenants.remove(&id.0).is_some();
+        if open {
+            self.hub.window().retire_tenant(id.0);
+            self.hub.set_tenants_json(self.tenants_rollup_json());
+        }
+        open
     }
 
     /// Enqueues one measurement epoch for a tenant. Returns `false`
@@ -430,12 +401,6 @@ impl StreamingEngine {
     #[must_use]
     pub fn is_warm(&self, id: SessionId) -> bool {
         self.tenants.get(&id.0).is_some_and(|t| t.session.is_warm())
-    }
-
-    /// Freezes a tenant's private metrics fold into a snapshot.
-    #[must_use]
-    pub fn metrics(&self, id: SessionId) -> Option<MetricsSnapshot> {
-        self.tenants.get(&id.0).map(|t| t.metrics.snapshot())
     }
 
     /// Runs one scheduler tick: drains at most one queued epoch per
@@ -489,7 +454,7 @@ impl StreamingEngine {
                 tenant: id,
                 epoch: epoch_idx,
             };
-            t.metrics.on_event(&shed_event);
+            t.shed += 1;
             window.on_event(&shed_event);
             if let Some(obs) = &self.observer {
                 obs.on_event(&ObsEvent::Context {
@@ -507,8 +472,8 @@ impl StreamingEngine {
         }
 
         // Solve the admitted batch on the worker pool. Tenants move into
-        // the jobs (session + private observer travel together) and move
-        // back afterwards; isolation makes the parallel order irrelevant.
+        // the jobs and move back afterwards; isolation makes the parallel
+        // order irrelevant.
         let mut jobs: Vec<(u64, Tenant, MeasurementEpoch)> = Vec::with_capacity(solve_ids.len());
         for &id in solve_ids {
             if let Some(mut t) = self.tenants.remove(&id) {
@@ -528,7 +493,7 @@ impl StreamingEngine {
                 // The window and the extra observer ride every solve via
                 // fan-out; the context stamp precedes the run's callbacks
                 // so downstream consumers can attribute them.
-                let mut targets: Vec<&dyn InferenceObserver> = vec![&t.metrics, window.as_ref()];
+                let mut targets: Vec<&dyn InferenceObserver> = vec![window.as_ref()];
                 if let Some(obs) = extra.as_deref() {
                     targets.push(obs);
                 }
@@ -544,7 +509,7 @@ impl StreamingEngine {
                     tenant: id,
                     epoch: epoch_idx,
                 });
-                drop(fanout);
+                t.solved += 1;
                 (id, t, epoch_idx, result)
             })
             .collect();
@@ -582,8 +547,8 @@ impl StreamingEngine {
                 "{{\"id\":{id},\"pending\":{},\"warm\":{},\"solved\":{},\"shed\":{},\"next_epoch\":{}}}",
                 t.queue.len(),
                 t.session.is_warm(),
-                t.metrics.window().total(Fact::EpochsSolved),
-                t.metrics.window().total(Fact::EpochsShed),
+                t.solved,
+                t.shed,
                 t.session.epoch()
             );
         }
@@ -607,6 +572,7 @@ mod tests {
     use wsnloc::prelude::*;
     use wsnloc_net::network::NetworkBuilder;
     use wsnloc_net::{AnchorStrategy, Deployment, RadioModel, RangingModel};
+    use wsnloc_obs::{Fact, TelemetryServer};
 
     fn net(seed: u64) -> Network {
         NetworkBuilder {
@@ -733,25 +699,34 @@ mod tests {
         });
         let a = engine.open_session(cfg());
         let b = engine.open_session(cfg());
+        let c = engine.open_session(cfg());
         for s in 0..2u64 {
             engine.submit(a, MeasurementEpoch::new(network.clone(), s));
             engine.submit(b, MeasurementEpoch::new(network.clone(), s));
             engine.tick();
         }
-        let ma = engine.metrics(a).expect("tenant a metrics");
-        let mb = engine.metrics(b).expect("tenant b metrics");
         // Round-robin under capacity 1: each tenant solved one epoch and
-        // was shed once, and each fold only saw its own tenant's events.
-        assert_eq!(ma.runs, 1);
-        assert_eq!(ma.events.epoch_advances, 1);
-        assert_eq!(ma.events.tenants_shed, 1);
-        assert_eq!(mb.runs, 1);
-        assert_eq!(mb.events.epoch_advances, 1);
-        assert_eq!(mb.events.tenants_shed, 1);
+        // was shed once, and each count only saw its own tenant's events.
+        let w = engine.window();
+        for id in [a, b] {
+            assert_eq!(w.window_total(Fact::EpochsSolved, id.raw()), Some(1));
+            assert_eq!(w.window_total(Fact::EpochsShed, id.raw()), Some(1));
+        }
+        // A tenant with no epochs has no series and zero counts.
+        assert_eq!(w.window_total(Fact::EpochsSolved, c.raw()), None);
+        assert_eq!(
+            engine.hub().render_tenants(),
+            "{\"tenants\":[\
+             {\"id\":0,\"pending\":0,\"warm\":true,\"solved\":1,\"shed\":1,\"next_epoch\":2},\
+             {\"id\":1,\"pending\":0,\"warm\":true,\"solved\":1,\"shed\":1,\"next_epoch\":2},\
+             {\"id\":2,\"pending\":0,\"warm\":false,\"solved\":0,\"shed\":0,\"next_epoch\":0}\
+             ],\"ticks\":2}"
+        );
         // The engine-level store sees both tenants.
         let scrape = engine.hub().render_metrics();
         assert!(scrape.contains("wsnloc_serve_epochs_solved_total 2"));
         assert!(scrape.contains("wsnloc_serve_epochs_shed_total 2"));
+        assert!(scrape.contains("wsnloc_bp_runs_total 2"));
     }
 
     /// Runs a fixed 3-tenant, 3-epoch workload and fingerprints every
@@ -787,17 +762,14 @@ mod tests {
             shed_policy: DropPolicy::DecayToPrior { decay: 0.5 },
         };
         let plain = workload_fingerprint(StreamingEngine::new(overloaded));
-        let served = workload_fingerprint(
-            StreamingEngine::builder(overloaded)
-                .telemetry("127.0.0.1:0")
-                .build()
-                .expect("bind ephemeral port"),
-        );
+        let engine = StreamingEngine::new(overloaded);
+        let _server =
+            TelemetryServer::start("127.0.0.1:0", engine.hub()).expect("bind ephemeral port");
+        let served = workload_fingerprint(engine);
         let observed = workload_fingerprint(
             StreamingEngine::builder(overloaded)
                 .observer(Arc::new(wsnloc_obs::TraceObserver::new()))
-                .build()
-                .expect("no listener to bind"),
+                .build(),
         );
         assert_eq!(plain, served, "live scrape server must not perturb results");
         assert_eq!(plain, observed, "extra observer must not perturb results");
@@ -806,13 +778,12 @@ mod tests {
     #[test]
     fn scrape_serves_windowed_per_tenant_series_and_health() {
         use std::io::{Read as _, Write as _};
-        let mut engine = StreamingEngine::builder(EngineConfig {
+        let mut engine = StreamingEngine::new(EngineConfig {
             capacity_per_tick: 1,
             shed_policy: DropPolicy::DecayToPrior { decay: 0.5 },
-        })
-        .telemetry("127.0.0.1:0")
-        .build()
-        .expect("bind ephemeral port");
+        });
+        let server =
+            TelemetryServer::start("127.0.0.1:0", engine.hub()).expect("bind ephemeral port");
         let network = net(7);
         let a = engine.open_session(cfg());
         let b = engine.open_session(cfg());
@@ -820,7 +791,7 @@ mod tests {
         engine.submit(b, MeasurementEpoch::new(network.clone(), 0));
         engine.tick();
 
-        let addr = engine.telemetry_addr().expect("server bound");
+        let addr = server.local_addr();
         let get = |path: &str| {
             let mut stream = std::net::TcpStream::connect(addr).expect("connect");
             let req = format!("GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
@@ -856,8 +827,7 @@ mod tests {
     fn window_retires_old_ticks() {
         let mut engine = StreamingEngine::builder(EngineConfig::default())
             .hub(TelemetryHub::new(2))
-            .build()
-            .expect("no listener to bind");
+            .build();
         let network = net(8);
         let id = engine.open_session(cfg());
         engine.submit(id, MeasurementEpoch::new(network.clone(), 0));
@@ -878,8 +848,7 @@ mod tests {
         let trace = Arc::new(wsnloc_obs::TraceObserver::new());
         let mut engine = StreamingEngine::builder(EngineConfig::default())
             .observer(Arc::clone(&trace) as Arc<dyn InferenceObserver + Send + Sync>)
-            .build()
-            .expect("no listener to bind");
+            .build();
         let network = net(9);
         let id = engine.open_session(cfg());
         engine.submit(id, MeasurementEpoch::new(network.clone(), 0));
@@ -907,6 +876,36 @@ mod tests {
                 ..
             }
         )));
+    }
+
+    #[test]
+    fn closing_a_session_retires_its_tenant_series() {
+        let network = net(5);
+        let mut engine = StreamingEngine::new(EngineConfig {
+            capacity_per_tick: 1,
+            shed_policy: DropPolicy::DecayToPrior { decay: 0.5 },
+        });
+        let a = engine.open_session(cfg());
+        let b = engine.open_session(cfg());
+        for s in 0..3u64 {
+            engine.submit(a, MeasurementEpoch::new(network.clone(), s));
+            engine.submit(b, MeasurementEpoch::new(network.clone(), s));
+        }
+        // Capacity 1: tenant 0 solves and tenant 1 sheds, 2 epochs left each.
+        engine.tick();
+        let open = engine.hub().render_metrics();
+        assert!(open.contains("wsnloc_window_queue_depth{tenant=\"1\"} 2\n"));
+        assert!(open.contains("wsnloc_window_epochs_shed{tenant=\"1\"} 1\n"));
+        assert!(engine.close_session(b));
+        assert!(!engine.hub().render_metrics().contains("tenant=\"1\""));
+        assert!(!engine.hub().render_tenants().contains("\"id\":1"));
+        engine.tick();
+        let closed = engine.hub().render_metrics();
+        assert!(!closed.contains("tenant=\"1\""), "{closed}");
+        assert!(closed.contains("wsnloc_window_epochs_solved{tenant=\"0\"} 2\n"));
+        assert!(closed.contains("wsnloc_window_queue_depth{tenant=\"0\"} 1\n"));
+        // Lifetime totals keep the closed tenant's epochs.
+        assert!(closed.contains("wsnloc_serve_epochs_shed_total 1\n"));
     }
 
     #[test]

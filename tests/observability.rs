@@ -9,7 +9,7 @@ use wsnloc::prelude::*;
 use wsnloc_eval::{evaluate, EvalConfig, Parallelism};
 use wsnloc_obs::{
     accounting, analyze_str, parse_jsonl, write_jsonl, CommStats, IterationRecord, ObsEvent,
-    RunInfo, RunSummary, RunTrace, SpanKind, VecSink,
+    RunInfo, RunSummary, RunTrace, SpanKind, TelemetryServer, VecSink,
 };
 use wsnloc_serve::{EngineConfig, MeasurementEpoch, SessionConfig, StreamingEngine};
 
@@ -394,7 +394,7 @@ fn sharded_observer_emits_boundary_exchange_without_perturbing_results() {
     assert_eq!(parsed[0].events, run.events);
 }
 
-/// One `GET` against the engine's scrape server; returns the body.
+/// One `GET` against the scrape server of an engine's hub; returns the body.
 fn scrape(addr: std::net::SocketAddr, path: &str) -> String {
     use std::io::{Read as _, Write as _};
     let mut stream = std::net::TcpStream::connect(addr).expect("connect to the scrape server");
@@ -434,13 +434,12 @@ fn scrape_surface_keeps_every_golden_series() {
     // tenants and one sharded tenant on a capacity-1 engine, so every
     // tick solves one tenant and sheds the others. After 3 ticks each
     // tenant has solved once and been shed twice.
-    let mut engine = StreamingEngine::builder(EngineConfig {
+    let mut engine = StreamingEngine::new(EngineConfig {
         capacity_per_tick: 1,
         ..EngineConfig::default()
-    })
-    .telemetry("127.0.0.1:0")
-    .build()
-    .expect("bind an ephemeral port");
+    });
+    let server =
+        TelemetryServer::start("127.0.0.1:0", engine.hub()).expect("bind an ephemeral port");
     let localizer = |shards: Option<ShardPlan>| {
         let mut b = BnlLocalizer::builder(Backend::particle(40).expect("valid backend"))
             .prior(PriorModel::DropPoint { sigma: 50.0 })
@@ -467,7 +466,7 @@ fn scrape_surface_keeps_every_golden_series() {
         }
         engine.tick();
     }
-    let addr = engine.telemetry_addr().expect("server bound");
+    let addr = server.local_addr();
 
     let metrics = scrape(addr, "/metrics");
     assert_eq!(metrics.matches("# EOF").count(), 1);
@@ -482,6 +481,12 @@ fn scrape_surface_keeps_every_golden_series() {
     assert!(
         missing.is_empty(),
         "golden lines missing from /metrics: {missing:#?}"
+    );
+    // The store reads every served residual: 3 solved epochs × 2
+    // iterations × 34 free nodes.
+    assert!(
+        live.contains("wsnloc_bp_residual_count 204"),
+        "served residuals missing from /metrics"
     );
 
     assert_eq!(
