@@ -328,8 +328,10 @@ fn run_batch(shared: &PoolShared, batch: &Batch) {
 /// Chunk boundaries depend only on the *effective* (installed) thread
 /// count, never on how many workers happen to execute them, so results
 /// are bit-identical across pool sizes — and identical to a sequential
-/// run.
-fn map_ordered<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
+/// run. Each chunk job owns its input chunk and collects its own result
+/// vector into the chunk's slot; the caller appends the slots in input
+/// order once the batch has drained.
+fn map_ordered<T, R, F>(mut items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
@@ -345,42 +347,36 @@ where
     let jobs = n.div_ceil(chunk);
     let batch_idx = POOL_BATCHES.fetch_add(1, Ordering::Relaxed);
     POOL_JOBS.fetch_add(jobs as u64, Ordering::Relaxed);
-    let mut out: Vec<Option<R>> = Vec::with_capacity(n);
-    out.resize_with(n, || None);
-    let mut boxed: Vec<Option<T>> = items.into_iter().map(Some).collect();
+    // Split off the chunks back to front, so each split moves only the
+    // chunk it takes; `items` keeps the first.
+    let mut chunks: Vec<Vec<T>> = Vec::with_capacity(jobs);
+    for j in (1..jobs).rev() {
+        chunks.push(items.split_off(j * chunk));
+    }
+    chunks.push(items);
+    chunks.reverse();
+    let mut parts: Vec<Vec<R>> = std::iter::repeat_with(Vec::new).take(jobs).collect();
     let batch = Batch::new(jobs);
     let shared = pool();
     {
-        let mut item_tail: &mut [Option<T>] = &mut boxed;
-        let mut out_tail: &mut [Option<R>] = &mut out;
         let mut pending: Vec<Job> = Vec::with_capacity(jobs);
-        while !item_tail.is_empty() {
-            let take = chunk.min(item_tail.len());
-            let (item_head, rest_items) = item_tail.split_at_mut(take);
-            let (out_head, rest_out) = out_tail.split_at_mut(take);
-            item_tail = rest_items;
-            out_tail = rest_out;
+        for (part, items) in parts.iter_mut().zip(chunks) {
             let f = &f;
             let batch = &batch;
             let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    for (slot, item) in out_head.iter_mut().zip(item_head.iter_mut()) {
-                        // `take()` is infallible here: every slot was `Some` above.
-                        if let Some(item) = item.take() {
-                            *slot = Some(f(item));
-                        }
-                    }
+                let result = catch_unwind(AssertUnwindSafe(move || {
+                    *part = items.into_iter().map(f).collect();
                 }));
                 batch.finish_job(result.err());
             });
             // SAFETY: `run_batch` below drains the batch latch before
-            // this frame (and the borrows of `f`/`boxed`/`out`/`batch`)
-            // can go away, by return or by unwind.
+            // this frame (and the borrows of `f`/`parts`/`batch`) can go
+            // away, by return or by unwind.
             pending.push(unsafe { erase_lifetime(job) });
         }
         // Audit hook: under a schedule permutation, enqueue the chunk
         // jobs in a seeded shuffle (per batch) instead of input order.
-        // Each job still writes only its own output slots, so this must
+        // Each job still fills only its own chunk's slot, so this must
         // not change results — the determinism audit relies on it.
         let perm = SCHEDULE_PERMUTATION.load(Ordering::Relaxed);
         if perm != 0 && pending.len() > 1 {
@@ -396,7 +392,11 @@ where
         shared.job_ready.notify_all();
     }
     run_batch(shared, &batch);
-    out.into_iter().flatten().collect()
+    let mut out = Vec::with_capacity(n);
+    for mut part in parts {
+        out.append(&mut part);
+    }
+    out
 }
 
 /// A not-yet-consumed parallel pipeline over owned items.

@@ -25,6 +25,7 @@ use crate::engine::{self, BpEngine, Delivery, Inbox, NodeUpdate, RunOutcome};
 use crate::mrf::{BpOptions, SpatialMrf};
 use crate::transport::Transport;
 use crate::validate::{DistributionAudit, ValidationError};
+use rayon::prelude::*;
 use wsnloc_geom::rng::Xoshiro256pp;
 use wsnloc_geom::Vec2;
 use wsnloc_obs::InferenceObserver;
@@ -121,7 +122,9 @@ impl BpEngine for GaussianBp {
     }
 }
 
-/// Per-node prior moments and initial beliefs for one run.
+/// Per-node prior moments and initial beliefs for one run, computed on
+/// the pool: each node draws from its own split streams, so the result
+/// does not depend on how the nodes are chunked.
 fn init<'a>(
     mrf: &'a SpatialMrf,
     opts: &BpOptions,
@@ -129,44 +132,40 @@ fn init<'a>(
 ) -> (GaussianRun<'a>, Vec<GaussianBelief>) {
     let default_sigma = mrf.domain().diagonal() / 2.0;
     let root = Xoshiro256pp::seed_from(opts.seed);
-    // Prior moments per node: sample the unary to estimate mean/variance
-    // (exact for Gaussian priors up to Monte-Carlo noise; a reasonable
-    // moment match for boxes and shapes).
-    let priors: Vec<GaussianBelief> = (0..mrf.len())
+    let moments: Vec<(GaussianBelief, GaussianBelief)> = (0..mrf.len())
+        .into_par_iter()
         .map(|u| match (mrf.fixed(u), warm) {
-            (Some(p), _) => GaussianBelief::point(p),
-            // Carried-over epoch prior: the previous posterior,
-            // already motion-convolved by the caller.
-            (None, Some(w)) => w[u],
+            (Some(p), _) => (GaussianBelief::point(p), GaussianBelief::point(p)),
+            // Carried-over epoch prior: the previous posterior, already
+            // motion-convolved by the caller. Warm starts skip the
+            // symmetry-breaking jitter: the carried mean is already a
+            // meaningful linearization point, not a coincident
+            // initialization.
+            (None, Some(w)) => (w[u], w[u]),
             (None, None) => {
+                // Prior moments: sample the unary to estimate mean and
+                // variance (exact for Gaussian priors up to Monte-Carlo
+                // noise; a reasonable moment match for boxes and shapes).
                 let mut rng = root.split(0x6A05 ^ u as u64);
-                let samples: Vec<Vec2> = (0..64).map(|_| mrf.unary(u).sample(&mut rng)).collect();
+                let mut samples = [Vec2::ZERO; 64];
+                for s in &mut samples {
+                    *s = mrf.unary(u).sample(&mut rng);
+                }
                 // 64 draws above, so the centroid always exists.
                 let mean = Vec2::centroid(&samples).unwrap_or_else(|| mrf.domain().center());
                 let var = samples.iter().map(|s| s.dist_sq(mean)).sum::<f64>()
                     / samples.len() as f64
                     / 2.0;
                 let sigma = var.sqrt().max(1e-3).min(default_sigma);
-                GaussianBelief::isotropic(mean, sigma)
-            }
-        })
-        .collect();
-
-    // Warm starts skip the symmetry-breaking jitter: the carried mean
-    // is already a meaningful linearization point, not a coincident
-    // initialization.
-    let beliefs: Vec<GaussianBelief> = priors
-        .iter()
-        .enumerate()
-        .map(|(u, p)| {
-            let mut b = *p;
-            if mrf.fixed(u).is_none() && warm.is_none() {
+                let prior = GaussianBelief::isotropic(mean, sigma);
+                let mut belief = prior;
                 let mut rng = root.split(0x11773 ^ u as u64);
-                b.mean += Vec2::new(rng.gaussian(), rng.gaussian()) * INIT_JITTER;
+                belief.mean += Vec2::new(rng.gaussian(), rng.gaussian()) * INIT_JITTER;
+                (prior, belief)
             }
-            b
         })
         .collect();
+    let (priors, beliefs) = moments.into_iter().unzip();
     let run = GaussianRun {
         mrf,
         priors,

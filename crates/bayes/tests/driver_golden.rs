@@ -112,6 +112,8 @@ const GOLDEN: &[(&str, u64)] = &[
     ("sharded-particle/faulted", 0x9af3818a8514af2c),
     ("sharded-gaussian/perfect", 0x449f4321e9f1f637),
     ("sharded-gaussian/faulted", 0x7a45048f7085e6cb),
+    ("gaussian-forked/perfect/cold", 0xbb013fac2eea24cc),
+    ("gaussian-forked/perfect/carried", 0x32fc49a24c4ac12c),
 ];
 
 /// FNV-1a, 64-bit.
@@ -281,20 +283,21 @@ fn lattice9() -> SpatialMrf {
     mrf
 }
 
-/// The pinned particle bench fixture: 25 random nodes (3 anchored) on a
-/// 300×300 m field with a 120 m ranging radius, plus their positions.
-fn cooperative25() -> (SpatialMrf, Vec<Vec2>) {
-    let domain = Aabb::from_size(300.0, 300.0);
-    let mut mrf = SpatialMrf::new(25, domain, Arc::new(UniformBoxUnary(domain)));
+/// `n` random nodes (3 anchored) on a `side`×`side` m field with a 120 m
+/// ranging radius, plus their positions. `cooperative(25, 300.0)` is the
+/// pinned particle bench fixture.
+fn cooperative(n: usize, side: f64) -> (SpatialMrf, Vec<Vec2>) {
+    let domain = Aabb::from_size(side, side);
+    let mut mrf = SpatialMrf::new(n, domain, Arc::new(UniformBoxUnary(domain)));
     let mut rng = Xoshiro256pp::seed_from(9);
-    let pts: Vec<Vec2> = (0..25)
+    let pts: Vec<Vec2> = (0..n)
         .map(|_| rng.point_in(domain.min, domain.max))
         .collect();
     for (i, &p) in pts.iter().enumerate().take(3) {
         mrf.fix(i, p);
     }
-    for i in 0..25 {
-        for j in (i + 1)..25 {
+    for i in 0..n {
+        for j in (i + 1)..n {
             if pts[i].dist(pts[j]) < 120.0 {
                 mrf.add_edge(
                     i,
@@ -337,6 +340,17 @@ fn options(schedule: Schedule, damping: f64) -> BpOptions {
         .expect("valid options")
 }
 
+/// The carried beliefs of the carried cases: a short cold perfect run.
+fn carried<E: BpEngine>(engine: &E, mrf: &SpatialMrf) -> Vec<E::Belief> {
+    let opts = BpOptions::builder()
+        .max_iterations(2)
+        .tolerance(0.0)
+        .seed(3)
+        .try_build()
+        .expect("valid options");
+    engine.run(mrf, &opts).0
+}
+
 /// One traced run, digested.
 fn traced<E, R>(engine: &E, run: R) -> u64
 where
@@ -367,14 +381,7 @@ where
     E: BpEngine,
     E::Belief: Digest,
 {
-    // The carried beliefs: a short cold perfect run.
-    let seed_opts = BpOptions::builder()
-        .max_iterations(2)
-        .tolerance(0.0)
-        .seed(3)
-        .try_build()
-        .expect("valid options");
-    let (carried, _) = engine.run(mrf, &seed_opts);
+    let carried = carried(engine, mrf);
     for schedule in [Schedule::Synchronous, Schedule::Sweep] {
         for damping in [0.0, 0.3] {
             let opts = options(schedule, damping);
@@ -419,9 +426,35 @@ fn sharded_cases<E>(
     out.push((format!("sharded-{label}/faulted"), d));
 }
 
+/// Gaussian cold and carried on a fixture with 93 free nodes, under a
+/// four-thread pool: above the pool's fork threshold, so these digests
+/// pin a prior init and node updates split across chunk jobs (the
+/// fixtures above are small enough to run every map inline).
+fn forked_gaussian_cases(out: &mut Vec<(String, u64)>) {
+    let (mrf, _) = cooperative(96, 600.0);
+    assert!(mrf.free_vars().len() >= 64, "the fixture must fork");
+    let opts = options(Schedule::Synchronous, 0.0);
+    let perfect = Transport::perfect();
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(4)
+        .build()
+        .expect("shim pool build is infallible")
+        .install(|| {
+            let carried = carried(&GaussianBp, &mrf);
+            let cold = traced(&GaussianBp, |e, obs, f| {
+                e.run_carried(&mrf, &opts, &perfect, None, obs, f)
+            });
+            out.push(("gaussian-forked/perfect/cold".to_string(), cold));
+            let carry = traced(&GaussianBp, |e, obs, f| {
+                e.run_carried(&mrf, &opts, &perfect, Some(&carried), obs, f)
+            });
+            out.push(("gaussian-forked/perfect/carried".to_string(), carry));
+        });
+}
+
 fn cases() -> Vec<(String, u64)> {
     let lattice = lattice9();
-    let (coop, pts) = cooperative25();
+    let (coop, pts) = cooperative(25, 300.0);
     let mut out = Vec::new();
     flat_cases("grid", &GridBp::with_resolution(16), &lattice, &mut out);
     flat_cases("particle", &ParticleBp::with_particles(40), &coop, &mut out);
@@ -435,6 +468,7 @@ fn cases() -> Vec<(String, u64)> {
         &mut out,
     );
     sharded_cases("gaussian", GaussianBp, &coop, &pts, &mut out);
+    forked_gaussian_cases(&mut out);
     out
 }
 

@@ -192,6 +192,10 @@ impl BnlLocalizerBuilder {
     }
 }
 
+/// An estimate-level per-iteration callback: `(iteration, per-node
+/// estimates)` after every BP iteration.
+pub(crate) type OnIteration<'a> = &'a mut dyn FnMut(usize, &[Option<Vec2>]);
+
 impl BnlLocalizer {
     /// Starts a validated [`BnlLocalizerBuilder`] for the given backend.
     pub fn builder(backend: Backend) -> BnlLocalizerBuilder {
@@ -230,22 +234,19 @@ impl BnlLocalizer {
     /// The full single-epoch localization path: builds the model, runs the
     /// configured backend — warm-started from `warm` carried beliefs when
     /// present and backend-compatible, else cold from the pre-knowledge
-    /// prior — with both the structured `obs` observer and the
+    /// prior — with the structured `obs` observer and, when given, the
     /// estimate-level `on_iteration` callback, then extracts the result and
     /// hands the final posterior beliefs back for the next epoch. This is
     /// the one code path under every public entry point: one-shot
     /// [`BnlLocalizer::localize`] is a fresh session advanced once.
-    pub(crate) fn localize_epoch<F>(
+    pub(crate) fn localize_epoch(
         &self,
         network: &Network,
         seed: u64,
         warm: Option<&CarriedBeliefs>,
         obs: &dyn InferenceObserver,
-        mut on_iteration: F,
-    ) -> (LocalizationResult, CarriedBeliefs)
-    where
-        F: FnMut(usize, &[Option<Vec2>]),
-    {
+        on_iteration: Option<OnIteration<'_>>,
+    ) -> (LocalizationResult, CarriedBeliefs) {
         let start = Stopwatch::start();
         let build_start = Stopwatch::start();
         let mrf = build_mrf(
@@ -297,7 +298,7 @@ impl BnlLocalizer {
                     obs,
                     build_secs,
                     &mut result,
-                    &mut on_iteration,
+                    on_iteration,
                 ))
             }
             Backend::Gaussian => {
@@ -315,7 +316,7 @@ impl BnlLocalizer {
                     obs,
                     build_secs,
                     &mut result,
-                    &mut on_iteration,
+                    on_iteration,
                 ))
             }
             Backend::Grid(gopts) => {
@@ -333,7 +334,7 @@ impl BnlLocalizer {
                     obs,
                     build_secs,
                     &mut result,
-                    &mut on_iteration,
+                    on_iteration,
                 ))
             }
         };
@@ -343,10 +344,10 @@ impl BnlLocalizer {
     }
 
     /// Resolves the configured [`ShardPlan`] against a concrete network:
-    /// node positions (anchor > planned > field center), tile counts from
-    /// the target shard size, and a halo radius of twice the mean node
-    /// spacing. `None` when sharding is off or the plan resolves to a
-    /// single tile — flat execution is the same thing, cheaper.
+    /// node positions (anchor > planned > field center) and tile counts
+    /// from the target shard size. `None` when sharding is off or the plan
+    /// resolves to a single tile — flat execution is the same thing,
+    /// cheaper.
     fn shard_layout(&self, network: &Network) -> Option<Arc<ShardLayout>> {
         let plan = self.shards?;
         let n = network.len();
@@ -366,10 +367,9 @@ impl BnlLocalizer {
                     .unwrap_or_else(|| bounds.center())
             })
             .collect();
-        let spacing = (bounds.width() * bounds.height() / n as f64).sqrt();
-        let radius = (2.0 * spacing).max(1e-6);
+        // The radius argument is unused.
         Some(Arc::new(ShardLayout::build(
-            bounds, tiles_x, tiles_y, &positions, radius,
+            bounds, tiles_x, tiles_y, &positions, 0.0,
         )))
     }
 
@@ -379,7 +379,7 @@ impl BnlLocalizer {
         clippy::too_many_arguments,
         reason = "private hop that forwards one solve's state to `run_backend`"
     )]
-    fn run_maybe_sharded<E, F>(
+    fn run_maybe_sharded<E: BpEngine>(
         &self,
         engine: E,
         network: &Network,
@@ -390,12 +390,8 @@ impl BnlLocalizer {
         obs: &dyn InferenceObserver,
         build_secs: f64,
         result: &mut LocalizationResult,
-        on_iteration: F,
-    ) -> Vec<E::Belief>
-    where
-        E: BpEngine,
-        F: FnMut(usize, &[Option<Vec2>]),
-    {
+        on_iteration: Option<OnIteration<'_>>,
+    ) -> Vec<E::Belief> {
         match self.shard_layout(network) {
             Some(layout) => {
                 let sharded = ShardedEngine::new(engine, layout);
@@ -426,7 +422,8 @@ impl BnlLocalizer {
     }
 
     /// Backend-generic run-and-extract: drives [`BpEngine::run_carried`]
-    /// with the warm beliefs and the estimate-level iteration callback,
+    /// with the warm beliefs and, when given, the estimate-level iteration
+    /// callback (the per-iteration estimate vector is built only for it),
     /// then reads point estimates (posterior means) and uncertainties out
     /// of the final beliefs through the [`Belief`] trait and returns those
     /// beliefs for epoch carry-over.
@@ -434,7 +431,7 @@ impl BnlLocalizer {
         clippy::too_many_arguments,
         reason = "private solve step; its inputs are one solve's state, not a reusable config"
     )]
-    fn run_backend<E, F>(
+    fn run_backend<E: BpEngine>(
         &self,
         engine: &E,
         mrf: &SpatialMrf,
@@ -444,21 +441,19 @@ impl BnlLocalizer {
         obs: &dyn InferenceObserver,
         build_secs: f64,
         result: &mut LocalizationResult,
-        mut on_iteration: F,
-    ) -> Vec<E::Belief>
-    where
-        E: BpEngine,
-        F: FnMut(usize, &[Option<Vec2>]),
-    {
+        mut on_iteration: Option<OnIteration<'_>>,
+    ) -> Vec<E::Belief> {
         let n = result.estimates.len();
         let out = engine.run_carried(mrf, opts, transport, warm, obs, |iter, beliefs| {
-            let estimates: Vec<Option<Vec2>> = (0..n)
-                .map(|id| match mrf.fixed(id) {
-                    Some(p) => Some(p),
-                    None => Some(beliefs[id].mean()),
-                })
-                .collect();
-            on_iteration(iter, &estimates);
+            if let Some(f) = on_iteration.as_mut() {
+                let estimates: Vec<Option<Vec2>> = (0..n)
+                    .map(|id| match mrf.fixed(id) {
+                        Some(p) => Some(p),
+                        None => Some(beliefs[id].mean()),
+                    })
+                    .collect();
+                f(iter, &estimates);
+            }
         });
         obs.on_span(SpanKind::ModelBuild, build_secs);
         let extract_start = Stopwatch::start();
@@ -512,7 +507,7 @@ impl Localizer for BnlLocalizer {
     }
 
     fn localize(&self, network: &Network, seed: u64) -> LocalizationResult {
-        self.localize_observed(network, seed, |_, _| {})
+        LocalizationSession::new(self.clone()).advance(network, seed)
     }
 
     fn localize_with_observer(

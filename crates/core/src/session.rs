@@ -16,7 +16,7 @@
 //! it once, so observers, fault plans, and metrics flow through one
 //! code path whether the caller streams or not.
 
-use crate::localizer::BnlLocalizer;
+use crate::localizer::{BnlLocalizer, OnIteration};
 use crate::result::LocalizationResult;
 use wsnloc_bayes::engine::Belief;
 use wsnloc_bayes::{GaussianBelief, GridBelief, MotionModel, ParticleBelief};
@@ -177,7 +177,7 @@ impl LocalizationSession {
     /// the localizer warm-started from them, and captures the new
     /// posterior for the next epoch.
     pub fn advance(&mut self, network: &Network, seed: u64) -> LocalizationResult {
-        self.advance_full(network, seed, &NullObserver, |_, _| {})
+        self.solve(network, seed, &NullObserver, None)
     }
 
     /// [`LocalizationSession::advance`] with structured telemetry
@@ -188,23 +188,36 @@ impl LocalizationSession {
         seed: u64,
         observer: &dyn InferenceObserver,
     ) -> LocalizationResult {
-        self.advance_full(network, seed, observer, |_, _| {})
+        self.solve(network, seed, observer, None)
     }
 
     /// The full epoch path: telemetry observer plus the estimate-level
-    /// per-iteration callback. A carried-belief/network size mismatch
-    /// (the scenario changed under the session) falls back to a cold
-    /// start rather than indexing out of range.
+    /// per-iteration callback, which receives `(iteration, per-node
+    /// estimates)` after every BP iteration.
     pub fn advance_full<F>(
         &mut self,
         network: &Network,
         seed: u64,
         observer: &dyn InferenceObserver,
-        on_iteration: F,
+        mut on_iteration: F,
     ) -> LocalizationResult
     where
         F: FnMut(usize, &[Option<Vec2>]),
     {
+        self.solve(network, seed, observer, Some(&mut on_iteration))
+    }
+
+    /// One epoch; the per-iteration estimate vector is built only when
+    /// `on_iteration` is given. A carried-belief/network size mismatch
+    /// (the scenario changed under the session) falls back to a cold
+    /// start rather than indexing out of range.
+    fn solve(
+        &mut self,
+        network: &Network,
+        seed: u64,
+        observer: &dyn InferenceObserver,
+        on_iteration: Option<OnIteration<'_>>,
+    ) -> LocalizationResult {
         let warm = self
             .carried
             .take()

@@ -3,11 +3,12 @@
 //!
 //! The clippy gate can reject *patterns* that tend to break
 //! determinism (unseeded RNG, `HashMap` iteration, unfenced atomics);
-//! this module is the dynamic complement: it *executes* grid and
-//! particle BP — plus sharded runs (a sharded grid on a perfect
-//! transport, and a sharded particle run whose cross-shard links roll
-//! loss and staleness fates) and a multi-tenant streaming-engine
-//! scenario with belief carry-over and overload shedding — under every
+//! this module is the dynamic complement: it *executes* grid, particle
+//! and Gaussian BP — plus sharded runs (a sharded grid and a sharded
+//! Gaussian on a perfect transport, and a sharded particle run whose
+//! cross-shard links roll loss and staleness fates) and a multi-tenant
+//! streaming-engine scenario with belief carry-over and overload
+//! shedding — under every
 //! combination of worker-pool thread count and seeded schedule
 //! permutation (the `rayon` shim's `set_schedule_permutation` hook
 //! shuffles the order chunk jobs reach the shared queue) and asserts
@@ -187,6 +188,17 @@ fn backends() -> Vec<(&'static str, BnlLocalizer)> {
                 .try_build()
                 .expect("valid config"),
         ),
+        // The city's backend: its prior init and node updates both run
+        // on the pool.
+        (
+            "gaussian",
+            BnlLocalizer::builder(Backend::Gaussian)
+                .prior(prior.clone())
+                .max_iterations(5)
+                .tolerance(0.0)
+                .try_build()
+                .expect("valid config"),
+        ),
         // The layout splits the 50-node audit field into a 2×2 tile
         // grid, so the per-shard boundary exchanges are audited under
         // permutation too.
@@ -195,6 +207,16 @@ fn backends() -> Vec<(&'static str, BnlLocalizer)> {
             BnlLocalizer::builder(Backend::grid(25).expect("valid backend"))
                 .prior(prior.clone())
                 .max_iterations(4)
+                .shards(ShardPlan::target_nodes(16).expect("valid shard plan"))
+                .try_build()
+                .expect("valid config"),
+        ),
+        (
+            "sharded-gaussian",
+            BnlLocalizer::builder(Backend::Gaussian)
+                .prior(prior.clone())
+                .max_iterations(5)
+                .tolerance(0.0)
                 .shards(ShardPlan::target_nodes(16).expect("valid shard plan"))
                 .try_build()
                 .expect("valid config"),
@@ -384,10 +406,10 @@ mod tests {
             thread_counts: vec![1, 2],
             permutation_seeds: vec![0xA0D1_7000],
         });
-        // 5 workloads (grid, particle, sharded-grid, faulted
-        // sharded-particle, streaming engine) × (1 reference + 2 thread
-        // counts × 2 schedules).
-        assert_eq!(outcome.runs, 25);
+        // 7 workloads (grid, particle, Gaussian, sharded-grid,
+        // sharded-Gaussian, faulted sharded-particle, streaming engine) ×
+        // (1 reference + 2 thread counts × 2 schedules).
+        assert_eq!(outcome.runs, 35);
         assert!(outcome.passed(), "divergences: {:?}", outcome.failures);
     }
 

@@ -211,7 +211,7 @@ pub const SCALE_RESOLUTIONS: [usize; 4] = [15, 30, 60, 120];
 /// (`BENCH_scale.json`) runs every entry; `--quick`
 /// (`BENCH_scale_quick.json`, the CI lane) drops the million-node row.
 pub const SHARD_SCALE_NODES: [usize; 4] = [1_000, 10_000, 100_000, 1_000_000];
-/// Ranging/halo radius of the sharded sweep deployments (meters).
+/// Ranging radius of the sharded sweep deployments (meters).
 pub const SHARD_SCALE_RADIUS: f64 = 30.0;
 /// Expected neighbors per node: the field side is sized so density stays
 /// constant across node counts and the sweep isolates pure scale.

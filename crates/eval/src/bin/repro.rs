@@ -268,7 +268,7 @@ fn run_audit(quick: bool) -> ExitCode {
         wsnloc_eval::AuditConfig::full()
     };
     eprintln!(
-        "audit-determinism: threads {:?} x {} schedule permutations (+ input order), grid + particle + sharded-grid + faulted sharded-particle BP + streaming engine",
+        "audit-determinism: threads {:?} x {} schedule permutations (+ input order), grid + particle + gaussian + sharded-grid + sharded-gaussian + faulted sharded-particle BP + streaming engine",
         config.thread_counts,
         config.permutation_seeds.len()
     );

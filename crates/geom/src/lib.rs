@@ -24,8 +24,8 @@
 //! - [`exp`] — a batched `exp` from IEEE add/sub/mul/div only, the same
 //!   bits on every host (the particle engine's likelihood kernels).
 //! - [`grid`] — a uniform spatial hash grid for radius neighbor queries.
-//! - [`partition`] — spatial tiling of node sets into shards with halos
-//!   (the geometry layer of sharded BP execution).
+//! - [`partition`] — spatial tiling of node sets into shards (the
+//!   geometry layer of sharded BP execution).
 //! - [`check`] — a miniature seeded property-test harness (the workspace
 //!   builds without registry access, so `proptest` is unavailable).
 

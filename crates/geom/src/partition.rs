@@ -1,41 +1,26 @@
-//! Spatial partitioning of node sets into contiguous tiles with halos.
+//! Spatial partitioning of node sets into contiguous tiles.
 //!
 //! Sharded BP execution needs the network cut into spatially contiguous
 //! pieces: belief-propagation messages only travel one hop per
 //! iteration, so the links between tiles form a thin boundary layer.
-//! This module owns the geometry half of that story:
+//! The bounding box is cut into a `tiles_x × tiles_y` grid and every
+//! node is assigned to exactly one tile by its position (positions
+//! outside the box clamp into the border tiles, the same convention as
+//! [`SpatialGrid`](crate::grid::SpatialGrid)). The result is a true partition:
+//! each node appears in exactly one shard's member list.
 //!
-//! - **Partition**: the bounding box is cut into a `tiles_x × tiles_y`
-//!   grid and every node is assigned to exactly one tile by its
-//!   position (positions outside the box clamp into the border tiles,
-//!   the same convention as [`SpatialGrid`]). The result is a true
-//!   partition — each node appears in exactly one shard's member list.
-//! - **Halo**: per shard, the set of *foreign* nodes within
-//!   `halo_radius` of any member, extracted with the spatial hash
-//!   grid's radius query ([`SpatialGrid::within`]) so the halo is
-//!   consistent with neighbor queries made at the same radius. With
-//!   `halo_radius` at least the maximum edge length of a graph built on
-//!   the same positions, every graph neighbor of a member is either a
-//!   member or in the halo.
-//!
-//! The consumer (`wsnloc-bayes`'s sharded engine) reads only the
-//! membership: it scopes faults to the links between shards. Halos are
-//! still extracted but nothing in inference reads them.
+//! The consumer (`wsnloc-bayes`'s sharded engine) reads only this
+//! membership: it scopes faults to the links between shards.
 
 use crate::aabb::Aabb;
-use crate::grid::SpatialGrid;
 use crate::vec2::Vec2;
 
-/// One tile of a [`ShardLayout`]: the nodes it owns and the foreign
-/// nodes it must mirror to run locally.
+/// One tile of a [`ShardLayout`]: the nodes it owns.
 #[derive(Debug, Clone, Default)]
 pub struct Shard {
     /// Nodes assigned to this tile, ascending. Every node of the layout
     /// appears in exactly one shard's `members`.
     pub members: Vec<usize>,
-    /// Foreign nodes within the halo radius of any member, ascending.
-    /// Disjoint from `members`.
-    pub halo: Vec<usize>,
 }
 
 impl Shard {
@@ -46,37 +31,32 @@ impl Shard {
     }
 }
 
-/// A spatial partition of a node set into rectangular tiles plus
-/// per-tile halos. See the module docs for the guarantees.
+/// A spatial partition of a node set into rectangular tiles. See the
+/// module docs for the guarantees.
 #[derive(Debug, Clone)]
 pub struct ShardLayout {
     bounds: Aabb,
     tiles_x: usize,
     tiles_y: usize,
-    halo_radius: f64,
     shard_of: Vec<usize>,
     shards: Vec<Shard>,
 }
 
 impl ShardLayout {
     /// Partitions `positions` into a `tiles_x × tiles_y` tile grid over
-    /// `bounds` and extracts each tile's halo at `halo_radius`.
+    /// `bounds`.
     ///
-    /// `halo_radius` must be positive and finite; tile counts must be
-    /// at least 1. Empty tiles are kept (with empty member and halo
-    /// lists) so shard indices stay a pure function of geometry.
+    /// Tile counts must be at least 1. Empty tiles are kept (with empty
+    /// member lists) so shard indices stay a pure function of geometry.
+    /// `_halo_radius` is unused.
     pub fn build(
         bounds: Aabb,
         tiles_x: usize,
         tiles_y: usize,
         positions: &[Vec2],
-        halo_radius: f64,
+        _halo_radius: f64,
     ) -> ShardLayout {
         assert!(tiles_x >= 1 && tiles_y >= 1, "need at least one tile");
-        assert!(
-            halo_radius > 0.0 && halo_radius.is_finite(),
-            "halo radius must be positive and finite"
-        );
         let n = positions.len();
         let tile_w = bounds.width() / tiles_x as f64;
         let tile_h = bounds.height() / tiles_y as f64;
@@ -102,30 +82,10 @@ impl ShardLayout {
             shard_of.push(s);
             shards[s].members.push(u);
         }
-        // Halo extraction through the spatial hash: for each member, the
-        // radius query returns every node within `halo_radius`; foreign
-        // hits accumulate into the halo. Members are visited in
-        // ascending order and hits come back sorted, so a sort + dedup
-        // leaves a deterministic ascending list.
-        if n > 0 {
-            let grid = SpatialGrid::build(bounds, halo_radius, positions);
-            for (s, shard) in shards.iter_mut().enumerate() {
-                for &u in &shard.members {
-                    for v in grid.within(positions[u], halo_radius) {
-                        if shard_of[v] != s {
-                            shard.halo.push(v);
-                        }
-                    }
-                }
-                shard.halo.sort_unstable();
-                shard.halo.dedup();
-            }
-        }
         ShardLayout {
             bounds,
             tiles_x,
             tiles_y,
-            halo_radius,
             shard_of,
             shards,
         }
@@ -152,12 +112,6 @@ impl ShardLayout {
     #[must_use]
     pub fn tiles(&self) -> (usize, usize) {
         (self.tiles_x, self.tiles_y)
-    }
-
-    /// The halo radius the layout was extracted at.
-    #[must_use]
-    pub fn halo_radius(&self) -> f64 {
-        self.halo_radius
     }
 
     /// Number of tiles (including empty ones).
@@ -202,9 +156,7 @@ mod tests {
     use super::*;
     use crate::check;
 
-    fn random_layout(
-        rng: &mut crate::rng::Xoshiro256pp,
-    ) -> (Aabb, Vec<Vec2>, usize, usize, f64, ShardLayout) {
+    fn random_layout(rng: &mut crate::rng::Xoshiro256pp) -> (Vec<Vec2>, usize, usize, ShardLayout) {
         let side = rng.range(50.0, 400.0);
         let bounds = Aabb::from_size(side, side);
         let n = 20 + rng.index(300);
@@ -215,7 +167,7 @@ mod tests {
         let tiles_y = 1 + rng.index(5);
         let radius = rng.range(side / 20.0, side / 3.0);
         let layout = ShardLayout::build(bounds, tiles_x, tiles_y, &positions, radius);
-        (bounds, positions, tiles_x, tiles_y, radius, layout)
+        (positions, tiles_x, tiles_y, layout)
     }
 
     #[test]
@@ -223,7 +175,7 @@ mod tests {
         // Every node lands in exactly one shard's member list, and that
         // shard is the one `shard_of` reports.
         check::cases(40, |_case, rng| {
-            let (_, positions, tiles_x, tiles_y, _, layout) = random_layout(rng);
+            let (positions, tiles_x, tiles_y, layout) = random_layout(rng);
             assert_eq!(layout.shard_count(), tiles_x * tiles_y);
             assert_eq!(layout.len(), positions.len());
             let mut seen = vec![0usize; positions.len()];
@@ -232,37 +184,10 @@ mod tests {
                     seen[u] += 1;
                     assert_eq!(layout.shard_of(u), s);
                 }
-                // Members ascending, halo ascending + disjoint.
+                // Members ascending.
                 assert!(shard.members.windows(2).all(|w| w[0] < w[1]));
-                assert!(shard.halo.windows(2).all(|w| w[0] < w[1]));
-                for &h in &shard.halo {
-                    assert_ne!(layout.shard_of(h), s);
-                }
             }
             assert!(seen.iter().all(|&c| c == 1), "node in != 1 shard");
-        });
-    }
-
-    #[test]
-    fn halos_match_spatial_hash_neighbor_query() {
-        // halo(s) must equal the set of foreign nodes the spatial hash
-        // returns within the radius of any member — computed here the
-        // brute-force way.
-        check::cases(40, |_case, rng| {
-            let (_, positions, _, _, radius, layout) = random_layout(rng);
-            for (s, shard) in layout.shards().iter().enumerate() {
-                let mut expect: Vec<usize> = (0..positions.len())
-                    .filter(|&v| {
-                        layout.shard_of(v) != s
-                            && shard
-                                .members
-                                .iter()
-                                .any(|&u| positions[u].dist_sq(positions[v]) <= radius * radius)
-                    })
-                    .collect();
-                expect.sort_unstable();
-                assert_eq!(shard.halo, expect, "halo mismatch for shard {s}");
-            }
         });
     }
 
@@ -276,7 +201,6 @@ mod tests {
         assert_eq!(layout.shard_count(), 1);
         assert_eq!(layout.occupied_shards(), 1);
         assert_eq!(layout.shards()[0].members, (0..25).collect::<Vec<_>>());
-        assert!(layout.shards()[0].halo.is_empty());
     }
 
     #[test]

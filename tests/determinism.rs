@@ -127,6 +127,47 @@ fn particle_bp_is_bit_identical_across_pool_sizes() {
 }
 
 #[test]
+fn gaussian_bp_is_bit_identical_across_pool_sizes() {
+    // The Gaussian prior init and node updates both fork at this size
+    // (50 nodes, 43 free); flat and sharded runs must not let the chunking
+    // reach a single bit.
+    let s = scenario();
+    let (net, _) = s.build_trial(3);
+    let flat = BnlLocalizer::builder(Backend::Gaussian)
+        .prior(PriorModel::DropPoint { sigma: 50.0 })
+        .max_iterations(6)
+        .tolerance(0.0)
+        .try_build()
+        .expect("valid config");
+    let sharded = BnlLocalizer::builder(Backend::Gaussian)
+        .prior(PriorModel::DropPoint { sigma: 50.0 })
+        .max_iterations(6)
+        .tolerance(0.0)
+        .shards(ShardPlan::target_nodes(16).expect("valid shard plan"))
+        .try_build()
+        .expect("valid config");
+    let bits = |r: &LocalizationResult| {
+        let estimates: Vec<_> = r
+            .estimates
+            .iter()
+            .map(|e| e.map(|p| (p.x.to_bits(), p.y.to_bits())))
+            .collect();
+        let uncertainty: Vec<_> = r.uncertainty.iter().map(|u| u.map(f64::to_bits)).collect();
+        (estimates, uncertainty)
+    };
+    for algo in [&flat, &sharded] {
+        let run = |threads| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap()
+                .install(|| algo.localize(&net, 13))
+        };
+        assert_eq!(bits(&run(1)), bits(&run(4)), "{}", algo.name());
+    }
+}
+
+#[test]
 fn schedule_permutation_audit_passes_on_a_small_matrix() {
     // CI runs `repro audit-determinism --quick` ({1,2,4} threads × 3
     // seeds), and the full {1,2,4,8} × 8 sweep is the same command
