@@ -9,8 +9,8 @@
 //! support radius, so the cost per message is
 //! `O(active source cells × kernel cells)` rather than `O(cells²)`.
 //!
-//! The scatter kernel lives in [`crate::stencil`]: each potential's table
-//! is built once per run, and each message is one register-grouped
+//! The scatter kernel lives in [`crate::stencil`]: each free–free edge's
+//! table is built once per run, and each message is one register-grouped
 //! scatter dispatched to runtime-detected SIMD. Beliefs, messages and
 //! tables are all `f64`.
 //!
@@ -35,7 +35,6 @@ use crate::stencil::{scatters, CellBox, KernelStencil, Message};
 use crate::transport::Transport;
 use crate::validate::{DistributionAudit, ValidationError};
 use rayon::prelude::*;
-use std::sync::Arc;
 use wsnloc_geom::{Aabb, Matrix, Vec2};
 use wsnloc_obs::{InferenceObserver, ObsEvent};
 
@@ -458,27 +457,19 @@ struct MessageCache {
     init: Vec<GridBelief>,
     /// Per-edge message source, indexed like [`SpatialMrf::edges`].
     edges: Vec<EdgeMessage>,
-    /// Deduplicated stencils: edges sharing a potential (by `Arc`
-    /// identity) share one entry.
+    /// One stencil per free–free edge, in edge order.
     stencils: Vec<KernelStencil>,
 }
 
 impl MessageCache {
-    /// Plans the edges sequentially (which ones share a stencil), builds
-    /// the priors, stencils and anchor messages in parallel, then
-    /// reports collapsed anchor messages in edge order.
-    #[expect(
-        clippy::disallowed_types,
-        reason = "Arc-pointer-identity memo: entry() lookup only, never iterated, and pointer \
-                  keys have no stable order for a BTreeMap to expose"
-    )]
+    /// Sorts the edges sequentially, builds the priors, stencils and
+    /// anchor messages in parallel, then reports collapsed anchor
+    /// messages in edge order.
     fn build(mrf: &SpatialMrf, shape: &GridBelief, obs: &dyn InferenceObserver) -> MessageCache {
         let (domain, nx, ny) = (shape.domain, shape.nx, shape.ny);
         let mut edges = Vec::with_capacity(mrf.edges().len());
         let mut tables: Vec<&dyn PairPotential> = Vec::new();
         let mut anchors: Vec<(Vec2, &dyn PairPotential)> = Vec::new();
-        let mut by_potential: std::collections::HashMap<usize, usize> =
-            std::collections::HashMap::new();
         for edge in mrf.edges() {
             edges.push(match (mrf.fixed(edge.u), mrf.fixed(edge.v)) {
                 (Some(p), None) | (None, Some(p)) => {
@@ -486,11 +477,8 @@ impl MessageCache {
                     EdgeMessage::Anchor(Vec::new())
                 }
                 (None, None) => {
-                    let key = Arc::as_ptr(&edge.potential) as *const () as usize;
-                    EdgeMessage::Kernel(*by_potential.entry(key).or_insert_with(|| {
-                        tables.push(edge.potential.as_ref());
-                        tables.len() - 1
-                    }))
+                    tables.push(edge.potential.as_ref());
+                    EdgeMessage::Kernel(tables.len() - 1)
                 }
                 (Some(_), Some(_)) => EdgeMessage::Inert,
             });

@@ -218,16 +218,16 @@ impl BnlLocalizer {
         &self,
         network: &Network,
         seed: u64,
-        on_iteration: F,
+        mut on_iteration: F,
     ) -> LocalizationResult
     where
         F: FnMut(usize, &[Option<Vec2>]),
     {
-        LocalizationSession::new(self.clone()).advance_full(
+        LocalizationSession::new(self.clone()).solve(
             network,
             seed,
             &NullObserver,
-            on_iteration,
+            Some(&mut on_iteration),
         )
     }
 

@@ -191,27 +191,11 @@ impl LocalizationSession {
         self.solve(network, seed, observer, None)
     }
 
-    /// The full epoch path: telemetry observer plus the estimate-level
-    /// per-iteration callback, which receives `(iteration, per-node
-    /// estimates)` after every BP iteration.
-    pub fn advance_full<F>(
-        &mut self,
-        network: &Network,
-        seed: u64,
-        observer: &dyn InferenceObserver,
-        mut on_iteration: F,
-    ) -> LocalizationResult
-    where
-        F: FnMut(usize, &[Option<Vec2>]),
-    {
-        self.solve(network, seed, observer, Some(&mut on_iteration))
-    }
-
     /// One epoch; the per-iteration estimate vector is built only when
     /// `on_iteration` is given. A carried-belief/network size mismatch
     /// (the scenario changed under the session) falls back to a cold
     /// start rather than indexing out of range.
-    fn solve(
+    pub(crate) fn solve(
         &mut self,
         network: &Network,
         seed: u64,

@@ -7,7 +7,7 @@
 //! repro all --quick         # smoke-test resolution
 //! repro list                # print the experiment index
 //! repro all --out results/  # also write one CSV per report
-//! repro trace               # record BP telemetry to trace.jsonl
+//! repro trace               # record BP telemetry to trace.jsonl, print its tables
 //! repro trace --backend grid --out traces/  # per-backend trace file
 //! repro analyze trace.jsonl # replay a trace into convergence/fault/flame tables
 //! repro bench               # write BENCH_grid.json / BENCH_particle.json / BENCH_stream.json
@@ -27,21 +27,23 @@
 //! `run_start`, per-iteration residual/communication records, timing
 //! spans, structured events, and `run_end`.
 //!
-//! The `analyze` subcommand replays a recorded trace through the *same*
-//! `MetricsObserver` fold a live run uses, so its convergence, fault and
-//! flame tables match the live snapshot exactly (the fold is
-//! order-insensitive and the JSONL encoder round-trips every finite
-//! float).
+//! Both `trace` and `analyze` print the convergence, fault and flame
+//! tables of `wsnloc_obs::analyze`, the one fold of a set of recorded
+//! runs: `trace` over the runs it has just recorded, `analyze` over the
+//! ones it parses back from a file. The JSONL encoder round-trips every
+//! finite float and the fold is order-insensitive within a run, so
+//! `repro analyze` on the file `repro trace` wrote prints what `repro
+//! trace` printed.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 use wsnloc::prelude::*;
 use wsnloc_eval::{bench, evaluate, experiments, top, EvalConfig, ExpConfig, Parallelism};
-use wsnloc_obs::{write_jsonl, Stopwatch, TelemetryHub, TelemetryServer};
+use wsnloc_obs::{write_jsonl, TelemetryHub, TelemetryServer, TraceAnalysis};
 
 fn usage() -> &'static str {
-    "usage: repro <list | trace | analyze [FILE] [--follow] | top ADDR | bench [--check] [--scale] | audit-determinism | all | ids...> [--trials N] [--particles N] [--iterations N] [--backend particle|grid|gaussian] [--quick] [--tolerance R] [--out DIR] [--telemetry ADDR] [--telemetry-linger SECS] [--interval SECS] [--once] [--idle-timeout SECS]"
+    "usage: repro <list | trace | analyze [FILE] | top ADDR | bench [--check] [--scale] | audit-determinism | all | ids...> [--trials N] [--particles N] [--iterations N] [--backend particle|grid|gaussian] [--quick] [--tolerance R] [--out DIR] [--telemetry ADDR] [--telemetry-linger SECS] [--interval SECS] [--once]"
 }
 
 fn main() -> ExitCode {
@@ -61,8 +63,6 @@ fn main() -> ExitCode {
     let mut linger = 0.0f64;
     let mut interval = 2.0f64;
     let mut once = false;
-    let mut follow = false;
-    let mut idle_timeout = 5.0f64;
     let mut ids: Vec<String> = Vec::new();
     let mut i = 0;
     while i < args.len() {
@@ -70,7 +70,6 @@ fn main() -> ExitCode {
             "--check" => check = true,
             "--scale" => scale = true,
             "--once" => once = true,
-            "--follow" => follow = true,
             "--telemetry" => {
                 i += 1;
                 telemetry_addr = Some(
@@ -94,14 +93,6 @@ fn main() -> ExitCode {
                     .and_then(|v| v.parse().ok())
                     .filter(|s: &f64| s.is_finite() && *s > 0.0)
                     .unwrap_or_else(|| die("--interval needs positive seconds"));
-            }
-            "--idle-timeout" => {
-                i += 1;
-                idle_timeout = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|s: &f64| s.is_finite() && *s > 0.0)
-                    .unwrap_or_else(|| die("--idle-timeout needs positive seconds"));
             }
             "--tolerance" => {
                 i += 1;
@@ -180,9 +171,6 @@ fn main() -> ExitCode {
         let path = ids
             .get(pos + 1)
             .map_or_else(|| PathBuf::from("trace.jsonl"), PathBuf::from);
-        if follow {
-            return run_analyze_follow(&path, interval.min(1.0), idle_timeout, out_dir.as_deref());
-        }
         return run_analyze(&path, out_dir.as_deref());
     }
 
@@ -292,8 +280,9 @@ fn run_audit(quick: bool) -> ExitCode {
     }
 }
 
-/// Runs the standard scenario with a recording observer and writes the
-/// collected runs to `trace.jsonl` (in `out_dir` when given).
+/// Runs the standard scenario with a recording observer, writes the
+/// collected runs to `trace.jsonl` (in `out_dir` when given) and prints
+/// their tables, as `repro analyze` does on that file.
 fn run_trace(cfg: &ExpConfig, backend: &str, out_dir: Option<&std::path::Path>) -> ExitCode {
     let backend = match backend {
         "particle" => experiments::particles(cfg.particles),
@@ -327,17 +316,16 @@ fn run_trace(cfg: &ExpConfig, backend: &str, out_dir: Option<&std::path::Path>) 
         cfg.trials,
         cfg.iterations
     );
-    // Sequential trials keep the trace file in trial order; metrics ride
-    // along so the live snapshot can be compared against `repro analyze`.
+    // A parallel evaluation returns its trials in order too; sequential
+    // trials keep the pool to themselves while their spans are timed.
     let outcome = evaluate(
         &algo,
         &scenario,
         &EvalConfig::trials(cfg.trials)
             .with_traces()
-            .with_metrics()
             .with_parallelism(Parallelism::Sequential),
     );
-    let (Some(traces), Some(metrics)) = (outcome.traces.as_ref(), outcome.metrics.as_ref()) else {
+    let Some(traces) = outcome.traces.as_ref() else {
         eprintln!("no traces were collected");
         return ExitCode::FAILURE;
     };
@@ -363,18 +351,13 @@ fn run_trace(cfg: &ExpConfig, backend: &str, out_dir: Option<&std::path::Path>) 
             return ExitCode::FAILURE;
         }
     };
-    let overall = &metrics.overall;
     eprintln!(
         "wrote {} lines ({} runs) to {}",
         lines,
         traces.len(),
         path.display()
     );
-    let runs = overall.runs.max(1) as f64;
-    for (label, secs, _) in &overall.span_secs {
-        eprintln!("  span {label}: {:.1} ms/run", secs / runs * 1e3);
-    }
-    println!("{}", overall.convergence_table());
+    print_tables(&wsnloc_obs::analyze(traces));
     ExitCode::SUCCESS
 }
 
@@ -409,72 +392,6 @@ fn run_top(addr: &str, interval: f64, refreshes: usize) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Tails a growing `trace.jsonl`: polls for appended complete lines,
-/// reports progress as runs land, and prints the full analysis tables
-/// once the file has been idle for `idle_timeout` seconds.
-fn run_analyze_follow(
-    path: &std::path::Path,
-    poll: f64,
-    idle_timeout: f64,
-    out_dir: Option<&std::path::Path>,
-) -> ExitCode {
-    use std::io::{Read as _, Seek as _, SeekFrom};
-    eprintln!(
-        "following {} (idle timeout {idle_timeout}s)...",
-        path.display()
-    );
-    let mut buffered = String::new();
-    let mut complete_len = 0usize; // prefix of `buffered` ending in '\n'
-    let mut offset = 0u64;
-    let mut reported_runs = 0usize;
-    let mut idle = Stopwatch::start();
-    loop {
-        let mut grew = false;
-        if let Ok(mut file) = std::fs::File::open(path) {
-            let len = file.metadata().map_or(0, |m| m.len());
-            if len < offset {
-                // Truncated/rewritten upstream: start over.
-                eprintln!("{} shrank; restarting tail", path.display());
-                buffered.clear();
-                complete_len = 0;
-                offset = 0;
-            }
-            if len > offset && file.seek(SeekFrom::Start(offset)).is_ok() {
-                let mut chunk = String::new();
-                if file.read_to_string(&mut chunk).is_ok() && !chunk.is_empty() {
-                    offset += chunk.len() as u64;
-                    buffered.push_str(&chunk);
-                    if let Some(nl) = buffered.rfind('\n') {
-                        complete_len = nl + 1;
-                    }
-                    grew = true;
-                }
-            }
-        }
-        if grew {
-            idle = Stopwatch::start();
-            let runs = buffered[..complete_len]
-                .lines()
-                .filter(|l| l.contains("\"run_end\""))
-                .count();
-            if runs > reported_runs {
-                reported_runs = runs;
-                let lines = buffered[..complete_len].lines().count();
-                eprintln!("  {runs} runs complete ({lines} lines)");
-            }
-        } else if idle.elapsed_secs() >= idle_timeout {
-            break;
-        }
-        std::thread::sleep(Duration::from_secs_f64(poll));
-    }
-    if complete_len == 0 {
-        eprintln!("no complete trace lines appeared in {}", path.display());
-        return ExitCode::FAILURE;
-    }
-    buffered.truncate(complete_len);
-    analyze_text(&buffered, path, out_dir)
-}
-
 /// Replays a recorded `trace.jsonl` through the live analytics path and
 /// prints convergence, fault, and span tables. With `--out DIR`, also
 /// writes the OpenMetrics rendering to `DIR/metrics.prom`.
@@ -486,13 +403,7 @@ fn run_analyze(path: &std::path::Path, out_dir: Option<&std::path::Path>) -> Exi
             return ExitCode::FAILURE;
         }
     };
-    analyze_text(&text, path, out_dir)
-}
-
-/// The shared tail of `analyze` and `analyze --follow`: parse, print
-/// tables, optionally export the OpenMetrics rendering.
-fn analyze_text(text: &str, path: &std::path::Path, out_dir: Option<&std::path::Path>) -> ExitCode {
-    let analysis = match wsnloc_obs::analyze_str(text) {
+    let analysis = match wsnloc_obs::analyze_str(&text) {
         Ok(analysis) => analysis,
         Err(e) => {
             eprintln!("failed to parse {}: {e}", path.display());
@@ -505,9 +416,7 @@ fn analyze_text(text: &str, path: &std::path::Path, out_dir: Option<&std::path::
         analysis.runs,
         analysis.incomplete_runs
     );
-    println!("{}", analysis.snapshot.convergence_table());
-    println!("{}", analysis.snapshot.fault_table());
-    println!("{}", analysis.flame_table);
+    print_tables(&analysis);
     if let Some(dir) = out_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("failed to create {}: {e}", dir.display());
@@ -521,6 +430,15 @@ fn analyze_text(text: &str, path: &std::path::Path, out_dir: Option<&std::path::
         eprintln!("wrote {}", prom.display());
     }
     ExitCode::SUCCESS
+}
+
+/// Prints the convergence, fault and flame tables of an analysis: the
+/// stdout of both `repro trace` and `repro analyze`.
+fn print_tables(analysis: &TraceAnalysis) {
+    let snapshot = &analysis.snapshot;
+    println!("{}", snapshot.convergence_table());
+    println!("{}", snapshot.fault_table());
+    println!("{}", snapshot.flame_table());
 }
 
 /// Runs the pinned perf benches. Default mode writes `BENCH_grid.json` /

@@ -26,7 +26,9 @@ use wsnloc_geom::stats;
 use wsnloc_geom::{Aabb, Shape};
 use wsnloc_net::mobility::{MobileWorld, RandomWaypoint};
 use wsnloc_obs::TelemetryHub;
-use wsnloc_serve::{EngineConfig, MeasurementEpoch, SessionConfig, StreamingEngine};
+use wsnloc_serve::{
+    EngineConfig, MeasurementEpoch, PositionUpdate, SessionConfig, SessionId, StreamingEngine,
+};
 
 /// Node speed (m/s) for every tenant's mobility model.
 const SPEED: f64 = 5.0;
@@ -110,6 +112,15 @@ fn world_for(tenant: u64, telemetry: bool) -> MobileWorld {
     }
 }
 
+/// The position in `ids` of the tenant an update belongs to. A shared
+/// hub numbers tenants across engines, so an engine's ids need not start
+/// at 0.
+fn tenant_index(ids: &[SessionId], update: &PositionUpdate) -> usize {
+    ids.iter()
+        .position(|&id| id == update.tenant)
+        .expect("updates come from the engine's own tenants")
+}
+
 fn node_errors(r: &LocalizationResult, truth: &GroundTruth, net: &Network) -> Vec<f64> {
     r.errors_for(truth, Some(net))
         .into_iter()
@@ -161,7 +172,7 @@ fn budget_report(cfg: &ExpConfig, hub: Option<&TelemetryHub>) -> Report {
             snapshots.push((net, truth));
         }
         for up in engine.tick() {
-            let u = up.tenant.raw() as usize;
+            let u = tenant_index(&ids, &up);
             if (e as usize) < WARMUP {
                 continue;
             }
@@ -247,7 +258,7 @@ fn overload_report(cfg: &ExpConfig, hub: Option<&TelemetryHub>) -> Report {
                 if (e as usize) < WARMUP {
                     continue;
                 }
-                let (net, truth) = &snapshots[up.tenant.raw() as usize];
+                let (net, truth) = &snapshots[tenant_index(&ids, &up)];
                 errs.extend(node_errors(&up.result, truth, net));
             }
         }

@@ -4,21 +4,21 @@
 //! [`Scenario`] — trial `t` realizes the scenario with seed offset `t` and
 //! localizes with algorithm seed `t` — and aggregates errors,
 //! coverage, communication, and runtime. How many trials, how they are
-//! scheduled, and what telemetry they report is configured through
+//! scheduled, and whether they are recorded is configured through
 //! [`EvalConfig`]; `EvalConfig::trials(n)` reproduces the historical
 //! positional call `evaluate(algo, scenario, n)`.
 //!
 //! Trials run in parallel through rayon by default; the per-trial seeds make
-//! the aggregate independent of scheduling.
+//! the aggregate independent of scheduling. Recorded runs come back in
+//! trial order on [`EvalOutcome::traces`]; metrics over them are one
+//! replay away ([`wsnloc_obs::analyze`]). A caller that wants another
+//! observer on a trial brings it to [`run_trial_observed`].
 
 use rayon::prelude::*;
-use rayon::PoolStats;
 use wsnloc::Localizer;
 use wsnloc_geom::stats::{self, Welford};
 use wsnloc_net::Scenario;
-use wsnloc_obs::{
-    FanoutObserver, InferenceObserver, MetricsObserver, MetricsSnapshot, RunTrace, TraceObserver,
-};
+use wsnloc_obs::{InferenceObserver, RunTrace, TraceObserver};
 
 use crate::metrics::{localized_errors, ErrorSummary};
 
@@ -47,12 +47,6 @@ pub struct EvalConfig {
     /// Residual computation makes traced runs slower; leave off for
     /// timing-sensitive evaluations.
     pub collect_traces: bool,
-    /// Fold a [`MetricsSnapshot`] per trial (one private
-    /// [`MetricsObserver`] each) and aggregate them into
-    /// [`EvalOutcome::metrics`], alongside the worker-pool dispatch
-    /// counters for the whole evaluation. Enables residual computation,
-    /// so metered runs are slower than bare ones.
-    pub collect_metrics: bool,
 }
 
 impl EvalConfig {
@@ -76,29 +70,6 @@ impl EvalConfig {
         self.collect_traces = true;
         self
     }
-
-    /// Enables per-trial metric folding into [`EvalOutcome::metrics`].
-    pub fn with_metrics(mut self) -> Self {
-        self.collect_metrics = true;
-        self
-    }
-}
-
-/// Metric snapshots folded across an evaluation (present on
-/// [`EvalOutcome::metrics`] when [`EvalConfig::collect_metrics`] was
-/// set).
-#[derive(Debug, Clone, Default)]
-pub struct MetricsAggregate {
-    /// One snapshot per trial, in trial order, each folded by a private
-    /// [`MetricsObserver`] so parallel trials cannot interleave.
-    pub per_trial: Vec<MetricsSnapshot>,
-    /// The trial snapshots merged ([`MetricsSnapshot::merge`]) — equal to
-    /// what a single observer watching the trials back-to-back would have
-    /// folded.
-    pub overall: MetricsSnapshot,
-    /// Worker-pool dispatch counters accumulated during this evaluation
-    /// (process-wide: concurrent evaluations share the counters).
-    pub pool: PoolStats,
 }
 
 /// Aggregated evaluation of one algorithm on one scenario.
@@ -132,9 +103,6 @@ pub struct EvalOutcome {
     /// [`wsnloc_obs::write_jsonl`]; `Some` only when the evaluation ran
     /// with [`EvalConfig::collect_traces`].
     pub traces: Option<Vec<RunTrace>>,
-    /// Per-trial metric snapshots and their merge; `Some` only when the
-    /// evaluation ran with [`EvalConfig::collect_metrics`].
-    pub metrics: Option<MetricsAggregate>,
 }
 
 impl EvalOutcome {
@@ -210,35 +178,19 @@ fn trial_record(
 /// Evaluates `algo` over Monte-Carlo realizations of `scenario` as
 /// configured by `config`.
 pub fn evaluate(algo: &dyn Localizer, scenario: &Scenario, config: &EvalConfig) -> EvalOutcome {
-    type TrialOutput = (TrialRecord, Vec<RunTrace>, Option<MetricsSnapshot>);
-    let run_one = |t: u64| -> TrialOutput {
-        let tracer = config.collect_traces.then(TraceObserver::new);
-        let meter = config.collect_metrics.then(MetricsObserver::new);
-        // With no recorders configured the bare (zero-cost) path is taken.
-        let mut hooks: Vec<&dyn InferenceObserver> = Vec::new();
-        if let Some(tracer) = tracer.as_ref() {
-            hooks.push(tracer);
+    // One private recorder per trial, so parallel trials cannot
+    // interleave; without one the bare (zero-cost) path is taken.
+    let run_one = |t: u64| -> (TrialRecord, Vec<RunTrace>) {
+        if config.collect_traces {
+            let tracer = TraceObserver::new();
+            let record = run_trial_observed(algo, scenario, t, &tracer);
+            (record, tracer.take_runs())
+        } else {
+            (run_trial(algo, scenario, t), Vec::new())
         }
-        if let Some(meter) = meter.as_ref() {
-            hooks.push(meter);
-        }
-        let record = match hooks.as_slice() {
-            [] => run_trial(algo, scenario, t),
-            [only] => run_trial_observed(algo, scenario, t, *only),
-            _ => {
-                let fan = FanoutObserver::new(hooks);
-                run_trial_observed(algo, scenario, t, &fan)
-            }
-        };
-        (
-            record,
-            tracer.map(|t| t.take_runs()).unwrap_or_default(),
-            meter.as_ref().map(MetricsObserver::snapshot),
-        )
     };
 
-    let pool_before = config.collect_metrics.then(rayon::pool_stats);
-    let results: Vec<TrialOutput> = match config.parallelism {
+    let results: Vec<(TrialRecord, Vec<RunTrace>)> = match config.parallelism {
         Parallelism::Sequential => (0..config.trials).map(run_one).collect(),
         Parallelism::Ambient => (0..config.trials).into_par_iter().map(run_one).collect(),
     };
@@ -253,8 +205,7 @@ pub fn evaluate(algo: &dyn Localizer, scenario: &Scenario, config: &EvalConfig) 
     let mut conv_w = Welford::new();
     let mut per_trial_means = Vec::new();
     let mut traces = Vec::new();
-    let mut snapshots = Vec::new();
-    for (r, trial_traces, trial_metrics) in results {
+    for (r, trial_traces) in results {
         if let Some(m) = stats::mean(&r.errors) {
             mean_w.push(m);
             per_trial_means.push(m);
@@ -267,13 +218,7 @@ pub fn evaluate(algo: &dyn Localizer, scenario: &Scenario, config: &EvalConfig) 
         iter_w.push(r.iterations as f64);
         conv_w.push(if r.converged { 1.0 } else { 0.0 });
         traces.extend(trial_traces);
-        snapshots.extend(trial_metrics);
     }
-    let metrics = pool_before.map(|before| MetricsAggregate {
-        overall: MetricsSnapshot::merge(&snapshots),
-        per_trial: snapshots,
-        pool: rayon::pool_stats().since(&before),
-    });
 
     EvalOutcome {
         algo: algo.name(),
@@ -289,7 +234,6 @@ pub fn evaluate(algo: &dyn Localizer, scenario: &Scenario, config: &EvalConfig) 
         iterations: iter_w.mean().unwrap_or(0.0),
         converged_frac: conv_w.mean().unwrap_or(0.0),
         traces: config.collect_traces.then_some(traces),
-        metrics,
     }
 }
 
@@ -368,17 +312,19 @@ mod tests {
         let outcome = evaluate(
             &algo,
             &tiny_scenario(),
-            &EvalConfig::trials(3).with_traces().with_metrics(),
+            &EvalConfig::trials(3).with_traces(),
         );
         let traces = outcome.traces.as_ref().expect("traces collected");
         assert_eq!(traces.len(), 3);
         // Per-trial observers keep trial traces separate even under the
-        // parallel scheduler: every trace is a complete run.
-        for t in traces {
-            assert_eq!(t.iterations.len(), 3);
-            assert!(t.summary.is_some());
+        // parallel scheduler: every trace is a complete run, in trial order.
+        for (t, trace) in traces.iter().enumerate() {
+            assert_eq!(trace.info.seed, t as u64);
+            assert_eq!(trace.iterations.len(), 3);
+            assert!(trace.summary.is_some());
         }
-        let overall = &outcome.metrics.as_ref().expect("metrics collected").overall;
+        let overall = wsnloc_obs::analyze(traces).snapshot;
+        assert_eq!(overall.runs, 3);
         assert_eq!(overall.per_iteration.len(), 3);
         assert!(overall
             .per_iteration
@@ -395,37 +341,5 @@ mod tests {
             &EvalConfig::trials(2).with_traces(),
         );
         assert!(base.traces.expect("traces collected").is_empty());
-    }
-
-    #[test]
-    fn collect_metrics_aggregates_per_trial_snapshots() {
-        let algo = BnlLocalizer::builder(Backend::particle(60).expect("valid backend"))
-            .max_iterations(3)
-            .tolerance(0.0)
-            .try_build()
-            .expect("valid config");
-        let outcome = evaluate(
-            &algo,
-            &tiny_scenario(),
-            &EvalConfig::trials(3).with_metrics(),
-        );
-        let agg = outcome.metrics.as_ref().expect("metrics collected");
-        assert_eq!(agg.per_trial.len(), 3);
-        assert_eq!(agg.overall.runs, 3);
-        assert_eq!(agg.overall.iterations, 9);
-        assert!(!agg.overall.per_iteration.is_empty());
-        assert!(agg.overall.per_iteration[0].residual_q50.is_some());
-        // The merge equals the sum of the parts.
-        let msgs: u64 = agg.per_trial.iter().map(|s| s.messages).sum();
-        assert_eq!(agg.overall.messages, msgs);
-        // Metrics and traces compose; without either flag both stay None.
-        let both = evaluate(
-            &algo,
-            &tiny_scenario(),
-            &EvalConfig::trials(1).with_metrics().with_traces(),
-        );
-        assert!(both.metrics.is_some() && both.traces.is_some());
-        let bare = evaluate(&algo, &tiny_scenario(), &EvalConfig::trials(1));
-        assert!(bare.metrics.is_none() && bare.traces.is_none());
     }
 }

@@ -23,9 +23,9 @@
 //! [`MetricsObserver::snapshot`] freezes the fold into a
 //! [`MetricsSnapshot`] — a plain comparable value with table renderers
 //! ([`MetricsSnapshot::convergence_table`],
-//! [`MetricsSnapshot::fault_table`], [`MetricsSnapshot::flame_table`]) — and
-//! [`MetricsSnapshot::merge`] combines per-trial snapshots exactly
-//! (residual pools concatenate, counts sum, quantiles recompute).
+//! [`MetricsSnapshot::fault_table`], [`MetricsSnapshot::flame_table`]).
+//! Several runs fold into one snapshot by going through one observer,
+//! live or through [`replay`](crate::replay()).
 
 use crate::metrics::Fact;
 use crate::observer::{
@@ -83,8 +83,8 @@ pub struct IterationMetrics {
     /// Sum of the finite per-run `max_shift`s (divide by `shifts` for
     /// the mean).
     pub max_shift_sum: f64,
-    /// Pooled per-node residuals across runs, in arrival order. Kept so
-    /// snapshots merge exactly; quantiles below derive from it.
+    /// Pooled per-node residuals across runs, in arrival order; the
+    /// quantiles below are computed from it.
     pub residuals: Vec<f64>,
     /// Median pooled residual, when residuals were recorded.
     pub residual_q50: Option<f64>,
@@ -153,55 +153,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Exactly merges snapshots (typically one per trial): counts sum,
-    /// residual pools concatenate in order, quantiles recompute.
-    #[must_use]
-    pub fn merge(parts: &[MetricsSnapshot]) -> MetricsSnapshot {
-        let mut out = MetricsSnapshot::default();
-        for p in parts {
-            out.runs += p.runs;
-            out.converged_runs += p.converged_runs;
-            out.iterations += p.iterations;
-            out.messages += p.messages;
-            out.bytes += p.bytes;
-            let e = &mut out.events;
-            e.dropped_messages += p.events.dropped_messages;
-            e.stale_messages += p.events.stale_messages;
-            e.node_deaths += p.events.node_deaths;
-            e.grid_uniform_fallbacks += p.events.grid_uniform_fallbacks;
-            e.epoch_advances += p.events.epoch_advances;
-            e.tenants_shed += p.events.tenants_shed;
-            e.contexts += p.events.contexts;
-            e.boundary_exchanges += p.events.boundary_exchanges;
-            e.boundary_messages += p.events.boundary_messages;
-            if out.per_iteration.len() < p.per_iteration.len() {
-                out.per_iteration
-                    .resize_with(p.per_iteration.len(), IterationMetrics::default);
-            }
-            for (i, it) in p.per_iteration.iter().enumerate() {
-                let acc = &mut out.per_iteration[i];
-                acc.iteration = i;
-                acc.runs += it.runs;
-                acc.messages += it.messages;
-                acc.bytes += it.bytes;
-                acc.dropped += it.dropped;
-                acc.stale += it.stale;
-                acc.deaths += it.deaths;
-                acc.shifts += it.shifts;
-                acc.max_shift_sum += it.max_shift_sum;
-                acc.residuals.extend_from_slice(&it.residuals);
-            }
-            for (label, secs, calls) in &p.span_secs {
-                add_span(&mut out.span_secs, label.clone(), *secs, *calls);
-            }
-        }
-        for it in &mut out.per_iteration {
-            it.finalize_quantiles();
-        }
-        out.span_secs.sort_by(|a, b| a.0.cmp(&b.0));
-        out
-    }
-
     /// The convergence curve as an aligned text table: per iteration,
     /// how many runs reached it, residual quantiles, mean belief shift,
     /// and communication volume.
@@ -339,18 +290,15 @@ fn attribute(secs: f64, children: &[f64]) -> (f64, f64) {
 /// The span-table row of the iteration records.
 const ITERATION_SPAN: &str = "iteration";
 
-/// Adds `secs` over `calls` to `label`'s row of a span table, appending
+/// Adds one call of `secs` to `label`'s row of a span table, appending
 /// the row the first time the label appears.
-fn add_span<L: AsRef<str>>(table: &mut Vec<(L, f64, u64)>, label: L, secs: f64, calls: u64) {
-    match table
-        .iter_mut()
-        .find(|(l, _, _)| l.as_ref() == label.as_ref())
-    {
+fn add_span(table: &mut Vec<(&'static str, f64, u64)>, label: &'static str, secs: f64) {
+    match table.iter_mut().find(|(l, _, _)| *l == label) {
         Some((_, s, c)) => {
             *s += secs;
-            *c += calls;
+            *c += 1;
         }
-        None => table.push((label, secs, calls)),
+        None => table.push((label, secs, 1)),
     }
 }
 
@@ -365,13 +313,8 @@ fn fmt_opt(v: Option<f64>) -> String {
 #[derive(Debug, Default)]
 struct FoldState {
     per_iter: Vec<IterationMetrics>,
-    /// Span table of the runs before the current one.
+    /// Seconds and calls per span label, in first-seen order.
     spans: Vec<(&'static str, f64, u64)>,
-    /// Span table of the current run, added to `spans` when the next
-    /// run starts. Summing per run first makes the totals of one
-    /// observer over back-to-back runs equal the [`MetricsSnapshot::merge`]
-    /// of one observer per run, bit for bit.
-    run_spans: Vec<(&'static str, f64, u64)>,
 }
 
 impl FoldState {
@@ -391,8 +334,7 @@ impl FoldState {
 ///
 /// Like [`TraceObserver`](crate::TraceObserver), one `MetricsObserver`
 /// is designed to watch *sequential* runs (any number, back to back);
-/// the evaluation runner attaches one per trial and merges the
-/// snapshots.
+/// `repro trace` and `repro analyze` replay recorded runs into one.
 #[derive(Debug)]
 pub struct MetricsObserver {
     store: WindowedMetrics,
@@ -434,15 +376,12 @@ impl MetricsObserver {
         for it in &mut per_iteration {
             it.finalize_quantiles();
         }
-        let mut spans = st.spans.clone();
-        for &(label, secs, calls) in &st.run_spans {
-            add_span(&mut spans, label, secs, calls);
-        }
-        drop(st);
-        let mut span_secs: Vec<(String, f64, u64)> = spans
-            .into_iter()
-            .map(|(l, s, c)| (l.to_owned(), s, c))
+        let mut span_secs: Vec<(String, f64, u64)> = st
+            .spans
+            .iter()
+            .map(|&(l, s, c)| (l.to_owned(), s, c))
             .collect();
+        drop(st);
         span_secs.sort_by(|a, b| a.0.cmp(&b.0));
         let t = |fact| self.store.total(fact);
         MetricsSnapshot {
@@ -475,16 +414,12 @@ impl InferenceObserver for MetricsObserver {
 
     fn on_run_start(&self, info: &RunInfo) {
         self.store.on_run_start(info);
-        let mut st = self.locked();
-        for (label, secs, calls) in std::mem::take(&mut st.run_spans) {
-            add_span(&mut st.spans, label, secs, calls);
-        }
     }
 
     fn on_iteration(&self, record: &IterationRecord) {
         self.store.on_iteration(record);
         let mut st = self.locked();
-        add_span(&mut st.run_spans, ITERATION_SPAN, record.secs, 1);
+        add_span(&mut st.spans, ITERATION_SPAN, record.secs);
         let acc = st.at(record.iteration);
         acc.runs += 1;
         acc.messages += record.comm.messages;
@@ -500,7 +435,7 @@ impl InferenceObserver for MetricsObserver {
     }
 
     fn on_span(&self, span: SpanKind, secs: f64) {
-        add_span(&mut self.locked().run_spans, span.label(), secs, 1);
+        add_span(&mut self.locked().spans, span.label(), secs);
     }
 
     fn on_event(&self, event: &ObsEvent) {
@@ -661,29 +596,21 @@ mod tests {
     }
 
     #[test]
-    fn merge_concatenates_pools_and_recomputes_quantiles() {
-        let a = MetricsObserver::new();
-        a.on_run_start(&info());
-        a.on_iteration(&rec(0, &[1.0, 2.0]));
-        let b = MetricsObserver::new();
-        b.on_run_start(&info());
-        b.on_iteration(&rec(0, &[3.0, 4.0]));
-
-        let merged = MetricsSnapshot::merge(&[a.snapshot(), b.snapshot()]);
-        assert_eq!(merged.runs, 2);
-        assert_eq!(merged.per_iteration[0].runs, 2);
-        assert_eq!(merged.per_iteration[0].residuals, vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(merged.per_iteration[0].residual_max, Some(4.0));
-        // Nearest-rank on [1, 2, 3, 4]: rank ceil(0.5 * 4) = 2 → second element.
-        assert_eq!(merged.per_iteration[0].residual_q50, Some(2.0));
-
-        // Merging matches a single observer that saw both runs.
+    fn quantiles_cover_residuals_pooled_over_runs() {
+        // One observer over two runs pools each iteration's residuals
+        // across them, in arrival order, and takes quantiles over the pool.
         let both = MetricsObserver::new();
         both.on_run_start(&info());
         both.on_iteration(&rec(0, &[1.0, 2.0]));
         both.on_run_start(&info());
         both.on_iteration(&rec(0, &[3.0, 4.0]));
-        assert_eq!(merged, both.snapshot());
+        let s = both.snapshot();
+        assert_eq!(s.runs, 2);
+        assert_eq!(s.per_iteration[0].runs, 2);
+        assert_eq!(s.per_iteration[0].residuals, vec![1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(s.per_iteration[0].residual_max, Some(4.0));
+        // Nearest-rank on [1, 2, 3, 4]: rank ceil(0.5 * 4) = 2 → second element.
+        assert_eq!(s.per_iteration[0].residual_q50, Some(2.0));
     }
 
     fn timed(i: usize, secs: f64) -> IterationRecord {
@@ -801,28 +728,6 @@ mod tests {
                 .count(),
             1
         );
-    }
-
-    #[test]
-    fn per_run_span_totals_merge_exactly() {
-        // Seconds that round differently when regrouped:
-        // (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3). One observer over two
-        // runs must still equal the merge of one observer per run.
-        let runs: [&[f64]; 2] = [&[0.1], &[0.2, 0.3]];
-        let both = MetricsObserver::new();
-        let mut parts = Vec::new();
-        for secs in runs {
-            let one = MetricsObserver::new();
-            for m in [&both, &one] {
-                m.on_run_start(&info());
-                for (i, &t) in secs.iter().enumerate() {
-                    m.on_iteration(&timed(i, t));
-                    m.on_span(SpanKind::ModelBuild, t);
-                }
-            }
-            parts.push(one.snapshot());
-        }
-        assert_eq!(MetricsSnapshot::merge(&parts), both.snapshot());
     }
 
     #[test]

@@ -46,9 +46,10 @@
 //!   what makes trace replay equal the live run. [`Stopwatch`] is the
 //!   one sanctioned timing primitive (`clippy.toml` bans
 //!   `Instant::now` everywhere else).
-//! - [`analyze_str`] / [`replay()`] — parse `trace.jsonl` back into
-//!   [`RunTrace`]s and feed them through the same fold a live run uses,
-//!   so `repro analyze` and in-process metrics share one path.
+//! - [`analyze()`] / [`analyze_str`] / [`replay()`] — fold recorded
+//!   [`RunTrace`]s, in memory or parsed back from `trace.jsonl`, through
+//!   the same fold a live run uses, so `repro trace` and `repro analyze`
+//!   print their tables from one path.
 //!
 //! For *live* deployments (the streaming engine in `wsnloc-serve`) a
 //! telemetry tier sits on top of all of the above:
@@ -112,7 +113,7 @@ pub use observer::{
 };
 pub use profiler::Stopwatch;
 pub use replay::{
-    analyze_str, parse_json, parse_jsonl, replay, JsonValue, ReplayError, TraceAnalysis,
+    analyze, analyze_str, parse_json, parse_jsonl, replay, JsonValue, ReplayError, TraceAnalysis,
 };
 pub use sink::{write_jsonl, JsonlSink, TraceSink, VecSink};
 pub use telemetry::{TelemetryHub, TelemetryServer};

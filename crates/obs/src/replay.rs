@@ -1,13 +1,16 @@
 //! Offline trace analytics: parse `trace.jsonl` back into [`RunTrace`]s
 //! and replay them through any [`InferenceObserver`].
 //!
-//! This is the other half of the one-analytics-path invariant: the
-//! [`write_jsonl`](crate::write_jsonl) encoder and this parser are
-//! exact inverses for every finite value (Rust prints f64 in
+//! [`analyze`] is the one fold of a set of recorded runs: it replays
+//! them into one [`MetricsObserver`]. `repro trace` calls it on the runs
+//! it has just recorded and `repro analyze` on the ones [`analyze_str`]
+//! parses back, and both print the same tables. The
+//! [`write_jsonl`](crate::write_jsonl) encoder and this parser are exact
+//! inverses for every finite value (Rust prints f64 in
 //! shortest-round-trip form and parses it back correctly rounded), and
-//! the [`MetricsObserver`] fold is order-insensitive, so replaying a
-//! recorded trace reproduces the live run's metrics snapshot exactly.
-//! `repro analyze` is a thin CLI over [`analyze_str`].
+//! the [`MetricsObserver`] fold is order-insensitive within a run, so
+//! replaying a recorded trace reproduces a live observer's snapshot of
+//! the same runs exactly.
 //!
 //! The parser is hand-rolled (no serde in the build environment) and
 //! *tolerant in the forward direction*: unknown record types, span
@@ -603,8 +606,9 @@ pub fn replay(runs: &[RunTrace], obs: &dyn InferenceObserver) {
     }
 }
 
-/// The result of analyzing a trace offline: the same snapshot a live
-/// [`MetricsObserver`] would have produced, plus rendered artifacts.
+/// The result of analyzing recorded runs: the same snapshot a live
+/// [`MetricsObserver`] would have produced, plus the replayed store's
+/// OpenMetrics rendering.
 #[derive(Debug, Clone)]
 pub struct TraceAnalysis {
     /// Runs found in the trace.
@@ -613,27 +617,27 @@ pub struct TraceAnalysis {
     pub incomplete_runs: usize,
     /// The replayed metrics fold.
     pub snapshot: MetricsSnapshot,
-    /// The snapshot's span table as a flame table
-    /// ([`MetricsSnapshot::flame_table`]).
-    pub flame_table: String,
     /// OpenMetrics rendering of the replayed store.
     pub openmetrics: String,
 }
 
-/// Parses a JSONL trace and replays it into a fresh
-/// [`MetricsObserver`] — the one fold shared with live runs.
-pub fn analyze_str(text: &str) -> Result<TraceAnalysis, ReplayError> {
-    let runs = parse_jsonl(text)?;
+/// Replays recorded runs into a fresh [`MetricsObserver`] — the one
+/// fold of a set of runs.
+#[must_use]
+pub fn analyze(runs: &[RunTrace]) -> TraceAnalysis {
     let metrics = MetricsObserver::new();
-    replay(&runs, &metrics);
-    let snapshot = metrics.snapshot();
-    Ok(TraceAnalysis {
+    replay(runs, &metrics);
+    TraceAnalysis {
         runs: runs.len(),
         incomplete_runs: runs.iter().filter(|r| r.summary.is_none()).count(),
-        flame_table: snapshot.flame_table(),
-        snapshot,
+        snapshot: metrics.snapshot(),
         openmetrics: metrics.window().render_run_facts(),
-    })
+    }
+}
+
+/// Parses a JSONL trace ([`parse_jsonl`]) and [`analyze`]s its runs.
+pub fn analyze_str(text: &str) -> Result<TraceAnalysis, ReplayError> {
+    parse_jsonl(text).map(|runs| analyze(&runs))
 }
 
 #[cfg(test)]
@@ -821,7 +825,7 @@ mod tests {
         let analysis = analyze_str(&sink.lines.join("\n")).expect("analyze");
         assert_eq!(analysis.snapshot, live.snapshot());
         assert_eq!(analysis.runs, 1);
-        assert!(analysis.flame_table.contains("message_passing"));
+        assert!(analysis.snapshot.flame_table().contains("message_passing"));
         assert!(analysis.openmetrics.ends_with("# EOF\n"));
     }
 }

@@ -59,6 +59,8 @@ struct HubState {
     last_tick: Option<Stopwatch>,
     /// Engine-published JSON rollup served verbatim at `/tenants`.
     tenants_json: String,
+    /// The next tenant id [`TelemetryHub::next_tenant_id`] hands out.
+    next_tenant: u64,
 }
 
 /// Shared telemetry state: the bridge between a live engine (writer)
@@ -118,6 +120,16 @@ impl TelemetryHub {
             .last_tick
             .as_ref()
             .map(Stopwatch::elapsed_secs)
+    }
+
+    /// A tenant id no engine on this hub has used: ids count up from 0
+    /// across every engine publishing here, so the tenant-labelled
+    /// series of two engines never mix.
+    pub fn next_tenant_id(&self) -> u64 {
+        let mut st = self.locked();
+        let id = st.next_tenant;
+        st.next_tenant += 1;
+        id
     }
 
     /// Publishes the JSON document `/tenants` serves. The engine owns

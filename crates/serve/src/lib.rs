@@ -84,8 +84,9 @@ use wsnloc_obs::{
 pub struct SessionId(u64);
 
 impl SessionId {
-    /// The numeric id (stable for the engine's lifetime; also the
-    /// `tenant` field of trace events).
+    /// The numeric id (unique among the engines sharing a hub, stable
+    /// for the engine's lifetime; also the `tenant` field of trace
+    /// events and the `tenant` label of its series).
     #[must_use]
     pub fn raw(self) -> u64 {
         self.0
@@ -226,7 +227,6 @@ struct Tenant {
 pub struct StreamingEngine {
     config: EngineConfig,
     tenants: BTreeMap<u64, Tenant>,
-    next_id: u64,
     /// Lifetime tick count — drives the round-robin admission rotation.
     ticks: u64,
     /// Store + liveness + rollup publication point (always present,
@@ -267,8 +267,9 @@ pub struct EngineBuilder {
 
 impl EngineBuilder {
     /// Joins an external hub instead of creating one: the engine adopts
-    /// the hub's store, so several sequential engines can publish to one
-    /// scrape endpoint. Whoever owns the hub serves it.
+    /// the hub's store and takes its tenant ids from the hub, so several
+    /// sequential engines can publish to one scrape endpoint without
+    /// mixing their tenants' series. Whoever owns the hub serves it.
     #[must_use]
     pub fn hub(mut self, hub: TelemetryHub) -> Self {
         self.hub = Some(hub);
@@ -294,7 +295,6 @@ impl EngineBuilder {
         StreamingEngine {
             config: self.config,
             tenants: BTreeMap::new(),
-            next_id: 0,
             ticks: 0,
             hub: self.hub.unwrap_or_else(|| TelemetryHub::new(WINDOW_SLOTS)),
             observer: self.observer,
@@ -333,10 +333,10 @@ impl StreamingEngine {
         self.hub.clone()
     }
 
-    /// Opens a tenant session and returns its handle.
+    /// Opens a tenant session and returns its handle. The hub numbers
+    /// tenants, so engines that share a hub never reuse an id.
     pub fn open_session(&mut self, cfg: SessionConfig) -> SessionId {
-        let id = self.next_id;
-        self.next_id += 1;
+        let id = self.hub.next_tenant_id();
         let mut session = LocalizationSession::new(cfg.localizer);
         if let Some(motion) = cfg.motion {
             session = session.with_motion(motion);
@@ -906,6 +906,48 @@ mod tests {
         assert!(closed.contains("wsnloc_window_queue_depth{tenant=\"0\"} 1\n"));
         // Lifetime totals keep the closed tenant's epochs.
         assert!(closed.contains("wsnloc_serve_epochs_shed_total 1\n"));
+    }
+
+    #[test]
+    fn engines_sharing_a_hub_keep_their_tenants_apart() {
+        // Two engines, one after the other, on one hub: the first solves
+        // three epochs for its tenant, the second one epoch for each of
+        // two tenants. Every tenant keeps its own series.
+        let network = net(10);
+        let hub = TelemetryHub::new(WINDOW_SLOTS);
+        let mut first = StreamingEngine::builder(EngineConfig::default())
+            .hub(hub.clone())
+            .build();
+        let a = first.open_session(cfg());
+        for s in 0..3u64 {
+            first.submit(a, MeasurementEpoch::new(network.clone(), s));
+        }
+        first.drain();
+        drop(first);
+        let mut second = StreamingEngine::builder(EngineConfig::default())
+            .hub(hub.clone())
+            .build();
+        let later = [second.open_session(cfg()), second.open_session(cfg())];
+        for &id in &later {
+            second.submit(id, MeasurementEpoch::new(network.clone(), 0));
+        }
+        second.tick();
+
+        assert!(!later.contains(&a), "{a} reused by {later:?}");
+        let metrics = hub.render_metrics();
+        let tenants = hub.render_tenants();
+        let solved =
+            |id: SessionId| format!("wsnloc_window_epochs_solved{{tenant=\"{}\"}} ", id.raw());
+        assert!(metrics.contains(&format!("{}3\n", solved(a))), "{metrics}");
+        // The second engine's `/tenants` ids are its series labels.
+        for id in later {
+            assert!(metrics.contains(&format!("{}1\n", solved(id))), "{metrics}");
+            let entry = format!(
+                "{{\"id\":{},\"pending\":0,\"warm\":true,\"solved\":1,",
+                id.raw()
+            );
+            assert!(tenants.contains(&entry), "{tenants}");
+        }
     }
 
     #[test]

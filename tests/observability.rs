@@ -6,10 +6,10 @@
 
 use std::sync::Mutex;
 use wsnloc::prelude::*;
-use wsnloc_eval::{evaluate, EvalConfig, Parallelism};
+use wsnloc_eval::{evaluate, run_trial_observed, EvalConfig, Parallelism};
 use wsnloc_obs::{
-    accounting, analyze_str, parse_jsonl, write_jsonl, CommStats, IterationRecord, ObsEvent,
-    RunInfo, RunSummary, RunTrace, SpanKind, TelemetryServer, VecSink,
+    accounting, analyze_str, parse_jsonl, write_jsonl, CommStats, FanoutObserver, IterationRecord,
+    MetricsObserver, ObsEvent, RunInfo, RunSummary, RunTrace, SpanKind, TelemetryServer, VecSink,
 };
 use wsnloc_serve::{EngineConfig, MeasurementEpoch, SessionConfig, StreamingEngine};
 
@@ -59,6 +59,26 @@ fn sharded_algo() -> BnlLocalizer {
         .shards(ShardPlan::target_nodes(12).expect("valid plan"))
         .try_build()
         .expect("valid localizer configuration")
+}
+
+/// Two sequential trials of `localizer` on [`scenario`], each watched by
+/// a live [`MetricsObserver`] fanned out next to a [`TraceObserver`]:
+/// the recorded runs and the live fold of the same runs.
+fn record_with_live_fold(localizer: &BnlLocalizer) -> (Vec<RunTrace>, MetricsObserver) {
+    let live = MetricsObserver::new();
+    let tracer = TraceObserver::new();
+    let fan = FanoutObserver::new(vec![&live, &tracer]);
+    for trial in 0..2 {
+        run_trial_observed(localizer, &scenario(), trial, &fan);
+    }
+    (tracer.take_runs(), live)
+}
+
+/// The JSONL lines of recorded runs.
+fn jsonl(runs: &[RunTrace]) -> String {
+    let mut sink = VecSink::new();
+    write_jsonl(runs, &mut sink).expect("in-memory sink");
+    sink.lines.join("\n")
 }
 
 #[test]
@@ -180,35 +200,24 @@ fn analyze_reproduces_the_live_metrics_snapshot() {
     // run's infinite first-round shift measured nothing, so both paths
     // leave it out of the mean.
     for localizer in [algo(), sharded_algo()] {
-        let outcome = evaluate(
-            &localizer,
-            &scenario(),
-            &EvalConfig::trials(2)
-                .with_traces()
-                .with_metrics()
-                .with_parallelism(Parallelism::Sequential),
-        );
-        let live = outcome.metrics.expect("with_metrics collects snapshots");
-        let traces = outcome.traces.expect("with_traces collects traces");
-
-        let mut sink = VecSink::new();
-        write_jsonl(&traces, &mut sink).expect("in-memory sink");
-        let analysis = analyze_str(&sink.lines.join("\n")).expect("recorded trace parses");
+        let (traces, live) = record_with_live_fold(&localizer);
+        let live = live.snapshot();
+        let analysis = analyze_str(&jsonl(&traces)).expect("recorded trace parses");
 
         assert_eq!(analysis.runs, traces.len());
         assert_eq!(analysis.incomplete_runs, 0);
         assert_eq!(
-            analysis.snapshot, live.overall,
+            analysis.snapshot, live,
             "replayed snapshot must equal the live fold"
         );
         // The rendered artifacts come from the same data.
-        assert!(analysis.flame_table.contains("message_passing"));
-        assert!(analysis.flame_table.contains("iteration"));
+        let flame = analysis.snapshot.flame_table();
+        assert!(flame.contains("message_passing"));
+        assert!(flame.contains("iteration"));
         assert!(analysis.openmetrics.contains("wsnloc_bp_runs_total 2"));
-        assert!(analysis.openmetrics.contains(&format!(
-            "wsnloc_bp_messages_total {}",
-            live.overall.messages
-        )));
+        assert!(analysis
+            .openmetrics
+            .contains(&format!("wsnloc_bp_messages_total {}", live.messages)));
     }
 }
 
@@ -256,20 +265,28 @@ fn evaluate_traces_serialize_to_replayable_jsonl() {
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     // Flat and sharded runs alike report residuals from iteration 0.
     for localizer in [algo(), sharded_algo()] {
-        let outcome = evaluate(
+        let (traces, live) = record_with_live_fold(&localizer);
+        assert_eq!(traces.len(), 2);
+        let live = live.snapshot();
+        assert_eq!(live.per_iteration.len(), 4);
+        assert!(live.per_iteration.iter().all(|it| !it.residuals.is_empty()));
+        // `evaluate` records the same runs, wall-clock timing aside.
+        let evaluated = evaluate(
             &localizer,
             &scenario(),
             &EvalConfig::trials(2)
                 .with_traces()
-                .with_metrics()
                 .with_parallelism(Parallelism::Sequential),
-        );
-        let traces = outcome.traces.expect("with_traces collects traces");
-        assert_eq!(traces.len(), 2);
-        let metrics = outcome.metrics.expect("with_metrics collects snapshots");
-        let per_iteration = &metrics.overall.per_iteration;
-        assert_eq!(per_iteration.len(), 4);
-        assert!(per_iteration.iter().all(|it| !it.residuals.is_empty()));
+        )
+        .traces
+        .expect("with_traces collects traces");
+        assert_eq!(evaluated.len(), traces.len());
+        for (e, t) in evaluated.iter().zip(&traces) {
+            assert_eq!(
+                (&e.info, &e.events, &e.summary),
+                (&t.info, &t.events, &t.summary)
+            );
+        }
 
         let mut sink = VecSink::new();
         let lines = write_jsonl(&traces, &mut sink).expect("in-memory sink");
@@ -313,7 +330,8 @@ fn evaluate_traces_serialize_to_replayable_jsonl() {
         // The lines parse back into the recorded runs. The one encoding
         // loss is a non-finite `max_shift`: JSONL writes it as `null`,
         // which parses as NaN.
-        let parsed = parse_jsonl(&sink.lines.join("\n")).expect("recorded trace parses");
+        let text = sink.lines.join("\n");
+        let parsed = parse_jsonl(&text).expect("recorded trace parses");
         assert_eq!(parsed.len(), traces.len());
         for (back, run) in parsed.iter().zip(&traces) {
             assert_eq!(back.info, run.info, "run info must round-trip");
@@ -329,6 +347,8 @@ fn evaluate_traces_serialize_to_replayable_jsonl() {
                 assert_eq!(&b, r, "iteration {} must round-trip", r.iteration);
             }
         }
+        // Replaying the parsed lines equals the live fold of the runs.
+        assert_eq!(analyze_str(&text).expect("analyze").snapshot, live);
     }
 }
 
@@ -552,11 +572,10 @@ fn flame_run(
 }
 
 fn flame_of(runs: &[RunTrace]) -> String {
-    let mut sink = VecSink::new();
-    write_jsonl(runs, &mut sink).expect("in-memory sink");
-    analyze_str(&sink.lines.join("\n"))
+    analyze_str(&jsonl(runs))
         .expect("hand-built trace parses")
-        .flame_table
+        .snapshot
+        .flame_table()
 }
 
 #[test]
