@@ -3,7 +3,8 @@
 //! The build environment for this workspace has no crates.io access, so
 //! this shim implements the *subset* of the rayon API the workspace uses —
 //! `par_iter()` / `into_par_iter()` pipelines ending in `collect`/`sum`,
-//! and `ThreadPoolBuilder` / `ThreadPool::install` — on top of a
+//! in-place chunked writes to a slice ([`ParallelSliceMut`]), and
+//! `ThreadPoolBuilder` / `ThreadPool::install` — on top of a
 //! lazily-initialized persistent worker pool. Semantics the workspace
 //! relies on are preserved:
 //!
@@ -11,7 +12,15 @@
 //!   synchronous-schedule BP stays bit-deterministic across pool sizes.
 //! - **Real parallelism:** items are chunked across long-lived OS worker
 //!   threads (spawned once, on first use — not per call); small inputs
-//!   run inline to avoid queueing overhead in inner loops.
+//!   run inline to avoid queueing overhead in inner loops. One rule picks
+//!   the chunks of every forked call: inline for fewer than 32 items or
+//!   one installed thread, else `n.div_ceil(threads)` items (at least
+//!   16) per chunk job, all dispatched as one pool batch.
+//! - **In-place slices:** [`ParallelSliceMut::par_map_chunks_mut`] hands
+//!   each chunk job a `&mut` chunk of a slice and its start index, by the
+//!   same rule and through the same batch as a map, and returns the
+//!   jobs' results in chunk order; a caller writes results into their
+//!   slots instead of collecting and settling a result vector.
 //! - **Pool-size control:** `ThreadPool::install` scopes an effective
 //!   thread count so scaling experiments can compare 1 thread vs many.
 //!   The installed count governs *chunking* (and therefore results are a
@@ -23,8 +32,10 @@
 //!   `par_iter` job (or inside nested `install` scopes) cannot deadlock.
 //!
 //! To use the real crate instead, point the `rayon` entry of
-//! `[workspace.dependencies]` back at a registry version; no call sites
-//! need to change.
+//! `[workspace.dependencies]` back at a registry version. Only the
+//! `par_map_chunks_mut` call sites change, to rayon's
+//! `par_chunks_mut(size).enumerate().map(..).collect()` with a chunk size
+//! of the caller's choosing.
 
 // Library lint policy (README "Correctness tooling"); test code is exempt.
 #![cfg_attr(
@@ -64,7 +75,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 /// (production default); any other value stores `seed + 1` and makes
 /// every pool batch push its chunk jobs in a seeded pseudo-random order
 /// instead of input order. Because output slots are fixed per chunk and
-/// the batch latch drains before `map_ordered` returns, a permuted
+/// the batch latch drains before `run_jobs` returns, a permuted
 /// schedule MUST produce bit-identical results — the audit harness
 /// (`repro audit-determinism`) flips this hook to prove that no caller
 /// smuggles order-dependence through the pool.
@@ -138,7 +149,9 @@ fn splitmix64(state: &mut u64) -> u64 {
 
 /// Parallel-iterator entry points, mirroring `rayon::prelude`.
 pub mod prelude {
-    pub use crate::{IntoParallelIterator, IntoParallelRefIterator, ParallelIterator};
+    pub use crate::{
+        IntoParallelIterator, IntoParallelRefIterator, ParallelIterator, ParallelSliceMut,
+    };
 }
 
 thread_local! {
@@ -165,7 +178,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// A type-erased chunk job sitting in the shared queue.
 ///
-/// Jobs capture borrows of the submitting `map_ordered` frame; the
+/// Jobs capture borrows of the submitting `run_jobs` frame; the
 /// `'static` here is erased via [`erase_lifetime`], made sound because
 /// [`run_batch`] never returns (or unwinds) until every job of its batch
 /// has finished running.
@@ -182,7 +195,7 @@ struct PoolShared {
     job_ready: Condvar,
 }
 
-/// Completion latch for one `map_ordered` call's set of chunk jobs.
+/// Completion latch for one `run_jobs` call's set of chunk jobs.
 struct Batch {
     state: Mutex<BatchState>,
     done: Condvar,
@@ -216,8 +229,8 @@ impl Batch {
         }
         if state.remaining == 0 {
             // Notify while still holding the state lock: the Batch lives on
-            // the stack of the `map_ordered` caller, which frees it as soon
-            // as `run_batch` observes remaining == 0. Holding the guard
+            // the stack of `run_jobs`, which frees it as soon as
+            // `run_batch` observes remaining == 0. Holding the guard
             // across the wakeup means the waiter cannot re-acquire the lock
             // (and thus cannot return and destroy the Batch) until this
             // thread is done touching `self`.
@@ -278,7 +291,7 @@ fn worker_loop(shared: &PoolShared) {
 ///
 /// # Safety
 ///
-/// The job borrows the submitting `map_ordered` frame's locals. The
+/// The job borrows the submitting `run_jobs` frame's locals. The
 /// caller must not return or unwind past those locals until the job has
 /// finished running; [`run_batch`] enforces this by draining the batch
 /// latch to zero before returning — and before re-raising any job panic.
@@ -321,56 +334,52 @@ fn run_batch(shared: &PoolShared, batch: &Batch) {
     }
 }
 
-/// Applies `f` to every item, preserving order, dispatching chunks onto
-/// the persistent worker pool when the input is large enough and more
-/// than one thread is in effect.
+/// The chunk length of a parallel map over `n` items, or `None` (counted
+/// as an inline map) when the map runs on the calling thread: one thread
+/// in effect, or fewer than `2 * MIN_CHUNK` items.
 ///
 /// Chunk boundaries depend only on the *effective* (installed) thread
 /// count, never on how many workers happen to execute them, so results
 /// are bit-identical across pool sizes — and identical to a sequential
-/// run. Each chunk job owns its input chunk and collects its own result
-/// vector into the chunk's slot; the caller appends the slots in input
-/// order once the batch has drained.
-fn map_ordered<T, R, F>(mut items: Vec<T>, f: F) -> Vec<R>
+/// run.
+fn chunk_len(n: usize) -> Option<usize> {
+    let threads = effective_threads().max(1);
+    if threads == 1 || n < 2 * MIN_CHUNK {
+        INLINE_MAPS.fetch_add(1, Ordering::Relaxed);
+        return None;
+    }
+    Some(n.div_ceil(threads).max(MIN_CHUNK))
+}
+
+/// Runs `f` on every task as one pool batch, one chunk job per task, and
+/// returns the results in task order once the batch has drained. Each
+/// job writes only its own task's slot. This is the one dispatch path of
+/// every forked map.
+fn run_jobs<T, R, F>(tasks: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    let threads = effective_threads().max(1);
-    let n = items.len();
-    if threads == 1 || n < 2 * MIN_CHUNK {
-        INLINE_MAPS.fetch_add(1, Ordering::Relaxed);
-        return items.into_iter().map(f).collect();
-    }
-    let chunk = n.div_ceil(threads).max(MIN_CHUNK);
-    let jobs = n.div_ceil(chunk);
+    let jobs = tasks.len();
     let batch_idx = POOL_BATCHES.fetch_add(1, Ordering::Relaxed);
     POOL_JOBS.fetch_add(jobs as u64, Ordering::Relaxed);
-    // Split off the chunks back to front, so each split moves only the
-    // chunk it takes; `items` keeps the first.
-    let mut chunks: Vec<Vec<T>> = Vec::with_capacity(jobs);
-    for j in (1..jobs).rev() {
-        chunks.push(items.split_off(j * chunk));
-    }
-    chunks.push(items);
-    chunks.reverse();
-    let mut parts: Vec<Vec<R>> = std::iter::repeat_with(Vec::new).take(jobs).collect();
+    let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(jobs).collect();
     let batch = Batch::new(jobs);
     let shared = pool();
     {
         let mut pending: Vec<Job> = Vec::with_capacity(jobs);
-        for (part, items) in parts.iter_mut().zip(chunks) {
+        for (slot, task) in slots.iter_mut().zip(tasks) {
             let f = &f;
             let batch = &batch;
             let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
                 let result = catch_unwind(AssertUnwindSafe(move || {
-                    *part = items.into_iter().map(f).collect();
+                    *slot = Some(f(task));
                 }));
                 batch.finish_job(result.err());
             });
             // SAFETY: `run_batch` below drains the batch latch before
-            // this frame (and the borrows of `f`/`parts`/`batch`) can go
+            // this frame (and the borrows of `f`/`slots`/`batch`) can go
             // away, by return or by unwind.
             pending.push(unsafe { erase_lifetime(job) });
         }
@@ -392,11 +401,80 @@ where
         shared.job_ready.notify_all();
     }
     run_batch(shared, &batch);
+    // Every job ran to completion (a panic re-raised above), so every
+    // slot is filled.
+    slots.into_iter().flatten().collect()
+}
+
+/// Applies `f` to every item, preserving order, dispatching chunks onto
+/// the persistent worker pool when the input is large enough and more
+/// than one thread is in effect (see [`chunk_len`]). Each chunk job owns
+/// its input chunk and collects its own result vector; the caller
+/// appends them in input order once the batch has drained.
+fn map_ordered<T, R, F>(mut items: Vec<T>, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(T) -> R + Sync,
+{
+    let n = items.len();
+    let Some(chunk) = chunk_len(n) else {
+        return items.into_iter().map(f).collect();
+    };
+    let jobs = n.div_ceil(chunk);
+    // Split off the chunks back to front, so each split moves only the
+    // chunk it takes; `items` keeps the first.
+    let mut chunks: Vec<Vec<T>> = Vec::with_capacity(jobs);
+    for j in (1..jobs).rev() {
+        chunks.push(items.split_off(j * chunk));
+    }
+    chunks.push(items);
+    chunks.reverse();
+    let parts = run_jobs(chunks, |items: Vec<T>| {
+        items.into_iter().map(&f).collect::<Vec<R>>()
+    });
     let mut out = Vec::with_capacity(n);
     for mut part in parts {
         out.append(&mut part);
     }
     out
+}
+
+/// In-place parallel work on a mutable slice, mirroring
+/// `rayon::slice::ParallelSliceMut`.
+pub trait ParallelSliceMut<T: Send> {
+    /// Applies `f(start, chunk)` to consecutive chunks of `self`, where
+    /// `start` is the index of the chunk's first element, and returns
+    /// the results in chunk order.
+    ///
+    /// Like `par_chunks_mut(size).enumerate().map(..).collect()` in
+    /// rayon, except that the shim picks the chunks: the same boundaries
+    /// and inline threshold as a parallel map over `self.len()` items,
+    /// dispatched through the same batch. Below the threshold, or with
+    /// one thread installed, `f(0, self)` runs once on the calling
+    /// thread.
+    fn par_map_chunks_mut<R, F>(&mut self, f: F) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(usize, &mut [T]) -> R + Sync;
+}
+
+impl<T: Send> ParallelSliceMut<T> for [T] {
+    fn par_map_chunks_mut<R, F>(&mut self, f: F) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(usize, &mut [T]) -> R + Sync,
+    {
+        let Some(chunk) = chunk_len(self.len()) else {
+            return vec![f(0, self)];
+        };
+        let chunks: Vec<(usize, &mut [T])> = self
+            .chunks_mut(chunk)
+            .enumerate()
+            .map(|(j, c)| (j * chunk, c))
+            .collect();
+        run_jobs(chunks, |(start, c)| f(start, c))
+    }
 }
 
 /// A not-yet-consumed parallel pipeline over owned items.

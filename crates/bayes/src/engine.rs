@@ -13,9 +13,9 @@
 //! state, and implements `NodeUpdate`: one node's update (damping
 //! included), its residual rule and its [`DistributionAudit`] check.
 //! The driver owns the rest once: the graph audit, run metadata, the
-//! transport session and its per-iteration roll, the active set, the
-//! synchronous and sweep schedules, message counts, `on_iter`, the
-//! convergence test, [`IterationRecord`]s, spans and the run summary.
+//! transport session and its per-iteration roll, which nodes are still
+//! alive, the synchronous and sweep schedules, message counts, `on_iter`,
+//! the convergence test, [`IterationRecord`]s, spans and the run summary.
 //! Every neighbor message reaches an update through the same `Inbox`
 //! lookup. Sharded execution is a transport policy on this same loop
 //! (see [`crate::sharded`]): the driver reports the per-shard boundary
@@ -132,14 +132,26 @@ impl<'a, B: Clone> Inbox<'a, B> {
     }
 
     /// What node `u` receives over edge `e`, or `None` when the link
-    /// has never delivered (the edge contributes nothing). Links the
-    /// session does not track read the live belief.
+    /// has never delivered (the edge contributes nothing): [`Inbox::deliver`]
+    /// with the far end and side looked up in the MRF.
     pub(crate) fn receive(&self, e: usize, u: usize) -> Option<Delivery<'a, B>> {
-        let v = self.mrf.other_end(e, u);
+        self.deliver(e, self.mrf.other_end(e, u), self.mrf.edges()[e].v == u)
+    }
+
+    /// What the receiving end of edge `e` gets from its far end `v`
+    /// (`receiver_is_v` says which endpoint of the edge receives), or
+    /// `None` when the link has never delivered. Links the session does
+    /// not track read the live belief.
+    pub(crate) fn deliver(
+        &self,
+        e: usize,
+        v: usize,
+        receiver_is_v: bool,
+    ) -> Option<Delivery<'a, B>> {
         let live = &self.beliefs[v];
         let tracked = self
             .session
-            .and_then(|s| Some((s, s.link(e, self.mrf.edges()[e].v == u)?)));
+            .and_then(|s| Some((s, s.link(e, receiver_is_v)?)));
         let Some((s, link)) = tracked else {
             return Some(Delivery {
                 v,
@@ -191,15 +203,23 @@ pub(crate) trait NodeUpdate: Sync {
 /// `init` runs inside the prior-init span and returns the backend's
 /// per-run update state with the initial beliefs. Each iteration rolls
 /// the transport session, reports a sharded run's boundary exchanges,
-/// and steps every free node once, in parallel (synchronous) or in
-/// index order (sweep): a live node's update returns its new belief
-/// with its mean shift against the belief it replaces (and, when the
-/// observer wants residuals, [`NodeUpdate::residual`] against that
-/// same belief), and a dead node keeps its belief and gets the same
-/// rule applied to it unchanged. No belief is copied for this. Then the
-/// loop audits the beliefs, calls `on_iter`, reports an
-/// [`IterationRecord`] and stops once the largest free-node mean shift
-/// falls below `opts.tolerance`.
+/// and steps every free node once. Every step folds into one
+/// `StepFold`: the live count, the node's mean shift against the belief
+/// it replaces and, when the observer wants residuals,
+/// [`NodeUpdate::residual`] against that same belief. A dead node keeps
+/// its belief and gets the same rule applied to it unchanged.
+///
+/// The synchronous schedule keeps a second node-indexed belief buffer,
+/// cloned from the initial beliefs on its first iteration. One pool job
+/// per chunk of node indices writes each live free node's new belief
+/// into its slot, `clone_from`s a dead node's current belief into its
+/// slot, skips fixed nodes and returns its chunk's fold; the driver
+/// absorbs the folds in chunk order and swaps the two buffers, so no
+/// per-node result vector is settled on the calling thread. The sweep
+/// updates in place, in index order, each node reading the freshest
+/// beliefs. Then the loop audits the beliefs, calls `on_iter`, reports
+/// an [`IterationRecord`] and stops once the largest free-node mean
+/// shift falls below `opts.tolerance`.
 pub(crate) fn drive<U, F>(
     mrf: &SpatialMrf,
     opts: &BpOptions,
@@ -243,6 +263,9 @@ where
         converged: false,
         messages: 0,
     };
+    // The synchronous schedule's write buffer, cloned from the initial
+    // beliefs on its first iteration.
+    let mut next: Option<Vec<U::Belief>> = None;
     let loop_start = Stopwatch::start();
     for iter in 0..opts.max_iterations {
         let iter_start = Stopwatch::start();
@@ -255,66 +278,67 @@ where
             b.report(iter, session.as_ref(), obs);
         }
         let links = session.as_ref();
-        // One step per free node: a live node's new belief (a dead node
-        // keeps its own), its mean shift against the belief it replaces
-        // and, only when the observer asks (the zero-cost contract), its
-        // residual against that same belief.
-        let step = |u: usize, inbox: &Inbox<'_, U::Belief>| {
-            let old = &inbox.beliefs()[u];
-            let new = links
-                .is_none_or(|s| s.node_alive(u))
-                .then(|| update.update(u, iter, inbox));
-            let now = new.as_ref().unwrap_or(old);
-            let shift = now.mean().dist(old.mean());
-            let residual = wants_residuals.then(|| {
-                let (residual, kl) = U::residual(old, now, shift);
-                NodeResidual {
-                    node: u,
-                    residual,
-                    kl,
-                }
-            });
-            (new, shift, residual)
-        };
-        let mut live = 0u64;
-        let mut max_shift = 0.0_f64;
-        let mut residuals = Vec::new();
+        let alive = |u: usize| links.is_none_or(|s| s.node_alive(u));
+        let mut fold = StepFold::new(wants_residuals, free.len());
         if wants_residuals {
             wsnloc_obs::accounting::note_residual_buffer();
-            residuals.reserve_exact(free.len());
         }
-        let mut settle = |beliefs: &mut [U::Belief], u: usize, (new, shift, residual)| {
-            if let Some(b) = new {
-                beliefs[u] = b;
-                live += 1;
-            }
-            max_shift = max_shift.max(shift);
-            residuals.extend(residual);
-        };
         match opts.schedule {
             Schedule::Synchronous => {
+                // Every update reads last iteration's `beliefs` and writes
+                // its node's slot of `next`; then the buffers swap.
+                let next = next.get_or_insert_with(|| beliefs.clone());
                 let inbox = Inbox {
                     mrf,
                     beliefs: &beliefs,
                     session: links,
                 };
-                let steps: Vec<_> = free.par_iter().map(|&u| step(u, &inbox)).collect();
-                for (&u, s) in free.iter().zip(steps) {
-                    settle(&mut beliefs, u, s);
+                let chunks = next.par_map_chunks_mut(|start, slots| {
+                    let mut chunk = StepFold::new(wants_residuals, slots.len());
+                    for (u, slot) in (start..).zip(slots) {
+                        if mrf.fixed(u).is_some() {
+                            continue;
+                        }
+                        let old = &beliefs[u];
+                        if alive(u) {
+                            *slot = update.update(u, iter, &inbox);
+                            chunk.note::<U>(u, old, slot, true);
+                        } else {
+                            slot.clone_from(old);
+                            chunk.note::<U>(u, old, old, false);
+                        }
+                    }
+                    chunk
+                });
+                for chunk in chunks {
+                    fold.absorb(chunk);
                 }
+                std::mem::swap(&mut beliefs, next);
             }
             Schedule::Sweep => {
                 for &u in &free {
-                    let inbox = Inbox {
-                        mrf,
-                        beliefs: &beliefs,
-                        session: links,
-                    };
-                    let s = step(u, &inbox);
-                    settle(&mut beliefs, u, s);
+                    let old = &beliefs[u];
+                    if alive(u) {
+                        let inbox = Inbox {
+                            mrf,
+                            beliefs: &beliefs,
+                            session: links,
+                        };
+                        let new = update.update(u, iter, &inbox);
+                        fold.note::<U>(u, old, &new, true);
+                        beliefs[u] = new;
+                    } else {
+                        fold.note::<U>(u, old, old, false);
+                    }
                 }
             }
         }
+        let StepFold {
+            live,
+            max_shift,
+            residuals,
+            ..
+        } = fold;
 
         outcome.iterations = iter + 1;
         outcome.messages += live;
@@ -356,5 +380,58 @@ where
     RunOutcome {
         beliefs,
         bp: outcome,
+    }
+}
+
+/// The bookkeeping of a run of node steps: live updates, the largest
+/// mean shift and, only when the observer wants them (the zero-cost
+/// contract), per-node residuals in step order. A synchronous chunk job
+/// folds its own nodes and the driver absorbs the chunks in order; the
+/// sweep folds straight into the iteration's total.
+struct StepFold {
+    wants_residuals: bool,
+    live: u64,
+    max_shift: f64,
+    residuals: Vec<NodeResidual>,
+}
+
+impl StepFold {
+    /// An empty fold, with room for `capacity` residuals when wanted.
+    fn new(wants_residuals: bool, capacity: usize) -> Self {
+        StepFold {
+            wants_residuals,
+            live: 0,
+            max_shift: 0.0,
+            residuals: if wants_residuals {
+                Vec::with_capacity(capacity)
+            } else {
+                Vec::new()
+            },
+        }
+    }
+
+    /// Notes node `u`'s step from `old` to `now`: its mean shift and,
+    /// when wanted, [`NodeUpdate::residual`] against the belief it
+    /// replaces. A dead node (`live = false`) passes its own belief.
+    fn note<U: NodeUpdate>(&mut self, u: usize, old: &U::Belief, now: &U::Belief, live: bool) {
+        let shift = now.mean().dist(old.mean());
+        self.live += u64::from(live);
+        self.max_shift = self.max_shift.max(shift);
+        if self.wants_residuals {
+            let (residual, kl) = U::residual(old, now, shift);
+            self.residuals.push(NodeResidual {
+                node: u,
+                residual,
+                kl,
+            });
+        }
+    }
+
+    /// Adds a later fold's steps to this one. The live count and the
+    /// maximum do not depend on the order; residuals stay in step order.
+    fn absorb(&mut self, mut later: StepFold) {
+        self.live += later.live;
+        self.max_shift = self.max_shift.max(later.max_shift);
+        self.residuals.append(&mut later.residuals);
     }
 }

@@ -20,6 +20,16 @@
 //! `r = d_obs − ‖μᵤ − μᵥ‖` the innovation, and
 //! `s² = σ_d² + gᵀΣᵥg` the measurement variance inflated by the neighbor's
 //! own positional uncertainty along the line of sight.
+//!
+//! The prior `(Λ₀, η₀)` of a cold run comes from
+//! [`UnaryPotential::moments`]: exact for a Gaussian drop-point prior
+//! ([`crate::potential::GaussianUnary`] returns its own mean and σ), and
+//! a 64-draw estimate for box and shape priors. Each run also tabulates,
+//! per free node, the observed distance and noise variance of every
+//! range edge once, so an update does arithmetic over its table instead
+//! of asking each edge's potential again.
+//!
+//! [`UnaryPotential::moments`]: crate::potential::UnaryPotential::moments
 
 use crate::engine::{self, BpEngine, Delivery, Inbox, NodeUpdate, RunOutcome};
 use crate::mrf::{BpOptions, SpatialMrf};
@@ -101,10 +111,14 @@ impl BpEngine for GaussianBp {
     /// Under a fault plan, undelivered neighbor beliefs are replaced by
     /// held snapshots (their information contribution scaled by
     /// `alpha`), never-received links contribute nothing, and dead nodes
-    /// freeze. A carried belief replaces a free node's sampled prior
-    /// moments and its jittered initial belief — the textbook
+    /// freeze. A cold free node's prior moments are its unary's
+    /// [`UnaryPotential::moments`] (exact for a Gaussian drop-point
+    /// prior, sampled otherwise). A carried belief replaces those
+    /// moments and the jittered initial belief — the textbook
     /// predict/update recursion with the carried Gaussian as the
     /// predicted prior.
+    ///
+    /// [`UnaryPotential::moments`]: crate::potential::UnaryPotential::moments
     fn run_carried<F>(
         &self,
         mrf: &SpatialMrf,
@@ -122,68 +136,140 @@ impl BpEngine for GaussianBp {
     }
 }
 
-/// Per-node prior moments and initial beliefs for one run, computed on
-/// the pool: each node draws from its own split streams, so the result
-/// does not depend on how the nodes are chunked.
-fn init<'a>(
-    mrf: &'a SpatialMrf,
+/// Per-node prior moments, range tables and initial beliefs for one run,
+/// in one pass on the pool: each chunk job writes its nodes' initial
+/// beliefs in place and builds its own [`NodeChunk`]. Each node draws
+/// from its own split streams, so the result does not depend on how the
+/// nodes are chunked. A cold free node's prior is the exact mean and σ
+/// of a Gaussian drop-point unary, or the sampled estimate of
+/// [`UnaryPotential::moments`]'s default for any other prior.
+///
+/// [`UnaryPotential::moments`]: crate::potential::UnaryPotential::moments
+fn init(
+    mrf: &SpatialMrf,
     opts: &BpOptions,
     warm: Option<&[GaussianBelief]>,
-) -> (GaussianRun<'a>, Vec<GaussianBelief>) {
+) -> (GaussianRun, Vec<GaussianBelief>) {
     let default_sigma = mrf.domain().diagonal() / 2.0;
     let root = Xoshiro256pp::seed_from(opts.seed);
-    let moments: Vec<(GaussianBelief, GaussianBelief)> = (0..mrf.len())
-        .into_par_iter()
-        .map(|u| match (mrf.fixed(u), warm) {
-            (Some(p), _) => (GaussianBelief::point(p), GaussianBelief::point(p)),
-            // Carried-over epoch prior: the previous posterior, already
-            // motion-convolved by the caller. Warm starts skip the
-            // symmetry-breaking jitter: the carried mean is already a
-            // meaningful linearization point, not a coincident
-            // initialization.
-            (None, Some(w)) => (w[u], w[u]),
-            (None, None) => {
-                // Prior moments: sample the unary to estimate mean and
-                // variance (exact for Gaussian priors up to Monte-Carlo
-                // noise; a reasonable moment match for boxes and shapes).
-                let mut rng = root.split(0x6A05 ^ u as u64);
-                let mut samples = [Vec2::ZERO; 64];
-                for s in &mut samples {
-                    *s = mrf.unary(u).sample(&mut rng);
+    // Every slot is overwritten below.
+    let mut beliefs = vec![GaussianBelief::point(Vec2::ZERO); mrf.len()];
+    let chunks = beliefs.par_map_chunks_mut(|start, slots| {
+        let mut chunk = NodeChunk::new(mrf, start, slots.len());
+        for (u, slot) in (start..).zip(slots) {
+            let (prior, belief) = match (mrf.fixed(u), warm) {
+                (Some(p), _) => (GaussianBelief::point(p), GaussianBelief::point(p)),
+                // Carried-over epoch prior: the previous posterior,
+                // already motion-convolved by the caller. Warm starts
+                // skip the symmetry-breaking jitter: the carried mean is
+                // already a meaningful linearization point, not a
+                // coincident initialization.
+                (None, Some(w)) => (w[u], w[u]),
+                (None, None) => {
+                    // Prior moments: exact for a Gaussian drop-point
+                    // prior, sampled from the node's own stream otherwise.
+                    let (mean, sigma) = mrf.unary(u).moments(&mut root.split(0x6A05 ^ u as u64));
+                    let prior = GaussianBelief::isotropic(mean, sigma.max(1e-3).min(default_sigma));
+                    let mut belief = prior;
+                    let mut rng = root.split(0x11773 ^ u as u64);
+                    belief.mean += Vec2::new(rng.gaussian(), rng.gaussian()) * INIT_JITTER;
+                    (prior, belief)
                 }
-                // 64 draws above, so the centroid always exists.
-                let mean = Vec2::centroid(&samples).unwrap_or_else(|| mrf.domain().center());
-                let var = samples.iter().map(|s| s.dist_sq(mean)).sum::<f64>()
-                    / samples.len() as f64
-                    / 2.0;
-                let sigma = var.sqrt().max(1e-3).min(default_sigma);
-                let prior = GaussianBelief::isotropic(mean, sigma);
-                let mut belief = prior;
-                let mut rng = root.split(0x11773 ^ u as u64);
-                belief.mean += Vec2::new(rng.gaussian(), rng.gaussian()) * INIT_JITTER;
-                (prior, belief)
-            }
-        })
-        .collect();
-    let (priors, beliefs) = moments.into_iter().unzip();
+            };
+            chunk.push(mrf, u, prior);
+            *slot = belief;
+        }
+        chunk
+    });
     let run = GaussianRun {
-        mrf,
-        priors,
+        chunks,
         damping: opts.damping,
     };
     (run, beliefs)
 }
 
-/// One Gaussian run's update state.
-struct GaussianRun<'a> {
-    mrf: &'a SpatialMrf,
-    /// Per-node prior moments (points for anchors).
+/// One range edge as a free node's update reads it.
+struct RangeEdge {
+    /// The directed link into the updating node: `2e` when it is edge
+    /// `e`'s `u` endpoint, `2e + 1` when it is the `v` endpoint.
+    link: usize,
+    /// The far end, whose belief the edge delivers.
+    v: usize,
+    /// The observed distance.
+    observed: f64,
+    /// The ranging noise variance, `sigma * sigma`.
+    var: f64,
+}
+
+/// The prior moments and range tables of one chunk of consecutive
+/// nodes: one flat table per chunk job rather than one allocation per
+/// node.
+struct NodeChunk {
+    /// The chunk's first node.
+    start: usize,
+    /// Prior moments per node (points for anchors).
     priors: Vec<GaussianBelief>,
+    /// Node `start + i`'s range edges are `ranges[ends[i]..ends[i + 1]]`.
+    ends: Vec<usize>,
+    /// Each free node's range edges in [`SpatialMrf::edges_of`] order.
+    /// Edges whose potential has no [`PairPotential::gaussian_range`]
+    /// are left out, because this backend ignores them; anchors have
+    /// none.
+    ///
+    /// [`PairPotential::gaussian_range`]: crate::potential::PairPotential::gaussian_range
+    ranges: Vec<RangeEdge>,
+}
+
+impl NodeChunk {
+    /// An empty chunk for the `len` nodes from `start`, sized for them.
+    fn new(mrf: &SpatialMrf, start: usize, len: usize) -> Self {
+        let edges = (start..start + len)
+            .filter(|&u| mrf.fixed(u).is_none())
+            .map(|u| mrf.edges_of(u).len())
+            .sum();
+        let mut ends = Vec::with_capacity(len + 1);
+        ends.push(0);
+        NodeChunk {
+            start,
+            priors: Vec::with_capacity(len),
+            ends,
+            ranges: Vec::with_capacity(edges),
+        }
+    }
+
+    /// Appends node `u` (the chunk's next) with its prior moments and,
+    /// when it is free, its range edges.
+    fn push(&mut self, mrf: &SpatialMrf, u: usize, prior: GaussianBelief) {
+        if mrf.fixed(u).is_none() {
+            for &e in mrf.edges_of(u) {
+                let edge = &mrf.edges()[e];
+                let Some((observed, sigma)) = edge.potential.gaussian_range() else {
+                    continue;
+                };
+                let receiver_is_v = edge.v == u;
+                self.ranges.push(RangeEdge {
+                    link: 2 * e + usize::from(receiver_is_v),
+                    v: if receiver_is_v { edge.u } else { edge.v },
+                    observed,
+                    var: sigma * sigma,
+                });
+            }
+        }
+        self.priors.push(prior);
+        self.ends.push(self.ranges.len());
+    }
+}
+
+/// One Gaussian run's update state.
+struct GaussianRun {
+    /// Prior moments and range tables, per chunk of consecutive nodes
+    /// from node 0.
+    chunks: Vec<NodeChunk>,
     /// Fraction of the old mean kept by each update.
     damping: f64,
 }
 
-impl NodeUpdate for GaussianRun<'_> {
+impl NodeUpdate for GaussianRun {
     type Belief = GaussianBelief;
 
     const BACKEND: &'static str = "gaussian";
@@ -208,7 +294,16 @@ impl NodeUpdate for GaussianRun<'_> {
     }
 }
 
-impl GaussianRun<'_> {
+impl GaussianRun {
+    /// Node `u`'s prior moments and range edges.
+    fn node(&self, u: usize) -> (&GaussianBelief, &[RangeEdge]) {
+        // The chunks run consecutively from node 0, so `u` lies in the
+        // last one that starts at or before it.
+        let c = &self.chunks[self.chunks.partition_point(|c| c.start <= u) - 1];
+        let i = u - c.start;
+        (&c.priors[i], &c.ranges[c.ends[i]..c.ends[i + 1]])
+    }
+
     /// One information-form update; `None` when the posterior information
     /// matrix is singular.
     fn information_update(
@@ -216,7 +311,7 @@ impl GaussianRun<'_> {
         u: usize,
         inbox: &Inbox<'_, GaussianBelief>,
     ) -> Option<GaussianBelief> {
-        let prior = &self.priors[u];
+        let (prior, ranges) = self.node(u);
         let mu = inbox.beliefs()[u].mean;
         // Prior information.
         let p_info = inv2(prior.cov)?;
@@ -226,16 +321,13 @@ impl GaussianRun<'_> {
             p_info[2] * prior.mean.x + p_info[3] * prior.mean.y,
         ];
 
-        for &e in self.mrf.edges_of(u) {
-            let Some((observed, sigma)) = self.mrf.edges()[e].potential.gaussian_range() else {
-                continue; // non-range potentials are ignored by this backend
-            };
+        for range in ranges {
             // Never-received links contribute nothing; a held snapshot's
             // measurement information is scaled by its staleness
             // discount `alpha` (exactly 1 on the perfect transport).
             let Some(Delivery {
                 belief: nb, alpha, ..
-            }) = inbox.receive(e, u)
+            }) = inbox.deliver(range.link / 2, range.v, range.link % 2 == 1)
             else {
                 continue;
             };
@@ -245,11 +337,11 @@ impl GaussianRun<'_> {
                 continue; // gradient undefined this iteration
             }
             let g = diff / dist;
-            let s2 = sigma * sigma + nb.directional_variance(g);
+            let s2 = range.var + nb.directional_variance(g);
             if s2 <= 0.0 {
                 continue;
             }
-            let r = observed - dist;
+            let r = range.observed - dist;
             // Pseudo-measurement of gᵀx with value gᵀμᵤ + r.
             let z = g.dot(mu) + r;
             lam[0] += alpha * (g.x * g.x / s2);
@@ -481,7 +573,9 @@ mod tests {
                 .try_build()
                 .expect("valid options"),
         );
-        assert!(beliefs[0].mean.dist(Vec2::new(20.0, 80.0)) < 4.0);
-        assert!((beliefs[0].spread() - 5.0 * (2.0f64).sqrt()).abs() < 3.0);
+        // Exact prior moments and no damping: one update lands on the
+        // prior itself, its mean and its spread σ·√2.
+        assert!(beliefs[0].mean.dist(Vec2::new(20.0, 80.0)) < 1e-9);
+        assert!((beliefs[0].spread() - 5.0 * (2.0f64).sqrt()).abs() < 1e-9);
     }
 }

@@ -17,13 +17,39 @@ use wsnloc_geom::exp::exp_in_place;
 use wsnloc_geom::rng::Xoshiro256pp;
 use wsnloc_geom::{Aabb, Shape, Vec2};
 
+/// Draws behind the default [`UnaryPotential::moments`] estimate.
+const MOMENT_DRAWS: usize = 64;
+
 /// Prior knowledge about a single node position.
+///
+/// Beyond its density and a sampler, a prior reports its first two
+/// moments, which the parametric [`crate::gaussian::GaussianBp`] backend
+/// uses as its Gaussian prior. A prior whose moments are known in closed
+/// form ([`GaussianUnary`]) returns them exactly; any other prior gets
+/// the sampled estimate of the default.
 pub trait UnaryPotential: Send + Sync {
     /// Unnormalized log density at `x`. `-inf` is allowed (outside support).
     fn log_density(&self, x: Vec2) -> f64;
 
     /// Draws a sample from (an approximation of) the prior.
     fn sample(&self, rng: &mut Xoshiro256pp) -> Vec2;
+
+    /// The prior's mean and isotropic per-axis standard deviation.
+    ///
+    /// The default estimates both from 64 draws on `rng`: the centroid,
+    /// and `sqrt(mean squared distance to it / 2)`. That is a moment
+    /// match for boxes and shapes. An override that knows its moments
+    /// returns them and leaves `rng` untouched.
+    fn moments(&self, rng: &mut Xoshiro256pp) -> (Vec2, f64) {
+        let mut samples = [Vec2::ZERO; MOMENT_DRAWS];
+        for s in &mut samples {
+            *s = self.sample(rng);
+        }
+        let n = MOMENT_DRAWS as f64;
+        let mean = samples.iter().copied().sum::<Vec2>() / n;
+        let var = samples.iter().map(|s| s.dist_sq(mean)).sum::<f64>() / n / 2.0;
+        (mean, var.sqrt())
+    }
 }
 
 /// A measurement potential over the distance between two nodes.
@@ -83,6 +109,11 @@ impl UnaryPotential for GaussianUnary {
 
     fn sample(&self, rng: &mut Xoshiro256pp) -> Vec2 {
         rng.gaussian_point(self.mean, self.sigma)
+    }
+
+    /// Exact: the drop point and its σ, with no draws.
+    fn moments(&self, _rng: &mut Xoshiro256pp) -> (Vec2, f64) {
+        (self.mean, self.sigma)
     }
 }
 
@@ -205,6 +236,39 @@ mod tests {
         let mut rng = Xoshiro256pp::seed_from(4);
         for _ in 0..500 {
             assert!(u.log_density(u.sample(&mut rng)).is_finite());
+        }
+    }
+
+    #[test]
+    fn gaussian_moments_are_the_fields_and_box_moments_are_sampled() {
+        let g = GaussianUnary {
+            mean: Vec2::new(12.5, -3.0),
+            sigma: 7.25,
+        };
+        let mut rng = Xoshiro256pp::seed_from(5);
+        let untouched = rng.clone();
+        assert_eq!(g.moments(&mut rng), (g.mean, g.sigma));
+        assert_eq!(rng.next_u64(), untouched.clone().next_u64(), "no draws");
+
+        // The default is the 64-draw estimate the Gaussian backend made
+        // inline before priors reported their own moments, bit for bit.
+        let b = UniformBoxUnary(Aabb::new(Vec2::new(-40.0, 10.0), Vec2::new(260.0, 90.0)));
+        let root = Xoshiro256pp::seed_from(0xB0D);
+        for u in [0u64, 1, 97] {
+            let mut rng = root.split(0x6A05 ^ u);
+            let mut samples = [Vec2::ZERO; 64];
+            for s in &mut samples {
+                *s = b.sample(&mut rng);
+            }
+            let mean = Vec2::centroid(&samples).expect("64 draws");
+            let var =
+                samples.iter().map(|s| s.dist_sq(mean)).sum::<f64>() / samples.len() as f64 / 2.0;
+            let (m, sigma) = b.moments(&mut root.split(0x6A05 ^ u));
+            assert_eq!(
+                (m.x.to_bits(), m.y.to_bits()),
+                (mean.x.to_bits(), mean.y.to_bits())
+            );
+            assert_eq!(sigma.to_bits(), var.sqrt().to_bits());
         }
     }
 

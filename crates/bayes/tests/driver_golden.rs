@@ -23,8 +23,8 @@
 
 use std::sync::Arc;
 use wsnloc_bayes::{
-    BpEngine, BpOptions, GaussianBelief, GaussianBp, GaussianRange, GridBelief, GridBp,
-    ParticleBelief, ParticleBp, RunOutcome, Schedule, ShardedEngine, SpatialMrf, Transport,
+    BpEngine, BpOptions, GaussianBelief, GaussianBp, GaussianRange, GaussianUnary, GridBelief,
+    GridBp, ParticleBelief, ParticleBp, RunOutcome, Schedule, ShardedEngine, SpatialMrf, Transport,
     UniformBoxUnary,
 };
 use wsnloc_geom::rng::Xoshiro256pp;
@@ -114,6 +114,10 @@ const GOLDEN: &[(&str, u64)] = &[
     ("sharded-gaussian/faulted", 0x7a45048f7085e6cb),
     ("gaussian-forked/perfect/cold", 0xbb013fac2eea24cc),
     ("gaussian-forked/perfect/carried", 0x32fc49a24c4ac12c),
+    ("gaussian-forked/faulted/cold", 0xe1e9e3ecefe3f773),
+    ("gaussian-forked/faulted/carried", 0x1ffcce983e1979cb),
+    ("gaussian-drop/cold", 0x9a0b098053320680),
+    ("gaussian-drop/carried", 0xec173fb1c4f3c775),
 ];
 
 /// FNV-1a, 64-bit.
@@ -429,27 +433,55 @@ fn sharded_cases<E>(
 /// Gaussian cold and carried on a fixture with 93 free nodes, under a
 /// four-thread pool: above the pool's fork threshold, so these digests
 /// pin a prior init and node updates split across chunk jobs (the
-/// fixtures above are small enough to run every map inline).
+/// fixtures above are small enough to run every map inline). The
+/// faulted rows kill 20% of the free nodes at iteration 2, so a forked
+/// synchronous step carries dead nodes. The `gaussian-drop` rows give
+/// every free node a [`GaussianUnary`] drop-point prior, the shape whose
+/// prior moments are exact rather than sampled.
 fn forked_gaussian_cases(out: &mut Vec<(String, u64)>) {
-    let (mrf, _) = cooperative(96, 600.0);
+    let (mrf, pts) = cooperative(96, 600.0);
     assert!(mrf.free_vars().len() >= 64, "the fixture must fork");
+    let drop = drop_priors(cooperative(96, 600.0).0, &pts);
     let opts = options(Schedule::Synchronous, 0.0);
-    let perfect = Transport::perfect();
     rayon::ThreadPoolBuilder::new()
         .num_threads(4)
         .build()
         .expect("shim pool build is infallible")
         .install(|| {
-            let carried = carried(&GaussianBp, &mrf);
+            let forked_carried = carried(&GaussianBp, &mrf);
+            for (tname, transport) in [("perfect", Transport::perfect()), ("faulted", faulted())] {
+                let cold = traced(&GaussianBp, |e, obs, f| {
+                    e.run_carried(&mrf, &opts, &transport, None, obs, f)
+                });
+                out.push((format!("gaussian-forked/{tname}/cold"), cold));
+                let carry = traced(&GaussianBp, |e, obs, f| {
+                    e.run_carried(&mrf, &opts, &transport, Some(&forked_carried), obs, f)
+                });
+                out.push((format!("gaussian-forked/{tname}/carried"), carry));
+            }
+            let drop_carried = carried(&GaussianBp, &drop);
+            let transport = faulted();
             let cold = traced(&GaussianBp, |e, obs, f| {
-                e.run_carried(&mrf, &opts, &perfect, None, obs, f)
+                e.run_carried(&drop, &opts, &transport, None, obs, f)
             });
-            out.push(("gaussian-forked/perfect/cold".to_string(), cold));
+            out.push(("gaussian-drop/cold".to_string(), cold));
             let carry = traced(&GaussianBp, |e, obs, f| {
-                e.run_carried(&mrf, &opts, &perfect, Some(&carried), obs, f)
+                e.run_carried(&drop, &opts, &transport, Some(&drop_carried), obs, f)
             });
-            out.push(("gaussian-forked/perfect/carried".to_string(), carry));
+            out.push(("gaussian-drop/carried".to_string(), carry));
         });
+}
+
+/// `mrf` with a σ = 40 m [`GaussianUnary`] per free node, centered a
+/// seeded σ-scale draw away from the node's true position in `pts`.
+fn drop_priors(mut mrf: SpatialMrf, pts: &[Vec2]) -> SpatialMrf {
+    const SIGMA: f64 = 40.0;
+    let mut rng = Xoshiro256pp::seed_from(11);
+    for u in mrf.free_vars() {
+        let mean = rng.gaussian_point(pts[u], SIGMA);
+        mrf.set_unary(u, Arc::new(GaussianUnary { mean, sigma: SIGMA }));
+    }
+    mrf
 }
 
 fn cases() -> Vec<(String, u64)> {

@@ -178,11 +178,13 @@ fn flat_particle_under_nlos_and_loss_stays_within_crlb_factor() {
     );
 }
 
-/// Gaussian, 30 trials: measured 6.30 (per trial 2.99–9.38). Ceiling:
-/// 6.30 + 10%. Halving the iteration budget to 4 reads 7.39 and fails.
+/// Gaussian, 30 trials: measured 5.91 (per trial 3.36–8.63) since a
+/// Gaussian drop-point prior enters with its exact mean and σ (6.30,
+/// per trial 2.99–9.38, with the 64-draw estimate). Ceiling: 5.91 +
+/// 10%. Halving the iteration budget to 4 reads 7.12 and fails.
 #[test]
 fn flat_gaussian_stays_within_crlb_factor() {
-    assert_within("flat gaussian", builder(Backend::gaussian()), 30, 6.9);
+    assert_within("flat gaussian", builder(Backend::gaussian()), 30, 6.5);
 }
 
 /// Sharded particle(150) under 40% loss, 6 trials: measured 2.28 when
@@ -207,13 +209,15 @@ fn sharded_grid_under_boundary_loss_stays_within_crlb_factor() {
     assert_within("sharded grid", sharded(backend), 4, 2.75);
 }
 
-/// Sharded Gaussian under 40% loss, 30 trials: measured 6.26 when the
-/// gate was added (per trial 3.61–8.48), 6.33 (per trial 3.19–9.83)
-/// since sharded runs share the flat BP loop. Ceiling: 6.26 + 10%.
-/// Halving the iteration budget to 4 reads 7.42 and fails.
+/// Sharded Gaussian under 40% loss, 30 trials: measured 6.13 (per
+/// trial 3.70–9.17) since a Gaussian drop-point prior enters with its
+/// exact mean and σ (6.26 when the gate was added, 6.33 once sharded
+/// runs shared the flat BP loop, both with the 64-draw estimate).
+/// Ceiling: 6.13 + 10%. Halving the iteration budget to 4 reads 7.30
+/// and fails.
 #[test]
 fn sharded_gaussian_under_boundary_loss_stays_within_crlb_factor() {
-    assert_within("sharded gaussian", sharded(Backend::gaussian()), 30, 6.9);
+    assert_within("sharded gaussian", sharded(Backend::gaussian()), 30, 6.74);
 }
 
 /// Streaming-warm particle(150) session, 4 trials, 2 iterations per
